@@ -10,11 +10,9 @@ The package is organized around the stages of the pipeline:
 - :mod:`polytrace.reduction`   vertex thresholding, NMS and angle pruning
 - :mod:`polytrace.evaluation`  mask/boundary IoU, AP and manual-level metrics
 - :mod:`polytrace.synth`       synthetic scenes and the handcrafted feature grid
-- :mod:`polytrace.pipeline`    detection heads, parameter container, checkpoints
+- :mod:`polytrace.pipeline`    detection heads, the contour forward, checkpoints, inference
 - :mod:`polytrace.training`    optimizers and the end-to-end training loop
-- :mod:`polytrace.dataio`      dataset/prediction files, PGM images, overlays
 - :mod:`polytrace.config`      run configuration
-- :mod:`polytrace.cli`         command-line entry points
 """
 
 __version__ = "0.1.0"

@@ -27,10 +27,6 @@ class Assignment:
         if np.unique(sig).size != sig.size:
             raise ValueError("assignment columns must be distinct")
 
-    @property
-    def n_rows(self) -> int:
-        return self.sigma.shape[0]
-
     def matched_columns(self) -> np.ndarray:
         return self.sigma
 
@@ -124,23 +120,9 @@ def hungarian(cost) -> Assignment:
     return Assignment(sigma)
 
 
-def assignment_total_cost(cost, assignment: Assignment) -> float:
-    a = np.asarray(cost, dtype=float)
-    rows = np.arange(assignment.n_rows)
-    return float(a[rows, assignment.sigma].sum())
-
-
-def nearest_point_index(point, points) -> int:
-    """Index of the closest point by Euclidean distance, lowest index on ties."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise ValueError("nearest-point query against an empty list")
-    d = np.linalg.norm(pts - np.asarray(point, dtype=float), axis=1)
-    return int(np.argmin(d))
-
-
 def nearest_point_indices(query_points, points) -> np.ndarray:
-    """Vectorized nearest_point_index for every query point."""
+    """Index of the closest point (Euclidean, lowest index on ties) for
+    every query point."""
     q = np.asarray(query_points, dtype=float)
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:

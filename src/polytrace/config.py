@@ -17,7 +17,6 @@ RECOMMENDED_RANGES = {
     "peak_threshold": (0.05, 0.2),
     "max_detections": (200, 300),
     "vertex_threshold": (0.5, 0.7),
-    "evolution_iterations": (2, 3),
     "match_distance_weight": (4.0, 6.0),
 }
 
@@ -31,7 +30,6 @@ class RunConfig:
     peak_threshold: float = 0.2
     max_detections: int = 200
     vertex_threshold: float = 0.6
-    evolution_iterations: int = 2
     match_distance_weight: float = 5.0
     expansion_factor: float = 10.0
     loss_balance: float = 1.0 / 3.0

@@ -90,9 +90,9 @@ def decode_peaks(heatmap, threshold: float = 0.2, top_k: int = 200) -> list[Cent
 def compose_initial_contour(center, offsets, gamma: float = 10.0) -> DensifiedContour:
     """Initial contour from a center point and stride-4 offsets.
 
-    Offsets are converted to full-resolution pixels (times the stride) before
-    the expansion factor is applied; the ring inherits the four-anchor layout
-    by index.
+    Offsets are converted to full-resolution pixels (times the stride) and
+    the expansion factor, as :func:`pipeline.initial_contours` does for a
+    batch; the ring inherits the four-anchor layout by index.
     """
     c = np.asarray(center.position if isinstance(center, CenterDetection) else center, dtype=float)
     off = np.asarray(offsets, dtype=float)
@@ -101,7 +101,7 @@ def compose_initial_contour(center, offsets, gamma: float = 10.0) -> DensifiedCo
     n = off.shape[0]
     if n % 4 != 0:
         raise ValueError("offset count must be divisible by 4")
-    points = c[None, :] + gamma * (off * STRIDE)
+    points = c[None, :] + (gamma * STRIDE) * off
     return DensifiedContour(points, np.arange(4) * (n // 4))
 
 

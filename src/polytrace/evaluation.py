@@ -144,23 +144,27 @@ def average_precision(preds, gts, iou_fn, interpolated: bool = False) -> float:
     """
     if len(gts) == 0:
         raise ValueError("average precision needs at least one ground truth")
-    values = []
-    for thr in IOU_THRESHOLDS:
-        if interpolated:
-            values.append(_interpolated_ap(preds, gts, iou_fn, float(thr)))
-        else:
-            if len(preds) == 0:
-                values.append(0.0)
-                continue
-            result = match_instances(preds, gts, iou_fn, float(thr))
-            values.append(result.true_positives / len(preds))
-    return float(np.mean(values))
+    results = _threshold_matches(preds, gts, iou_fn)
+    if interpolated and results:
+        return float(np.mean([_interpolated_ap(result, preds, gts) for result in results]))
+    return float(np.mean(_precisions(results, len(preds))))
 
 
-def _interpolated_ap(preds, gts, iou_fn, threshold):
+def _threshold_matches(preds, gts, iou_fn) -> list:
+    """The greedy matching at each IoU threshold; empty without predictions."""
     if len(preds) == 0:
-        return 0.0
-    result = match_instances(preds, gts, iou_fn, threshold)
+        return []
+    return [match_instances(preds, gts, iou_fn, float(thr)) for thr in IOU_THRESHOLDS]
+
+
+def _precisions(results, n_preds) -> list:
+    """TP / predictions at each IoU threshold; zeros without predictions."""
+    if not results:
+        return [0.0] * len(IOU_THRESHOLDS)
+    return [result.true_positives / n_preds for result in results]
+
+
+def _interpolated_ap(result, preds, gts):
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
     matched = {pi for pi, _, _ in result.pairs}
     flags = np.array([pi in matched for pi in order])
@@ -310,20 +314,13 @@ def evaluate(preds, gts, frame_dims) -> EvalReport:
     iou_mask = _cached_mask_iou(frame_fn)
     iou_band = _cached_mask_iou(frame_fn, band=True)
 
-    ap_msk = average_precision(preds, gts, iou_mask)
-    ap_bdy = average_precision(preds, gts, iou_band)
-
     classes = [size_split(gt.polygon, frame_fn(gt.image_id)) for gt in gts]
-    splits = {}
-    for label in (SMALL_MEDIUM, LARGE):
-        split_gts = [gt for gt, c in zip(gts, classes) if c == label]
-        splits[label] = {
-            "mask": _split_ap(preds, gts, classes, label, iou_mask),
-            "boundary": _split_ap(preds, gts, classes, label, iou_band),
-        }
-
-    precision_mask = _precision_per_threshold(preds, gts, iou_mask)
-    precision_boundary = _precision_per_threshold(preds, gts, iou_band)
+    precision, splits = {}, {}
+    for kind, iou_fn in (("mask", iou_mask), ("boundary", iou_band)):
+        # one greedy match per IoU threshold serves precision and size splits
+        results = _threshold_matches(preds, gts, iou_fn)
+        precision[kind] = _precisions(results, len(preds))
+        splits[kind] = {label: _split_ap(results, classes, label) for label in (SMALL_MEDIUM, LARGE)}
 
     matches = match_instances(preds, gts, iou_mask, 0.5)
     per_gt_iou = np.zeros(len(gts))
@@ -331,46 +328,31 @@ def evaluate(preds, gts, frame_dims) -> EvalReport:
         per_gt_iou[gi] = iou
 
     return EvalReport(
-        ap_msk=ap_msk,
-        ap_bdy=ap_bdy,
-        ap_msk_sm=splits[SMALL_MEDIUM]["mask"],
-        ap_msk_l=splits[LARGE]["mask"],
-        ap_bdy_sm=splits[SMALL_MEDIUM]["boundary"],
-        ap_bdy_l=splits[LARGE]["boundary"],
+        ap_msk=float(np.mean(precision["mask"])),
+        ap_bdy=float(np.mean(precision["boundary"])),
+        ap_msk_sm=splits["mask"][SMALL_MEDIUM],
+        ap_msk_l=splits["mask"][LARGE],
+        ap_bdy_sm=splits["boundary"][SMALL_MEDIUM],
+        ap_bdy_l=splits["boundary"][LARGE],
         manual_level_2px=manual_level_rate(preds, gts, 2, frame_fn),
         manual_level_3px=manual_level_rate(preds, gts, 3, frame_fn),
         mean_instance_iou=float(per_gt_iou.mean()),
-        precision_mask=precision_mask,
-        precision_boundary=precision_boundary,
+        precision_mask=precision["mask"],
+        precision_boundary=precision["boundary"],
     )
 
 
-def _precision_per_threshold(preds, gts, iou_fn):
-    out = []
-    for thr in IOU_THRESHOLDS:
-        if len(preds) == 0:
-            out.append(0.0)
-            continue
-        result = match_instances(preds, gts, iou_fn, float(thr))
-        out.append(result.true_positives / len(preds))
-    return out
-
-
-def _split_ap(preds, gts, classes, label, iou_fn):
-    """AP restricted to one size class.
+def _split_ap(results, classes, label):
+    """AP restricted to one size class, from the per-threshold matches.
 
     At each threshold, predictions matched to a ground truth of the other
     class are set aside; precision is TP(class) / (TP(class) + unmatched).
-    A class with no ground truths reports 0.
+    A class with no ground truths, or no predictions, reports 0.
     """
-    if label not in classes:
+    if label not in classes or not results:
         return 0.0
     values = []
-    for thr in IOU_THRESHOLDS:
-        if len(preds) == 0:
-            values.append(0.0)
-            continue
-        result = match_instances(preds, gts, iou_fn, float(thr))
+    for result in results:
         tp = sum(1 for _, gi, _ in result.pairs if classes[gi] == label)
         fp = result.false_positives
         values.append(tp / (tp + fp) if tp + fp else 0.0)

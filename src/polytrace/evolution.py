@@ -7,10 +7,12 @@ residual shortcuts, then fusion of a global max-pooled vector that is
 broadcast-concatenated back onto every vertex. Two pointwise heads emit the
 per-vertex coordinate offsets and the two-class validity logits.
 
-Forward passes cache every activation needed by :func:`backward`, which
-produces exact reverse-mode gradients for all parameters and for the input
-vertex features. Arrays are (B, N, D) batched internally; the public
-single-instance entry points wrap a batch of one.
+Every array is a (B, N, D) batch: :func:`vertex_features` samples the grid
+and computes relative coordinates for B contours of N vertices at once, and
+one :func:`forward` call runs all of them, so an image's contours are evolved
+as one tensor in training and in inference alike. Forward passes cache every
+activation needed by :func:`backward`, which produces exact reverse-mode
+gradients for all parameters and for the input vertex features.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import DensifiedContour, bounding_box
+from .detection import STRIDE
 
 ENCODER_WIDTH = 128
 KERNEL_SIZES = {"detail": 3, "local": 9, "global": 21}
@@ -90,27 +92,22 @@ class EvolutionParams:
         return cls(**{f.name: np.asarray(named[f.name], dtype=float) for f in fields(cls)})
 
 
-@dataclass
-class EvolutionState:
-    contour: DensifiedContour
-    iteration: int = 0
-
-
 def sample_features(grid, points) -> np.ndarray:
     """Bilinear interpolation of every grid channel at stride-4 coordinates.
 
-    ``grid`` is (rows, cols, C); points are full-resolution pixels, mapped to
-    grid coordinates by dividing by the stride and clamped to the grid.
+    ``grid`` is (rows, cols, C); points are (..., 2) full-resolution pixels,
+    mapped to grid coordinates by dividing by the stride and clamped to the
+    grid. The result is (..., C).
     """
     g = np.asarray(grid, dtype=float)
     pts = np.asarray(points, dtype=float)
     rows, cols = g.shape[:2]
-    gx = np.clip(pts[:, 0] / 4.0, 0.0, cols - 1.0)
-    gy = np.clip(pts[:, 1] / 4.0, 0.0, rows - 1.0)
+    gx = np.clip(pts[..., 0] / STRIDE, 0.0, cols - 1.0)
+    gy = np.clip(pts[..., 1] / STRIDE, 0.0, rows - 1.0)
     x0 = np.clip(np.floor(gx).astype(int), 0, max(cols - 2, 0))
     y0 = np.clip(np.floor(gy).astype(int), 0, max(rows - 2, 0))
-    fx = (gx - x0)[:, None]
-    fy = (gy - y0)[:, None]
+    fx = (gx - x0)[..., None]
+    fy = (gy - y0)[..., None]
     x1 = np.minimum(x0 + 1, cols - 1)
     y1 = np.minimum(y0 + 1, rows - 1)
     return (
@@ -121,25 +118,35 @@ def sample_features(grid, points) -> np.ndarray:
     )
 
 
-def relative_coords_safe(points) -> np.ndarray:
-    """Bbox-regularized coordinates; zero where the bbox extent degenerates."""
+def relative_coords(points) -> np.ndarray:
+    """Coordinates regularized to [-0.5, 0.5] about each contour's bbox center.
+
+    ``points`` is (..., N, 2); x_rel = (x - x_ct) / (x_max - x_min) with
+    (x_ct, y_ct) the bounding-box midpoint of the contour, and likewise for
+    y. An axis whose extent degenerates maps to zero.
+    """
     pts = np.asarray(points, dtype=float)
-    box = bounding_box(pts)
-    extent = np.array([box[2] - box[0], box[3] - box[1]])
-    center = np.array([(box[0] + box[2]) / 2.0, (box[1] + box[3]) / 2.0])
+    lo = pts.min(axis=-2, keepdims=True)
+    hi = pts.max(axis=-2, keepdims=True)
+    extent = hi - lo
     safe = np.where(extent < 1e-12, 1.0, extent)
-    return (pts - center) / safe
+    return (pts - (lo + hi) / 2.0) / safe
 
 
 def assemble_vertex_features(sampled, rel) -> np.ndarray:
     """Concatenate sampled channels with the two relative coordinates."""
     s = np.asarray(sampled, dtype=float)
     r = np.asarray(rel, dtype=float)
-    if s.shape[0] != r.shape[0]:
+    if s.shape[:-1] != r.shape[:-1]:
         raise ValueError("sampled features and relative coords disagree on N")
-    if r.shape[1] != 2:
-        raise ValueError("relative coordinates must be (N, 2)")
-    return np.concatenate([s, r], axis=1)
+    if r.shape[-1] != 2:
+        raise ValueError("relative coordinates must be (..., N, 2)")
+    return np.concatenate([s, r], axis=-1)
+
+
+def vertex_features(grid, points) -> np.ndarray:
+    """(B, N, C+2) network inputs for a (B, N, 2) batch of contours."""
+    return assemble_vertex_features(sample_features(grid, points), relative_coords(points))
 
 
 def circular_conv1d(x, kernel, bias) -> np.ndarray:
@@ -308,17 +315,3 @@ def backward(cache, params: EvolutionParams, d_offsets=None, d_logits=None):
     d_features = d_z0 @ params.up_w
     return grads, d_features
 
-
-def evolve_once(state: EvolutionState, grid, params: EvolutionParams, max_iterations: int = 2):
-    """One evolution round: assemble features, predict offsets, move vertices.
-
-    Returns (new_state, valid_probs). The classification probabilities are
-    produced every round but only the final round's are consumed downstream.
-    """
-    if state.iteration >= max_iterations:
-        raise ValueError(f"contour already evolved {state.iteration} times")
-    pts = state.contour.points
-    feats = assemble_vertex_features(sample_features(grid, pts), relative_coords_safe(pts))
-    offsets, _, probs, _ = forward(feats[None], params)
-    moved = DensifiedContour(pts + offsets[0], state.contour.anchor_indices)
-    return EvolutionState(moved, state.iteration + 1), probs[0, :, 1]

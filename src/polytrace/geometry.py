@@ -275,21 +275,6 @@ def densify_x10(contour: DensifiedContour) -> np.ndarray:
     return dense.reshape(-1, 2)
 
 
-def relative_coords(contour) -> np.ndarray:
-    """Coordinates regularized to [-0.5, 0.5] about the bbox center.
-
-    x_rel = (x - x_ct) / (x_max - x_min) with (x_ct, y_ct) the bounding-box
-    midpoint of the contour, and likewise for y.
-    """
-    pts = contour.points if isinstance(contour, DensifiedContour) else np.asarray(contour, dtype=float)
-    box = bounding_box(pts)
-    extent = np.array([box[2] - box[0], box[3] - box[1]])
-    if np.any(extent < _EPS):
-        raise ValueError("contour bounding box has zero extent")
-    center = np.array([(box[0] + box[2]) / 2.0, (box[1] + box[3]) / 2.0])
-    return (pts - center) / extent
-
-
 def point_in_polygon(point, poly) -> bool:
     """Even-odd test against the ring (half-open edge rule)."""
     p = as_polygon(poly)

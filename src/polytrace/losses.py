@@ -1,7 +1,8 @@
 """Training objectives with analytic gradients.
 
 Every loss returns a :class:`LossValue` carrying the scalar and the partial
-derivatives with respect to its continuous inputs, keyed by input name.
+derivatives with respect to its continuous inputs, keyed by input name;
+:func:`total_loss` weights the per-component scalars into the objective.
 Discrete selections (Hungarian matches, nearest-point indices) are treated
 as constants inside a step's gradient; they are recomputed between steps,
 which is what makes the vertex pairing dynamic at step granularity.
@@ -145,17 +146,11 @@ def dml(
     return LossValue(pre2gt + gt2pre, {"pred": grad})
 
 
-def total_loss(l_ct, l_init, l_e1, l_e2, l_cla, epsilon: float = 1.0 / 3.0) -> LossValue:
-    """Multi-task combination: ct + epsilon*(init + e1 + e2) + cla.
-
-    Component gradients are scaled by their weights and namespaced by the
-    component name (``ct.heatmap``, ``init.pred``, ...).
-    """
-    parts = {"ct": (l_ct, 1.0), "init": (l_init, epsilon), "e1": (l_e1, epsilon), "e2": (l_e2, epsilon), "cla": (l_cla, 1.0)}
-    value = 0.0
-    grads: dict[str, np.ndarray] = {}
-    for name, (part, weight) in parts.items():
-        value += weight * part.value
-        for key, g in part.grads.items():
-            grads[f"{name}.{key}"] = weight * g
-    return LossValue(value, grads)
+def total_loss(components, epsilon: float = 1.0 / 3.0) -> float:
+    """Multi-task combination ct + epsilon*(init + e1 + e2) + cla of the
+    per-component loss values, keyed by component name."""
+    return (
+        components["ct"]
+        + epsilon * (components["init"] + components["e1"] + components["e2"])
+        + components["cla"]
+    )

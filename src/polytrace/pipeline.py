@@ -1,11 +1,18 @@
-"""Detection heads, the assembled model parameters, checkpoint files and
-whole-image inference.
+"""Detection heads, the assembled model parameters, the contour forward,
+checkpoint files and whole-image inference.
 
 The trainable model is three pieces sharing the handcrafted feature grid:
 a center head (3x3 conv, ReLU, 1x1 conv, sigmoid) producing the keypoint
 heatmap, an offset head (two 3x3 convs with ReLU, then 1x1) producing a
 2N-channel offset map read at center cells, and the contour-evolution
-micro-network applied for a fixed number of rounds.
+micro-network applied for ``EVOLUTION_ROUNDS`` rounds.
+
+:func:`evolve_contours` is the one contour forward of training and
+inference. It composes every initial contour of an image as
+``center + gamma * STRIDE * offset``, with the offset read at the center's
+cell, and evolves all of them as one (B, N, 2) batch. Training passes the
+ground-truth bbox centers and backpropagates through the returned caches;
+:func:`predict_scene` passes the decoded peak positions.
 
 Checkpoint format (version 1): the ASCII magic line ``PTCK0001``, one JSON
 header line listing array names/shapes plus free-form metadata, then the
@@ -21,10 +28,14 @@ import numpy as np
 
 from . import evolution as evo
 from .config import RunConfig
-from .detection import STRIDE, compose_initial_contour, decode_peaks
+from .detection import STRIDE, decode_peaks
 from .synth import feature_provider
 
 CHECKPOINT_MAGIC = b"PTCK0001"
+
+# the training objective supervises exactly two rounds: smooth L1 after the
+# first, dynamic matching and vertex classification after the second
+EVOLUTION_ROUNDS = 2
 
 
 @dataclass
@@ -184,6 +195,37 @@ def offset_backward(cache, params: PipelineParams, d_offmap):
     return grads
 
 
+def initial_contours(offmap, centers, gamma: float) -> np.ndarray:
+    """(B, N, 2) initial contours around (B, 2) full-resolution centers.
+
+    Each center reads the offset map at the stride-4 cell containing it;
+    offsets become pixels through the stride and the expansion factor.
+    """
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    rows = (c[:, 1] // STRIDE).astype(int)
+    cols = (c[:, 0] // STRIDE).astype(int)
+    offsets = offmap[rows, cols].reshape(c.shape[0], -1, 2)
+    return c[:, None, :] + (gamma * STRIDE) * offsets
+
+
+def evolve_contours(grid, offmap, centers, params: PipelineParams, gamma: float):
+    """Compose the initial contours at ``centers`` and evolve them as a batch.
+
+    Returns (stages, probs, caches): ``stages`` holds the (B, N, 2) points of
+    the initial contours and of every round, ``probs`` the (B, N, 2) vertex
+    class probabilities of the last round (valid class last), and
+    ``caches`` the :func:`evolution.forward` cache of every round.
+    """
+    stages = [initial_contours(offmap, centers, gamma)]
+    caches = []
+    for _ in range(EVOLUTION_ROUNDS):
+        feats = evo.vertex_features(grid, stages[-1])
+        offsets, _, probs, cache = evo.forward(feats, params.evolution)
+        stages.append(stages[-1] + offsets)
+        caches.append(cache)
+    return stages, probs, caches
+
+
 def save_checkpoint(params: PipelineParams, path, meta: dict | None = None):
     """Write a version-1 checkpoint; byte output is deterministic."""
     names = []
@@ -232,7 +274,8 @@ def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
     """Detect centers, compose initial contours, evolve them.
 
     Returns predictions sorted by descending detection score (the decoding
-    order), one per surviving heatmap peak.
+    order), one per surviving heatmap peak; every detection of the image is
+    evolved in one batch.
     """
     grid = feature_provider(image)
     heat, _ = center_forward(grid, params)
@@ -240,14 +283,11 @@ def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
     if not detections:
         return []
     offmap, _ = offset_forward(grid, params)
-    out = []
-    for det in detections:
-        row, col = det.cell
-        vec = offmap[row, col].reshape(cfg.n_vertices, 2)
-        contour = compose_initial_contour(det.position, vec, cfg.expansion_factor)
-        state = evo.EvolutionState(contour)
-        probs = np.full(cfg.n_vertices, 0.5)
-        for _ in range(cfg.evolution_iterations):
-            state, probs = evo.evolve_once(state, grid, params.evolution, cfg.evolution_iterations)
-        out.append(ScenePrediction(state.contour.points, probs, det.score, det.position))
-    return out
+    centers = np.stack([det.position for det in detections])
+    stages, probs, _ = evolve_contours(grid, offmap, centers, params, cfg.expansion_factor)
+    if not np.all(np.isfinite(stages[-1])):
+        raise ValueError("evolved contours have non-finite coordinates")
+    return [
+        ScenePrediction(points, valid, det.score, det.position)
+        for points, valid, det in zip(stages[-1], probs[:, :, 1], detections)
+    ]

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from .detection import STRIDE
 from .geometry import densify, normalize_orientation, rasterize
 
 FEATURE_CHANNELS = 8
-STRIDE = 4
 
 SHAPE_KINDS = ("rect", "rot_rect", "l_shape")
 

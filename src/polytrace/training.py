@@ -5,14 +5,15 @@ head is supervised by the focal heatmap loss, the offset head by the
 initial-contour loss at ground-truth centers, and the evolution network by
 the per-stage contour losses: smooth L1 against the statically ordered
 densified ground truth after the first round, the dynamic matching loss
-plus the vertex classification loss after the second. Vertex coordinates
-are treated as constants per stage, so gradients never cross stage
-boundaries through the sampling path.
+plus the vertex classification loss after the second. The contours come
+from :func:`pipeline.evolve_contours`, the forward inference runs too.
+Vertex coordinates are treated as constants per stage, so gradients never
+cross stage boundaries through the sampling path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .pipeline import (
     PipelineParams,
     center_backward,
     center_forward,
+    evolve_contours,
+    initial_contours,
     offset_backward,
     offset_forward,
 )
@@ -100,15 +103,20 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
         return components, grads
 
     offmap, o_cache = offset_forward(bundle.features, params)
+    centers = np.stack([inst.center for inst in bundle.instances])
+    if train_evolution:
+        stages, probs2, (cache1, cache2) = evolve_contours(
+            bundle.features, offmap, centers, params, cfg.expansion_factor
+        )
+    else:
+        stages = [initial_contours(offmap, centers, cfg.expansion_factor)]
+    pts0 = stages[0]
+
     d_offmap = np.zeros_like(offmap)
     scale = cfg.expansion_factor * STRIDE
-    init_points = []
-    for inst in bundle.instances:
+    for i, inst in enumerate(bundle.instances):
         row, col = inst.cell
-        vec = offmap[row, col].reshape(cfg.n_vertices, 2)
-        pts = inst.center[None, :] + scale * vec
-        init_points.append(pts)
-        l_init = losses.smooth_l1(pts, inst.contour.points)
+        l_init = losses.smooth_l1(pts0[i], inst.contour.points)
         components["init"] += l_init.value / n_inst
         d_offmap[row, col] += (eps / n_inst * scale) * l_init.grads["pred"].reshape(-1)
     for name, g in offset_backward(o_cache, params, d_offmap).items():
@@ -118,13 +126,10 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
         return components, grads
 
     diagonal = float(np.hypot(*bundle.frame_dims))
-    pts0 = np.stack(init_points)
+    _, pts1, pts2 = stages
 
     # first evolution round: static index-aligned supervision
-    feats1 = _batch_features(bundle.features, pts0)
-    off1, _, _, cache1 = evo.forward(feats1, params.evolution)
-    pts1 = pts0 + off1
-    d_off1 = np.zeros_like(off1)
+    d_off1 = np.zeros_like(pts1)
     for i, inst in enumerate(bundle.instances):
         l_e1 = losses.smooth_l1(pts1[i], inst.contour.points)
         components["e1"] += l_e1.value / n_inst
@@ -134,11 +139,8 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
         grads[f"evolution.{name}"] += g
 
     # second round: dynamic matching and vertex classification
-    feats2 = _batch_features(bundle.features, pts1)
-    off2, _, probs2, cache2 = evo.forward(feats2, params.evolution)
-    pts2 = pts1 + off2
-    d_off2 = np.zeros_like(off2)
-    d_logits2 = np.zeros_like(off2)
+    d_off2 = np.zeros_like(pts2)
+    d_logits2 = np.zeros_like(pts2)
     for i, inst in enumerate(bundle.instances):
         valid = probs2[i, :, 1]
         cost = match_cost(
@@ -158,24 +160,6 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
         grads[f"evolution.{name}"] += g
 
     return components, grads
-
-
-def _batch_features(grid, points_batch):
-    feats = [
-        evo.assemble_vertex_features(
-            evo.sample_features(grid, pts), evo.relative_coords_safe(pts)
-        )
-        for pts in points_batch
-    ]
-    return np.stack(feats)
-
-
-def combine_components(components, eps):
-    return (
-        components["ct"]
-        + eps * (components["init"] + components["e1"] + components["e2"])
-        + components["cla"]
-    )
 
 
 class MomentumSGD:
@@ -236,7 +220,7 @@ def train_step(bundles, params: PipelineParams, optimizer, cfg: RunConfig, train
     grads = zero_grads(params)
     for bundle in bundles:
         components, scene_grads = scene_loss(bundle, params, cfg, train_evolution)
-        total += combine_components(components, cfg.loss_balance) / len(bundles)
+        total += losses.total_loss(components, cfg.loss_balance) / len(bundles)
         for name, g in scene_grads.items():
             grads[name] += g / len(bundles)
     if not np.isfinite(total):
@@ -270,20 +254,6 @@ def fit(bundles, cfg: RunConfig, params: PipelineParams | None = None, log=None)
         if log is not None:
             log(epoch, history[-1])
     return params, history
-
-
-def overfit_single_scene(bundle: SceneBundle, cfg: RunConfig, steps: int, record_every: int = 1):
-    """Repeated steps on one scene, recording the total loss every
-    ``record_every`` steps (checkpoint sequence for convergence checks)."""
-    rng = np.random.default_rng(np.random.SeedSequence([0x0F17, cfg.seed]))
-    params = PipelineParams.initialize(cfg, rng)
-    optimizer = make_optimizer(cfg)
-    record = []
-    for step in range(steps):
-        total = train_step([bundle], params, optimizer, cfg, train_evolution=True)
-        if (step + 1) % record_every == 0:
-            record.append(total)
-    return params, record
 
 
 def scene_spec_from_config(cfg: RunConfig) -> SceneSpec:

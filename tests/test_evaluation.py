@@ -286,6 +286,14 @@ class TestEvaluate:
         assert report.ap_bdy == pytest.approx(np.mean(per_thr))
         assert report.precision_boundary == pytest.approx(per_thr)
 
+    def test_ap_is_the_mean_of_the_precision_list(self):
+        preds, gts = self.build_scene()
+        report = ev.evaluate(preds, gts, FRAME)
+        assert report.ap_msk == float(np.mean(report.precision_mask))
+        assert report.ap_bdy == float(np.mean(report.precision_boundary))
+        mask_iou = lambda p, g: ev.mask_iou(p.polygon, g.polygon, FRAME)
+        assert report.ap_msk == ev.average_precision(preds, gts, mask_iou)
+
     def test_report_roundtrip_and_table(self):
         preds, gts = self.build_scene()
         report = ev.evaluate(preds, gts, FRAME)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from polytrace import evolution as evo
-from polytrace.geometry import DensifiedContour, densify
+from polytrace import pipeline
+from polytrace.config import RunConfig
+from polytrace.geometry import densify
 
 from conftest import central_difference, relative_error
 
@@ -114,34 +116,47 @@ class TestAssemble:
             evo.assemble_vertex_features(np.zeros((4, 2)), np.zeros((5, 2)))
 
 
+def tiny_pipeline(rng, random_heads):
+    cfg = RunConfig(n_vertices=16, feature_channels=3, encoder_width=16, allow_nonstandard=True)
+    params = pipeline.PipelineParams.initialize(cfg, rng)
+    params.evolution = tiny_params(rng, channels=3, width=16, random_heads=random_heads)
+    return params
+
+
 class TestForward:
     def test_zero_heads_leave_contour_unchanged(self, rng):
-        params = evo.EvolutionParams.initialize(3, width=16, rng=rng)
+        params = tiny_pipeline(rng, random_heads=False)
         grid = rng.normal(size=(16, 16, 3))
-        state = evo.EvolutionState(densify(SQUARE, 16))
-        new_state, probs = evo.evolve_once(state, grid, params)
-        assert np.array_equal(new_state.contour.points, state.contour.points)
+        offmap = rng.normal(size=(16, 16, 32))
+        stages, probs, _ = pipeline.evolve_contours(
+            grid, offmap, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
+        )
+        assert len(stages) == pipeline.EVOLUTION_ROUNDS + 1
+        for stage in stages[1:]:
+            assert np.array_equal(stage, stages[0])
         assert np.allclose(probs, 0.5)
-        assert new_state.iteration == 1
 
     def test_update_is_additive_offset(self, rng):
-        params = tiny_params(rng, channels=3, width=16)
+        params = tiny_pipeline(rng, random_heads=True)
+        grid = rng.normal(size=(16, 16, 3))
+        offmap = rng.normal(size=(16, 16, 32))
+        stages, _, _ = pipeline.evolve_contours(
+            grid, offmap, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
+        )
+        for before, after in zip(stages, stages[1:]):
+            offsets, _, _, _ = evo.forward(evo.vertex_features(grid, before), params.evolution)
+            assert np.array_equal(after, before + offsets)
+
+    def test_batched_features_match_each_contour(self, rng):
         grid = rng.normal(size=(16, 16, 3))
         contour = densify(SQUARE, 16)
         feats = evo.assemble_vertex_features(
             evo.sample_features(grid, contour.points),
-            evo.relative_coords_safe(contour.points),
+            evo.relative_coords(contour.points),
         )
-        offsets, _, _, _ = evo.forward(feats[None], params)
-        state, _ = evo.evolve_once(evo.EvolutionState(contour), grid, params)
-        assert np.allclose(state.contour.points, contour.points + offsets[0])
-
-    def test_iteration_cap_enforced(self, rng):
-        params = tiny_params(rng)
-        grid = rng.normal(size=(8, 8, 3))
-        state = evo.EvolutionState(densify(SQUARE, 8), iteration=2)
-        with pytest.raises(ValueError):
-            evo.evolve_once(state, grid, params, max_iterations=2)
+        batch = evo.vertex_features(grid, np.stack([contour.points + 5.0, contour.points]))
+        assert batch.shape == (2, 16, 5)
+        assert np.array_equal(batch[1], feats)
 
     def test_rotation_equivariance_exact(self, rng):
         params = tiny_params(rng, channels=4, width=16)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytrace import geometry as geo
+from polytrace.evolution import relative_coords
 
 from conftest import hausdorff_between_rings, points_to_ring_distance, random_convex_polygon
 
@@ -175,13 +176,13 @@ class TestDensifyX10:
 class TestRelativeCoords:
     def test_square_extremes(self):
         dc = geo.densify(BIG_SQUARE, 64)
-        rel = geo.relative_coords(dc)
+        rel = relative_coords(dc.points)
         assert rel.min() == pytest.approx(-0.5)
         assert rel.max() == pytest.approx(0.5)
 
     def test_vertex_at_bbox_center_maps_to_zero(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 5.0], [0.0, 10.0]])
-        rel = geo.relative_coords(pts)
+        rel = relative_coords(pts)
         assert np.allclose(rel[2], (0.0, 0.0))
 
     def test_outputs_always_in_range(self, rng):
@@ -189,15 +190,22 @@ class TestRelativeCoords:
             pts = rng.uniform(0, 100, size=(rng.integers(3, 40), 2))
             if np.ptp(pts[:, 0]) < 1e-6 or np.ptp(pts[:, 1]) < 1e-6:
                 continue
-            rel = geo.relative_coords(pts)
+            rel = relative_coords(pts)
             assert rel.min() >= -0.5 - 1e-12
             assert rel.max() <= 0.5 + 1e-12
             assert rel[:, 0].max() == pytest.approx(0.5)
             assert rel[:, 1].min() == pytest.approx(-0.5)
 
-    def test_zero_extent_rejected(self):
-        with pytest.raises(ValueError):
-            geo.relative_coords(np.array([[1.0, 0.0], [1.0, 5.0], [1.0, 9.0]]))
+    def test_zero_extent_axis_maps_to_zero(self):
+        rel = relative_coords(np.array([[1.0, 0.0], [1.0, 5.0], [1.0, 9.0]]))
+        assert np.array_equal(rel[:, 0], np.zeros(3))
+        assert np.allclose(rel[:, 1], [-0.5, 1.0 / 18.0, 0.5])
+
+    def test_batch_matches_each_contour(self, rng):
+        batch = rng.uniform(0, 100, size=(3, 12, 2))
+        rel = relative_coords(batch)
+        for contour, expected in zip(batch, rel):
+            assert np.array_equal(relative_coords(contour), expected)
 
 
 class TestVertexAngle:

@@ -176,21 +176,23 @@ class TestDml:
 
 
 class TestTotalLoss:
+    @staticmethod
+    def components(ct, init, e1, e2, cla):
+        return {"ct": ct, "init": init, "e1": e1, "e2": e2, "cla": cla}
+
     def test_all_zero(self):
-        zero = losses.LossValue(0.0, {})
-        assert losses.total_loss(zero, zero, zero, zero, zero).value == 0.0
+        assert losses.total_loss(self.components(0.0, 0.0, 0.0, 0.0, 0.0)) == 0.0
 
     def test_weighted_combination(self):
-        mk = lambda v: losses.LossValue(v, {})
-        out = losses.total_loss(mk(3.0), mk(3.0), mk(3.0), mk(3.0), mk(1.0))
-        assert out.value == pytest.approx(7.0)
+        out = losses.total_loss(self.components(3.0, 3.0, 3.0, 3.0, 1.0))
+        assert out == pytest.approx(7.0)
 
     def test_linearity_and_gradient_scaling(self):
-        g = np.array([1.0, -2.0])
-        mk = lambda v: losses.LossValue(v, {"x": g * v})
-        one = losses.total_loss(mk(1.0), mk(1.0), mk(1.0), mk(1.0), mk(1.0))
-        two = losses.total_loss(mk(2.0), mk(2.0), mk(2.0), mk(2.0), mk(2.0))
-        assert two.value == pytest.approx(2 * one.value)
-        assert np.allclose(two.grads["init.x"], 2 * one.grads["init.x"])
-        assert np.allclose(one.grads["init.x"], g / 3.0)
-        assert np.allclose(one.grads["cla.x"], g)
+        one = losses.total_loss(self.components(1.0, 1.0, 1.0, 1.0, 1.0))
+        two = losses.total_loss(self.components(2.0, 2.0, 2.0, 2.0, 2.0))
+        assert two == pytest.approx(2 * one)
+        # the partial derivative of the total in each component is its weight
+        names = ("ct", "init", "e1", "e2", "cla")
+        x = np.ones(5)
+        fd = central_difference(lambda v: losses.total_loss(dict(zip(names, v))), x)
+        assert np.allclose(fd, [1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 1.0])

@@ -1,0 +1,127 @@
+import numpy as np
+import pytest
+
+from polytrace import detection, pipeline, training
+from polytrace import evolution as evo
+from polytrace.config import RunConfig
+from polytrace.synth import feature_provider
+
+TINY = dict(
+    n_vertices=16,
+    encoder_width=16,
+    center_hidden=8,
+    offset_hidden=8,
+    frame_width=64,
+    frame_height=64,
+    min_buildings=2,
+    max_buildings=3,
+    size_min=12.0,
+    size_max=20.0,
+    peak_threshold=0.05,
+    max_detections=4,
+    epochs_total=3,
+    epochs_init=1,
+    decay_epoch_1=2,
+    decay_epoch_2=3,
+    allow_nonstandard=True,
+)
+
+
+@pytest.fixture
+def cfg():
+    return RunConfig(**TINY)
+
+
+@pytest.fixture
+def params(cfg):
+    """Untrained weights with random offset and evolution heads, so every
+    stage moves the contour."""
+    rng = np.random.default_rng(11)
+    p = pipeline.PipelineParams.initialize(cfg, rng)
+    p.offset_w3 = rng.normal(scale=0.1, size=p.offset_w3.shape)
+    p.evolution.offset_w = rng.normal(scale=0.3, size=p.evolution.offset_w.shape)
+    p.evolution.cls_w = rng.normal(scale=0.3, size=p.evolution.cls_w.shape)
+    return p
+
+
+def reference_predict(image, params, cfg):
+    """One detection at a time: compose its contour, then evolve a batch of one."""
+    grid = feature_provider(image)
+    heat, _ = pipeline.center_forward(grid, params)
+    offmap, _ = pipeline.offset_forward(grid, params)
+    out = []
+    for det in detection.decode_peaks(heat, cfg.peak_threshold, cfg.max_detections):
+        row, col = det.cell
+        vec = offmap[row, col].reshape(cfg.n_vertices, 2)
+        pts = detection.compose_initial_contour(det.position, vec, cfg.expansion_factor).points
+        for _ in range(2):
+            feats = evo.assemble_vertex_features(evo.sample_features(grid, pts), evo.relative_coords(pts))
+            offsets, _, probs, _ = evo.forward(feats[None], params.evolution)
+            pts = pts + offsets[0]
+        out.append((pts, probs[0, :, 1], det.score))
+    return out
+
+
+def test_predict_scene_matches_per_detection_reference(cfg, params):
+    scene = training.make_dataset(cfg, 1)[0]
+    preds = pipeline.predict_scene(scene.image, params, cfg)
+    expected = reference_predict(scene.image, params, cfg)
+    assert len(preds) >= 2
+    assert len(preds) == len(expected)
+    for pred, (points, valid, score) in zip(preds, expected):
+        assert np.array_equal(pred.points, points)
+        assert np.array_equal(pred.vertex_scores, valid)
+        assert pred.score == score
+
+
+def test_predict_scene_rejects_non_finite_contours(cfg, params):
+    params.evolution.offset_b[:] = np.nan
+    scene = training.make_dataset(cfg, 1)[0]
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        pipeline.predict_scene(scene.image, params, cfg)
+
+
+def test_training_and_inference_share_stage_points(cfg, params, monkeypatch):
+    bundle = training.prepare_scene(training.make_dataset(cfg, 1)[0], cfg)
+    centers = [inst.center for inst in bundle.instances]
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(pipeline.evolve_contours(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(training, "evolve_contours", recording)
+    training.scene_loss(bundle, params, cfg)
+    (stages, probs, _), = seen
+
+    # inference decoding the same centers evolves the same contours
+    detections = [detection.CenterDetection(c, 0.5) for c in centers]
+    monkeypatch.setattr(pipeline, "decode_peaks", lambda *args: detections)
+    image = training.make_dataset(cfg, 1)[0].image
+    preds = pipeline.predict_scene(image, params, cfg)
+    assert np.array_equal(np.stack([p.points for p in preds]), stages[-1])
+    assert np.array_equal(np.stack([p.vertex_scores for p in preds]), probs[:, :, 1])
+    offmap, _ = pipeline.offset_forward(bundle.features, params)
+    assert np.array_equal(stages[0], pipeline.initial_contours(offmap, centers, cfg.expansion_factor))
+
+
+def test_checkpoint_round_trip_is_byte_identical(params, tmp_path):
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    pipeline.save_checkpoint(params, first, {"seed": 3})
+    loaded, meta = pipeline.load_checkpoint(first)
+    pipeline.save_checkpoint(loaded, second, meta)
+    assert meta == {"seed": 3}
+    assert first.read_bytes() == second.read_bytes()
+    for (name, a), (_, b) in zip(params.arrays(), loaded.arrays()):
+        assert np.array_equal(a, b), name
+
+
+def test_fit_is_deterministic_for_a_seed(cfg, tmp_path):
+    bundles = [training.prepare_scene(s, cfg, i) for i, s in enumerate(training.make_dataset(cfg, 2))]
+    paths = []
+    for run in range(2):
+        model, history = training.fit(bundles, cfg)
+        assert len(history) == cfg.epochs_total and np.all(np.isfinite(history))
+        paths.append(tmp_path / f"fit{run}.ckpt")
+        pipeline.save_checkpoint(model, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
