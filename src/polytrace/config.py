@@ -1,4 +1,4 @@
-"""Run configuration: plain-text ``key = value`` files with a schema version.
+"""Run configuration: one dataclass with a schema version.
 
 Every tunable of the pipeline lives here with its recommended default; a
 handful of core parameters are range-checked against their recommended
@@ -7,7 +7,7 @@ intervals unless ``allow_nonstandard`` is set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 SCHEMA_VERSION = 1
 
@@ -82,67 +82,9 @@ class RunConfig:
                 if not lo <= value <= hi:
                     raise ValueError(
                         f"{key} = {value} outside the recommended range [{lo}, {hi}]"
-                        " (set allow_nonstandard = true to override)"
+                        " (pass allow_nonstandard=True to override)"
                     )
 
     @property
     def frame_dims(self) -> tuple:
         return self.frame_width, self.frame_height
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse ``key = value`` lines; '#' starts a comment, unknown keys fail."""
-    known = {f.name: f.type for f in fields(RunConfig)}
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in known:
-            raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
-        values[key] = _coerce(key, value)
-    return RunConfig(**values)
-
-
-def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
-def save_config(cfg: RunConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_text())
-
-
-_BOOLS = {"true": True, "false": False, "1": True, "0": False}
-
-
-def _coerce(key, value):
-    default = getattr(RunConfig, key, None)
-    for f in fields(RunConfig):
-        if f.name == key:
-            default = f.default
-    if isinstance(default, bool):
-        try:
-            return _BOOLS[value.lower()]
-        except KeyError:
-            raise ValueError(f"{key}: expected a boolean, got {value!r}") from None
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return value

@@ -5,10 +5,21 @@ All metrics are raster-based: polygons are rasterized with the pixel-center
 even-odd rule, boundary bands use Chebyshev distance to the mask's boundary
 pixels, so every value is reproducible bit-for-bit and checkable against a
 per-pixel oracle.
+
+:func:`evaluate` makes one pass over images that share one (width, height)
+frame. It rasterizes each prediction and ground truth once and computes each
+mask's boundary band once. Each prediction gets one row of mask IoUs and one
+row of band IoUs, against the ground truths of its own image only. One
+greedy matcher turns the rows into the match at every IoU threshold. The
+size splits come from the ground-truth masks. The mean instance IoU and the
+manual levels come from the mask match at IoU 0.5. :func:`match_instances`
+and :func:`average_precision` build their rows from any IoU function and use
+the same matcher.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,26 +124,7 @@ def match_instances(preds, gts, iou_fn, threshold: float) -> MatchResult:
     not-yet-matched ground truth of the same image with the highest IoU at
     or above the threshold; IoU ties go to the lower ground-truth index.
     """
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-    gt_taken = [False] * len(gts)
-    pairs = []
-    unmatched_preds = []
-    for pi in order:
-        pred = preds[pi]
-        best_iou, best_gt = 0.0, -1
-        for gi, gt in enumerate(gts):
-            if gt_taken[gi] or gt.image_id != pred.image_id:
-                continue
-            iou = iou_fn(pred, gt)
-            if iou >= threshold and iou > best_iou:
-                best_iou, best_gt = iou, gi
-        if best_gt >= 0:
-            gt_taken[best_gt] = True
-            pairs.append((pi, best_gt, best_iou))
-        else:
-            unmatched_preds.append(pi)
-    unmatched_gts = [gi for gi, taken in enumerate(gt_taken) if not taken]
-    return MatchResult(pairs, unmatched_preds, unmatched_gts)
+    return _greedy_match(_score_order(preds), _iou_rows(preds, gts, iou_fn), len(gts), threshold)
 
 
 def average_precision(preds, gts, iou_fn, interpolated: bool = False) -> float:
@@ -144,33 +136,73 @@ def average_precision(preds, gts, iou_fn, interpolated: bool = False) -> float:
     """
     if len(gts) == 0:
         raise ValueError("average precision needs at least one ground truth")
-    results = _threshold_matches(preds, gts, iou_fn)
-    if interpolated and results:
-        return float(np.mean([_interpolated_ap(result, preds, gts) for result in results]))
+    order = _score_order(preds)
+    results = _threshold_matches(order, _iou_rows(preds, gts, iou_fn), len(gts))
+    if interpolated and preds:
+        return float(np.mean([_interpolated_ap(result, order, len(gts)) for result in results]))
     return float(np.mean(_precisions(results, len(preds))))
 
 
-def _threshold_matches(preds, gts, iou_fn) -> list:
-    """The greedy matching at each IoU threshold; empty without predictions."""
-    if len(preds) == 0:
-        return []
-    return [match_instances(preds, gts, iou_fn, float(thr)) for thr in IOU_THRESHOLDS]
+def _score_order(preds) -> list:
+    """Prediction indices by descending score, ties by input order."""
+    return sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
 
 
-def _precisions(results, n_preds) -> list:
+def _image_groups(preds, gts) -> list:
+    """(prediction indices, ground-truth indices) of every image with both."""
+    gt_ids, pred_ids = defaultdict(list), defaultdict(list)
+    for gi, gt in enumerate(gts):
+        gt_ids[gt.image_id].append(gi)
+    for pi, pred in enumerate(preds):
+        pred_ids[pred.image_id].append(pi)
+    return [(pis, gt_ids[image_id]) for image_id, pis in pred_ids.items() if image_id in gt_ids]
+
+
+def _iou_rows(preds, gts, iou_fn) -> list:
+    """Per prediction, the (gt_index, IoU) pairs of the ground truths of its
+    image, in index order."""
+    rows = [[] for _ in preds]
+    for pis, gis in _image_groups(preds, gts):
+        for pi in pis:
+            rows[pi] = [(gi, iou_fn(preds[pi], gts[gi])) for gi in gis]
+    return rows
+
+
+def _greedy_match(order, rows, n_gts: int, threshold: float) -> MatchResult:
+    """The single-match greedy walk of :func:`match_instances` over IoU rows."""
+    gt_taken = [False] * n_gts
+    pairs = []
+    unmatched_preds = []
+    for pi in order:
+        best_iou, best_gt = 0.0, -1
+        for gi, iou in rows[pi]:
+            if not gt_taken[gi] and iou >= threshold and iou > best_iou:
+                best_iou, best_gt = iou, gi
+        if best_gt >= 0:
+            gt_taken[best_gt] = True
+            pairs.append((pi, best_gt, best_iou))
+        else:
+            unmatched_preds.append(pi)
+    unmatched_gts = [gi for gi, taken in enumerate(gt_taken) if not taken]
+    return MatchResult(pairs, unmatched_preds, unmatched_gts)
+
+
+def _threshold_matches(order, rows, n_gts: int) -> list:
+    """The greedy match at each IoU threshold."""
+    return [_greedy_match(order, rows, n_gts, float(thr)) for thr in IOU_THRESHOLDS]
+
+
+def _precisions(results, n_preds: int) -> list:
     """TP / predictions at each IoU threshold; zeros without predictions."""
-    if not results:
-        return [0.0] * len(IOU_THRESHOLDS)
-    return [result.true_positives / n_preds for result in results]
+    return [result.true_positives / n_preds if n_preds else 0.0 for result in results]
 
 
-def _interpolated_ap(result, preds, gts):
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+def _interpolated_ap(result, order, n_gts: int):
     matched = {pi for pi, _, _ in result.pairs}
     flags = np.array([pi in matched for pi in order])
     tp = np.cumsum(flags)
     fp = np.cumsum(~flags)
-    recall = tp / len(gts)
+    recall = tp / n_gts
     precision = tp / np.maximum(tp + fp, 1)
     for i in range(precision.size - 1, 0, -1):
         precision[i - 1] = max(precision[i - 1], precision[i])
@@ -180,70 +212,26 @@ def _interpolated_ap(result, preds, gts):
     return float(sampled.mean())
 
 
-def size_split(gt_polygon, frame_dims) -> str:
+def size_split(gt_mask) -> str:
     """Rasterized area below 7500 pixels is small-and-medium, the rest large."""
-    width, height = frame_dims
-    area = int(np.count_nonzero(rasterize(gt_polygon, width, height)))
+    area = int(np.count_nonzero(gt_mask))
     return SMALL_MEDIUM if area < SIZE_SPLIT_PIXELS else LARGE
 
 
-def manual_level_threshold(gt_polygon, r: int, frame_dims) -> float:
-    """Instance-level IoU threshold from expanding the ground truth by r pixels.
+def manual_level_threshold(gt_mask, r: int) -> float:
+    """Instance-level IoU threshold from expanding the rasterized ground
+    truth by r pixels.
 
     The expansion is a superset of the mask, so the IoU reduces to
     |mask| / |expanded mask|.
     """
     if r not in (2, 3):
         raise ValueError("manual-level expansion must be 2 or 3 pixels")
-    width, height = frame_dims
-    mask = rasterize(gt_polygon, width, height)
-    area = int(np.count_nonzero(mask))
+    area = int(np.count_nonzero(gt_mask))
     if area == 0:
         return 0.0
-    expanded = int(np.count_nonzero(expand_mask(mask, r)))
+    expanded = int(np.count_nonzero(expand_mask(gt_mask, r)))
     return area / expanded
-
-
-def manual_level_rate(preds, gts, r: int, frame_fn) -> float:
-    """Fraction of ground truths whose matched prediction clears the
-    instance-level threshold; unmatched ground truths count as failures."""
-    if len(gts) == 0:
-        raise ValueError("manual-level rate needs at least one ground truth")
-    iou_fn = _cached_mask_iou(frame_fn)
-    result = match_instances(preds, gts, iou_fn, 0.5)
-    hits = 0
-    for _, gi, iou in result.pairs:
-        threshold = manual_level_threshold(gts[gi].polygon, r, frame_fn(gts[gi].image_id))
-        if iou > threshold:
-            hits += 1
-    return hits / len(gts)
-
-
-def _as_frame_fn(frame_dims):
-    if callable(frame_dims):
-        return frame_dims
-    if isinstance(frame_dims, dict):
-        return lambda image_id: frame_dims[image_id]
-    return lambda image_id: frame_dims
-
-
-def _cached_mask_iou(frame_fn, band: bool = False):
-    cache: dict[int, np.ndarray] = {}
-
-    def mask_of(obj):
-        key = id(obj)
-        if key not in cache:
-            width, height = frame_fn(obj.image_id)
-            m = rasterize(obj.polygon, width, height)
-            if band:
-                m = boundary_band(m, boundary_distance((width, height)))
-            cache[key] = m
-        return cache[key]
-
-    def iou(pred, gt):
-        return masks_iou(mask_of(pred), mask_of(gt))
-
-    return iou
 
 
 @dataclass
@@ -305,27 +293,40 @@ class EvalReport:
 def evaluate(preds, gts, frame_dims) -> EvalReport:
     """Populate the full report for a prediction set against ground truths.
 
-    ``frame_dims`` is a (width, height) pair, a mapping from image id to
-    such pairs, or a callable image_id -> (width, height).
+    ``frame_dims`` is the (width, height) of every image.
     """
     if len(gts) == 0:
         raise ValueError("evaluation needs at least one ground truth")
-    frame_fn = _as_frame_fn(frame_dims)
-    iou_mask = _cached_mask_iou(frame_fn)
-    iou_band = _cached_mask_iou(frame_fn, band=True)
+    width, height = frame_dims
+    d = boundary_distance(frame_dims)
+    gt_masks = [rasterize(gt.polygon, width, height) for gt in gts]
+    mask_rows, band_rows = [[] for _ in preds], [[] for _ in preds]
+    for pis, gis in _image_groups(preds, gts):
+        gt_bands = {gi: boundary_band(gt_masks[gi], d) for gi in gis}
+        for pi in pis:
+            mask = rasterize(preds[pi].polygon, width, height)
+            band = boundary_band(mask, d)
+            mask_rows[pi] = [(gi, masks_iou(mask, gt_masks[gi])) for gi in gis]
+            band_rows[pi] = [(gi, masks_iou(band, gt_bands[gi])) for gi in gis]
 
-    classes = [size_split(gt.polygon, frame_fn(gt.image_id)) for gt in gts]
-    precision, splits = {}, {}
-    for kind, iou_fn in (("mask", iou_mask), ("boundary", iou_band)):
-        # one greedy match per IoU threshold serves precision and size splits
-        results = _threshold_matches(preds, gts, iou_fn)
-        precision[kind] = _precisions(results, len(preds))
-        splits[kind] = {label: _split_ap(results, classes, label) for label in (SMALL_MEDIUM, LARGE)}
+    order = _score_order(preds)
+    classes = [size_split(mask) for mask in gt_masks]
+    precision, splits, matches = {}, {}, {}
+    for kind, rows in (("mask", mask_rows), ("boundary", band_rows)):
+        matches[kind] = _threshold_matches(order, rows, len(gts))
+        precision[kind] = _precisions(matches[kind], len(preds))
+        splits[kind] = {label: _split_ap(matches[kind], classes, label) for label in (SMALL_MEDIUM, LARGE)}
 
-    matches = match_instances(preds, gts, iou_mask, 0.5)
+    # the mask match at IOU_THRESHOLDS[0] == 0.5 gives the per-instance IoUs
+    # and the manual levels; unmatched ground truths count as failures
+    pairs = matches["mask"][0].pairs
     per_gt_iou = np.zeros(len(gts))
-    for _, gi, iou in matches.pairs:
+    for _, gi, iou in pairs:
         per_gt_iou[gi] = iou
+    manual = {
+        r: sum(iou > manual_level_threshold(gt_masks[gi], r) for _, gi, iou in pairs) / len(gts)
+        for r in (2, 3)
+    }
 
     return EvalReport(
         ap_msk=float(np.mean(precision["mask"])),
@@ -334,8 +335,8 @@ def evaluate(preds, gts, frame_dims) -> EvalReport:
         ap_msk_l=splits["mask"][LARGE],
         ap_bdy_sm=splits["boundary"][SMALL_MEDIUM],
         ap_bdy_l=splits["boundary"][LARGE],
-        manual_level_2px=manual_level_rate(preds, gts, 2, frame_fn),
-        manual_level_3px=manual_level_rate(preds, gts, 3, frame_fn),
+        manual_level_2px=manual[2],
+        manual_level_3px=manual[3],
         mean_instance_iou=float(per_gt_iou.mean()),
         precision_mask=precision["mask"],
         precision_boundary=precision["boundary"],
@@ -349,7 +350,7 @@ def _split_ap(results, classes, label):
     class are set aside; precision is TP(class) / (TP(class) + unmatched).
     A class with no ground truths, or no predictions, reports 0.
     """
-    if label not in classes or not results:
+    if label not in classes:
         return 0.0
     values = []
     for result in results:

@@ -10,9 +10,11 @@ per-vertex coordinate offsets and the two-class validity logits.
 Every array is a (B, N, D) batch: :func:`vertex_features` samples the grid
 and computes relative coordinates for B contours of N vertices at once, and
 one :func:`forward` call runs all of them, so an image's contours are evolved
-as one tensor in training and in inference alike. Forward passes cache every
-activation needed by :func:`backward`, which produces exact reverse-mode
-gradients for all parameters and for the input vertex features.
+as one tensor in training and in inference alike. Forward passes cache the
+activations :func:`backward` needs, which produces exact reverse-mode
+gradients for all parameters and for the input vertex features. The im2col
+columns of the circular convolutions are not cached: backward rebuilds them
+from each layer's cached input.
 """
 
 from __future__ import annotations
@@ -158,8 +160,7 @@ def circular_conv1d(x, kernel, bias) -> np.ndarray:
     k = kernel.shape[2]
     if k % 2 == 0:
         raise ValueError("circular convolution requires an odd kernel size")
-    out, _ = _cconv_forward(np.asarray(x, dtype=float)[None], kernel, np.asarray(bias, dtype=float))
-    return out[0]
+    return _cconv_forward(np.asarray(x, dtype=float)[None], kernel, np.asarray(bias, dtype=float))[0]
 
 
 def _cconv_cols(x, k):
@@ -175,14 +176,15 @@ def _cconv_cols(x, k):
 
 def _cconv_forward(x, kernel, bias):
     d_out, d_in, k = kernel.shape
-    cols = _cconv_cols(x, k)
     w = kernel.transpose(2, 1, 0).reshape(k * d_in, d_out)
-    return cols @ w + bias, cols
+    return _cconv_cols(x, k) @ w + bias
 
 
-def _cconv_backward(d_out_arr, cols, x_shape, kernel):
+def _cconv_backward(d_out_arr, x, kernel):
+    """Gradients for the layer input, kernel and bias; the im2col columns
+    are rebuilt from the layer input ``x`` rather than kept from forward."""
     d_out_ch, d_in, k = kernel.shape
-    b, n, _ = x_shape
+    b, n, _ = x.shape
     p = (k - 1) // 2
     w = kernel.transpose(2, 1, 0).reshape(k * d_in, d_out_ch)
     d_cols = d_out_arr @ w.T
@@ -195,9 +197,9 @@ def _cconv_backward(d_out_arr, cols, x_shape, kernel):
         d_x[:, n - p :] += d_padded[:, :p]
         d_x[:, :p] += d_padded[:, n + p :]
     else:
-        d_x = np.zeros(x_shape)
+        d_x = np.zeros(x.shape)
         np.add.at(d_x, (slice(None), np.arange(-p, n + p) % n), d_padded)
-    flat_cols = cols.reshape(-1, k * d_in)
+    flat_cols = _cconv_cols(x, k).reshape(-1, k * d_in)
     flat_dout = d_out_arr.reshape(-1, d_out_ch)
     d_w = (flat_cols.T @ flat_dout).reshape(k, d_in, d_out_ch).transpose(2, 1, 0)
     d_b = flat_dout.sum(axis=0)
@@ -239,10 +241,9 @@ def forward(features, params: EvolutionParams):
     for name in ("detail", "local", "global"):
         kernel = getattr(params, f"{name}_w")
         bias = getattr(params, f"{name}_b")
-        z, cols = _cconv_forward(f_prev, kernel, bias)
-        h = _relu(z)
-        f_prev = f_prev + h
-        cache[f"{name}_z"], cache[f"{name}_cols"], cache[f"{name}_out"] = z, cols, f_prev
+        z = _cconv_forward(f_prev, kernel, bias)
+        f_prev = f_prev + _relu(z)
+        cache[f"{name}_z"], cache[f"{name}_out"] = z, f_prev
 
     f3 = f_prev
     pooled = f3.max(axis=1)
@@ -303,7 +304,7 @@ def backward(cache, params: EvolutionParams, d_offsets=None, d_logits=None):
     for name in ("global", "local", "detail"):
         kernel = getattr(params, f"{name}_w")
         d_h = d_prev * (cache[f"{name}_z"] > 0)
-        d_x, d_w, d_b = _cconv_backward(d_h, cache[f"{name}_cols"], layer_inputs[name].shape, kernel)
+        d_x, d_w, d_b = _cconv_backward(d_h, layer_inputs[name], kernel)
         grads[f"{name}_w"] += d_w
         grads[f"{name}_b"] += d_b
         d_prev = d_prev + d_x  # residual shortcut

@@ -195,6 +195,13 @@ def offset_backward(cache, params: PipelineParams, d_offmap):
     return grads
 
 
+def center_cells(centers) -> tuple:
+    """(rows, cols) of the stride-4 cells containing (B, 2) full-resolution
+    centers; the cells whose offset-map entries compose the initial contours."""
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    return (c[:, 1] // STRIDE).astype(int), (c[:, 0] // STRIDE).astype(int)
+
+
 def initial_contours(offmap, centers, gamma: float) -> np.ndarray:
     """(B, N, 2) initial contours around (B, 2) full-resolution centers.
 
@@ -202,9 +209,7 @@ def initial_contours(offmap, centers, gamma: float) -> np.ndarray:
     offsets become pixels through the stride and the expansion factor.
     """
     c = np.asarray(centers, dtype=float).reshape(-1, 2)
-    rows = (c[:, 1] // STRIDE).astype(int)
-    cols = (c[:, 0] // STRIDE).astype(int)
-    offsets = offmap[rows, cols].reshape(c.shape[0], -1, 2)
+    offsets = offmap[center_cells(c)].reshape(c.shape[0], -1, 2)
     return c[:, None, :] + (gamma * STRIDE) * offsets
 
 

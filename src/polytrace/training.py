@@ -26,6 +26,7 @@ from .geometry import bbox_center, bounding_box, densify
 from .pipeline import (
     PipelineParams,
     center_backward,
+    center_cells,
     center_forward,
     evolve_contours,
     initial_contours,
@@ -40,7 +41,6 @@ class TrainInstance:
     corners: np.ndarray  # (M, 2) ground-truth corner polygon
     contour: object      # DensifiedContour ground truth
     center: np.ndarray   # bbox center, full-resolution pixels
-    cell: tuple          # (row, col) stride-4 cell of the center
 
 
 @dataclass
@@ -53,28 +53,17 @@ class SceneBundle:
 
 
 def prepare_scene(scene: SyntheticScene, cfg: RunConfig, image_id: int = 0) -> SceneBundle:
-    return prepare_record(scene.image, scene.buildings, cfg, image_id)
-
-
-def prepare_record(image, polygons, cfg: RunConfig, image_id: int = 0) -> SceneBundle:
-    """Precompute everything reusable across epochs for one image."""
-    features = feature_provider(image)
-    height, width = np.asarray(image).shape
+    """Precompute everything reusable across epochs for one scene."""
+    features = feature_provider(scene.image)
+    height, width = np.asarray(scene.image).shape
     centers, sizes, instances = [], [], []
-    for poly in polygons:
+    for poly in scene.buildings:
         dc = densify(poly, cfg.n_vertices)
         center = bbox_center(poly)
         box = bounding_box(poly)
         centers.append(center)
         sizes.append((box[2] - box[0], box[3] - box[1]))
-        instances.append(
-            TrainInstance(
-                corners=np.asarray(poly, dtype=float),
-                contour=dc,
-                center=center,
-                cell=(int(center[1] // STRIDE), int(center[0] // STRIDE)),
-            )
-        )
+        instances.append(TrainInstance(corners=np.asarray(poly, dtype=float), contour=dc, center=center))
     heat_target = build_heatmap_target(centers, sizes, (width, height))
     return SceneBundle(features, heat_target, instances, (width, height), image_id)
 
@@ -112,13 +101,14 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
         stages = [initial_contours(offmap, centers, cfg.expansion_factor)]
     pts0 = stages[0]
 
+    # scattered to the cells the contours were read from; a shared cell accumulates
     d_offmap = np.zeros_like(offmap)
     scale = cfg.expansion_factor * STRIDE
+    rows, cols = center_cells(centers)
     for i, inst in enumerate(bundle.instances):
-        row, col = inst.cell
         l_init = losses.smooth_l1(pts0[i], inst.contour.points)
         components["init"] += l_init.value / n_inst
-        d_offmap[row, col] += (eps / n_inst * scale) * l_init.grads["pred"].reshape(-1)
+        d_offmap[rows[i], cols[i]] += (eps / n_inst * scale) * l_init.grads["pred"].reshape(-1)
     for name, g in offset_backward(o_cache, params, d_offmap).items():
         grads[name] += g
 

@@ -29,6 +29,74 @@ def band_oracle(mask, d):
     return band
 
 
+def memoized(iou_fn):
+    """The IoU function, computed once per (prediction, ground truth) pair."""
+    cache = {}
+
+    def iou(pred, gt):
+        key = (id(pred), id(gt))
+        if key not in cache:
+            cache[key] = iou_fn(pred, gt)
+        return cache[key]
+
+    return iou
+
+
+def reference_report(preds, gts, frame):
+    """The report from the public pieces: one match_instances call per IoU
+    threshold and kind, size classes and manual thresholds per ground truth."""
+    gt_masks = [rasterize(g.polygon, *frame) for g in gts]
+    classes = [ev.size_split(mask) for mask in gt_masks]
+    kinds = {
+        "msk": memoized(lambda p, g: ev.mask_iou(p.polygon, g.polygon, frame)),
+        "bdy": memoized(lambda p, g: ev.boundary_iou(p.polygon, g.polygon, frame)),
+    }
+    out = {}
+    for kind, iou_fn in kinds.items():
+        results = [ev.match_instances(preds, gts, iou_fn, float(t)) for t in ev.IOU_THRESHOLDS]
+        precision = [r.true_positives / len(preds) if preds else 0.0 for r in results]
+        out[f"precision_{kind}"] = precision
+        out[f"ap_{kind}"] = float(np.mean(precision))
+        for label, suffix in ((ev.SMALL_MEDIUM, "sm"), (ev.LARGE, "l")):
+            values = []
+            for r in results:
+                tp = sum(classes[gi] == label for _, gi, _ in r.pairs)
+                values.append(tp / (tp + r.false_positives) if tp + r.false_positives else 0.0)
+            out[f"ap_{kind}_{suffix}"] = float(np.mean(values)) if label in classes else 0.0
+    match = ev.match_instances(preds, gts, kinds["msk"], 0.5)
+    per_gt = np.zeros(len(gts))
+    for _, gi, iou in match.pairs:
+        per_gt[gi] = iou
+    for r in (2, 3):
+        hits = sum(iou > ev.manual_level_threshold(gt_masks[gi], r) for _, gi, iou in match.pairs)
+        out[f"manual_level_{r}px"] = hits / len(gts)
+    out["mean_instance_iou"] = float(per_gt.mean())
+    out["thresholds"] = [float(t) for t in ev.IOU_THRESHOLDS]
+    out["precision_mask"] = out.pop("precision_msk")
+    out["precision_boundary"] = out.pop("precision_bdy")
+    return out
+
+
+def seeded_multi_image_set(seed):
+    """Four images of overlapping rectangles, some large; predictions are
+    jittered copies, duplicates and strays with tied scores, one of them in
+    an image without ground truths."""
+    rng = np.random.default_rng(seed)
+    gts, preds = [], []
+    for image_id in range(4):
+        for _ in range(rng.integers(2, 5)):
+            x0, y0 = rng.uniform(5, 120, 2)
+            w, h = rng.uniform(20, 120, 2)
+            gts.append(ev.GroundTruth(rect(x0, y0, x0 + w, y0 + h), image_id))
+    for gt in gts:
+        for _ in range(rng.integers(0, 3)):
+            poly = gt.polygon + rng.normal(0.0, 3.0, gt.polygon.shape)
+            preds.append(ev.InstancePrediction(poly, float(rng.choice([0.5, 0.7, 0.9])), gt.image_id))
+    preds.append(ev.InstancePrediction(rect(200, 200, 240, 240), 0.7, 1))
+    preds.append(ev.InstancePrediction(gts[0].polygon, 0.9, 7))
+    return preds, gts
+
+
 class TestMaskIou:
     def test_identical_is_one(self):
         a = rect(10, 10, 60, 60)
@@ -106,6 +174,9 @@ class TestMatchInstances:
         assert res.true_positives == 1 and res.false_positives == 1
         # the higher-scoring prediction claims the ground truth
         assert res.pairs[0][0] == 1
+        # on tied scores the earlier prediction does, despite its lower IoU
+        tied = [ev.InstancePrediction(rect(10, 10, 50, 48), 0.9), ev.InstancePrediction(rect(10, 10, 50, 50), 0.9)]
+        assert ev.match_instances(tied, gt, self.iou, 0.5).pairs[0][0] == 0
 
     def test_matches_exhaustive_oracle(self):
         gts = [ev.GroundTruth(rect(10, 10, 50, 50)), ev.GroundTruth(rect(70, 70, 120, 120))]
@@ -127,6 +198,15 @@ class TestMatchInstances:
                 taken.add(gi)
                 expected.append((pi, gi))
         assert [(p, g) for p, g, _ in res.pairs] == expected
+
+
+    def test_identical_polygon_in_another_image_is_unmatched(self):
+        gts = [ev.GroundTruth(rect(10, 10, 50, 50), image_id=0), ev.GroundTruth(rect(70, 70, 120, 120), image_id=1)]
+        preds = [ev.InstancePrediction(rect(10, 10, 50, 50), 0.9, image_id=1)]
+        res = ev.match_instances(preds, gts, self.iou, 0.5)
+        assert res.pairs == [] and res.unmatched_preds == [0] and res.unmatched_gts == [0, 1]
+        report = ev.evaluate(preds, gts, FRAME)
+        assert report.ap_msk == 0.0 and report.ap_bdy == 0.0 and report.mean_instance_iou == 0.0
 
 
 class TestAveragePrecision:
@@ -179,40 +259,33 @@ class TestAveragePrecision:
 
 class TestSizeSplit:
     def test_small(self):
-        assert ev.size_split(rect(10, 10, 60, 60), FRAME) == ev.SMALL_MEDIUM
+        assert ev.size_split(rasterize(rect(10, 10, 60, 60), *FRAME)) == ev.SMALL_MEDIUM
 
     def test_large(self):
-        assert ev.size_split(rect(10, 10, 110, 110), FRAME) == ev.LARGE
+        assert ev.size_split(rasterize(rect(10, 10, 110, 110), *FRAME)) == ev.LARGE
 
     def test_exact_boundary_goes_large(self):
-        assert ev.size_split(rect(10, 10, 85, 110), FRAME) == ev.LARGE  # 75*100 = 7500
+        assert ev.size_split(rasterize(rect(10, 10, 85, 110), *FRAME)) == ev.LARGE  # 75*100 = 7500
 
 
 class TestManualLevel:
     def test_square_thresholds(self):
-        frame = (512, 512)
-        sq = rect(10, 10, 110, 110)
-        assert ev.manual_level_threshold(sq, 2, frame) == pytest.approx(10000 / 10816, abs=1e-9)
-        assert ev.manual_level_threshold(sq, 3, frame) == pytest.approx(10000 / 11236, abs=1e-9)
+        mask = rasterize(rect(10, 10, 110, 110), 512, 512)
+        assert ev.manual_level_threshold(mask, 2) == pytest.approx(10000 / 10816, abs=1e-9)
+        assert ev.manual_level_threshold(mask, 3) == pytest.approx(10000 / 11236, abs=1e-9)
 
     def test_threshold_increases_with_size(self):
-        frame = (512, 512)
-        values = [ev.manual_level_threshold(rect(10, 10, 10 + s, 10 + s), 2, frame) for s in (20, 40, 80, 160)]
+        masks = [rasterize(rect(10, 10, 10 + s, 10 + s), 512, 512) for s in (20, 40, 80, 160)]
+        values = [ev.manual_level_threshold(mask, 2) for mask in masks]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_r3_below_r2(self):
-        sq = rect(10, 10, 87, 73)
-        assert ev.manual_level_threshold(sq, 3, FRAME) < ev.manual_level_threshold(sq, 2, FRAME)
+        mask = rasterize(rect(10, 10, 87, 73), *FRAME)
+        assert ev.manual_level_threshold(mask, 3) < ev.manual_level_threshold(mask, 2)
 
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
-            ev.manual_level_threshold(rect(0, 0, 10, 10), 4, FRAME)
-
-    def test_rate_perfect_and_empty(self):
-        gts = [ev.GroundTruth(rect(10, 10, 60, 60)), ev.GroundTruth(rect(100, 100, 200, 200))]
-        preds = [ev.InstancePrediction(g.polygon.copy(), 0.9) for g in gts]
-        assert ev.manual_level_rate(preds, gts, 2, lambda _: FRAME) == 1.0
-        assert ev.manual_level_rate([], gts, 2, lambda _: FRAME) == 0.0
+            ev.manual_level_threshold(rasterize(rect(0, 0, 10, 10), *FRAME), 4)
 
 
 class TestEvaluate:
@@ -293,6 +366,14 @@ class TestEvaluate:
         assert report.ap_bdy == float(np.mean(report.precision_boundary))
         mask_iou = lambda p, g: ev.mask_iou(p.polygon, g.polygon, FRAME)
         assert report.ap_msk == ev.average_precision(preds, gts, mask_iou)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_matches_reference_from_public_pieces(self, seed):
+        preds, gts = seeded_multi_image_set(seed)
+        scores = [p.score for p in preds]
+        assert len(set(scores)) < len(scores)
+        report = ev.evaluate(preds, gts, FRAME)
+        assert report.to_dict() == reference_report(preds, gts, FRAME)
 
     def test_report_roundtrip_and_table(self):
         preds, gts = self.build_scene()
