@@ -29,11 +29,6 @@ class CenterDetection:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError("detection score must be a probability")
 
-    @property
-    def cell(self) -> tuple[int, int]:
-        """(row, col) of the stride-4 cell containing the position."""
-        return int(self.position[1] // STRIDE), int(self.position[0] // STRIDE)
-
 
 def grid_shape(image_dims) -> tuple[int, int]:
     """(rows, cols) of the stride-4 grid for an image of (width, height)."""

@@ -7,14 +7,19 @@ residual shortcuts, then fusion of a global max-pooled vector that is
 broadcast-concatenated back onto every vertex. Two pointwise heads emit the
 per-vertex coordinate offsets and the two-class validity logits.
 
+One :func:`conv`/:func:`conv_backward` pair serves the circular encoder
+(``"wrap"`` padding over the vertex axis) and the zero-padded 3x3 detection
+heads of :mod:`pipeline`: each layer is one ``sliding_window_view`` im2col
+and one GEMM.
+
 Every array is a (B, N, D) batch: :func:`vertex_features` samples the grid
 and computes relative coordinates for B contours of N vertices at once, and
 one :func:`forward` call runs all of them, so an image's contours are evolved
 as one tensor in training and in inference alike. Forward passes cache the
 activations :func:`backward` needs, which produces exact reverse-mode
 gradients for all parameters and for the input vertex features. The im2col
-columns of the circular convolutions are not cached: backward rebuilds them
-from each layer's cached input.
+columns of the convolutions are not cached: backward rebuilds them from each
+layer's cached input.
 """
 
 from __future__ import annotations
@@ -151,59 +156,48 @@ def vertex_features(grid, points) -> np.ndarray:
     return assemble_vertex_features(sample_features(grid, points), relative_coords(points))
 
 
-def circular_conv1d(x, kernel, bias) -> np.ndarray:
-    """1-D convolution over the vertex axis with wrap-around padding.
+def _columns(x, window, mode):
+    """im2col of the ``len(window)`` axes before the channel axis:
+    (..., *S, D) -> (..., *S, prod(window)*D), tap-major, padded by ``mode``."""
+    nd = len(window)
+    pad = [(0, 0)] * (x.ndim - nd - 1) + [((k - 1) // 2,) * 2 for k in window] + [(0, 0)]
+    axes = tuple(range(x.ndim - nd - 1, x.ndim - 1))
+    view = np.lib.stride_tricks.sliding_window_view(np.pad(x, pad, mode=mode), window, axis=axes)
+    return np.moveaxis(view, x.ndim - 1, -1).reshape(*x.shape[:-1], -1)
 
-    ``x`` is (N, D_in), ``kernel`` is (D_out, D_in, k) with odd k; output
-    vertex n sees inputs n-(k-1)/2 .. n+(k-1)/2 modulo N.
+
+def conv(x, kernel, bias, mode) -> np.ndarray:
+    """Same-size cross-correlation of a channels-last array.
+
+    ``kernel`` is (D_out, D_in, *window) with odd window sizes; the window
+    slides over the axes just before the channel axis of ``x``, which are
+    padded with ``np.pad(..., mode=mode)``: ``"constant"`` for zeros,
+    ``"wrap"`` for the circular vertex axis. Output position n sees inputs
+    n-(k-1)/2 .. n+(k-1)/2 along each window axis.
     """
-    k = kernel.shape[2]
-    if k % 2 == 0:
-        raise ValueError("circular convolution requires an odd kernel size")
-    return _cconv_forward(np.asarray(x, dtype=float)[None], kernel, np.asarray(bias, dtype=float))[0]
+    window = kernel.shape[2:]
+    if any(k % 2 == 0 for k in window):
+        raise ValueError("convolution requires odd kernel sizes")
+    # (D_out, D_in, *window) -> (prod(window)*D_in, D_out), tap-major like the columns
+    taps = kernel.transpose(*range(2, kernel.ndim), 1, 0).reshape(-1, kernel.shape[0])
+    return _columns(np.asarray(x, dtype=float), window, mode) @ taps + bias
 
 
-def _cconv_cols(x, k):
-    """Wrap-around im2col along axis 1: (B, N, D) -> (B, N, k*D)."""
-    b, n, d = x.shape
-    p = (k - 1) // 2
-    padded = x[:, np.arange(-p, n + p) % n]
-    cols = np.empty((b, n, k * d))
-    for t in range(k):
-        cols[:, :, t * d : (t + 1) * d] = padded[:, t : t + n]
-    return cols
+def conv_backward(d_out, x, kernel, mode):
+    """Gradients (d_x, d_w, d_b) of :func:`conv` for the layer input ``x``.
 
-
-def _cconv_forward(x, kernel, bias):
-    d_out, d_in, k = kernel.shape
-    w = kernel.transpose(2, 1, 0).reshape(k * d_in, d_out)
-    return _cconv_cols(x, k) @ w + bias
-
-
-def _cconv_backward(d_out_arr, x, kernel):
-    """Gradients for the layer input, kernel and bias; the im2col columns
-    are rebuilt from the layer input ``x`` rather than kept from forward."""
-    d_out_ch, d_in, k = kernel.shape
-    b, n, _ = x.shape
-    p = (k - 1) // 2
-    w = kernel.transpose(2, 1, 0).reshape(k * d_in, d_out_ch)
-    d_cols = d_out_arr @ w.T
-    # fold the column gradients back through the circular padding
-    d_padded = np.zeros((b, n + 2 * p, d_in))
-    for t in range(k):
-        d_padded[:, t : t + n] += d_cols[:, :, t * d_in : (t + 1) * d_in]
-    if p < n:
-        d_x = d_padded[:, p : p + n].copy()
-        d_x[:, n - p :] += d_padded[:, :p]
-        d_x[:, :p] += d_padded[:, n + p :]
-    else:
-        d_x = np.zeros(x.shape)
-        np.add.at(d_x, (slice(None), np.arange(-p, n + p) % n), d_padded)
-    flat_cols = _cconv_cols(x, k).reshape(-1, k * d_in)
-    flat_dout = d_out_arr.reshape(-1, d_out_ch)
-    d_w = (flat_cols.T @ flat_dout).reshape(k, d_in, d_out_ch).transpose(2, 1, 0)
-    d_b = flat_dout.sum(axis=0)
-    return d_x, d_w, d_b
+    ``d_x`` is the convolution of ``d_out`` with the flipped, channel-
+    transposed kernel under the same padding, which is exact for zero and
+    circular padding; ``d_w`` uses columns rebuilt from ``x``.
+    """
+    nd = kernel.ndim - 2
+    window = kernel.shape[2:]
+    flipped = np.flip(kernel, axis=tuple(range(2, kernel.ndim))).swapaxes(0, 1)
+    d_x = conv(d_out, flipped, 0.0, mode)
+    cols = _columns(x, window, mode)
+    flat_dout = d_out.reshape(-1, kernel.shape[0])
+    d_w = (cols.reshape(-1, cols.shape[-1]).T @ flat_dout).reshape(*window, kernel.shape[1], -1)
+    return d_x, d_w.transpose(nd + 1, nd, *range(nd)), flat_dout.sum(axis=0)
 
 
 def _relu(x):
@@ -229,8 +223,6 @@ def forward(features, params: EvolutionParams):
     probs the per-vertex two-class softmax (valid class last).
     """
     x = np.asarray(features, dtype=float)
-    if x.ndim == 2:
-        x = x[None]
     cache = {"features": x}
 
     z0 = x @ params.up_w.T + params.up_b
@@ -241,7 +233,7 @@ def forward(features, params: EvolutionParams):
     for name in ("detail", "local", "global"):
         kernel = getattr(params, f"{name}_w")
         bias = getattr(params, f"{name}_b")
-        z = _cconv_forward(f_prev, kernel, bias)
+        z = conv(f_prev, kernel, bias, "wrap")
         f_prev = f_prev + _relu(z)
         cache[f"{name}_z"], cache[f"{name}_out"] = z, f_prev
 
@@ -304,7 +296,7 @@ def backward(cache, params: EvolutionParams, d_offsets=None, d_logits=None):
     for name in ("global", "local", "detail"):
         kernel = getattr(params, f"{name}_w")
         d_h = d_prev * (cache[f"{name}_z"] > 0)
-        d_x, d_w, d_b = _cconv_backward(d_h, layer_inputs[name], kernel)
+        d_x, d_w, d_b = conv_backward(d_h, layer_inputs[name], kernel, "wrap")
         grads[f"{name}_w"] += d_w
         grads[f"{name}_b"] += d_b
         d_prev = d_prev + d_x  # residual shortcut

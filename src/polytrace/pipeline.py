@@ -5,7 +5,9 @@ The trainable model is three pieces sharing the handcrafted feature grid:
 a center head (3x3 conv, ReLU, 1x1 conv, sigmoid) producing the keypoint
 heatmap, an offset head (two 3x3 convs with ReLU, then 1x1) producing a
 2N-channel offset map read at center cells, and the contour-evolution
-micro-network applied for ``EVOLUTION_ROUNDS`` rounds.
+micro-network applied for ``EVOLUTION_ROUNDS`` rounds. The 3x3 head
+convolutions and their gradients are :func:`evolution.conv` and
+:func:`evolution.conv_backward` with zero padding.
 
 :func:`evolve_contours` is the one contour forward of training and
 inference. It composes every initial contour of an image as
@@ -106,33 +108,6 @@ class PipelineParams:
         return cls(**head, evolution=evo.EvolutionParams.from_arrays(evo_named))
 
 
-def conv2d3x3(x, w, b):
-    """Same-padded 3x3 convolution on an (H, W, C_in) grid."""
-    h, wd, _ = x.shape
-    cout = w.shape[0]
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    out = np.tile(b, (h, wd, 1))
-    for dy in range(3):
-        for dx in range(3):
-            out += padded[dy : dy + h, dx : dx + wd] @ w[:, :, dy, dx].T
-    return out
-
-
-def conv2d3x3_backward(x, w, d_out):
-    h, wd, cin = x.shape
-    cout = w.shape[0]
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    d_padded = np.zeros_like(padded)
-    d_w = np.zeros_like(w)
-    flat_dout = d_out.reshape(-1, cout)
-    for dy in range(3):
-        for dx in range(3):
-            patch = padded[dy : dy + h, dx : dx + wd]
-            d_w[:, :, dy, dx] = flat_dout.T @ patch.reshape(-1, cin)
-            d_padded[dy : dy + h, dx : dx + wd] += d_out @ w[:, :, dy, dx]
-    return d_padded[1:-1, 1:-1], d_w, d_out.sum(axis=(0, 1))
-
-
 def _sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -144,7 +119,7 @@ def _sigmoid(x):
 
 def center_forward(grid, params: PipelineParams):
     """Feature grid -> keypoint heatmap in (0, 1); returns (heatmap, cache)."""
-    z1 = conv2d3x3(grid, params.center_w1, params.center_b1)
+    z1 = evo.conv(grid, params.center_w1, params.center_b1, "constant")
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.center_w2.T + params.center_b2
     heat = _sigmoid(z2[..., 0])
@@ -161,7 +136,7 @@ def center_backward(cache, params: PipelineParams, d_heat):
     }
     d_a1 = d_z2 @ params.center_w2
     d_z1 = d_a1 * (cache["z1"] > 0)
-    _, d_w1, d_b1 = conv2d3x3_backward(cache["grid"], params.center_w1, d_z1)
+    _, d_w1, d_b1 = evo.conv_backward(d_z1, cache["grid"], params.center_w1, "constant")
     grads["center_w1"] = d_w1
     grads["center_b1"] = d_b1
     return grads
@@ -169,9 +144,9 @@ def center_backward(cache, params: PipelineParams, d_heat):
 
 def offset_forward(grid, params: PipelineParams):
     """Feature grid -> (rows, cols, 2N) offset map; returns (map, cache)."""
-    z1 = conv2d3x3(grid, params.offset_w1, params.offset_b1)
+    z1 = evo.conv(grid, params.offset_w1, params.offset_b1, "constant")
     a1 = np.maximum(z1, 0.0)
-    z2 = conv2d3x3(a1, params.offset_w2, params.offset_b2)
+    z2 = evo.conv(a1, params.offset_w2, params.offset_b2, "constant")
     a2 = np.maximum(z2, 0.0)
     offmap = a2 @ params.offset_w3.T + params.offset_b3
     return offmap, {"grid": grid, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
@@ -185,11 +160,11 @@ def offset_backward(cache, params: PipelineParams, d_offmap):
     }
     d_a2 = d_offmap @ params.offset_w3
     d_z2 = d_a2 * (cache["z2"] > 0)
-    d_a1, d_w2, d_b2 = conv2d3x3_backward(cache["a1"], params.offset_w2, d_z2)
+    d_a1, d_w2, d_b2 = evo.conv_backward(d_z2, cache["a1"], params.offset_w2, "constant")
     grads["offset_w2"] = d_w2
     grads["offset_b2"] = d_b2
     d_z1 = d_a1 * (cache["z1"] > 0)
-    _, d_w1, d_b1 = conv2d3x3_backward(cache["grid"], params.offset_w1, d_z1)
+    _, d_w1, d_b1 = evo.conv_backward(d_z1, cache["grid"], params.offset_w1, "constant")
     grads["offset_w1"] = d_w1
     grads["offset_b1"] = d_b1
     return grads

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polytrace import detection as det
+from polytrace import pipeline
 from polytrace.geometry import densify
 
 SQUARE = np.array([[40.0, 40.0], [80.0, 40.0], [80.0, 80.0], [40.0, 80.0]])
@@ -45,7 +46,7 @@ class TestDecodePeaks:
         assert len(out) == 1
         assert out[0].score == 1.0
         assert np.allclose(out[0].position, ((7 + 0.5) * 4, (5 + 0.5) * 4))
-        assert out[0].cell == (5, 7)
+        assert np.array_equal(pipeline.center_cells(out[0].position), ([5], [7]))
 
     def test_all_below_threshold_empty(self):
         heat = np.full((16, 16), 0.1)
@@ -67,8 +68,8 @@ class TestDecodePeaks:
         heat[12, 12] = 0.9
         out = det.decode_peaks(heat)
         assert [d.score for d in out] == [0.9, 0.5, 0.5]
-        assert out[1].cell == (2, 8)
-        assert out[2].cell == (8, 2)
+        assert np.array_equal(pipeline.center_cells(out[1].position), ([2], [8]))
+        assert np.array_equal(pipeline.center_cells(out[2].position), ([8], [2]))
 
     def test_roundtrip_with_target_recovers_centers(self, rng):
         for _ in range(20):

@@ -6,6 +6,8 @@ from polytrace import evolution as evo
 from polytrace.config import RunConfig
 from polytrace.synth import feature_provider
 
+from conftest import central_difference, relative_error
+
 TINY = dict(
     n_vertices=16,
     encoder_width=16,
@@ -51,7 +53,7 @@ def reference_predict(image, params, cfg):
     offmap, _ = pipeline.offset_forward(grid, params)
     out = []
     for det in detection.decode_peaks(heat, cfg.peak_threshold, cfg.max_detections):
-        row, col = det.cell
+        (row,), (col,) = pipeline.center_cells(det.position)
         vec = offmap[row, col].reshape(cfg.n_vertices, 2)
         pts = detection.compose_initial_contour(det.position, vec, cfg.expansion_factor).points
         for _ in range(2):
@@ -125,3 +127,37 @@ def test_fit_is_deterministic_for_a_seed(cfg, tmp_path):
         paths.append(tmp_path / f"fit{run}.ckpt")
         pipeline.save_checkpoint(model, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_head_gradients_against_finite_differences():
+    rng = np.random.default_rng(45)
+    cfg = RunConfig(n_vertices=4, feature_channels=3, center_hidden=4, offset_hidden=4, allow_nonstandard=True)
+    params = pipeline.PipelineParams.initialize(cfg, rng)
+    params.offset_w3 = rng.normal(scale=0.5, size=params.offset_w3.shape)
+    params.offset_b3 = rng.normal(scale=0.1, size=params.offset_b3.shape)
+    grid = rng.normal(size=(5, 7, 3))  # non-square, so a swapped axis or a wrong border fails
+    a_heat = rng.normal(size=(5, 7))
+    a_off = rng.normal(size=(5, 7, 8))
+
+    def probe_loss():
+        heat, _ = pipeline.center_forward(grid, params)
+        offmap, _ = pipeline.offset_forward(grid, params)
+        return float((a_heat * heat).sum() + (a_off * offmap).sum())
+
+    _, c_cache = pipeline.center_forward(grid, params)
+    _, o_cache = pipeline.offset_forward(grid, params)
+    grads = pipeline.center_backward(c_cache, params, a_heat)
+    grads.update(pipeline.offset_backward(o_cache, params, a_off))
+    assert sorted(grads) == sorted(pipeline.PipelineParams.HEAD_FIELDS)
+    for name in pipeline.PipelineParams.HEAD_FIELDS:
+        value = getattr(params, name)
+
+        def f(arr, value=value):
+            saved = value.copy()
+            value[...] = arr
+            try:
+                return probe_loss()
+            finally:
+                value[...] = saved
+
+        assert relative_error(grads[name], central_difference(f, value)) < 1e-6, name
