@@ -223,14 +223,20 @@ def manual_level_threshold(gt_mask, r: int) -> float:
     truth by r pixels.
 
     The expansion is a superset of the mask, so the IoU reduces to
-    |mask| / |expanded mask|.
+    |mask| / |expanded mask|. Only the mask's bounding box grown by r and
+    clipped to the frame is dilated: no pixel outside it can be set, and the
+    frame clips the dilation in both.
     """
     if r not in (2, 3):
         raise ValueError("manual-level expansion must be 2 or 3 pixels")
-    area = int(np.count_nonzero(gt_mask))
+    m = np.asarray(gt_mask, dtype=bool)
+    area = int(np.count_nonzero(m))
     if area == 0:
         return 0.0
-    expanded = int(np.count_nonzero(expand_mask(gt_mask, r)))
+    rows = np.flatnonzero(m.any(axis=1))
+    cols = np.flatnonzero(m.any(axis=0))
+    crop = m[max(rows[0] - r, 0) : rows[-1] + r + 1, max(cols[0] - r, 0) : cols[-1] + r + 1]
+    expanded = int(np.count_nonzero(expand_mask(crop, r)))
     return area / expanded
 
 

@@ -184,20 +184,28 @@ def conv(x, kernel, bias, mode) -> np.ndarray:
 
 
 def conv_backward(d_out, x, kernel, mode):
-    """Gradients (d_x, d_w, d_b) of :func:`conv` for the layer input ``x``.
+    """Gradients (d_x, d_w, d_b) of :func:`conv` for the layer input ``x``:
+    :func:`conv_input_grad` and :func:`conv_weight_grad` together."""
+    return (conv_input_grad(d_out, kernel, mode), *conv_weight_grad(d_out, x, kernel, mode))
 
-    ``d_x`` is the convolution of ``d_out`` with the flipped, channel-
-    transposed kernel under the same padding, which is exact for zero and
-    circular padding; ``d_w`` uses columns rebuilt from ``x``.
-    """
+
+def conv_input_grad(d_out, kernel, mode) -> np.ndarray:
+    """Gradient of :func:`conv` for its input: the convolution of ``d_out``
+    with the flipped, channel-transposed kernel under the same padding,
+    which is exact for zero and circular padding."""
+    flipped = np.flip(kernel, axis=tuple(range(2, kernel.ndim))).swapaxes(0, 1)
+    return conv(d_out, flipped, 0.0, mode)
+
+
+def conv_weight_grad(d_out, x, kernel, mode):
+    """Gradients (d_w, d_b) of :func:`conv` for its kernel and bias, from
+    columns rebuilt from the layer input ``x``."""
     nd = kernel.ndim - 2
     window = kernel.shape[2:]
-    flipped = np.flip(kernel, axis=tuple(range(2, kernel.ndim))).swapaxes(0, 1)
-    d_x = conv(d_out, flipped, 0.0, mode)
     cols = _columns(x, window, mode)
     flat_dout = d_out.reshape(-1, kernel.shape[0])
     d_w = (cols.reshape(-1, cols.shape[-1]).T @ flat_dout).reshape(*window, kernel.shape[1], -1)
-    return d_x, d_w.transpose(nd + 1, nd, *range(nd)), flat_dout.sum(axis=0)
+    return d_w.transpose(nd + 1, nd, *range(nd)), flat_dout.sum(axis=0)
 
 
 def _relu(x):

@@ -89,15 +89,27 @@ def normalize_orientation(poly) -> np.ndarray:
     return p.copy()
 
 
-def vertex_angle(prev, cur, nxt) -> float:
-    """Interior angle at ``cur`` in [0, pi]; pi means collinear."""
-    a = np.asarray(prev, dtype=float) - np.asarray(cur, dtype=float)
-    b = np.asarray(nxt, dtype=float) - np.asarray(cur, dtype=float)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < _EPS or nb < _EPS:
-        raise ValueError("angle undefined for coincident points")
-    c = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
-    return float(np.arccos(c))
+def vertex_angle(prev, cur, nxt):
+    """Interior angle at ``cur`` in [0, pi]; pi means collinear.
+
+    ``prev`` and ``nxt`` are (..., 2) arrays of one shape, against which
+    ``cur`` broadcasts. A single triple returns a float and raises ValueError when a neighbour coincides
+    with ``cur``; a stack of triples returns an array with NaN there. The
+    norms and the dot product come from one stacked 2x2 Gram matmul, which
+    gives the same bits as ``np.linalg.norm`` and ``np.dot`` of one triple.
+    """
+    cur = np.asarray(cur, dtype=float)
+    d = np.stack([np.asarray(prev, dtype=float) - cur, np.asarray(nxt, dtype=float) - cur], axis=-2)
+    gram = d @ d.swapaxes(-1, -2)
+    na, nb = np.sqrt(gram[..., 0, 0]), np.sqrt(gram[..., 1, 1])
+    coincident = (na < _EPS) | (nb < _EPS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angle = np.arccos(np.clip(gram[..., 0, 1] / (na * nb), -1.0, 1.0))
+    if np.ndim(angle) == 0:
+        if coincident:
+            raise ValueError("angle undefined for coincident points")
+        return float(angle)
+    return np.where(coincident, np.nan, angle)
 
 
 def ray_boundary_intersection(poly, center, direction) -> np.ndarray:

@@ -7,7 +7,9 @@ heatmap, an offset head (two 3x3 convs with ReLU, then 1x1) producing a
 2N-channel offset map read at center cells, and the contour-evolution
 micro-network applied for ``EVOLUTION_ROUNDS`` rounds. The 3x3 head
 convolutions and their gradients are :func:`evolution.conv` and
-:func:`evolution.conv_backward` with zero padding.
+:func:`evolution.conv_backward` with zero padding; the first layer of each
+head takes only :func:`evolution.conv_weight_grad`, since nothing uses the
+gradient of the feature grid.
 
 :func:`evolve_contours` is the one contour forward of training and
 inference. It composes every initial contour of an image as
@@ -136,7 +138,7 @@ def center_backward(cache, params: PipelineParams, d_heat):
     }
     d_a1 = d_z2 @ params.center_w2
     d_z1 = d_a1 * (cache["z1"] > 0)
-    _, d_w1, d_b1 = evo.conv_backward(d_z1, cache["grid"], params.center_w1, "constant")
+    d_w1, d_b1 = evo.conv_weight_grad(d_z1, cache["grid"], params.center_w1, "constant")
     grads["center_w1"] = d_w1
     grads["center_b1"] = d_b1
     return grads
@@ -164,7 +166,7 @@ def offset_backward(cache, params: PipelineParams, d_offmap):
     grads["offset_w2"] = d_w2
     grads["offset_b2"] = d_b2
     d_z1 = d_a1 * (cache["z1"] > 0)
-    _, d_w1, d_b1 = evo.conv_backward(d_z1, cache["grid"], params.offset_w1, "constant")
+    d_w1, d_b1 = evo.conv_weight_grad(d_z1, cache["grid"], params.offset_w1, "constant")
     grads["offset_w1"] = d_w1
     grads["offset_b1"] = d_b1
     return grads

@@ -5,6 +5,11 @@ The stages only ever remove vertices; surviving vertices keep their
 coordinates and their cyclic order. When a stage would leave fewer than
 three survivors the top-3 scored vertices are restored instead, since the
 final output must be a polygon.
+
+Cost model for an n-vertex ring: vertex NMS builds one n x n distance
+matrix and its greedy walk reads one row per keeper; angle pruning computes
+every interior angle in one stacked :func:`vertex_angle` call, then two
+neighbor angles per removal. A three-vertex ring computes no angles.
 """
 
 from __future__ import annotations
@@ -58,17 +63,14 @@ def vertex_nms(sc: ScoredContour, radius: float) -> ScoredContour:
     if radius < 0:
         raise ValueError("suppression radius must be non-negative")
     n = len(sc)
-    order = np.lexsort((np.arange(n), -sc.scores))
+    # far[i, j]: vertex j survives keeper i; row i is norm(points - points[i])
+    far = np.linalg.norm(sc.points[None, :, :] - sc.points[:, None, :], axis=2) >= radius
     alive = np.ones(n, dtype=bool)
     keep = np.zeros(n, dtype=bool)
-    for idx in order:
-        if not alive[idx]:
-            continue
-        keep[idx] = True
-        alive[idx] = False
-        if radius > 0:
-            d = np.linalg.norm(sc.points - sc.points[idx], axis=1)
-            alive &= d >= radius
+    for idx in np.lexsort((np.arange(n), -sc.scores)).tolist():
+        if alive[idx]:
+            keep[idx] = True
+            alive &= far[idx]
     return sc.take(np.nonzero(keep)[0])
 
 
@@ -76,32 +78,38 @@ def prune_collinear(poly, angle_threshold: float = ANGLE_THRESHOLD) -> np.ndarra
     """Drop near-straight vertices one at a time.
 
     Each pass removes the single vertex with the largest interior angle above
-    the threshold, then re-evaluates, because removing a vertex changes its
-    neighbors' angles. Stops when no angle exceeds the threshold or only
+    the threshold (the first in ring order on ties), because removing a
+    vertex changes its neighbors' angles. A vertex with a coincident neighbor
+    counts as flat (pi). Stops when no angle exceeds the threshold or only
     three vertices remain.
     """
     pts = np.asarray(poly, dtype=float)
-    if pts.shape[0] < 3:
+    n = pts.shape[0]
+    if n < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    pts = pts.copy()
-    while pts.shape[0] > 3:
-        n = pts.shape[0]
-        angles = np.array(
-            [_angle_or_pi(pts[(i - 1) % n], pts[i], pts[(i + 1) % n]) for i in range(n)]
-        )
+    if n == 3:
+        return pts.copy()
+    # ring neighbors by input index; a removed vertex reads -inf so that
+    # argmax over input order is argmax over the surviving ring
+    prev = np.roll(np.arange(n), 1)
+    nxt = np.roll(np.arange(n), -1)
+    angles = _angles_or_pi(pts, prev, np.arange(n), nxt)
+    for _ in range(n - 3):
         worst = int(np.argmax(angles))
         if angles[worst] <= angle_threshold:
             break
-        pts = np.delete(pts, worst, axis=0)
-    return pts
+        angles[worst] = -np.inf
+        p, q = prev[worst], nxt[worst]
+        nxt[p], prev[q] = q, p
+        both = np.array([p, q])
+        angles[both] = _angles_or_pi(pts, prev[both], both, nxt[both])
+    return pts[np.isfinite(angles)]
 
 
-def _angle_or_pi(prev, cur, nxt):
-    """Interior angle, treating a vertex with a coincident neighbor as flat."""
-    try:
-        return vertex_angle(prev, cur, nxt)
-    except ValueError:
-        return np.pi
+def _angles_or_pi(pts, prev, cur, nxt):
+    """Interior angles at ring positions ``cur``, pi where a neighbor coincides."""
+    angles = vertex_angle(pts[prev], pts[cur], pts[nxt])
+    return np.where(np.isnan(angles), np.pi, angles)
 
 
 def reduce(sc: ScoredContour, t: float = 0.6, angle_threshold: float = ANGLE_THRESHOLD) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polytrace import evaluation as ev
-from polytrace.geometry import rasterize
+from polytrace.geometry import expand_mask, rasterize
 
 FRAME = (256, 256)
 
@@ -286,6 +286,23 @@ class TestManualLevel:
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
             ev.manual_level_threshold(rasterize(rect(0, 0, 10, 10), *FRAME), 4)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_masks_at_frame_edges_match_full_frame_dilation(self, r):
+        h, w = 24, 32
+        masks = [np.zeros((h, w), dtype=bool)]
+        # boxes flush with each edge and corner, one a pixel short of an edge,
+        # one covering the frame; every slice is (rows, cols)
+        for rows in (slice(0, 5), slice(9, 14), slice(h - 5, h), slice(0, h), slice(1, 6)):
+            for cols in (slice(0, 7), slice(12, 19), slice(w - 7, w), slice(0, w), slice(w - 8, w - 1)):
+                mask = np.zeros((h, w), dtype=bool)
+                mask[rows, cols] = True
+                mask[rows.start, cols.stop - 1] = False  # not a full rectangle
+                masks.append(mask)
+        for mask in masks:
+            area = np.count_nonzero(mask)
+            expected = area / np.count_nonzero(expand_mask(mask, r)) if area else 0.0
+            assert ev.manual_level_threshold(mask, r) == expected
 
 
 class TestEvaluate:

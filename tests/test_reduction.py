@@ -161,3 +161,98 @@ class TestReduce:
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
             red.reduce(red.ScoredContour(np.zeros((2, 2)), np.zeros(2)))
+
+
+def reference_angle(prev, cur, nxt):
+    """The per-triple interior angle: ``np.linalg.norm`` and ``np.dot`` of
+    one triple, pi where a neighbor coincides."""
+    a = np.asarray(prev, dtype=float) - np.asarray(cur, dtype=float)
+    b = np.asarray(nxt, dtype=float) - np.asarray(cur, dtype=float)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na < 1e-9 or nb < 1e-9:
+        return np.pi
+    return float(np.arccos(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)))
+
+
+def reference_prune(poly, angle_threshold):
+    """Angle pruning that recomputes every angle after every removal."""
+    pts = np.asarray(poly, dtype=float).copy()
+    while pts.shape[0] > 3:
+        n = pts.shape[0]
+        angles = np.array([reference_angle(pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n)])
+        worst = int(np.argmax(angles))
+        if angles[worst] <= angle_threshold:
+            break
+        pts = np.delete(pts, worst, axis=0)
+    return pts
+
+
+def reference_nms(pts, scores, radius):
+    """Literal greedy simulation over index sets; surviving indices, sorted."""
+    remaining = set(range(len(pts)))
+    kept = []
+    while remaining:
+        best = min(remaining, key=lambda i: (-scores[i], i))
+        kept.append(best)
+        remaining = {i for i in remaining if i != best and np.linalg.norm(pts[i] - pts[best]) >= radius}
+    return sorted(kept)
+
+
+def seeded_ring(rng, n):
+    """A jittered circle with a near-collinear run, duplicated points and
+    grid-snapped vertices, so ties, coincident neighbors and flat runs occur."""
+    theta = np.sort(rng.uniform(0, 2 * np.pi, n))
+    pts = np.column_stack([np.cos(theta), np.sin(theta)]) * rng.uniform(5, 40) + 50
+    run = int(rng.integers(2, max(3, n // 2)))
+    start = int(rng.integers(0, n))
+    idx = (start + np.arange(run)) % n
+    t = np.linspace(0.0, 1.0, run)[:, None]
+    pts[idx] = pts[idx[0]] * (1 - t) + pts[idx[-1]] * t + rng.normal(0, 1e-3, (run, 2))
+    dup = rng.integers(0, n, int(rng.integers(0, 3)))
+    pts[dup] = pts[(dup + 1) % n]
+    if rng.uniform() < 0.3:
+        pts = np.round(pts)
+    return pts
+
+
+class TestVectorisedAgainstReference:
+    def test_batched_angles_match_per_vertex(self, rng):
+        coincident_seen = 0
+        for _ in range(50):
+            n = int(rng.integers(4, 65))
+            pts = seeded_ring(rng, n)
+            prev, nxt = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
+            expected = np.array([reference_angle(p, c, q) for p, c, q in zip(prev, pts, nxt)])
+            ring = np.arange(n)
+            got = red._angles_or_pi(pts, np.roll(ring, 1), ring, np.roll(ring, -1))
+            assert np.array_equal(got, expected)
+            # the stack reads NaN exactly where one triple raises
+            stacked = vertex_angle(prev, pts, nxt)
+            coincident = (prev == pts).all(axis=1) | (nxt == pts).all(axis=1)
+            assert np.array_equal(np.isnan(stacked), coincident)
+            for i in range(n):
+                if coincident[i]:
+                    with pytest.raises(ValueError):
+                        vertex_angle(prev[i], pts[i], nxt[i])
+                else:
+                    assert vertex_angle(prev[i], pts[i], nxt[i]) == stacked[i] == expected[i]
+            coincident_seen += int(coincident.sum())
+        assert coincident_seen > 0
+
+    @pytest.mark.parametrize("threshold", [0.1, 2.0, red.ANGLE_THRESHOLD, 3.0, 3.14])
+    def test_prune_matches_per_vertex_loop(self, rng, threshold):
+        for _ in range(40):
+            pts = seeded_ring(rng, int(rng.integers(4, 65)))
+            assert np.array_equal(red.prune_collinear(pts, threshold), reference_prune(pts, threshold))
+
+    def test_nms_matches_bruteforce_greedy(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            pts = rng.integers(0, 12, (n, 2)).astype(float)  # coincident points
+            scores = rng.choice([0.2, 0.5, 0.5, 0.9], n)  # tied scores
+            for radius in (0.0, 1.0, 2.5, float(rng.uniform(0, 6))):
+                sc = red.ScoredContour(pts, scores)
+                kept = reference_nms(pts, scores, radius)
+                out = red.vertex_nms(sc, radius)
+                assert np.array_equal(out.points, pts[kept])
+                assert np.array_equal(out.scores, scores[kept])
