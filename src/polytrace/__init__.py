@@ -5,7 +5,7 @@ The package is organized around the stages of the pipeline:
 - :mod:`polytrace.geometry`    polygon primitives, anchored densification, rasters
 - :mod:`polytrace.assignment`  Hungarian matching and nearest-point queries
 - :mod:`polytrace.losses`      training objectives with analytic gradients
-- :mod:`polytrace.detection`   center heatmaps, peak decoding, initial contours
+- :mod:`polytrace.detection`   center heatmaps and peak decoding
 - :mod:`polytrace.evolution`   the contour-evolution micro-network
 - :mod:`polytrace.reduction`   vertex thresholding, NMS and angle pruning
 - :mod:`polytrace.evaluation`  mask/boundary IoU, AP and manual-level metrics

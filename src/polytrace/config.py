@@ -1,4 +1,4 @@
-"""Run configuration: one dataclass with a schema version.
+"""Run configuration: one dataclass.
 
 Every tunable of the pipeline lives here with its recommended default; a
 handful of core parameters are range-checked against their recommended
@@ -8,8 +8,6 @@ intervals unless ``allow_nonstandard`` is set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-SCHEMA_VERSION = 1
 
 # (low, high) recommended intervals for the core parameters
 RECOMMENDED_RANGES = {
@@ -23,8 +21,6 @@ RECOMMENDED_RANGES = {
 
 @dataclass
 class RunConfig:
-    schema_version: int = SCHEMA_VERSION
-
     # contour and matching
     n_vertices: int = 64
     peak_threshold: float = 0.2
@@ -70,8 +66,6 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        if self.schema_version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported config schema version {self.schema_version}")
         if self.n_vertices % 4 != 0:
             raise ValueError("n_vertices must be divisible by 4")
         if self.optimizer not in ("momentum", "adam"):

@@ -1,10 +1,10 @@
-"""Contour initialization: heatmap targets, peak decoding and the initial
-contour composed from predicted offsets.
+"""Center detection: heatmap targets and peak decoding.
 
 Heatmaps and feature grids live on a stride-4 grid; cell (row, col) covers
 the 4x4 pixel block starting at (4*col, 4*row). Decoded peak positions are
 reported at cell centers in full resolution, i.e. ((col + 0.5) * 4,
-(row + 0.5) * 4).
+(row + 0.5) * 4). The initial contours around those positions are composed
+by :func:`pipeline.initial_contours`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-
-from .geometry import DensifiedContour
 
 STRIDE = 4
 
@@ -81,26 +79,3 @@ def decode_peaks(heatmap, threshold: float = 0.2, top_k: int = 200) -> list[Cent
         out.append(CenterDetection(position, score))
     return out
 
-
-def compose_initial_contour(center, offsets, gamma: float = 10.0) -> DensifiedContour:
-    """Initial contour from a center point and stride-4 offsets.
-
-    Offsets are converted to full-resolution pixels (times the stride) and
-    the expansion factor, as :func:`pipeline.initial_contours` does for a
-    batch; the ring inherits the four-anchor layout by index.
-    """
-    c = np.asarray(center.position if isinstance(center, CenterDetection) else center, dtype=float)
-    off = np.asarray(offsets, dtype=float)
-    if off.ndim != 2 or off.shape[1] != 2:
-        raise ValueError("offsets must have shape (N, 2)")
-    n = off.shape[0]
-    if n % 4 != 0:
-        raise ValueError("offset count must be divisible by 4")
-    points = c[None, :] + (gamma * STRIDE) * off
-    return DensifiedContour(points, np.arange(4) * (n // 4))
-
-
-def offset_targets(gt: DensifiedContour, center, gamma: float = 10.0) -> np.ndarray:
-    """Stride-4 offsets that compose back to gt exactly: (gt - center) / (gamma * stride)."""
-    c = np.asarray(center, dtype=float)
-    return (gt.points - c[None, :]) / (gamma * STRIDE)

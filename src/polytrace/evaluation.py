@@ -13,8 +13,7 @@ row of band IoUs, against the ground truths of its own image only. One
 greedy matcher turns the rows into the match at every IoU threshold. The
 size splits come from the ground-truth masks. The mean instance IoU and the
 manual levels come from the mask match at IoU 0.5. :func:`match_instances`
-and :func:`average_precision` build their rows from any IoU function and use
-the same matcher.
+builds its rows from any IoU function and uses the same matcher.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .geometry import expand_mask, rasterize
 
 IOU_THRESHOLDS = np.array([0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95])
 SIZE_SPLIT_PIXELS = 7500
+BOUNDARY_FRACTION = 0.01  # boundary band width as a fraction of the frame diagonal
 SMALL_MEDIUM = "S&M"
 LARGE = "L"
 
@@ -73,36 +73,34 @@ def boundary_band(mask, d: int) -> np.ndarray:
     """Mask pixels within Chebyshev distance d of the mask's boundary.
 
     Boundary pixels are mask pixels with a non-mask 8-neighbor (frame edges
-    count as outside).
+    count as outside). Only the mask's bounding box is eroded and dilated:
+    the band and every boundary pixel lie inside it, and the zero border of
+    the erosion reads the pixels outside it as background, which they are.
     """
     m = np.asarray(mask, dtype=bool)
-    if not m.any():
-        return m.copy()
-    interior = ndimage.binary_erosion(m, structure=np.ones((3, 3), dtype=bool), border_value=0)
-    boundary = m & ~interior
-    return m & expand_mask(boundary, d)
+    band = np.zeros_like(m)
+    rows = np.flatnonzero(m.any(axis=1))
+    if rows.size == 0:
+        return band
+    cols = np.flatnonzero(m.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    crop = m[box]
+    interior = ndimage.binary_erosion(crop, structure=np.ones((3, 3), dtype=bool), border_value=0)
+    band[box] = crop & expand_mask(crop & ~interior, d)
+    return band
 
 
-def boundary_distance(frame_dims, d_fraction: float = 0.01) -> int:
+def boundary_distance(frame_dims) -> int:
+    """Boundary band width: ``BOUNDARY_FRACTION`` of the frame diagonal,
+    at least one pixel."""
     width, height = frame_dims
-    return max(1, int(round(d_fraction * float(np.hypot(width, height)))))
-
-
-def boundary_iou(a, b, frame_dims, d_fraction: float = 0.01) -> float:
-    """IoU restricted to the bands within distance d of each mask's boundary,
-    with d a fraction of the frame diagonal (at least one pixel)."""
-    width, height = frame_dims
-    d = boundary_distance(frame_dims, d_fraction)
-    band_a = boundary_band(rasterize(a, width, height), d)
-    band_b = boundary_band(rasterize(b, width, height), d)
-    return masks_iou(band_a, band_b)
+    return max(1, int(round(BOUNDARY_FRACTION * float(np.hypot(width, height)))))
 
 
 @dataclass
 class MatchResult:
     pairs: list  # (pred_index, gt_index, iou)
     unmatched_preds: list
-    unmatched_gts: list
 
     @property
     def true_positives(self) -> int:
@@ -112,10 +110,6 @@ class MatchResult:
     def false_positives(self) -> int:
         return len(self.unmatched_preds)
 
-    @property
-    def false_negatives(self) -> int:
-        return len(self.unmatched_gts)
-
 
 def match_instances(preds, gts, iou_fn, threshold: float) -> MatchResult:
     """Greedy score-ordered matching with the single-match rule.
@@ -124,23 +118,11 @@ def match_instances(preds, gts, iou_fn, threshold: float) -> MatchResult:
     not-yet-matched ground truth of the same image with the highest IoU at
     or above the threshold; IoU ties go to the lower ground-truth index.
     """
-    return _greedy_match(_score_order(preds), _iou_rows(preds, gts, iou_fn), len(gts), threshold)
-
-
-def average_precision(preds, gts, iou_fn, interpolated: bool = False) -> float:
-    """Mean precision over the ten IoU thresholds 0.50 .. 0.95.
-
-    Default reading: precision = TP / (TP + FP) over all predictions at each
-    threshold, zero when there are no predictions. With ``interpolated`` the
-    standard 101-point interpolated PR integral is used instead.
-    """
-    if len(gts) == 0:
-        raise ValueError("average precision needs at least one ground truth")
-    order = _score_order(preds)
-    results = _threshold_matches(order, _iou_rows(preds, gts, iou_fn), len(gts))
-    if interpolated and preds:
-        return float(np.mean([_interpolated_ap(result, order, len(gts)) for result in results]))
-    return float(np.mean(_precisions(results, len(preds))))
+    rows = [[] for _ in preds]
+    for pis, gis in _image_groups(preds, gts):
+        for pi in pis:
+            rows[pi] = [(gi, iou_fn(preds[pi], gts[gi])) for gi in gis]
+    return _greedy_match(_score_order(preds), rows, len(gts), threshold)
 
 
 def _score_order(preds) -> list:
@@ -158,18 +140,10 @@ def _image_groups(preds, gts) -> list:
     return [(pis, gt_ids[image_id]) for image_id, pis in pred_ids.items() if image_id in gt_ids]
 
 
-def _iou_rows(preds, gts, iou_fn) -> list:
-    """Per prediction, the (gt_index, IoU) pairs of the ground truths of its
-    image, in index order."""
-    rows = [[] for _ in preds]
-    for pis, gis in _image_groups(preds, gts):
-        for pi in pis:
-            rows[pi] = [(gi, iou_fn(preds[pi], gts[gi])) for gi in gis]
-    return rows
-
-
 def _greedy_match(order, rows, n_gts: int, threshold: float) -> MatchResult:
-    """The single-match greedy walk of :func:`match_instances` over IoU rows."""
+    """The single-match greedy walk of :func:`match_instances` over IoU rows:
+    per prediction, the (gt_index, IoU) pairs of the ground truths of its
+    image, in index order."""
     gt_taken = [False] * n_gts
     pairs = []
     unmatched_preds = []
@@ -183,33 +157,7 @@ def _greedy_match(order, rows, n_gts: int, threshold: float) -> MatchResult:
             pairs.append((pi, best_gt, best_iou))
         else:
             unmatched_preds.append(pi)
-    unmatched_gts = [gi for gi, taken in enumerate(gt_taken) if not taken]
-    return MatchResult(pairs, unmatched_preds, unmatched_gts)
-
-
-def _threshold_matches(order, rows, n_gts: int) -> list:
-    """The greedy match at each IoU threshold."""
-    return [_greedy_match(order, rows, n_gts, float(thr)) for thr in IOU_THRESHOLDS]
-
-
-def _precisions(results, n_preds: int) -> list:
-    """TP / predictions at each IoU threshold; zeros without predictions."""
-    return [result.true_positives / n_preds if n_preds else 0.0 for result in results]
-
-
-def _interpolated_ap(result, order, n_gts: int):
-    matched = {pi for pi, _, _ in result.pairs}
-    flags = np.array([pi in matched for pi in order])
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    recall = tp / n_gts
-    precision = tp / np.maximum(tp + fp, 1)
-    for i in range(precision.size - 1, 0, -1):
-        precision[i - 1] = max(precision[i - 1], precision[i])
-    rec_points = np.linspace(0.0, 1.0, 101)
-    idx = np.searchsorted(recall, rec_points, side="left")
-    sampled = np.where(idx < recall.size, precision[np.minimum(idx, recall.size - 1)], 0.0)
-    return float(sampled.mean())
+    return MatchResult(pairs, unmatched_preds)
 
 
 def size_split(gt_mask) -> str:
@@ -273,28 +221,6 @@ class EvalReport:
             "precision_boundary": self.precision_boundary,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        return cls(**data)
-
-    def format_table(self) -> str:
-        head = f"{'':14s}{'AP':>8s}{'AP_S&M':>8s}{'AP_L':>8s}"
-        rows = [
-            head,
-            f"{'mask':14s}{self.ap_msk:8.4f}{self.ap_msk_sm:8.4f}{self.ap_msk_l:8.4f}",
-            f"{'boundary':14s}{self.ap_bdy:8.4f}{self.ap_bdy_sm:8.4f}{self.ap_bdy_l:8.4f}",
-            "",
-            f"{'manual level':14s}{'2px':>8s}{'3px':>8s}",
-            f"{'':14s}{self.manual_level_2px:8.4f}{self.manual_level_3px:8.4f}",
-            "",
-            f"{'mean IoU':14s}{self.mean_instance_iou:8.4f}",
-            "",
-            "threshold  precision(mask)  precision(boundary)",
-        ]
-        for thr, pm, pb in zip(self.thresholds, self.precision_mask, self.precision_boundary):
-            rows.append(f"{thr:9.2f}{pm:17.4f}{pb:21.4f}")
-        return "\n".join(rows) + "\n"
-
 
 def evaluate(preds, gts, frame_dims) -> EvalReport:
     """Populate the full report for a prediction set against ground truths.
@@ -319,8 +245,8 @@ def evaluate(preds, gts, frame_dims) -> EvalReport:
     classes = [size_split(mask) for mask in gt_masks]
     precision, splits, matches = {}, {}, {}
     for kind, rows in (("mask", mask_rows), ("boundary", band_rows)):
-        matches[kind] = _threshold_matches(order, rows, len(gts))
-        precision[kind] = _precisions(matches[kind], len(preds))
+        matches[kind] = [_greedy_match(order, rows, len(gts), float(thr)) for thr in IOU_THRESHOLDS]
+        precision[kind] = [m.true_positives / len(preds) if preds else 0.0 for m in matches[kind]]
         splits[kind] = {label: _split_ap(matches[kind], classes, label) for label in (SMALL_MEDIUM, LARGE)}
 
     # the mask match at IOU_THRESHOLDS[0] == 0.5 gives the per-instance IoUs

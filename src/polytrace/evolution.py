@@ -30,9 +30,6 @@ import numpy as np
 
 from .detection import STRIDE
 
-ENCODER_WIDTH = 128
-KERNEL_SIZES = {"detail": 3, "local": 9, "global": 21}
-
 
 @dataclass
 class EvolutionParams:
@@ -54,7 +51,7 @@ class EvolutionParams:
     cls_b: np.ndarray
 
     @classmethod
-    def initialize(cls, feature_channels: int, width: int = ENCODER_WIDTH, rng=None) -> "EvolutionParams":
+    def initialize(cls, feature_channels: int, width: int, rng=None) -> "EvolutionParams":
         """Fresh parameters: encoder weights uniform in +-sqrt(1/(k*D_in)),
         both heads zero so the first evolution step is the identity."""
         rng = np.random.default_rng() if rng is None else rng
@@ -80,10 +77,6 @@ class EvolutionParams:
             cls_w=np.zeros((2, width)),
             cls_b=np.zeros(2),
         )
-
-    @property
-    def width(self) -> int:
-        return self.up_w.shape[0]
 
     @property
     def feature_dim(self) -> int:
@@ -140,20 +133,10 @@ def relative_coords(points) -> np.ndarray:
     return (pts - (lo + hi) / 2.0) / safe
 
 
-def assemble_vertex_features(sampled, rel) -> np.ndarray:
-    """Concatenate sampled channels with the two relative coordinates."""
-    s = np.asarray(sampled, dtype=float)
-    r = np.asarray(rel, dtype=float)
-    if s.shape[:-1] != r.shape[:-1]:
-        raise ValueError("sampled features and relative coords disagree on N")
-    if r.shape[-1] != 2:
-        raise ValueError("relative coordinates must be (..., N, 2)")
-    return np.concatenate([s, r], axis=-1)
-
-
 def vertex_features(grid, points) -> np.ndarray:
-    """(B, N, C+2) network inputs for a (B, N, 2) batch of contours."""
-    return assemble_vertex_features(sample_features(grid, points), relative_coords(points))
+    """(B, N, C+2) network inputs for a (B, N, 2) batch of contours: the
+    sampled grid channels, then the two relative coordinates."""
+    return np.concatenate([sample_features(grid, points), relative_coords(points)], axis=-1)
 
 
 def _columns(x, window, mode):

@@ -10,7 +10,9 @@ A ``DensifiedContour`` is a fixed-size resampling of a polygon: four
 control vertices are inserted where the rays from the bounding-box center
 in the top/right/bottom/left directions meet the boundary, and each of the
 four arcs between them is resampled to the same number of points. Index 0
-is always the top-direction control vertex and the ring runs clockwise.
+is always the top-direction control vertex and the ring runs clockwise, so
+the anchors of an N-point ring sit at 0, N/4, N/2 and 3N/4 and are derived
+from N rather than stored.
 """
 
 from __future__ import annotations
@@ -68,11 +70,6 @@ def signed_area(poly) -> float:
     x, y = p[:, 0], p[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     return float(np.sum(x * yn - xn * y) / 2.0)
-
-
-def polygon_perimeter(poly) -> float:
-    p = as_polygon(poly)
-    return float(np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1).sum())
 
 
 def normalize_orientation(poly) -> np.ndarray:
@@ -151,7 +148,7 @@ def ray_boundary_intersection(poly, center, direction) -> np.ndarray:
     return c + max(best_t, 0.0) * d
 
 
-def insert_control_vertices(poly, s: int = 4) -> tuple[np.ndarray, np.ndarray]:
+def insert_control_vertices(poly) -> tuple[np.ndarray, np.ndarray]:
     """Insert the four directional control vertices on the ring.
 
     Returns ``(vertices, anchor_indices)`` where the ring is clockwise and
@@ -159,8 +156,6 @@ def insert_control_vertices(poly, s: int = 4) -> tuple[np.ndarray, np.ndarray]:
     that order. A control vertex coinciding with an existing vertex is not
     duplicated.
     """
-    if s != 4:
-        raise ValueError("only the four fixed directions are supported")
     p = normalize_orientation(as_polygon(poly, strict=True))
     center = bbox_center(p)
     m = p.shape[0]
@@ -196,7 +191,7 @@ def insert_control_vertices(poly, s: int = 4) -> tuple[np.ndarray, np.ndarray]:
             else:
                 out.append(q)
                 anchor_pos[k] = len(out) - 1
-    anchors = np.array([anchor_pos[k] for k in range(s)], dtype=int)
+    anchors = np.array([anchor_pos[k] for k in range(len(ANCHOR_DIRECTIONS))], dtype=int)
     return np.array(out), anchors
 
 
@@ -204,37 +199,25 @@ def insert_control_vertices(poly, s: int = 4) -> tuple[np.ndarray, np.ndarray]:
 class DensifiedContour:
     """Fixed-size clockwise vertex ring with directional anchors.
 
-    ``points`` is (N, 2); ``anchor_indices`` holds the ring positions of the
-    top/right/bottom/left control vertices, which by construction are
-    0, N/4, N/2 and 3N/4.
+    ``points`` is (N, 2) with N divisible by 4; the top/right/bottom/left
+    control vertices sit at :attr:`anchor_indices` 0, N/4, N/2 and 3N/4.
     """
 
     points: np.ndarray
-    anchor_indices: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        anchors = np.asarray(self.anchor_indices, dtype=int)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "anchor_indices", anchors)
-        n, s = pts.shape[0], anchors.shape[0]
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("contour points must have shape (N, 2)")
         if not np.all(np.isfinite(pts)):
             raise ValueError("contour has non-finite coordinates")
-        if s < 1 or n % s != 0:
-            raise ValueError(f"vertex count {n} not divisible by anchor count {s}")
-        expected = np.arange(s) * (n // s)
-        if not np.array_equal(anchors, expected):
-            raise ValueError(f"anchor indices must be {expected.tolist()}")
+        if pts.shape[0] % 4 != 0:
+            raise ValueError(f"vertex count {pts.shape[0]} not divisible by 4")
 
     @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def s(self) -> int:
-        return self.anchor_indices.shape[0]
+    def anchor_indices(self) -> np.ndarray:
+        return np.arange(4) * (self.points.shape[0] // 4)
 
 
 def densify(poly, n_vertices: int = 64) -> DensifiedContour:
@@ -245,24 +228,23 @@ def densify(poly, n_vertices: int = 64) -> DensifiedContour:
     resampled uniformly by arc length to n_vertices/4 points; point 0 is the
     top-direction control vertex and the ring is clockwise.
     """
-    s = 4
-    if n_vertices < s or n_vertices % s != 0:
-        raise ValueError(f"vertex count {n_vertices} must be a multiple of {s}")
-    ring, anchors = insert_control_vertices(poly, s)
+    if n_vertices < 4 or n_vertices % 4 != 0:
+        raise ValueError(f"vertex count {n_vertices} must be a multiple of 4")
+    ring, anchors = insert_control_vertices(poly)
     k = ring.shape[0]
     shift = anchors[0]
     ring = np.roll(ring, -shift, axis=0)
     anchors = (anchors - shift) % k
     if not np.all(np.diff(anchors) > 0):
         raise ValueError("control vertices out of cyclic order")
-    per_arc = n_vertices // s
+    per_arc = n_vertices // 4
     pieces = []
     bounds = list(anchors) + [k]
     for a0, a1 in zip(bounds[:-1], bounds[1:]):
         chain = ring[a0 : a1 + 1] if a1 < k else np.vstack([ring[a0:], ring[:1]])
         pieces.append(_resample_open_chain(chain, per_arc))
     points = np.vstack(pieces)
-    return DensifiedContour(points, np.arange(s) * per_arc)
+    return DensifiedContour(points)
 
 
 def _resample_open_chain(chain: np.ndarray, count: int) -> np.ndarray:
@@ -278,26 +260,14 @@ def _resample_open_chain(chain: np.ndarray, count: int) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def densify_x10(contour: DensifiedContour) -> np.ndarray:
-    """Subdivide every ring segment into 10 equal parts (original vertices kept)."""
-    pts = contour.points if isinstance(contour, DensifiedContour) else np.asarray(contour, dtype=float)
+def densify_x10(points) -> np.ndarray:
+    """Subdivide every segment of an (N, 2) ring into 10 equal parts
+    (original vertices kept)."""
+    pts = np.asarray(points, dtype=float)
     nxt = np.roll(pts, -1, axis=0)
     f = np.arange(10)[None, :, None] / 10.0
     dense = pts[:, None, :] * (1.0 - f) + nxt[:, None, :] * f
     return dense.reshape(-1, 2)
-
-
-def point_in_polygon(point, poly) -> bool:
-    """Even-odd test against the ring (half-open edge rule)."""
-    p = as_polygon(poly)
-    x, y = float(point[0]), float(point[1])
-    a = p
-    b = np.roll(p, -1, axis=0)
-    crossing = (a[:, 1] <= y) != (b[:, 1] <= y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = a[:, 0] + (y - a[:, 1]) * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
-    hits = crossing & (xint > x)
-    return bool(np.count_nonzero(hits) % 2 == 1)
 
 
 def rasterize(poly, width: int, height: int) -> np.ndarray:

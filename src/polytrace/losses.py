@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import Assignment, nearest_point_indices
-from .geometry import DensifiedContour, densify_x10
+from .geometry import densify_x10
 
 PROB_EPS = 1e-7
 
@@ -108,22 +108,17 @@ def classification_loss(valid_probs, assignment: Assignment, invalid_weight: flo
     return LossValue(value, {"probs": grad})
 
 
-def dml(
-    pred,
-    gt: DensifiedContour,
-    gt_corners,
-    assignment: Assignment,
-    nearest: np.ndarray | None = None,
-) -> LossValue:
+def dml(pred, gt, gt_corners, assignment: Assignment, nearest: np.ndarray | None = None) -> LossValue:
     """Dynamic matching loss: boundary attraction plus corner attraction.
 
-    The first term is the mean L1 distance from each predicted vertex to its
-    nearest point (by L2) on the 10x-densified ground-truth ring; the second
-    is the mean L1 distance from each matched predicted vertex to its corner.
-    ``nearest`` lets callers freeze the nearest-point selection; gradients
-    always treat both selections as constants. Gradient key: ``pred``.
+    ``pred`` and ``gt`` are (N, 2) rings. The first term is the mean L1
+    distance from each predicted vertex to its nearest point (by L2) on the
+    10x-densified ground-truth ring; the second is the mean L1 distance from
+    each matched predicted vertex to its corner. ``nearest`` lets callers
+    freeze the nearest-point selection; gradients always treat both
+    selections as constants. Gradient key: ``pred``.
     """
-    pred_pts = pred.points if isinstance(pred, DensifiedContour) else np.asarray(pred, dtype=float)
+    pred_pts = np.asarray(pred, dtype=float)
     n = pred_pts.shape[0]
     corners = np.asarray(gt_corners, dtype=float)
     m = corners.shape[0]

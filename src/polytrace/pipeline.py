@@ -21,6 +21,7 @@ ground-truth bbox centers and backpropagates through the returned caches;
 Checkpoint format (version 1): the ASCII magic line ``PTCK0001``, one JSON
 header line listing array names/shapes plus free-form metadata, then the
 raw row-major float64 little-endian buffers concatenated in header order.
+Loading checks the header against the arrays the run configuration builds.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class PipelineParams:
             offset_b3=np.zeros(2 * n),
             evolution=evo.EvolutionParams.initialize(c, width=cfg.encoder_width, rng=rng),
         )
-
-    @property
-    def n_vertices(self) -> int:
-        return self.offset_w3.shape[0] // 2
 
     def arrays(self):
         """Ordered (name, array) pairs over the whole model."""
@@ -224,13 +221,26 @@ def save_checkpoint(params: PipelineParams, path, meta: dict | None = None):
             fh.write(buf)
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (PipelineParams, meta)."""
+def load_checkpoint(path, cfg: RunConfig):
+    """Read a checkpoint; returns (PipelineParams, meta).
+
+    Raises ValueError, naming the array, when the checkpoint's array names
+    or shapes differ from those :meth:`PipelineParams.initialize` builds for
+    ``cfg``.
+    """
+    expected = {name: arr.shape for name, arr in PipelineParams.initialize(cfg).arrays()}
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file (magic {magic!r})")
         header = json.loads(fh.readline().decode("utf-8"))
+        found = {entry["name"]: tuple(entry["shape"]) for entry in header["arrays"]}
+        for name in sorted(expected.keys() | found.keys()):
+            if found.get(name) != expected.get(name):
+                raise ValueError(
+                    f"checkpoint array {name!r} does not fit the config: shape"
+                    f" {found.get(name, 'missing')} in the file, {expected.get(name, 'none')} expected"
+                )
         named = {}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
@@ -249,7 +259,6 @@ class ScenePrediction:
     points: np.ndarray          # (N, 2)
     vertex_scores: np.ndarray   # (N,)
     score: float
-    center: np.ndarray          # (2,)
 
 
 def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
@@ -270,6 +279,6 @@ def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
     if not np.all(np.isfinite(stages[-1])):
         raise ValueError("evolved contours have non-finite coordinates")
     return [
-        ScenePrediction(points, valid, det.score, det.position)
+        ScenePrediction(points, valid, det.score)
         for points, valid, det in zip(stages[-1], probs[:, :, 1], detections)
     ]

@@ -13,7 +13,7 @@ relied on by trained checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -21,9 +21,12 @@ from scipy import ndimage
 from .detection import STRIDE
 from .geometry import densify, normalize_orientation, rasterize
 
-FEATURE_CHANNELS = 8
-
 SHAPE_KINDS = ("rect", "rot_rect", "l_shape")
+SHAPE_MIX = (0.45, 0.30, 0.25)  # probabilities of SHAPE_KINDS
+MARGIN = 6.0                    # min distance from a building to the frame edge
+GAP = 6.0                       # min gap between building bounding boxes
+BACKGROUND = (25.0, 55.0)       # uniform range of the background gray level
+FOREGROUND = (150.0, 230.0)     # uniform range of each building's gray level
 
 
 @dataclass(frozen=True)
@@ -31,10 +34,6 @@ class SyntheticScene:
     image: np.ndarray            # (H, W) uint8 grayscale
     buildings: list              # list of (M, 2) clockwise polygons
     seed: int
-
-    @property
-    def frame_dims(self):
-        return self.image.shape[1], self.image.shape[0]
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,6 @@ class SceneSpec:
     frame_dims: tuple = (128, 128)
     n_buildings: tuple = (1, 4)
     size_range: tuple = (20.0, 48.0)
-    shape_mix: tuple = (0.45, 0.30, 0.25)  # rect / rotated rect / L-shape
-    margin: float = 6.0
-    gap: float = 6.0
-    background: tuple = (25.0, 55.0)
-    foreground: tuple = (150.0, 230.0)
     noise_sigma: float = 2.5
     max_tries: int = 200
 
@@ -97,26 +91,24 @@ def generate_scene(seed: int, spec: SceneSpec = SceneSpec()) -> SyntheticScene:
     width, height = spec.frame_dims
     lo, hi = spec.n_buildings
     count = int(rng.integers(lo, hi + 1))
-    mix = np.asarray(spec.shape_mix, dtype=float)
+    mix = np.asarray(SHAPE_MIX, dtype=float)
     mix = mix / mix.sum()
 
     buildings = []
-    boxes = []  # (xmin, ymin, xmax, ymax) inflated by gap/2
+    boxes = []  # (xmin, ymin, xmax, ymax) inflated by GAP/2
     for _ in range(count):
         placed = False
         for _ in range(spec.max_tries):
             kind = SHAPE_KINDS[int(rng.choice(len(SHAPE_KINDS), p=mix))]
             poly = _MAKERS[kind](rng, spec)
             extent = poly.max(axis=0) - poly.min(axis=0)
-            if np.any(extent + 2 * spec.margin >= (width, height)):
+            if np.any(extent + 2 * MARGIN >= (width, height)):
                 continue
-            shift = rng.uniform(
-                spec.margin, np.array([width, height]) - spec.margin - extent, size=2
-            )
+            shift = rng.uniform(MARGIN, np.array([width, height]) - MARGIN - extent, size=2)
             poly = poly - poly.min(axis=0) + shift
             box = np.array(
                 [poly[:, 0].min(), poly[:, 1].min(), poly[:, 0].max(), poly[:, 1].max()]
-            ) + np.array([-1.0, -1.0, 1.0, 1.0]) * (spec.gap / 2)
+            ) + np.array([-1.0, -1.0, 1.0, 1.0]) * (GAP / 2)
             if any(_boxes_overlap(box, other) for other in boxes):
                 continue
             try:
@@ -132,9 +124,9 @@ def generate_scene(seed: int, spec: SceneSpec = SceneSpec()) -> SyntheticScene:
                 f"could not place building {len(buildings) + 1}/{count} without overlap"
             )
 
-    image = np.full((height, width), rng.uniform(*spec.background))
+    image = np.full((height, width), rng.uniform(*BACKGROUND))
     for poly in buildings:
-        fill = rng.uniform(*spec.foreground)
+        fill = rng.uniform(*FOREGROUND)
         image[rasterize(poly, width, height)] = fill
     if spec.noise_sigma > 0:
         image = image + rng.normal(0.0, spec.noise_sigma, size=image.shape)

@@ -35,6 +35,9 @@ from .pipeline import (
 )
 from .synth import SceneSpec, SyntheticScene, feature_provider, generate_scene
 
+# consecutive unplaceable seeds after which make_dataset gives up
+MAX_SKIPPED_SEEDS = 100
+
 
 @dataclass
 class TrainInstance:
@@ -137,7 +140,7 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
             inst.corners, pts2[i], valid, cfg.match_distance_weight, diagonal=diagonal
         )
         assign = hungarian(cost)
-        l_e2 = losses.dml(pts2[i], inst.contour, inst.corners, assign)
+        l_e2 = losses.dml(pts2[i], inst.contour.points, inst.corners, assign)
         components["e2"] += l_e2.value / n_inst
         d_off2[i] = (eps / n_inst) * l_e2.grads["pred"]
         l_cla = losses.classification_loss(valid, assign)
@@ -256,6 +259,23 @@ def scene_spec_from_config(cfg: RunConfig) -> SceneSpec:
 
 
 def make_dataset(cfg: RunConfig, count: int, seed_offset: int = 0):
-    """Deterministic list of scenes: scene i uses seed cfg.seed + offset + i."""
+    """Deterministic list of ``count`` scenes from consecutive seeds starting
+    at cfg.seed + seed_offset.
+
+    A seed whose buildings cannot be placed is skipped and the next seed is
+    tried, so scene i has seed cfg.seed + seed_offset + i only when no
+    earlier seed failed. After ``MAX_SKIPPED_SEEDS`` failures in a row the
+    last placement error is raised.
+    """
     spec = scene_spec_from_config(cfg)
-    return [generate_scene(cfg.seed + seed_offset + i, spec) for i in range(count)]
+    scenes, seed, skipped = [], cfg.seed + seed_offset, 0
+    while len(scenes) < count:
+        try:
+            scenes.append(generate_scene(seed, spec))
+            skipped = 0
+        except RuntimeError:
+            skipped += 1
+            if skipped == MAX_SKIPPED_SEEDS:
+                raise
+        seed += 1
+    return scenes

@@ -1,0 +1,47 @@
+import numpy as np
+import pytest
+
+from polytrace.config import RECOMMENDED_RANGES, RunConfig
+
+
+def just_outside(key, side):
+    """The nearest value beyond one end of a recommended interval that the
+    other checks accept: a multiple of 4 for n_vertices, the next integer for
+    the other integers, the adjacent double for floats."""
+    lo, hi = RECOMMENDED_RANGES[key]
+    bound, sign = (lo, -1) if side == "low" else (hi, 1)
+    if isinstance(bound, int):
+        return bound + sign * (4 if key == "n_vertices" else 1)
+    return float(np.nextafter(bound, sign * np.inf))
+
+
+def test_vertex_count_not_divisible_by_four_rejected():
+    with pytest.raises(ValueError, match="divisible by 4"):
+        RunConfig(n_vertices=66)
+    with pytest.raises(ValueError, match="divisible by 4"):
+        RunConfig(n_vertices=66, allow_nonstandard=True)
+
+
+def test_unknown_optimizer_rejected():
+    with pytest.raises(ValueError, match="sgd"):
+        RunConfig(optimizer="sgd")
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("key", sorted(RECOMMENDED_RANGES))
+def test_value_just_outside_recommended_range(key, side):
+    value = just_outside(key, side)
+    with pytest.raises(ValueError, match="allow_nonstandard") as info:
+        RunConfig(**{key: value})
+    assert key in str(info.value)
+    assert getattr(RunConfig(**{key: value}, allow_nonstandard=True), key) == value
+
+
+@pytest.mark.parametrize("key", sorted(RECOMMENDED_RANGES))
+def test_range_ends_accepted(key):
+    for bound in RECOMMENDED_RANGES[key]:
+        assert getattr(RunConfig(**{key: bound}), key) == bound
+
+
+def test_frame_dims_is_width_then_height():
+    assert RunConfig(frame_width=96, frame_height=64).frame_dims == (96, 64)

@@ -3,7 +3,7 @@ import pytest
 
 from polytrace import detection as det
 from polytrace import pipeline
-from polytrace.geometry import densify
+from polytrace.geometry import DensifiedContour, densify
 
 SQUARE = np.array([[40.0, 40.0], [80.0, 40.0], [80.0, 80.0], [40.0, 80.0]])
 
@@ -85,37 +85,47 @@ class TestDecodePeaks:
                 assert min(dists) <= 2 * np.sqrt(2) + 1e-9
 
 
+def compose(center, offsets, gamma=10.0):
+    """The initial contour :func:`pipeline.initial_contours` composes from
+    stride-4 ``offsets`` stored at the cell of ``center`` in a zero offset map."""
+    offmap = np.zeros((32, 32, offsets.size))
+    offmap[pipeline.center_cells(center)] = offsets.reshape(-1)
+    return pipeline.initial_contours(offmap, center, gamma)[0]
+
+
+def offset_targets(gt, center, gamma=10.0):
+    """Stride-4 offsets that compose back to the (N, 2) ring ``gt``."""
+    return (gt - center) / (gamma * det.STRIDE)
+
+
 class TestInitialContour:
     def test_zero_offsets_collapse_to_center(self):
-        contour = det.compose_initial_contour(np.array([10.0, 20.0]), np.zeros((64, 2)))
-        assert np.allclose(contour.points, [10.0, 20.0])
+        contour = compose(np.array([10.0, 20.0]), np.zeros((64, 2)))
+        assert np.allclose(contour, [10.0, 20.0])
 
     def test_offset_arithmetic(self):
         # one stride-4 offset of 0.025 is 0.1 full-resolution pixels
         off = np.zeros((8, 2))
         off[0, 0] = 0.025
-        contour = det.compose_initial_contour(np.array([10.0, 10.0]), off, gamma=10.0)
-        assert np.allclose(contour.points[0], (11.0, 10.0))
-        assert np.allclose(contour.points[1], (10.0, 10.0))
+        contour = compose(np.array([10.0, 10.0]), off, gamma=10.0)
+        assert np.allclose(contour[0], (11.0, 10.0))
+        assert np.allclose(contour[1], (10.0, 10.0))
 
     def test_compose_inverts_targets(self):
         gt = densify(SQUARE, 64)
         center = np.array([57.0, 63.0])
-        off = det.offset_targets(gt, center, gamma=10.0)
-        back = det.compose_initial_contour(center, off, gamma=10.0)
-        assert np.max(np.abs(back.points - gt.points)) < 1e-12
-        assert np.array_equal(back.anchor_indices, gt.anchor_indices)
+        off = offset_targets(gt.points, center, gamma=10.0)
+        back = compose(center, off, gamma=10.0)
+        assert np.max(np.abs(back - gt.points)) < 1e-12
+        assert np.array_equal(DensifiedContour(back).anchor_indices, gt.anchor_indices)
 
     def test_gt_at_center_gives_zero_offsets(self):
-        from polytrace.geometry import DensifiedContour
-
-        pts = np.tile([30.0, 40.0], (8, 1))
-        gt = DensifiedContour(pts, np.arange(4) * 2)
-        off = det.offset_targets(gt, np.array([30.0, 40.0]))
+        gt = DensifiedContour(np.tile([30.0, 40.0], (8, 1)))
+        off = offset_targets(gt.points, np.array([30.0, 40.0]))
         assert not off.any()
 
     def test_square_offsets_antisymmetric(self):
         gt = densify(SQUARE, 64)
         center = np.array([60.0, 60.0])  # bbox center of the square
-        off = det.offset_targets(gt, center)
+        off = offset_targets(gt.points, center)
         assert np.allclose(off, -np.roll(off, 32, axis=0), atol=1e-12)

@@ -13,6 +13,8 @@ def rect(x0, y0, x1, y1):
 
 def band_oracle(mask, d):
     """Chebyshev distance-to-boundary band by explicit distance computation."""
+    if not mask.any():
+        return np.zeros_like(mask)
     h, w = mask.shape
     ii, jj = np.nonzero(mask)
     boundary = []
@@ -27,6 +29,13 @@ def band_oracle(mask, d):
     keep = cheb <= d
     band[pix[keep, 0], pix[keep, 1]] = True
     return band
+
+
+def boundary_iou(a, b, frame):
+    """IoU of the two polygons' boundary bands, the band width a fraction of
+    the frame diagonal: the IoU that ``evaluate`` reports as AP_bdy."""
+    d = ev.boundary_distance(frame)
+    return ev.masks_iou(ev.boundary_band(rasterize(a, *frame), d), ev.boundary_band(rasterize(b, *frame), d))
 
 
 def memoized(iou_fn):
@@ -49,7 +58,7 @@ def reference_report(preds, gts, frame):
     classes = [ev.size_split(mask) for mask in gt_masks]
     kinds = {
         "msk": memoized(lambda p, g: ev.mask_iou(p.polygon, g.polygon, frame)),
-        "bdy": memoized(lambda p, g: ev.boundary_iou(p.polygon, g.polygon, frame)),
+        "bdy": memoized(lambda p, g: boundary_iou(p.polygon, g.polygon, frame)),
     }
     out = {}
     for kind, iou_fn in kinds.items():
@@ -120,13 +129,13 @@ class TestMaskIou:
 class TestBoundaryIou:
     def test_identical_is_one(self):
         a = rect(30, 30, 90, 95)
-        assert ev.boundary_iou(a, a.copy(), FRAME) == 1.0
+        assert boundary_iou(a, a.copy(), FRAME) == 1.0
 
     def test_thin_shapes_reduce_to_mask_iou(self):
         # 3-pixel-wide bars are entirely within the band at any d >= 2
         a = rect(10, 10, 120, 13)
         b = rect(15, 10, 126, 13)
-        assert ev.boundary_iou(a, b, FRAME) == ev.mask_iou(a, b, FRAME)
+        assert boundary_iou(a, b, FRAME) == ev.mask_iou(a, b, FRAME)
 
     def test_concentric_squares_match_pixel_oracle(self):
         frame = (512, 512)
@@ -134,7 +143,7 @@ class TestBoundaryIou:
         assert d == round(0.01 * np.hypot(512, 512))
         a = rect(200, 200, 300, 300)
         b = rect(201, 201, 299, 299)
-        got = ev.boundary_iou(a, b, frame)
+        got = boundary_iou(a, b, frame)
         ma = rasterize(a, *frame)
         mb = rasterize(b, *frame)
         band_a = band_oracle(ma, d)
@@ -144,12 +153,23 @@ class TestBoundaryIou:
         assert got == inter / union
 
     def test_band_helper_matches_oracle_at_fixed_d(self):
-        mask = rasterize(rect(50, 40, 150, 138), 200, 200)
-        for d in (2, 5):
-            assert np.array_equal(ev.boundary_band(mask, d), band_oracle(mask, d))
+        masks = [rasterize(rect(50, 40, 150, 138), 200, 200)]
+        # on a small frame: an empty mask, the full frame, and boxes flush
+        # with each edge and corner, each with one pixel cut from a corner
+        h, w = 24, 32
+        masks += [np.zeros((h, w), dtype=bool), np.ones((h, w), dtype=bool)]
+        for rows in (slice(0, 9), slice(8, 17), slice(h - 9, h), slice(0, h)):
+            for cols in (slice(0, 11), slice(10, 21), slice(w - 11, w), slice(0, w)):
+                mask = np.zeros((h, w), dtype=bool)
+                mask[rows, cols] = True
+                mask[rows.start, cols.stop - 1] = False
+                masks.append(mask)
+        for mask in masks:
+            for d in (2, 5):
+                assert np.array_equal(ev.boundary_band(mask, d), band_oracle(mask, d))
 
     def test_bounded(self):
-        v = ev.boundary_iou(rect(10, 10, 50, 50), rect(30, 30, 70, 70), FRAME)
+        v = boundary_iou(rect(10, 10, 50, 50), rect(30, 30, 70, 70), FRAME)
         assert 0.0 <= v <= 1.0
 
 
@@ -162,7 +182,7 @@ class TestMatchInstances:
         pred = [ev.InstancePrediction(rect(10, 10, 50, 50), 0.9)]
         for thr in (0.5, 0.75, 0.95):
             res = ev.match_instances(pred, gt, self.iou, thr)
-            assert (res.true_positives, res.false_positives, res.false_negatives) == (1, 0, 0)
+            assert (res.true_positives, res.false_positives, len(gt) - res.true_positives) == (1, 0, 0)
 
     def test_two_predictions_one_gt(self):
         gt = [ev.GroundTruth(rect(10, 10, 50, 50))]
@@ -204,57 +224,41 @@ class TestMatchInstances:
         gts = [ev.GroundTruth(rect(10, 10, 50, 50), image_id=0), ev.GroundTruth(rect(70, 70, 120, 120), image_id=1)]
         preds = [ev.InstancePrediction(rect(10, 10, 50, 50), 0.9, image_id=1)]
         res = ev.match_instances(preds, gts, self.iou, 0.5)
-        assert res.pairs == [] and res.unmatched_preds == [0] and res.unmatched_gts == [0, 1]
+        assert res.pairs == [] and res.unmatched_preds == [0]
         report = ev.evaluate(preds, gts, FRAME)
         assert report.ap_msk == 0.0 and report.ap_bdy == 0.0 and report.mean_instance_iou == 0.0
 
 
 class TestAveragePrecision:
-    def iou(self, pred, gt):
-        return ev.mask_iou(pred.polygon, gt.polygon, FRAME)
+    def ap_msk(self, preds, gts):
+        return ev.evaluate(preds, gts, FRAME).ap_msk
 
     def test_single_090_detection_scores_09(self):
         gt = [ev.GroundTruth(rect(10, 10, 110, 110))]
         pred = [ev.InstancePrediction(rect(10, 10, 110, 100), 0.9)]
-        assert self.iou(pred[0], gt[0]) == 0.9
-        assert ev.average_precision(pred, gt, self.iou) == 0.9
+        assert ev.mask_iou(pred[0].polygon, gt[0].polygon, FRAME) == 0.9
+        assert self.ap_msk(pred, gt) == 0.9
 
     def test_perfect_predictions(self):
         gts = [ev.GroundTruth(rect(10, 10, 60, 60)), ev.GroundTruth(rect(100, 100, 180, 180))]
         preds = [ev.InstancePrediction(g.polygon.copy(), 0.9) for g in gts]
-        assert ev.average_precision(preds, gts, self.iou) == 1.0
+        assert self.ap_msk(preds, gts) == 1.0
 
     def test_no_predictions_is_zero(self):
         gts = [ev.GroundTruth(rect(10, 10, 60, 60))]
-        assert ev.average_precision([], gts, self.iou) == 0.0
+        assert self.ap_msk([], gts) == 0.0
 
     def test_empty_gts_rejected(self):
         with pytest.raises(ValueError):
-            ev.average_precision([], [], self.iou)
+            self.ap_msk([], [])
 
     def test_monotone_in_iou(self):
         gt = [ev.GroundTruth(rect(10, 10, 110, 110))]
         values = []
         for x1 in (60, 80, 100, 110):
             pred = [ev.InstancePrediction(rect(10, 10, x1, 110), 0.9)]
-            values.append(ev.average_precision(pred, gt, self.iou))
+            values.append(self.ap_msk(pred, gt))
         assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_interpolated_variant_perfect_is_one(self):
-        gts = [ev.GroundTruth(rect(10, 10, 60, 60))]
-        preds = [ev.InstancePrediction(rect(10, 10, 60, 60), 0.9)]
-        assert ev.average_precision(preds, gts, self.iou, interpolated=True) == 1.0
-
-    def test_interpolated_ignores_low_score_false_positives_less(self):
-        gts = [ev.GroundTruth(rect(10, 10, 110, 110))]
-        preds = [
-            ev.InstancePrediction(rect(10, 10, 110, 110), 0.9),
-            ev.InstancePrediction(rect(150, 150, 200, 200), 0.1),
-        ]
-        literal = ev.average_precision(preds, gts, self.iou)
-        interpolated = ev.average_precision(preds, gts, self.iou, interpolated=True)
-        assert literal == 0.5
-        assert interpolated == 1.0
 
 
 class TestSizeSplit:
@@ -381,8 +385,7 @@ class TestEvaluate:
         report = ev.evaluate(preds, gts, FRAME)
         assert report.ap_msk == float(np.mean(report.precision_mask))
         assert report.ap_bdy == float(np.mean(report.precision_boundary))
-        mask_iou = lambda p, g: ev.mask_iou(p.polygon, g.polygon, FRAME)
-        assert report.ap_msk == ev.average_precision(preds, gts, mask_iou)
+        assert report.ap_msk == reference_report(preds, gts, FRAME)["ap_msk"]
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_matches_reference_from_public_pieces(self, seed):
@@ -395,10 +398,9 @@ class TestEvaluate:
     def test_report_roundtrip_and_table(self):
         preds, gts = self.build_scene()
         report = ev.evaluate(preds, gts, FRAME)
-        clone = ev.EvalReport.from_dict(report.to_dict())
-        assert clone == report
-        table = report.format_table()
-        assert "manual level" in table and "0.95" in table
+        fields = report.to_dict()
+        assert ev.EvalReport(**fields) == report
+        assert "manual_level_2px" in fields and 0.95 in fields["thresholds"]
 
     def test_empty_gts_rejected(self):
         with pytest.raises(ValueError):

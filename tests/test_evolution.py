@@ -200,16 +200,12 @@ class TestSampling:
 
 class TestAssemble:
     def test_shape_and_layout(self, rng):
-        sampled = rng.normal(size=(5, 1))
-        rel = rng.uniform(-0.5, 0.5, size=(5, 2))
-        feats = evo.assemble_vertex_features(sampled, rel)
+        grid = rng.normal(size=(8, 8, 1))
+        points = rng.uniform(0.0, 32.0, size=(5, 2))
+        feats = evo.vertex_features(grid, points)
         assert feats.shape == (5, 3)
-        assert np.array_equal(feats[:, -2:], rel)
-        assert np.array_equal(feats[:, :1], sampled)
-
-    def test_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            evo.assemble_vertex_features(np.zeros((4, 2)), np.zeros((5, 2)))
+        assert np.array_equal(feats[:, -2:], evo.relative_coords(points))
+        assert np.array_equal(feats[:, :1], evo.sample_features(grid, points))
 
 
 def tiny_pipeline(rng, random_heads):
@@ -246,9 +242,8 @@ class TestForward:
     def test_batched_features_match_each_contour(self, rng):
         grid = rng.normal(size=(16, 16, 3))
         contour = densify(SQUARE, 16)
-        feats = evo.assemble_vertex_features(
-            evo.sample_features(grid, contour.points),
-            evo.relative_coords(contour.points),
+        feats = np.concatenate(
+            [evo.sample_features(grid, contour.points), evo.relative_coords(contour.points)], axis=-1
         )
         batch = evo.vertex_features(grid, np.stack([contour.points + 5.0, contour.points]))
         assert batch.shape == (2, 16, 5)

@@ -14,7 +14,7 @@ SQUARE = np.array([[10.0, 10.0], [30.0, 10.0], [30.0, 30.0], [10.0, 30.0]])
 
 def square_ring_contour():
     """The square itself as a 4-point anchored ring (corners are the vertices)."""
-    return DensifiedContour(SQUARE, np.arange(4))
+    return DensifiedContour(SQUARE)
 
 
 class TestFocalCenterLoss:
@@ -107,13 +107,13 @@ class TestDml:
     def test_zero_at_perfect_prediction(self):
         gt = square_ring_contour()
         a = Assignment(np.arange(4))
-        out = losses.dml(gt.points.copy(), gt, SQUARE, a)
+        out = losses.dml(gt.points.copy(), gt.points, SQUARE, a)
         assert out.value == 0.0
 
     def test_displaced_square_matches_bruteforce_oracle(self):
         gt = square_ring_contour()
         pred = gt.points + np.array([1.0, 0.0])
-        dense = densify_x10(gt)
+        dense = densify_x10(gt.points)
         assert dense.shape == (40, 2)
         # oracle: exhaustive nearest search and plain arithmetic
         expected_pre2gt = 0.0
@@ -124,7 +124,7 @@ class TestDml:
         expected_pre2gt /= pred.shape[0]
         a = Assignment(np.arange(4))
         expected_gt2pre = np.abs(pred - SQUARE).sum() / 4
-        out = losses.dml(pred, gt, SQUARE, a)
+        out = losses.dml(pred, gt.points, SQUARE, a)
         assert out.value == pytest.approx(expected_pre2gt + expected_gt2pre)
 
     def test_on_boundary_vertex_contributes_nothing(self):
@@ -133,7 +133,7 @@ class TestDml:
         pred = gt.points.copy()
         pred[0] = [16.0, 10.0]
         a = Assignment(np.array([1, 2, 3, 0]))
-        dense = densify_x10(gt)
+        dense = densify_x10(gt.points)
         nearest = nearest_point_indices(pred, dense)
         assert np.abs(pred[0] - dense[nearest[0]]).sum() < 1e-9
 
@@ -141,17 +141,17 @@ class TestDml:
         gt = densify(SQUARE, 16)
         pred = gt.points + rng.normal(scale=1.0, size=(16, 2))
         a = Assignment(rng.choice(16, size=4, replace=False))
-        base = losses.dml(pred, gt, SQUARE, a).value
+        base = losses.dml(pred, gt.points, SQUARE, a).value
         shift = np.array([31.7, -8.25])
-        gt_shifted = DensifiedContour(gt.points + shift, gt.anchor_indices)
-        moved = losses.dml(pred + shift, gt_shifted, SQUARE + shift, a).value
+        gt_shifted = DensifiedContour(gt.points + shift)
+        moved = losses.dml(pred + shift, gt_shifted.points, SQUARE + shift, a).value
         assert moved == pytest.approx(base, abs=1e-9)
 
     def test_boundary_term_decreases_along_approach(self):
         gt = square_ring_contour()
         pred = gt.points.copy()
         pred[0] = [50.0, 5.0]
-        dense = densify_x10(gt)
+        dense = densify_x10(gt.points)
         nearest = nearest_point_indices(pred, dense)
         a = Assignment(np.array([1, 2, 3, 0]))
         target = dense[nearest[0]]
@@ -159,7 +159,7 @@ class TestDml:
         for frac in np.linspace(0.0, 0.9, 10):
             moved = pred.copy()
             moved[0] = pred[0] + frac * (target - pred[0])
-            values.append(losses.dml(moved, gt, SQUARE, a, nearest=nearest).value)
+            values.append(losses.dml(moved, gt.points, SQUARE, a, nearest=nearest).value)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -167,10 +167,10 @@ class TestDml:
         for _ in range(10):
             pred = gt.points + rng.normal(scale=1.3, size=(16, 2))
             a = Assignment(rng.choice(16, size=4, replace=False))
-            nearest = nearest_point_indices(pred, densify_x10(gt))
-            out = losses.dml(pred, gt, SQUARE, a, nearest=nearest)
+            nearest = nearest_point_indices(pred, densify_x10(gt.points))
+            out = losses.dml(pred, gt.points, SQUARE, a, nearest=nearest)
             fd = central_difference(
-                lambda p: losses.dml(p, gt, SQUARE, a, nearest=nearest).value, pred
+                lambda p: losses.dml(p, gt.points, SQUARE, a, nearest=nearest).value, pred
             )
             assert relative_error(out.grads["pred"], fd) < 1e-6
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -53,11 +55,9 @@ def reference_predict(image, params, cfg):
     offmap, _ = pipeline.offset_forward(grid, params)
     out = []
     for det in detection.decode_peaks(heat, cfg.peak_threshold, cfg.max_detections):
-        (row,), (col,) = pipeline.center_cells(det.position)
-        vec = offmap[row, col].reshape(cfg.n_vertices, 2)
-        pts = detection.compose_initial_contour(det.position, vec, cfg.expansion_factor).points
+        pts = pipeline.initial_contours(offmap, det.position, cfg.expansion_factor)[0]
         for _ in range(2):
-            feats = evo.assemble_vertex_features(evo.sample_features(grid, pts), evo.relative_coords(pts))
+            feats = np.concatenate([evo.sample_features(grid, pts), evo.relative_coords(pts)], axis=-1)
             offsets, _, probs, _ = evo.forward(feats[None], params.evolution)
             pts = pts + offsets[0]
         out.append((pts, probs[0, :, 1], det.score))
@@ -107,15 +107,37 @@ def test_training_and_inference_share_stage_points(cfg, params, monkeypatch):
     assert np.array_equal(stages[0], pipeline.initial_contours(offmap, centers, cfg.expansion_factor))
 
 
-def test_checkpoint_round_trip_is_byte_identical(params, tmp_path):
+def test_checkpoint_round_trip_is_byte_identical(cfg, params, tmp_path):
     first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     pipeline.save_checkpoint(params, first, {"seed": 3})
-    loaded, meta = pipeline.load_checkpoint(first)
+    loaded, meta = pipeline.load_checkpoint(first, cfg)
     pipeline.save_checkpoint(loaded, second, meta)
     assert meta == {"seed": 3}
     assert first.read_bytes() == second.read_bytes()
     for (name, a), (_, b) in zip(params.arrays(), loaded.arrays()):
         assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize(
+    "field, value, array", [("n_vertices", 32, "offset_b3"), ("feature_channels", 5, "center_w1")]
+)
+def test_checkpoint_of_another_config_rejected(params, tmp_path, field, value, array):
+    path = tmp_path / "a.ckpt"
+    pipeline.save_checkpoint(params, path)
+    with pytest.raises(ValueError, match=f"'{array}'"):
+        pipeline.load_checkpoint(path, RunConfig(**{**TINY, field: value}))
+
+
+def test_checkpoint_missing_an_array_rejected(cfg, params, tmp_path):
+    path = tmp_path / "a.ckpt"
+    pipeline.save_checkpoint(params, path)
+    magic, header, body = path.read_bytes().split(b"\n", 2)
+    meta = json.loads(header)
+    dropped = meta["arrays"].pop()
+    size = 8 * int(np.prod(dropped["shape"]))
+    path.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), body[:-size]]))
+    with pytest.raises(ValueError, match=dropped["name"]):
+        pipeline.load_checkpoint(path, cfg)
 
 
 def test_fit_is_deterministic_for_a_seed(cfg, tmp_path):

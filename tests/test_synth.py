@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from polytrace import synth
+from polytrace import synth, training
+from polytrace.config import RunConfig
 from polytrace.geometry import rasterize, signed_area
 
 
@@ -42,7 +43,7 @@ class TestGenerateScene:
     def test_buildings_clockwise_inside_frame_disjoint(self):
         for seed in range(8):
             scene = synth.generate_scene(seed)
-            w, h = scene.frame_dims
+            h, w = scene.image.shape
             masks = []
             for poly in scene.buildings:
                 assert signed_area(poly) > 0
@@ -62,6 +63,30 @@ class TestGenerateScene:
             for seed in range(5):
                 generated = synth.generate_scene(seed, spec)
             assert generated is not None
+
+
+class TestMakeDataset:
+    def test_unplaceable_seed_is_skipped(self):
+        cfg = RunConfig()
+        spec = training.scene_spec_from_config(cfg)
+        with pytest.raises(RuntimeError):
+            synth.generate_scene(182, spec)
+        scenes = training.make_dataset(cfg, 3, seed_offset=175)
+        assert [scene.seed for scene in scenes] == [183, 184, 185]
+        for scene in scenes:
+            expected = synth.generate_scene(scene.seed, spec)
+            assert np.array_equal(scene.image, expected.image)
+            assert len(scene.buildings) == len(expected.buildings)
+            for a, b in zip(scene.buildings, expected.buildings):
+                assert np.array_equal(a, b)
+
+    def test_consecutive_seeds_when_none_fails(self):
+        assert [scene.seed for scene in training.make_dataset(RunConfig(), 4)] == [7, 8, 9, 10]
+
+    def test_gives_up_when_no_seed_can_be_placed(self):
+        # no building of at least 20 px fits a 32 px frame with 6 px margins
+        with pytest.raises(RuntimeError):
+            training.make_dataset(RunConfig(frame_width=32, frame_height=32), 1)
 
 
 class TestFeatureProvider:
