@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import pairwise_distances
+
 
 @dataclass(frozen=True)
 class Assignment:
@@ -62,8 +64,7 @@ def match_cost(
         raise ValueError("more corners than predicted vertices")
     if diagonal <= 0:
         raise ValueError("diagonal must be positive")
-    dists = np.linalg.norm(corners[:, None, :] - preds[None, :, :], axis=2)
-    return -probs[None, :] + delta * dists / diagonal
+    return -probs[None, :] + delta * pairwise_distances(corners, preds) / diagonal
 
 
 def hungarian(cost) -> Assignment:
@@ -127,5 +128,4 @@ def nearest_point_indices(query_points, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("nearest-point query against an empty list")
-    d = np.linalg.norm(q[:, None, :] - pts[None, :, :], axis=2)
-    return np.argmin(d, axis=1)
+    return np.argmin(pairwise_distances(q, pts), axis=1)

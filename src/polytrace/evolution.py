@@ -8,9 +8,10 @@ broadcast-concatenated back onto every vertex. Two pointwise heads emit the
 per-vertex coordinate offsets and the two-class validity logits.
 
 One :func:`conv`/:func:`conv_backward` pair serves the circular encoder
-(``"wrap"`` padding over the vertex axis) and the zero-padded 3x3 detection
-heads of :mod:`pipeline`: each layer is one ``sliding_window_view`` im2col
-and one GEMM.
+(``"wrap"`` padding over the vertex axis) and the zero-padded 3x3 center
+head of :mod:`pipeline`: each layer builds its im2col columns as one
+contiguous array (one ``np.take`` of cached circular indices, or one copy
+of the zero-padded windows) and runs one 2-D GEMM.
 
 Every array is a (B, N, D) batch: :func:`vertex_features` samples the grid
 and computes relative coordinates for B contours of N vertices at once, and
@@ -24,6 +25,7 @@ layer's cached input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -139,14 +141,36 @@ def vertex_features(grid, points) -> np.ndarray:
     return np.concatenate([sample_features(grid, points), relative_coords(points)], axis=-1)
 
 
+@functools.lru_cache(maxsize=64)
+def _wrap_index(n: int, k: int) -> np.ndarray:
+    """(n, k) vertex indices of the circular windows: row m holds
+    m-(k-1)/2 .. m+(k-1)/2 modulo n, for any k, also k > n."""
+    index = (np.arange(n)[:, None] + np.arange(k) - (k - 1) // 2) % n
+    index.flags.writeable = False
+    return index
+
+
 def _columns(x, window, mode):
     """im2col of the ``len(window)`` axes before the channel axis:
-    (..., *S, D) -> (..., *S, prod(window)*D), tap-major, padded by ``mode``."""
-    nd = len(window)
-    pad = [(0, 0)] * (x.ndim - nd - 1) + [((k - 1) // 2,) * 2 for k in window] + [(0, 0)]
-    axes = tuple(range(x.ndim - nd - 1, x.ndim - 1))
-    view = np.lib.stride_tricks.sliding_window_view(np.pad(x, pad, mode=mode), window, axis=axes)
-    return np.moveaxis(view, x.ndim - 1, -1).reshape(*x.shape[:-1], -1)
+    (..., *S, D) -> (..., *S, prod(window)*D), tap-major, as one contiguous
+    array. ``"wrap"`` (one window axis) gathers the circular windows with one
+    ``np.take``; ``"constant"`` zero-pads and copies the windows once."""
+    if mode == "wrap":
+        (k,) = window
+        cols = np.take(x, _wrap_index(x.shape[-2], k), axis=-2)
+    else:
+        nd = len(window)
+        pad = [(0, 0)] * (x.ndim - nd - 1) + [((k - 1) // 2,) * 2 for k in window] + [(0, 0)]
+        axes = tuple(range(x.ndim - nd - 1, x.ndim - 1))
+        view = np.lib.stride_tricks.sliding_window_view(np.pad(x, pad), window, axis=axes)
+        cols = np.ascontiguousarray(np.moveaxis(view, x.ndim - 1, -1))
+    return cols.reshape(*x.shape[:-1], -1)
+
+
+def kernel_matrix(kernel) -> np.ndarray:
+    """(D_out, D_in, *window) kernel -> (prod(window)*D_in, D_out) GEMM
+    operand, tap-major like the im2col columns."""
+    return kernel.transpose(*range(2, kernel.ndim), 1, 0).reshape(-1, kernel.shape[0])
 
 
 def conv(x, kernel, bias, mode) -> np.ndarray:
@@ -154,16 +178,16 @@ def conv(x, kernel, bias, mode) -> np.ndarray:
 
     ``kernel`` is (D_out, D_in, *window) with odd window sizes; the window
     slides over the axes just before the channel axis of ``x``, which are
-    padded with ``np.pad(..., mode=mode)``: ``"constant"`` for zeros,
-    ``"wrap"`` for the circular vertex axis. Output position n sees inputs
-    n-(k-1)/2 .. n+(k-1)/2 along each window axis.
+    padded by ``mode``: ``"constant"`` for zeros, ``"wrap"`` for the circular
+    vertex axis. Output position n sees inputs n-(k-1)/2 .. n+(k-1)/2 along
+    each window axis. The columns of all positions form one 2-D GEMM.
     """
     window = kernel.shape[2:]
     if any(k % 2 == 0 for k in window):
         raise ValueError("convolution requires odd kernel sizes")
-    # (D_out, D_in, *window) -> (prod(window)*D_in, D_out), tap-major like the columns
-    taps = kernel.transpose(*range(2, kernel.ndim), 1, 0).reshape(-1, kernel.shape[0])
-    return _columns(np.asarray(x, dtype=float), window, mode) @ taps + bias
+    cols = _columns(np.asarray(x, dtype=float), window, mode)
+    out = cols.reshape(-1, cols.shape[-1]) @ kernel_matrix(kernel) + bias
+    return out.reshape(*cols.shape[:-1], -1)
 
 
 def conv_backward(d_out, x, kernel, mode):
@@ -183,11 +207,17 @@ def conv_input_grad(d_out, kernel, mode) -> np.ndarray:
 def conv_weight_grad(d_out, x, kernel, mode):
     """Gradients (d_w, d_b) of :func:`conv` for its kernel and bias, from
     columns rebuilt from the layer input ``x``."""
+    return kernel_grad(_columns(x, kernel.shape[2:], mode), d_out, kernel)
+
+
+def kernel_grad(cols, d_out, kernel):
+    """Gradients (d_w, d_b) of a convolution whose im2col columns are
+    ``cols`` (..., prod(window)*D_in) and whose output gradient is ``d_out``
+    (..., D_out): one 2-D GEMM over all positions."""
     nd = kernel.ndim - 2
-    window = kernel.shape[2:]
-    cols = _columns(x, window, mode)
     flat_dout = d_out.reshape(-1, kernel.shape[0])
-    d_w = (cols.reshape(-1, cols.shape[-1]).T @ flat_dout).reshape(*window, kernel.shape[1], -1)
+    d_w = cols.reshape(-1, cols.shape[-1]).T @ flat_dout
+    d_w = d_w.reshape(*kernel.shape[2:], kernel.shape[1], -1)
     return d_w.transpose(nd + 1, nd, *range(nd)), flat_dout.sum(axis=0)
 
 
@@ -253,26 +283,23 @@ def backward(cache, params: EvolutionParams, d_offsets=None, d_logits=None):
     if f4 is None:
         raise ValueError("backward requires the cache of a prior forward pass")
     b, n, width = f4.shape
-    d_f4 = np.zeros_like(f4)
-    grads = {name: np.zeros_like(arr) for name, arr in params.arrays()}
-
-    if d_offsets is not None:
-        d_offsets = np.asarray(d_offsets, dtype=float).reshape(b, n, 2)
-        flat = d_offsets.reshape(-1, 2)
-        grads["offset_w"] += flat.T @ f4.reshape(-1, width)
-        grads["offset_b"] += flat.sum(axis=0)
-        d_f4 += d_offsets @ params.offset_w
-    if d_logits is not None:
-        d_logits = np.asarray(d_logits, dtype=float).reshape(b, n, 2)
-        flat = d_logits.reshape(-1, 2)
-        grads["cls_w"] += flat.T @ f4.reshape(-1, width)
-        grads["cls_b"] += flat.sum(axis=0)
-        d_f4 += d_logits @ params.cls_w
+    grads = {}
+    d_f4 = 0.0
+    for head, d_head in (("offset", d_offsets), ("cls", d_logits)):
+        head_w = getattr(params, f"{head}_w")
+        if d_head is None:
+            grads[f"{head}_w"] = np.zeros_like(head_w)
+            grads[f"{head}_b"] = np.zeros(head_w.shape[0])
+            continue
+        flat = np.asarray(d_head, dtype=float).reshape(-1, 2)
+        grads[f"{head}_w"] = flat.T @ f4.reshape(-1, width)
+        grads[f"{head}_b"] = flat.sum(axis=0)
+        d_f4 = d_f4 + flat.reshape(b, n, 2) @ head_w
 
     d_z4 = d_f4 * (cache["z4"] > 0)
     flat_dz4 = d_z4.reshape(-1, width)
-    grads["fuse_w"] += flat_dz4.T @ cache["cat"].reshape(-1, 2 * width)
-    grads["fuse_b"] += flat_dz4.sum(axis=0)
+    grads["fuse_w"] = flat_dz4.T @ cache["cat"].reshape(-1, 2 * width)
+    grads["fuse_b"] = flat_dz4.sum(axis=0)
     d_cat = d_z4 @ params.fuse_w
 
     d_f3 = d_cat[:, :, :width].copy()
@@ -287,15 +314,13 @@ def backward(cache, params: EvolutionParams, d_offsets=None, d_logits=None):
     for name in ("global", "local", "detail"):
         kernel = getattr(params, f"{name}_w")
         d_h = d_prev * (cache[f"{name}_z"] > 0)
-        d_x, d_w, d_b = conv_backward(d_h, layer_inputs[name], kernel, "wrap")
-        grads[f"{name}_w"] += d_w
-        grads[f"{name}_b"] += d_b
+        d_x, grads[f"{name}_w"], grads[f"{name}_b"] = conv_backward(d_h, layer_inputs[name], kernel, "wrap")
         d_prev = d_prev + d_x  # residual shortcut
 
     d_z0 = d_prev * (cache["z0"] > 0)
     flat_dz0 = d_z0.reshape(-1, width)
-    grads["up_w"] += flat_dz0.T @ cache["features"].reshape(-1, params.feature_dim)
-    grads["up_b"] += flat_dz0.sum(axis=0)
+    grads["up_w"] = flat_dz0.T @ cache["features"].reshape(-1, params.feature_dim)
+    grads["up_b"] = flat_dz0.sum(axis=0)
     d_features = d_z0 @ params.up_w
     return grads, d_features
 

@@ -86,6 +86,19 @@ def normalize_orientation(poly) -> np.ndarray:
     return p.copy()
 
 
+def pairwise_distances(a, b) -> np.ndarray:
+    """(M, P) Euclidean distances between (M, 2) and (P, 2) points, equal bit
+    for bit to ``np.linalg.norm(a[:, None] - b[None], axis=2)`` without its
+    (M, P, 2) temporary."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    dist = dx * dx
+    dist += dy * dy
+    return np.sqrt(dist, out=dist)
+
+
 def vertex_angle(prev, cur, nxt):
     """Interior angle at ``cur`` in [0, pi]; pi means collinear.
 

@@ -18,6 +18,9 @@ from .assignment import Assignment, nearest_point_indices
 from .geometry import densify_x10
 
 PROB_EPS = 1e-7
+FOCAL_ALPHA = 2.0      # focusing exponent of the focal heatmap loss
+FOCAL_BETA = 4.0       # penalty reduction exponent near a keypoint
+INVALID_WEIGHT = 0.1   # weight of an unmatched vertex in the classification loss
 
 
 @dataclass
@@ -36,7 +39,7 @@ def _clamped_log(p):
     return np.log(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
 
 
-def focal_center_loss(pred_heatmap, target_heatmap, alpha: float = 2.0, beta: float = 4.0) -> LossValue:
+def focal_center_loss(pred_heatmap, target_heatmap) -> LossValue:
     """Penalty-reduced focal loss for the center-point heatmap.
 
     Pixels where the target is exactly 1 are keypoints; the sum is averaged
@@ -50,6 +53,7 @@ def focal_center_loss(pred_heatmap, target_heatmap, alpha: float = 2.0, beta: fl
     n_key = int(pos.sum())
     if n_key == 0:
         raise ValueError("target heatmap has no keypoints")
+    alpha, beta = FOCAL_ALPHA, FOCAL_BETA
     p = np.clip(pred, PROB_EPS, 1.0 - PROB_EPS)
     log_p = np.log(p)
     log_1p = np.log(1.0 - p)
@@ -83,11 +87,11 @@ def smooth_l1(pred_points, gt_points) -> LossValue:
     return LossValue(float(per_coord.sum()) / n, {"pred": grad})
 
 
-def classification_loss(valid_probs, assignment: Assignment, invalid_weight: float = 0.1) -> LossValue:
+def classification_loss(valid_probs, assignment: Assignment) -> LossValue:
     """Negative log-likelihood of the matched/unmatched vertex labels.
 
     Matched vertices contribute -log(c); unmatched ones contribute
-    ``invalid_weight * -log(1 - c)`` to counter the class imbalance.
+    ``INVALID_WEIGHT * -log(1 - c)`` to counter the class imbalance.
     Gradient key: ``probs``.
     """
     c = np.asarray(valid_probs, dtype=float)
@@ -95,14 +99,14 @@ def classification_loss(valid_probs, assignment: Assignment, invalid_weight: flo
     matched = assignment.matched_columns()
     unmatched = assignment.unmatched_columns(n)
     value = float(-_clamped_log(c[matched]).sum())
-    value += invalid_weight * float(-_clamped_log(1.0 - c[unmatched]).sum())
+    value += INVALID_WEIGHT * float(-_clamped_log(1.0 - c[unmatched]).sum())
 
     grad = np.zeros(n)
     interior = (c > PROB_EPS) & (c < 1.0 - PROB_EPS)
     grad[matched] = np.where(interior[matched], -1.0 / np.clip(c[matched], PROB_EPS, None), 0.0)
     grad[unmatched] = np.where(
         interior[unmatched],
-        invalid_weight / np.clip(1.0 - c[unmatched], PROB_EPS, None),
+        INVALID_WEIGHT / np.clip(1.0 - c[unmatched], PROB_EPS, None),
         0.0,
     )
     return LossValue(value, {"probs": grad})

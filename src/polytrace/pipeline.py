@@ -3,20 +3,23 @@ checkpoint files and whole-image inference.
 
 The trainable model is three pieces sharing the handcrafted feature grid:
 a center head (3x3 conv, ReLU, 1x1 conv, sigmoid) producing the keypoint
-heatmap, an offset head (two 3x3 convs with ReLU, then 1x1) producing a
-2N-channel offset map read at center cells, and the contour-evolution
-micro-network applied for ``EVOLUTION_ROUNDS`` rounds. The 3x3 head
-convolutions and their gradients are :func:`evolution.conv` and
-:func:`evolution.conv_backward` with zero padding; the first layer of each
-head takes only :func:`evolution.conv_weight_grad`, since nothing uses the
-gradient of the feature grid.
+heatmap over the whole grid, an offset head (two 3x3 convs with ReLU, then
+a 2N-channel 1x1) producing each initial contour's offsets from the
+features around its center cell, and the contour-evolution micro-network
+applied for ``EVOLUTION_ROUNDS`` rounds. The center head's 3x3 layer is
+:func:`evolution.conv` with zero padding and takes only
+:func:`evolution.conv_weight_grad`, since nothing uses the gradient of the
+feature grid. The offset head is evaluated only at the center cells, in
+training and inference alike: its first layer at the 3x3 neighbours of
+each cell, from the 5x5 zero-padded patch around it, and the rest at the
+cell, so its cost grows with the number of centers, not the grid.
 
 :func:`evolve_contours` is the one contour forward of training and
 inference. It composes every initial contour of an image as
-``center + gamma * STRIDE * offset``, with the offset read at the center's
-cell, and evolves all of them as one (B, N, 2) batch. Training passes the
-ground-truth bbox centers and backpropagates through the returned caches;
-:func:`predict_scene` passes the decoded peak positions.
+``center + gamma * STRIDE * offset`` and evolves all of them as one
+(B, N, 2) batch. Training passes the ground-truth bbox centers and
+backpropagates through the returned caches; :func:`predict_scene` passes
+the decoded peak positions and runs the offset head for those only.
 
 Checkpoint format (version 1): the ASCII magic line ``PTCK0001``, one JSON
 header line listing array names/shapes plus free-form metadata, then the
@@ -141,66 +144,91 @@ def center_backward(cache, params: PipelineParams, d_heat):
     return grads
 
 
-def offset_forward(grid, params: PipelineParams):
-    """Feature grid -> (rows, cols, 2N) offset map; returns (map, cache)."""
-    z1 = evo.conv(grid, params.offset_w1, params.offset_b1, "constant")
-    a1 = np.maximum(z1, 0.0)
-    z2 = evo.conv(a1, params.offset_w2, params.offset_b2, "constant")
+def _neighbourhood_columns(grid, rows, cols) -> np.ndarray:
+    """(9B, 9C) im2col columns of a 3x3 layer at the 3x3 neighbours of each
+    cell (rows[b], cols[b]) of an (R, W, C) grid, neighbour-major: the 5x5
+    zero-padded patch around the cell that one output of two stacked 3x3
+    layers sees."""
+    padded = np.pad(grid, ((2, 2), (2, 2), (0, 0)))
+    span = np.arange(3)
+    # neighbour (i, j) of cell (r, c) reads its tap (dy, dx) at padded[r + i + dy, c + j + dx]
+    r = rows[:, None, None, None, None] + span[:, None, None, None] + span[:, None]
+    c = cols[:, None, None, None, None] + span[:, None, None] + span
+    return padded[r, c].reshape(9 * rows.size, 9 * grid.shape[-1])
+
+
+def _neighbours_inside(rows, cols, shape) -> np.ndarray:
+    """(9B, 1) mask of the 3x3 neighbours of each cell that lie in the grid."""
+    span = np.arange(-1, 2)
+    r, c = rows[:, None] + span, cols[:, None] + span
+    inside = ((r >= 0) & (r < shape[0]))[:, :, None] & ((c >= 0) & (c < shape[1]))[:, None, :]
+    return inside.reshape(-1, 1)
+
+
+def offset_forward(grid, centers, params: PipelineParams):
+    """(B, 2N) offsets of the initial contours of (B, 2) full-resolution
+    centers, read at their :func:`center_cells`; returns (offsets, cache).
+
+    The head is evaluated only where its output is read: the 1x1 layer and
+    the second 3x3 layer at each center cell, the first 3x3 layer at that
+    cell's 3x3 neighbours. A neighbour outside the grid reads zero, as the
+    zero padding of a full-grid convolution makes it. Two centers in one
+    cell get one row each.
+    """
+    rows, cols = center_cells(centers)
+    cols1 = _neighbourhood_columns(grid, rows, cols)
+    z1 = cols1 @ evo.kernel_matrix(params.offset_w1) + params.offset_b1
+    a1 = np.where(_neighbours_inside(rows, cols, grid.shape), np.maximum(z1, 0.0), 0.0)
+    z2 = a1.reshape(rows.size, 9 * a1.shape[-1]) @ evo.kernel_matrix(params.offset_w2) + params.offset_b2
     a2 = np.maximum(z2, 0.0)
-    offmap = a2 @ params.offset_w3.T + params.offset_b3
-    return offmap, {"grid": grid, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
+    offsets = a2 @ params.offset_w3.T + params.offset_b3
+    return offsets, {"cols1": cols1, "a1": a1, "a2": a2}
 
 
-def offset_backward(cache, params: PipelineParams, d_offmap):
-    a2 = cache["a2"]
-    grads = {
-        "offset_w3": d_offmap.reshape(-1, d_offmap.shape[-1]).T @ a2.reshape(-1, a2.shape[-1]),
-        "offset_b3": d_offmap.sum(axis=(0, 1)),
-    }
-    d_a2 = d_offmap @ params.offset_w3
-    d_z2 = d_a2 * (cache["z2"] > 0)
-    d_a1, d_w2, d_b2 = evo.conv_backward(d_z2, cache["a1"], params.offset_w2, "constant")
-    grads["offset_w2"] = d_w2
-    grads["offset_b2"] = d_b2
-    d_z1 = d_a1 * (cache["z1"] > 0)
-    d_w1, d_b1 = evo.conv_weight_grad(d_z1, cache["grid"], params.offset_w1, "constant")
-    grads["offset_w1"] = d_w1
-    grads["offset_b1"] = d_b1
+def offset_backward(cache, params: PipelineParams, d_offsets):
+    """Head gradients from the (B, 2N) gradient of :func:`offset_forward`'s
+    offsets; the rows of centers sharing a cell add up."""
+    a1, a2 = cache["a1"], cache["a2"]
+    grads = {"offset_w3": d_offsets.T @ a2, "offset_b3": d_offsets.sum(axis=0)}
+    d_z2 = (d_offsets @ params.offset_w3) * (a2 > 0)
+    cols2 = a1.reshape(a2.shape[0], 9 * a1.shape[-1])
+    grads["offset_w2"], grads["offset_b2"] = evo.kernel_grad(cols2, d_z2, params.offset_w2)
+    d_a1 = (d_z2 @ evo.kernel_matrix(params.offset_w2).T).reshape(a1.shape)
+    d_z1 = d_a1 * (a1 > 0)
+    grads["offset_w1"], grads["offset_b1"] = evo.kernel_grad(cache["cols1"], d_z1, params.offset_w1)
     return grads
 
 
 def center_cells(centers) -> tuple:
     """(rows, cols) of the stride-4 cells containing (B, 2) full-resolution
-    centers; the cells whose offset-map entries compose the initial contours."""
+    centers; the cells at which the offset head composes the initial contours."""
     c = np.asarray(centers, dtype=float).reshape(-1, 2)
     return (c[:, 1] // STRIDE).astype(int), (c[:, 0] // STRIDE).astype(int)
 
 
-def initial_contours(offmap, centers, gamma: float) -> np.ndarray:
-    """(B, N, 2) initial contours around (B, 2) full-resolution centers.
-
-    Each center reads the offset map at the stride-4 cell containing it;
-    offsets become pixels through the stride and the expansion factor.
-    """
+def initial_contours(offsets, centers, gamma: float) -> np.ndarray:
+    """(B, N, 2) initial contours around (B, 2) full-resolution centers from
+    their (B, 2N) stride-4 offsets; offsets become pixels through the stride
+    and the expansion factor."""
     c = np.asarray(centers, dtype=float).reshape(-1, 2)
-    offsets = offmap[center_cells(c)].reshape(c.shape[0], -1, 2)
-    return c[:, None, :] + (gamma * STRIDE) * offsets
+    return c[:, None, :] + (gamma * STRIDE) * offsets.reshape(c.shape[0], -1, 2)
 
 
-def evolve_contours(grid, offmap, centers, params: PipelineParams, gamma: float):
-    """Compose the initial contours at ``centers`` and evolve them as a batch.
+def evolve_contours(grid, offsets, centers, params: PipelineParams, gamma: float):
+    """Compose the initial contours at ``centers`` from their (B, 2N)
+    :func:`offset_forward` offsets and evolve them as a batch.
 
     Returns (stages, probs, caches): ``stages`` holds the (B, N, 2) points of
     the initial contours and of every round, ``probs`` the (B, N, 2) vertex
     class probabilities of the last round (valid class last), and
     ``caches`` the :func:`evolution.forward` cache of every round.
     """
-    stages = [initial_contours(offmap, centers, gamma)]
+    stages = [initial_contours(offsets, centers, gamma)]
     caches = []
     for _ in range(EVOLUTION_ROUNDS):
         feats = evo.vertex_features(grid, stages[-1])
-        offsets, _, probs, cache = evo.forward(feats, params.evolution)
-        stages.append(stages[-1] + offsets)
+        step, _, probs, cache = evo.forward(feats, params.evolution)
+        stages.append(stages[-1] + step)
         caches.append(cache)
     return stages, probs, caches
 
@@ -273,9 +301,9 @@ def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
     detections = decode_peaks(heat, cfg.peak_threshold, cfg.max_detections)
     if not detections:
         return []
-    offmap, _ = offset_forward(grid, params)
     centers = np.stack([det.position for det in detections])
-    stages, probs, _ = evolve_contours(grid, offmap, centers, params, cfg.expansion_factor)
+    offsets, _ = offset_forward(grid, centers, params)
+    stages, probs, _ = evolve_contours(grid, offsets, centers, params, cfg.expansion_factor)
     if not np.all(np.isfinite(stages[-1])):
         raise ValueError("evolved contours have non-finite coordinates")
     return [

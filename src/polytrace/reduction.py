@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import vertex_angle
+from .geometry import pairwise_distances, vertex_angle
 
 ANGLE_THRESHOLD = 8.0 * np.pi / 9.0
 
@@ -63,8 +63,8 @@ def vertex_nms(sc: ScoredContour, radius: float) -> ScoredContour:
     if radius < 0:
         raise ValueError("suppression radius must be non-negative")
     n = len(sc)
-    # far[i, j]: vertex j survives keeper i; row i is norm(points - points[i])
-    far = np.linalg.norm(sc.points[None, :, :] - sc.points[:, None, :], axis=2) >= radius
+    # far[i, j]: vertex j survives keeper i
+    far = pairwise_distances(sc.points, sc.points) >= radius
     alive = np.ones(n, dtype=bool)
     keep = np.zeros(n, dtype=bool)
     for idx in np.lexsort((np.arange(n), -sc.scores)).tolist():

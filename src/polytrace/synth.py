@@ -27,6 +27,7 @@ MARGIN = 6.0                    # min distance from a building to the frame edge
 GAP = 6.0                       # min gap between building bounding boxes
 BACKGROUND = (25.0, 55.0)       # uniform range of the background gray level
 FOREGROUND = (150.0, 230.0)     # uniform range of each building's gray level
+MAX_TRIES = 200                 # placement attempts per building before giving up
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class SceneSpec:
     n_buildings: tuple = (1, 4)
     size_range: tuple = (20.0, 48.0)
     noise_sigma: float = 2.5
-    max_tries: int = 200
 
 
 def _make_rect(rng, spec):
@@ -98,7 +98,7 @@ def generate_scene(seed: int, spec: SceneSpec = SceneSpec()) -> SyntheticScene:
     boxes = []  # (xmin, ymin, xmax, ymax) inflated by GAP/2
     for _ in range(count):
         placed = False
-        for _ in range(spec.max_tries):
+        for _ in range(MAX_TRIES):
             kind = SHAPE_KINDS[int(rng.choice(len(SHAPE_KINDS), p=mix))]
             poly = _MAKERS[kind](rng, spec)
             extent = poly.max(axis=0) - poly.min(axis=0)

@@ -26,7 +26,6 @@ from .geometry import bbox_center, bounding_box, densify
 from .pipeline import (
     PipelineParams,
     center_backward,
-    center_cells,
     center_forward,
     evolve_contours,
     initial_contours,
@@ -71,8 +70,11 @@ def prepare_scene(scene: SyntheticScene, cfg: RunConfig, image_id: int = 0) -> S
     return SceneBundle(features, heat_target, instances, (width, height), image_id)
 
 
-def zero_grads(params: PipelineParams) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays()}
+def zero_grads(params: PipelineParams, grads: dict | None = None) -> dict:
+    """Gradients named as in params.arrays(): those in ``grads``, zeros for
+    the parameters it does not reach."""
+    grads = grads or {}
+    return {name: grads[name] if name in grads else np.zeros_like(arr) for name, arr in params.arrays()}
 
 
 def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, train_evolution: bool = True):
@@ -83,57 +85,50 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
     """
     eps = cfg.loss_balance
     n_inst = len(bundle.instances)
-    grads = zero_grads(params)
 
     heat, c_cache = center_forward(bundle.features, params)
     l_ct = losses.focal_center_loss(heat, bundle.heat_target)
-    for name, g in center_backward(c_cache, params, l_ct.grads["heatmap"]).items():
-        grads[name] += g
+    grads = center_backward(c_cache, params, l_ct.grads["heatmap"])
 
     components = {"ct": l_ct.value, "init": 0.0, "e1": 0.0, "e2": 0.0, "cla": 0.0}
     if n_inst == 0:
-        return components, grads
+        return components, zero_grads(params, grads)
 
-    offmap, o_cache = offset_forward(bundle.features, params)
     centers = np.stack([inst.center for inst in bundle.instances])
+    offsets, o_cache = offset_forward(bundle.features, centers, params)
     if train_evolution:
         stages, probs2, (cache1, cache2) = evolve_contours(
-            bundle.features, offmap, centers, params, cfg.expansion_factor
+            bundle.features, offsets, centers, params, cfg.expansion_factor
         )
     else:
-        stages = [initial_contours(offmap, centers, cfg.expansion_factor)]
+        stages = [initial_contours(offsets, centers, cfg.expansion_factor)]
     pts0 = stages[0]
 
-    # scattered to the cells the contours were read from; a shared cell accumulates
-    d_offmap = np.zeros_like(offmap)
+    d_offsets = np.empty_like(offsets)
     scale = cfg.expansion_factor * STRIDE
-    rows, cols = center_cells(centers)
     for i, inst in enumerate(bundle.instances):
         l_init = losses.smooth_l1(pts0[i], inst.contour.points)
         components["init"] += l_init.value / n_inst
-        d_offmap[rows[i], cols[i]] += (eps / n_inst * scale) * l_init.grads["pred"].reshape(-1)
-    for name, g in offset_backward(o_cache, params, d_offmap).items():
-        grads[name] += g
+        d_offsets[i] = (eps / n_inst * scale) * l_init.grads["pred"].reshape(-1)
+    grads.update(offset_backward(o_cache, params, d_offsets))
 
     if not train_evolution:
-        return components, grads
+        return components, zero_grads(params, grads)
 
     diagonal = float(np.hypot(*bundle.frame_dims))
     _, pts1, pts2 = stages
 
     # first evolution round: static index-aligned supervision
-    d_off1 = np.zeros_like(pts1)
+    d_off1 = np.empty_like(pts1)
     for i, inst in enumerate(bundle.instances):
         l_e1 = losses.smooth_l1(pts1[i], inst.contour.points)
         components["e1"] += l_e1.value / n_inst
         d_off1[i] = (eps / n_inst) * l_e1.grads["pred"]
     g1, _ = evo.backward(cache1, params.evolution, d_offsets=d_off1)
-    for name, g in g1.items():
-        grads[f"evolution.{name}"] += g
 
     # second round: dynamic matching and vertex classification
-    d_off2 = np.zeros_like(pts2)
-    d_logits2 = np.zeros_like(pts2)
+    d_off2 = np.empty_like(pts2)
+    d_logits2 = np.empty_like(pts2)
     for i, inst in enumerate(bundle.instances):
         valid = probs2[i, :, 1]
         cost = match_cost(
@@ -149,8 +144,9 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
         d_probs[:, 1] = l_cla.grads["probs"] / n_inst
         d_logits2[i] = evo.softmax_backward(probs2[i], d_probs)
     g2, _ = evo.backward(cache2, params.evolution, d_offsets=d_off2, d_logits=d_logits2)
-    for name, g in g2.items():
-        grads[f"evolution.{name}"] += g
+    for name, g in g1.items():
+        g += g2[name]
+        grads[f"evolution.{name}"] = g
 
     return components, grads
 

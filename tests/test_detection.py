@@ -87,10 +87,8 @@ class TestDecodePeaks:
 
 def compose(center, offsets, gamma=10.0):
     """The initial contour :func:`pipeline.initial_contours` composes from
-    stride-4 ``offsets`` stored at the cell of ``center`` in a zero offset map."""
-    offmap = np.zeros((32, 32, offsets.size))
-    offmap[pipeline.center_cells(center)] = offsets.reshape(-1)
-    return pipeline.initial_contours(offmap, center, gamma)[0]
+    the (N, 2) stride-4 ``offsets`` of one ``center``."""
+    return pipeline.initial_contours(offsets.reshape(1, -1), center, gamma)[0]
 
 
 def offset_targets(gt, center, gamma=10.0):

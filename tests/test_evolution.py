@@ -155,6 +155,9 @@ class TestConvAgainstReference:
         kernel = rng.normal(size=(4, 5, k))
         bias = rng.normal(size=4)
         d_out = rng.normal(size=(3, n, 4))
+        cols = evo._columns(x, (k,), "wrap")
+        assert cols.flags.c_contiguous
+        assert np.array_equal(cols, gather_columns(x, k))
         assert relative_error(evo.conv(x, kernel, bias, "wrap"), gather_conv(x, kernel, bias)) < 1e-12
         got = evo.conv_backward(d_out, x, kernel, "wrap")
         for a, ref in zip(got, fold_backward(d_out, x, kernel)):

@@ -221,6 +221,34 @@ class TestRelativeCoords:
             assert np.array_equal(relative_coords(contour), expected)
 
 
+class TestPairwiseDistances:
+    @staticmethod
+    def norm_oracle(a, b):
+        return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+
+    def test_equals_norm_on_random_sets(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            m, p = rng.integers(1, 30, size=2)
+            scale = 10.0 ** rng.integers(-3, 4)
+            a = rng.normal(scale=scale, size=(m, 2))
+            b = rng.normal(scale=scale, size=(p, 2))
+            d = geo.pairwise_distances(a, b)
+            assert d.shape == (m, p)
+            assert np.array_equal(d, self.norm_oracle(a, b))
+
+    def test_equals_norm_and_argmin_on_tied_sets(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            # small integer grids repeat points and distances
+            a = rng.integers(-3, 4, size=(rng.integers(1, 12), 2)).astype(float)
+            b = rng.integers(-3, 4, size=(rng.integers(1, 40), 2)).astype(float)
+            d = geo.pairwise_distances(a, b)
+            ref = self.norm_oracle(a, b)
+            assert np.array_equal(d, ref)
+            assert np.array_equal(np.argmin(d, axis=1), np.argmin(ref, axis=1))
+
+
 class TestVertexAngle:
     def test_collinear_is_pi(self):
         assert geo.vertex_angle((0, 0), (1, 0), (2, 0)) == pytest.approx(math.pi)

@@ -87,10 +87,13 @@ class TestClassificationLoss:
         out = losses.classification_loss(np.array([0.5]), Assignment(np.array([0])))
         assert out.value == pytest.approx(-math.log(0.5))
 
-    def test_invalid_weight_applied(self):
+    def test_invalid_weight_applied(self, monkeypatch):
         probs = np.array([1.0, 0.5])
         out = losses.classification_loss(probs, Assignment(np.array([0])))
         assert out.value == pytest.approx(0.1 * -math.log(0.5), abs=1e-6)
+        monkeypatch.setattr(losses, "INVALID_WEIGHT", 0.3)
+        out = losses.classification_loss(probs, Assignment(np.array([0])))
+        assert out.value == pytest.approx(0.3 * -math.log(0.5), abs=1e-6)
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(10):

@@ -49,13 +49,15 @@ def params(cfg):
 
 
 def reference_predict(image, params, cfg):
-    """One detection at a time: compose its contour, then evolve a batch of one."""
+    """One detection at a time: compose its contour, then evolve a batch of one.
+    The offsets of every detection come from one :func:`pipeline.offset_forward`."""
     grid = feature_provider(image)
     heat, _ = pipeline.center_forward(grid, params)
-    offmap, _ = pipeline.offset_forward(grid, params)
+    detections = detection.decode_peaks(heat, cfg.peak_threshold, cfg.max_detections)
+    offsets, _ = pipeline.offset_forward(grid, [det.position for det in detections], params)
     out = []
-    for det in detection.decode_peaks(heat, cfg.peak_threshold, cfg.max_detections):
-        pts = pipeline.initial_contours(offmap, det.position, cfg.expansion_factor)[0]
+    for det, off in zip(detections, offsets):
+        pts = pipeline.initial_contours(off[None], det.position, cfg.expansion_factor)[0]
         for _ in range(2):
             feats = np.concatenate([evo.sample_features(grid, pts), evo.relative_coords(pts)], axis=-1)
             offsets, _, probs, _ = evo.forward(feats[None], params.evolution)
@@ -103,8 +105,8 @@ def test_training_and_inference_share_stage_points(cfg, params, monkeypatch):
     preds = pipeline.predict_scene(image, params, cfg)
     assert np.array_equal(np.stack([p.points for p in preds]), stages[-1])
     assert np.array_equal(np.stack([p.vertex_scores for p in preds]), probs[:, :, 1])
-    offmap, _ = pipeline.offset_forward(bundle.features, params)
-    assert np.array_equal(stages[0], pipeline.initial_contours(offmap, centers, cfg.expansion_factor))
+    offsets, _ = pipeline.offset_forward(bundle.features, centers, params)
+    assert np.array_equal(stages[0], pipeline.initial_contours(offsets, centers, cfg.expansion_factor))
 
 
 def test_checkpoint_round_trip_is_byte_identical(cfg, params, tmp_path):
@@ -151,23 +153,89 @@ def test_fit_is_deterministic_for_a_seed(cfg, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def cell_centers(cells, rng):
+    """Full-resolution centers at random positions inside the (row, col) cells."""
+    cells = np.asarray(cells, dtype=float)
+    return (cells[:, ::-1] + rng.uniform(0.0, 1.0, size=cells.shape)) * detection.STRIDE
+
+
+def full_grid_offsets(grid, centers, params):
+    """The offset head run over the whole grid and read at the center cells;
+    returns (offsets, cache)."""
+    z1 = evo.conv(grid, params.offset_w1, params.offset_b1, "constant")
+    a1 = np.maximum(z1, 0.0)
+    z2 = evo.conv(a1, params.offset_w2, params.offset_b2, "constant")
+    a2 = np.maximum(z2, 0.0)
+    offmap = a2 @ params.offset_w3.T + params.offset_b3
+    return offmap[pipeline.center_cells(centers)], (grid, z1, a1, z2, a2)
+
+
+def full_grid_backward(cache, centers, params, d_offsets):
+    """Gradients of :func:`full_grid_offsets`: the rows scattered into a zero
+    offset map, a shared cell accumulating, then backpropagated over the grid."""
+    grid, z1, a1, z2, a2 = cache
+    d_offmap = np.zeros(a2.shape[:2] + d_offsets.shape[1:])
+    np.add.at(d_offmap, pipeline.center_cells(centers), d_offsets)
+    grads = {
+        "offset_w3": d_offmap.reshape(-1, d_offsets.shape[1]).T @ a2.reshape(-1, a2.shape[-1]),
+        "offset_b3": d_offmap.sum(axis=(0, 1)),
+    }
+    d_z2 = (d_offmap @ params.offset_w3) * (z2 > 0)
+    d_a1, grads["offset_w2"], grads["offset_b2"] = evo.conv_backward(d_z2, a1, params.offset_w2, "constant")
+    d_z1 = d_a1 * (z1 > 0)
+    _, grads["offset_w1"], grads["offset_b1"] = evo.conv_backward(d_z1, grid, params.offset_w1, "constant")
+    return grads
+
+
+def random_head(rng, **sizes):
+    """Parameters whose offset head has random weights and biases, so that
+    some ReLUs are off at every layer."""
+    cfg = RunConfig(allow_nonstandard=True, **sizes)
+    params = pipeline.PipelineParams.initialize(cfg, rng)
+    for name in pipeline.PipelineParams.HEAD_FIELDS:
+        if name.startswith("offset_"):
+            value = getattr(params, name)
+            value[...] = rng.normal(scale=0.5, size=value.shape)
+    return params
+
+
+def test_sparse_offset_head_matches_full_grid_head():
+    rng = np.random.default_rng(8)
+    params = random_head(rng, n_vertices=8, feature_channels=3, offset_hidden=5)
+    grid = rng.normal(size=(5, 7, 3))  # non-square, so a swapped axis or a wrong border fails
+    # every cell, corners included, then a second center in a corner cell and in an inner cell
+    cells = [(r, c) for r in range(5) for c in range(7)] + [(4, 0), (2, 3)]
+    centers = cell_centers(cells, rng)
+    offsets, cache = pipeline.offset_forward(grid, centers, params)
+    expected, ref_cache = full_grid_offsets(grid, centers, params)
+    assert offsets.shape == (len(cells), 16)
+    assert relative_error(offsets, expected) < 1e-12
+
+    d_offsets = rng.normal(size=offsets.shape)
+    grads = pipeline.offset_backward(cache, params, d_offsets)
+    ref = full_grid_backward(ref_cache, centers, params, d_offsets)
+    assert sorted(grads) == sorted(ref)
+    for name, g in ref.items():
+        assert grads[name].shape == g.shape
+        assert relative_error(grads[name], g) < 1e-12, name
+
+
 def test_head_gradients_against_finite_differences():
     rng = np.random.default_rng(45)
-    cfg = RunConfig(n_vertices=4, feature_channels=3, center_hidden=4, offset_hidden=4, allow_nonstandard=True)
-    params = pipeline.PipelineParams.initialize(cfg, rng)
-    params.offset_w3 = rng.normal(scale=0.5, size=params.offset_w3.shape)
-    params.offset_b3 = rng.normal(scale=0.1, size=params.offset_b3.shape)
+    params = random_head(rng, n_vertices=4, feature_channels=3, center_hidden=4, offset_hidden=4)
     grid = rng.normal(size=(5, 7, 3))  # non-square, so a swapped axis or a wrong border fails
+    # two corner cells, an edge cell, and an inner cell read by two centers
+    centers = cell_centers([(0, 0), (4, 6), (3, 0), (2, 3), (2, 3)], rng)
     a_heat = rng.normal(size=(5, 7))
-    a_off = rng.normal(size=(5, 7, 8))
+    a_off = rng.normal(size=(5, 8))
 
     def probe_loss():
         heat, _ = pipeline.center_forward(grid, params)
-        offmap, _ = pipeline.offset_forward(grid, params)
-        return float((a_heat * heat).sum() + (a_off * offmap).sum())
+        offsets, _ = pipeline.offset_forward(grid, centers, params)
+        return float((a_heat * heat).sum() + (a_off * offsets).sum())
 
     _, c_cache = pipeline.center_forward(grid, params)
-    _, o_cache = pipeline.offset_forward(grid, params)
+    _, o_cache = pipeline.offset_forward(grid, centers, params)
     grads = pipeline.center_backward(c_cache, params, a_heat)
     grads.update(pipeline.offset_backward(o_cache, params, a_off))
     assert sorted(grads) == sorted(pipeline.PipelineParams.HEAD_FIELDS)

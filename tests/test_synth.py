@@ -54,10 +54,9 @@ class TestGenerateScene:
                 for j in range(i + 1, len(masks)):
                     assert not np.any(masks[i] & masks[j])
 
-    def test_impossible_packing_raises(self):
-        spec = synth.SceneSpec(
-            frame_dims=(64, 64), n_buildings=(8, 8), size_range=(40.0, 48.0), max_tries=20
-        )
+    def test_impossible_packing_raises(self, monkeypatch):
+        monkeypatch.setattr(synth, "MAX_TRIES", 20)
+        spec = synth.SceneSpec(frame_dims=(64, 64), n_buildings=(8, 8), size_range=(40.0, 48.0))
         with pytest.raises(RuntimeError):
             generated = None
             for seed in range(5):
