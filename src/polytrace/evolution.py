@@ -7,11 +7,16 @@ residual shortcuts, then fusion of a global max-pooled vector that is
 broadcast-concatenated back onto every vertex. Two pointwise heads emit the
 per-vertex coordinate offsets and the two-class validity logits.
 
-One :func:`conv`/:func:`conv_backward` pair serves the circular encoder
-(``"wrap"`` padding over the vertex axis) and the zero-padded 3x3 center
-head of :mod:`pipeline`: each layer builds its im2col columns as one
-contiguous array (one ``np.take`` of cached circular indices, or one copy
-of the zero-padded windows) and runs one 2-D GEMM.
+One :func:`conv` serves the circular encoder (``"wrap"`` padding over the
+vertex axis) and the zero-padded 3x3 center head of :mod:`pipeline`: each
+layer builds its im2col columns as one contiguous array (one ``np.take`` of
+cached circular indices, or one copy of the zero-padded windows) and runs
+one 2-D GEMM. Every kernel is stored in the layout that GEMM reads,
+``(*window, D_in, D_out)``, so :func:`kernel_matrix` is a free view and
+:func:`kernel_grad` returns the weight gradient in the kernel's own
+C-contiguous layout. The input gradient, needed for the circular encoder
+only, is one GEMM against the transposed view whose column gradients are
+added back onto the vertices tap by tap.
 
 Every array is a (B, N, D) batch: :func:`vertex_features` samples the grid
 and computes relative coordinates for B contours of N vertices at once, and
@@ -39,11 +44,11 @@ class EvolutionParams:
 
     up_w: np.ndarray        # (W, C+2)
     up_b: np.ndarray        # (W,)
-    detail_w: np.ndarray    # (W, W, 3)
+    detail_w: np.ndarray    # (3, W_in, W_out)
     detail_b: np.ndarray
-    local_w: np.ndarray     # (W, W, 9)
+    local_w: np.ndarray     # (9, W_in, W_out)
     local_b: np.ndarray
-    global_w: np.ndarray    # (W, W, 21)
+    global_w: np.ndarray    # (21, W_in, W_out)
     global_b: np.ndarray
     fuse_w: np.ndarray      # (W, 2W), pooled vector in the second half
     fuse_b: np.ndarray
@@ -55,7 +60,9 @@ class EvolutionParams:
     @classmethod
     def initialize(cls, feature_channels: int, width: int, rng=None) -> "EvolutionParams":
         """Fresh parameters: encoder weights uniform in +-sqrt(1/(k*D_in)),
-        both heads zero so the first evolution step is the identity."""
+        both heads zero so the first evolution step is the identity. Each
+        kernel is drawn in (D_out, D_in, k) order and stored transposed, so
+        a seed gives the same weights in either layout."""
         rng = np.random.default_rng() if rng is None else rng
         d_in = feature_channels + 2
 
@@ -63,14 +70,17 @@ class EvolutionParams:
             a = np.sqrt(1.0 / fan)
             return rng.uniform(-a, a, size=shape)
 
+        def kernel(k):
+            return np.ascontiguousarray(uniform((width, width, k), k * width).transpose(2, 1, 0))
+
         return cls(
             up_w=uniform((width, d_in), d_in),
             up_b=np.zeros(width),
-            detail_w=uniform((width, width, 3), 3 * width),
+            detail_w=kernel(3),
             detail_b=np.zeros(width),
-            local_w=uniform((width, width, 9), 9 * width),
+            local_w=kernel(9),
             local_b=np.zeros(width),
-            global_w=uniform((width, width, 21), 21 * width),
+            global_w=kernel(21),
             global_b=np.zeros(width),
             fuse_w=uniform((width, 2 * width), 2 * width),
             fuse_b=np.zeros(width),
@@ -168,21 +178,22 @@ def _columns(x, window, mode):
 
 
 def kernel_matrix(kernel) -> np.ndarray:
-    """(D_out, D_in, *window) kernel -> (prod(window)*D_in, D_out) GEMM
-    operand, tap-major like the im2col columns."""
-    return kernel.transpose(*range(2, kernel.ndim), 1, 0).reshape(-1, kernel.shape[0])
+    """(*window, D_in, D_out) kernel -> (prod(window)*D_in, D_out) GEMM
+    operand, tap-major like the im2col columns; a view of a C-contiguous
+    kernel."""
+    return kernel.reshape(-1, kernel.shape[-1])
 
 
 def conv(x, kernel, bias, mode) -> np.ndarray:
     """Same-size cross-correlation of a channels-last array.
 
-    ``kernel`` is (D_out, D_in, *window) with odd window sizes; the window
+    ``kernel`` is (*window, D_in, D_out) with odd window sizes; the window
     slides over the axes just before the channel axis of ``x``, which are
     padded by ``mode``: ``"constant"`` for zeros, ``"wrap"`` for the circular
     vertex axis. Output position n sees inputs n-(k-1)/2 .. n+(k-1)/2 along
     each window axis. The columns of all positions form one 2-D GEMM.
     """
-    window = kernel.shape[2:]
+    window = kernel.shape[:-2]
     if any(k % 2 == 0 for k in window):
         raise ValueError("convolution requires odd kernel sizes")
     cols = _columns(np.asarray(x, dtype=float), window, mode)
@@ -190,35 +201,38 @@ def conv(x, kernel, bias, mode) -> np.ndarray:
     return out.reshape(*cols.shape[:-1], -1)
 
 
-def conv_backward(d_out, x, kernel, mode):
-    """Gradients (d_x, d_w, d_b) of :func:`conv` for the layer input ``x``:
-    :func:`conv_input_grad` and :func:`conv_weight_grad` together."""
-    return (conv_input_grad(d_out, kernel, mode), *conv_weight_grad(d_out, x, kernel, mode))
-
-
-def conv_input_grad(d_out, kernel, mode) -> np.ndarray:
-    """Gradient of :func:`conv` for its input: the convolution of ``d_out``
-    with the flipped, channel-transposed kernel under the same padding,
-    which is exact for zero and circular padding."""
-    flipped = np.flip(kernel, axis=tuple(range(2, kernel.ndim))).swapaxes(0, 1)
-    return conv(d_out, flipped, 0.0, mode)
+def conv_input_grad(d_out, kernel) -> np.ndarray:
+    """Gradient of the circular (``"wrap"``) :func:`conv` of a (B, N, D_in)
+    input for that input. One GEMM against the transposed kernel view gives
+    the column gradients; each tap's are added onto the vertices that tap
+    read, a circular shift done as two slice additions, so no temporary
+    larger than the column gradients is built."""
+    k, d_in, d_out_ch = kernel.shape
+    b, n, _ = d_out.shape
+    d_cols = (d_out.reshape(-1, d_out_ch) @ kernel_matrix(kernel).T).reshape(b, n, k, d_in)
+    d_x = np.zeros((b, n, d_in))
+    for t in range(k):
+        # tap t of output vertex j read vertex j + s modulo n, for any k, also k > n
+        s = (t - (k - 1) // 2) % n
+        d_x[:, s:] += d_cols[:, : n - s, t]
+        d_x[:, :s] += d_cols[:, n - s :, t]
+    return d_x
 
 
 def conv_weight_grad(d_out, x, kernel, mode):
     """Gradients (d_w, d_b) of :func:`conv` for its kernel and bias, from
     columns rebuilt from the layer input ``x``."""
-    return kernel_grad(_columns(x, kernel.shape[2:], mode), d_out, kernel)
+    return kernel_grad(_columns(x, kernel.shape[:-2], mode), d_out, kernel)
 
 
 def kernel_grad(cols, d_out, kernel):
     """Gradients (d_w, d_b) of a convolution whose im2col columns are
     ``cols`` (..., prod(window)*D_in) and whose output gradient is ``d_out``
-    (..., D_out): one 2-D GEMM over all positions."""
-    nd = kernel.ndim - 2
-    flat_dout = d_out.reshape(-1, kernel.shape[0])
+    (..., D_out): one 2-D GEMM over all positions, whose result is d_w in
+    the kernel's C-contiguous layout."""
+    flat_dout = d_out.reshape(-1, kernel.shape[-1])
     d_w = cols.reshape(-1, cols.shape[-1]).T @ flat_dout
-    d_w = d_w.reshape(*kernel.shape[2:], kernel.shape[1], -1)
-    return d_w.transpose(nd + 1, nd, *range(nd)), flat_dout.sum(axis=0)
+    return d_w.reshape(kernel.shape), flat_dout.sum(axis=0)
 
 
 def _relu(x):
@@ -314,8 +328,8 @@ def backward(cache, params: EvolutionParams, d_offsets=None, d_logits=None):
     for name in ("global", "local", "detail"):
         kernel = getattr(params, f"{name}_w")
         d_h = d_prev * (cache[f"{name}_z"] > 0)
-        d_x, grads[f"{name}_w"], grads[f"{name}_b"] = conv_backward(d_h, layer_inputs[name], kernel, "wrap")
-        d_prev = d_prev + d_x  # residual shortcut
+        grads[f"{name}_w"], grads[f"{name}_b"] = conv_weight_grad(d_h, layer_inputs[name], kernel, "wrap")
+        d_prev = d_prev + conv_input_grad(d_h, kernel)  # residual shortcut
 
     d_z0 = d_prev * (cache["z0"] > 0)
     flat_dz0 = d_z0.reshape(-1, width)

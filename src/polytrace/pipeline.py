@@ -6,13 +6,15 @@ a center head (3x3 conv, ReLU, 1x1 conv, sigmoid) producing the keypoint
 heatmap over the whole grid, an offset head (two 3x3 convs with ReLU, then
 a 2N-channel 1x1) producing each initial contour's offsets from the
 features around its center cell, and the contour-evolution micro-network
-applied for ``EVOLUTION_ROUNDS`` rounds. The center head's 3x3 layer is
-:func:`evolution.conv` with zero padding and takes only
-:func:`evolution.conv_weight_grad`, since nothing uses the gradient of the
-feature grid. The offset head is evaluated only at the center cells, in
-training and inference alike: its first layer at the 3x3 neighbours of
-each cell, from the 5x5 zero-padded patch around it, and the rest at the
-cell, so its cost grows with the number of centers, not the grid.
+applied for ``EVOLUTION_ROUNDS`` rounds. Every 3x3 kernel is stored as
+(3, 3, C_in, C_out), the layout :func:`evolution.kernel_matrix` reads. The
+center head's 3x3 layer is :func:`evolution.conv` with zero padding and
+takes only :func:`evolution.conv_weight_grad`, since nothing uses the
+gradient of the feature grid. The offset head is evaluated only at the
+center cells, in training and inference alike: its first layer at the 3x3
+neighbours of each cell, from the 5x5 zero-padded patch around it, and the
+rest at the cell, so its cost grows with the number of centers, not the
+grid.
 
 :func:`evolve_contours` is the one contour forward of training and
 inference. It composes every initial contour of an image as
@@ -21,10 +23,13 @@ inference. It composes every initial contour of an image as
 backpropagates through the returned caches; :func:`predict_scene` passes
 the decoded peak positions and runs the offset head for those only.
 
-Checkpoint format (version 1): the ASCII magic line ``PTCK0001``, one JSON
+Checkpoint format (version 2): the ASCII magic line ``PTCK0002``, one JSON
 header line listing array names/shapes plus free-form metadata, then the
 raw row-major float64 little-endian buffers concatenated in header order.
-Loading checks the header against the arrays the run configuration builds.
+Loading checks the magic, then the header against the arrays the run
+configuration builds. Version 1 (``PTCK0001``) stored every convolution
+kernel as (C_out, C_in, *window); a shape check alone cannot tell the two
+layouts apart when a kernel's dimensions coincide, so it is rejected.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .config import RunConfig
 from .detection import STRIDE, decode_peaks
 from .synth import feature_provider
 
-CHECKPOINT_MAGIC = b"PTCK0001"
+CHECKPOINT_MAGIC = b"PTCK0002"
 
 # the training objective supervises exactly two rounds: smooth L1 after the
 # first, dynamic matching and vertex classification after the second
@@ -48,13 +53,13 @@ EVOLUTION_ROUNDS = 2
 
 @dataclass
 class PipelineParams:
-    center_w1: np.ndarray   # (H1, C, 3, 3)
+    center_w1: np.ndarray   # (3, 3, C, H1)
     center_b1: np.ndarray
     center_w2: np.ndarray   # (1, H1)
     center_b2: np.ndarray
-    offset_w1: np.ndarray   # (H2, C, 3, 3)
+    offset_w1: np.ndarray   # (3, 3, C, H2)
     offset_b1: np.ndarray
-    offset_w2: np.ndarray   # (H2, H2, 3, 3)
+    offset_w2: np.ndarray   # (3, 3, H2_in, H2_out)
     offset_b2: np.ndarray
     offset_w3: np.ndarray   # (2N, H2)
     offset_b3: np.ndarray
@@ -77,15 +82,19 @@ class PipelineParams:
             a = np.sqrt(1.0 / fan)
             return rng.uniform(-a, a, size=shape)
 
+        def kernel(c_out, c_in):
+            # drawn in (C_out, C_in, 3, 3) order, so a seed gives the same weights in either layout
+            return np.ascontiguousarray(uniform((c_out, c_in, 3, 3), 9 * c_in).transpose(2, 3, 1, 0))
+
         return cls(
-            center_w1=uniform((h1, c, 3, 3), 9 * c),
+            center_w1=kernel(h1, c),
             center_b1=np.zeros(h1),
             center_w2=uniform((1, h1), h1),
             # bias the sigmoid toward the background prior of 0.1
             center_b2=np.full(1, float(np.log(0.1 / 0.9))),
-            offset_w1=uniform((h2, c, 3, 3), 9 * c),
+            offset_w1=kernel(h2, c),
             offset_b1=np.zeros(h2),
-            offset_w2=uniform((h2, h2, 3, 3), 9 * h2),
+            offset_w2=kernel(h2, h2),
             offset_b2=np.zeros(h2),
             offset_w3=np.zeros((2 * n, h2)),
             offset_b3=np.zeros(2 * n),
@@ -234,7 +243,7 @@ def evolve_contours(grid, offsets, centers, params: PipelineParams, gamma: float
 
 
 def save_checkpoint(params: PipelineParams, path, meta: dict | None = None):
-    """Write a version-1 checkpoint; byte output is deterministic."""
+    """Write a version-2 checkpoint; byte output is deterministic."""
     names = []
     buffers = []
     for name, arr in params.arrays():
@@ -252,15 +261,15 @@ def save_checkpoint(params: PipelineParams, path, meta: dict | None = None):
 def load_checkpoint(path, cfg: RunConfig):
     """Read a checkpoint; returns (PipelineParams, meta).
 
-    Raises ValueError, naming the array, when the checkpoint's array names
-    or shapes differ from those :meth:`PipelineParams.initialize` builds for
-    ``cfg``.
+    Raises ValueError when the magic line is not this version's, naming
+    both, and, naming the array, when the checkpoint's array names or shapes
+    differ from those :meth:`PipelineParams.initialize` builds for ``cfg``.
     """
     expected = {name: arr.shape for name, arr in PipelineParams.initialize(cfg).arrays()}
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
+            raise ValueError(f"unsupported checkpoint magic {magic!r}: only {CHECKPOINT_MAGIC!r} is read")
         header = json.loads(fh.readline().decode("utf-8"))
         found = {entry["name"]: tuple(entry["shape"]) for entry in header["arrays"]}
         for name in sorted(expected.keys() | found.keys()):

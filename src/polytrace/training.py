@@ -152,7 +152,8 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
 
 
 class MomentumSGD:
-    """Gradient descent with classical momentum."""
+    """Gradient descent with classical momentum; the velocity of each
+    parameter is updated in place."""
 
     def __init__(self, learning_rate, momentum=0.9):
         self.learning_rate = learning_rate
@@ -163,13 +164,15 @@ class MomentumSGD:
         for name, arr in params.arrays():
             vel = self.velocity.get(name)
             if vel is None:
-                vel = np.zeros_like(arr)
-            vel = self.momentum * vel + grads[name]
-            self.velocity[name] = vel
+                vel = self.velocity[name] = np.zeros_like(arr)
+            vel *= self.momentum
+            vel += grads[name]
             arr -= self.learning_rate * vel
 
 
 class Adam:
+    """Adam; both moment estimates of each parameter are updated in place."""
+
     def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -182,11 +185,14 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         for name, arr in params.arrays():
             g = grads[name]
-            m = self.m.get(name, np.zeros_like(arr))
-            v = self.v.get(name, np.zeros_like(arr))
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            self.m[name], self.v[name] = m, v
+            m, v = self.m.get(name), self.v.get(name)
+            if m is None:
+                m = self.m[name] = np.zeros_like(arr)
+                v = self.v[name] = np.zeros_like(arr)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
             m_hat = m / (1 - b1**self.t)
             v_hat = v / (1 - b2**self.t)
             arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -99,3 +99,10 @@ def relative_error(a, b):
     b = np.asarray(b, dtype=float).ravel()
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def flipped_kernel(kernel):
+    """The (*window, C_out, C_in) kernel whose zero-padded convolution of an
+    output gradient is the input gradient of the zero-padded convolution
+    with the (*window, C_in, C_out) ``kernel``."""
+    return np.flip(kernel, axis=tuple(range(kernel.ndim - 2))).swapaxes(-1, -2)

@@ -6,7 +6,7 @@ from polytrace import pipeline
 from polytrace.config import RunConfig
 from polytrace.geometry import densify
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, flipped_kernel, relative_error
 
 SQUARE = np.array([[20.0, 20.0], [60.0, 20.0], [60.0, 60.0], [20.0, 60.0]])
 
@@ -40,31 +40,31 @@ def circular(x, kernel, bias):
 class TestCircularConv:
     def test_k1_identity(self, rng):
         x = rng.normal(size=(6, 4))
-        kernel = np.eye(4)[:, :, None]
+        kernel = np.eye(4)[None]
         out = circular(x, kernel, np.zeros(4))
         assert np.allclose(out, x)
 
     def test_k3_center_tap_identity(self, rng):
         x = rng.normal(size=(6, 4))
-        kernel = np.zeros((4, 4, 3))
-        kernel[:, :, 1] = np.eye(4)
+        kernel = np.zeros((3, 4, 4))
+        kernel[1] = np.eye(4)
         out = circular(x, kernel, np.zeros(4))
         assert np.allclose(out, x)
 
     def test_k3_left_tap_shifts(self, rng):
         x = rng.normal(size=(4, 1))
-        kernel = np.zeros((1, 1, 3))
+        kernel = np.zeros((3, 1, 1))
         kernel[0, 0, 0] = 1.0  # picks up vertex n-1
         out = circular(x, kernel, np.zeros(1))
         assert np.allclose(out, np.roll(x, 1, axis=0))
 
     def test_even_kernel_rejected(self, rng):
         with pytest.raises(ValueError):
-            circular(np.zeros((4, 2)), np.zeros((2, 2, 4)), np.zeros(2))
+            circular(np.zeros((4, 2)), np.zeros((4, 2, 2)), np.zeros(2))
 
     def test_commutes_with_rotation(self, rng):
         x = rng.normal(size=(16, 5))
-        kernel = rng.normal(size=(3, 5, 9))
+        kernel = rng.normal(size=(9, 5, 3))
         bias = rng.normal(size=3)
         base = circular(x, kernel, bias)
         rolled = circular(np.roll(x, 5, axis=0), kernel, bias)
@@ -72,27 +72,29 @@ class TestCircularConv:
 
 
 def nine_tap_conv(x, w, b):
-    """Zero-padded 3x3 convolution of an (H, W, C_in) grid, one tap at a time."""
+    """Zero-padded 3x3 convolution of an (H, W, C_in) grid with a
+    (3, 3, C_in, C_out) kernel, one tap at a time."""
     h, wd, _ = x.shape
     padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
     out = np.tile(b, (h, wd, 1))
     for dy in range(3):
         for dx in range(3):
-            out += padded[dy : dy + h, dx : dx + wd] @ w[:, :, dy, dx].T
+            out += padded[dy : dy + h, dx : dx + wd] @ w[dy, dx]
     return out
 
 
 def nine_tap_backward(d_out, x, w):
+    """Gradients (d_x, d_w, d_b) of :func:`nine_tap_conv`, one tap at a time."""
     h, wd, cin = x.shape
     padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
     d_padded = np.zeros_like(padded)
     d_w = np.zeros_like(w)
-    flat_dout = d_out.reshape(-1, w.shape[0])
+    flat_dout = d_out.reshape(-1, w.shape[-1])
     for dy in range(3):
         for dx in range(3):
             patch = padded[dy : dy + h, dx : dx + wd]
-            d_w[:, :, dy, dx] = flat_dout.T @ patch.reshape(-1, cin)
-            d_padded[dy : dy + h, dx : dx + wd] += d_out @ w[:, :, dy, dx]
+            d_w[dy, dx] = patch.reshape(-1, cin).T @ flat_dout
+            d_padded[dy : dy + h, dx : dx + wd] += d_out @ w[dy, dx].T
     return d_padded[1:-1, 1:-1], d_w, d_out.sum(axis=(0, 1))
 
 
@@ -108,17 +110,17 @@ def gather_columns(x, k):
 
 
 def gather_conv(x, kernel, bias):
-    d_out, d_in, k = kernel.shape
-    return gather_columns(x, k) @ kernel.transpose(2, 1, 0).reshape(k * d_in, d_out) + bias
+    k, d_in, d_out = kernel.shape
+    return gather_columns(x, k) @ kernel.reshape(k * d_in, d_out) + bias
 
 
 def fold_backward(d_out, x, kernel):
     """Gradients of :func:`gather_conv`: column gradients folded back through
     the circular padding, by slices when p < N and by ``np.add.at`` otherwise."""
-    d_out_ch, d_in, k = kernel.shape
+    k, d_in, d_out_ch = kernel.shape
     b, n, _ = x.shape
     p = (k - 1) // 2
-    w = kernel.transpose(2, 1, 0).reshape(k * d_in, d_out_ch)
+    w = kernel.reshape(k * d_in, d_out_ch)
     d_cols = d_out @ w.T
     d_padded = np.zeros((b, n + 2 * p, d_in))
     for t in range(k):
@@ -132,18 +134,18 @@ def fold_backward(d_out, x, kernel):
         np.add.at(d_x, (slice(None), np.arange(-p, n + p) % n), d_padded)
     flat_cols = gather_columns(x, k).reshape(-1, k * d_in)
     flat_dout = d_out.reshape(-1, d_out_ch)
-    d_w = (flat_cols.T @ flat_dout).reshape(k, d_in, d_out_ch).transpose(2, 1, 0)
+    d_w = (flat_cols.T @ flat_dout).reshape(k, d_in, d_out_ch)
     return d_x, d_w, flat_dout.sum(axis=0)
 
 
 class TestConvAgainstReference:
     def test_zero_padded_grid_matches_nine_taps(self, rng):
         x = rng.normal(size=(5, 7, 3))
-        w = rng.normal(size=(4, 3, 3, 3))
+        w = rng.normal(size=(3, 3, 3, 4))
         b = rng.normal(size=4)
         d_out = rng.normal(size=(5, 7, 4))
         assert relative_error(evo.conv(x, w, b, "constant"), nine_tap_conv(x, w, b)) < 1e-12
-        got = evo.conv_backward(d_out, x, w, "constant")
+        got = (evo.conv(d_out, flipped_kernel(w), 0.0, "constant"), *evo.conv_weight_grad(d_out, x, w, "constant"))
         for a, ref in zip(got, nine_tap_backward(d_out, x, w)):
             assert a.shape == ref.shape
             assert relative_error(a, ref) < 1e-12
@@ -152,14 +154,14 @@ class TestConvAgainstReference:
     @pytest.mark.parametrize("n", [8, 64])
     def test_circular_batch_matches_gather_and_fold(self, rng, k, n):
         x = rng.normal(size=(3, n, 5))
-        kernel = rng.normal(size=(4, 5, k))
+        kernel = rng.normal(size=(k, 5, 4))
         bias = rng.normal(size=4)
         d_out = rng.normal(size=(3, n, 4))
         cols = evo._columns(x, (k,), "wrap")
         assert cols.flags.c_contiguous
         assert np.array_equal(cols, gather_columns(x, k))
         assert relative_error(evo.conv(x, kernel, bias, "wrap"), gather_conv(x, kernel, bias)) < 1e-12
-        got = evo.conv_backward(d_out, x, kernel, "wrap")
+        got = (evo.conv_input_grad(d_out, kernel), *evo.conv_weight_grad(d_out, x, kernel, "wrap"))
         for a, ref in zip(got, fold_backward(d_out, x, kernel)):
             assert a.shape == ref.shape
             assert relative_error(a, ref) < 1e-12

@@ -8,7 +8,7 @@ from polytrace import evolution as evo
 from polytrace.config import RunConfig
 from polytrace.synth import feature_provider
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, flipped_kernel, relative_error
 
 TINY = dict(
     n_vertices=16,
@@ -142,6 +142,73 @@ def test_checkpoint_missing_an_array_rejected(cfg, params, tmp_path):
         pipeline.load_checkpoint(path, cfg)
 
 
+def test_version_1_checkpoint_rejected(tmp_path):
+    # the shape check alone would pass: every kernel here is (3, 3, 3, 3) in either layout
+    small = RunConfig(**{**TINY, "feature_channels": 3, "center_hidden": 3, "offset_hidden": 3, "encoder_width": 3})
+    path = tmp_path / "a.ckpt"
+    pipeline.save_checkpoint(pipeline.PipelineParams.initialize(small, np.random.default_rng(0)), path)
+    path.write_bytes(path.read_bytes().replace(pipeline.CHECKPOINT_MAGIC, b"PTCK0001", 1))
+    with pytest.raises(ValueError, match="PTCK0001.*PTCK0002"):
+        pipeline.load_checkpoint(path, small)
+
+
+KERNELS = (
+    "center_w1", "offset_w1", "offset_w2",
+    "evolution.detail_w", "evolution.local_w", "evolution.global_w",
+)
+
+
+def test_kernels_are_stored_in_gemm_layout(cfg, params):
+    named = dict(params.arrays())
+    assert sorted(name for name, arr in named.items() if arr.ndim > 2) == sorted(KERNELS)
+    for name in KERNELS:
+        assert np.shares_memory(evo.kernel_matrix(named[name]), named[name]), name
+    bundle = training.prepare_scene(training.make_dataset(cfg, 1)[0], cfg)
+    _, grads = training.scene_loss(bundle, params, cfg)
+    for name in KERNELS:
+        assert grads[name].shape == named[name].shape, name
+        assert grads[name].flags.c_contiguous, name
+
+
+def reference_optimizer_steps(kind, named, grad_steps, learning_rate):
+    """The optimizers' update formulas, each step building new state arrays."""
+    first, second = {}, {}
+    for t, grads in enumerate(grad_steps, start=1):
+        for name, arr in named.items():
+            g = grads[name]
+            if kind == "momentum":
+                vel = first.get(name, np.zeros_like(arr))
+                vel = 0.9 * vel + g
+                first[name] = vel
+                arr -= learning_rate * vel
+            else:
+                b1, b2 = 0.9, 0.999
+                m = first.get(name, np.zeros_like(arr))
+                v = second.get(name, np.zeros_like(arr))
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                first[name], second[name] = m, v
+                m_hat = m / (1 - b1**t)
+                v_hat = v / (1 - b2**t)
+                arr -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+@pytest.mark.parametrize("kind", ["momentum", "adam"])
+def test_optimizer_steps_match_reference_formulas(params, kind):
+    rng = np.random.default_rng(5)
+    named = {name: arr.copy() for name, arr in params.arrays()}
+    grad_steps = [{name: rng.normal(size=arr.shape) for name, arr in named.items()} for _ in range(3)]
+    if kind == "momentum":
+        optimizer = training.MomentumSGD(0.01, momentum=0.9)
+    else:
+        optimizer = training.Adam(0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    for grads in grad_steps:
+        optimizer.step(params, grads)
+    reference_optimizer_steps(kind, named, grad_steps, 0.01)
+    for name, arr in params.arrays():
+        assert np.array_equal(arr, named[name]), name
+
+
 def test_fit_is_deterministic_for_a_seed(cfg, tmp_path):
     bundles = [training.prepare_scene(s, cfg, i) for i, s in enumerate(training.make_dataset(cfg, 2))]
     paths = []
@@ -181,9 +248,9 @@ def full_grid_backward(cache, centers, params, d_offsets):
         "offset_b3": d_offmap.sum(axis=(0, 1)),
     }
     d_z2 = (d_offmap @ params.offset_w3) * (z2 > 0)
-    d_a1, grads["offset_w2"], grads["offset_b2"] = evo.conv_backward(d_z2, a1, params.offset_w2, "constant")
-    d_z1 = d_a1 * (z1 > 0)
-    _, grads["offset_w1"], grads["offset_b1"] = evo.conv_backward(d_z1, grid, params.offset_w1, "constant")
+    grads["offset_w2"], grads["offset_b2"] = evo.conv_weight_grad(d_z2, a1, params.offset_w2, "constant")
+    d_z1 = evo.conv(d_z2, flipped_kernel(params.offset_w2), 0.0, "constant") * (z1 > 0)
+    grads["offset_w1"], grads["offset_b1"] = evo.conv_weight_grad(d_z1, grid, params.offset_w1, "constant")
     return grads
 
 
