@@ -41,13 +41,10 @@ class RunConfig:
     optimizer: str = "momentum"
     learning_rate: float = 0.01
     momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
     epochs_total: int = 12
     epochs_init: int = 2
     decay_epoch_1: int = 8
     decay_epoch_2: int = 11
-    decay_factor: float = 0.2
     batch_scenes: int = 2
 
     # synthetic data

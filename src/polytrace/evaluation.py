@@ -19,7 +19,7 @@ builds its rows from any IoU function and uses the same matcher.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -206,20 +206,7 @@ class EvalReport:
     precision_boundary: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "ap_msk": self.ap_msk,
-            "ap_bdy": self.ap_bdy,
-            "ap_msk_sm": self.ap_msk_sm,
-            "ap_msk_l": self.ap_msk_l,
-            "ap_bdy_sm": self.ap_bdy_sm,
-            "ap_bdy_l": self.ap_bdy_l,
-            "manual_level_2px": self.manual_level_2px,
-            "manual_level_3px": self.manual_level_3px,
-            "mean_instance_iou": self.mean_instance_iou,
-            "thresholds": self.thresholds,
-            "precision_mask": self.precision_mask,
-            "precision_boundary": self.precision_boundary,
-        }
+        return asdict(self)
 
 
 def evaluate(preds, gts, frame_dims) -> EvalReport:

@@ -5,7 +5,10 @@ through a circular 1-D convolution encoder that aggregates detail-to-global
 context: an up-dimensioning 1x1 layer, then kernel sizes 3, 9 and 21 with
 residual shortcuts, then fusion of a global max-pooled vector that is
 broadcast-concatenated back onto every vertex. Two pointwise heads emit the
-per-vertex coordinate offsets and the two-class validity logits.
+per-vertex coordinate offsets (the step head) and the two-class validity
+logits (the cls head). The weights are the ``up_*`` to ``cls_*`` fields of
+:class:`pipeline.PipelineParams`, whose comments give their shapes;
+:func:`forward` and :func:`backward` read them from that one object.
 
 One :func:`conv` serves the circular encoder (``"wrap"`` padding over the
 vertex axis) and the zero-padded 3x3 center head of :mod:`pipeline`: each
@@ -23,85 +26,19 @@ and computes relative coordinates for B contours of N vertices at once, and
 one :func:`forward` call runs all of them, so an image's contours are evolved
 as one tensor in training and in inference alike. Forward passes cache the
 activations :func:`backward` needs, which produces exact reverse-mode
-gradients for all parameters and for the input vertex features. The im2col
-columns of the convolutions are not cached: backward rebuilds them from each
-layer's cached input.
+gradients for the parameters it reaches and for the input vertex features.
+The im2col columns of the convolutions are not cached: backward rebuilds
+them from each layer's cached input.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import softmax
 
 from .detection import STRIDE
-
-
-@dataclass
-class EvolutionParams:
-    """Weights of the micro-network; see :meth:`initialize` for shapes."""
-
-    up_w: np.ndarray        # (W, C+2)
-    up_b: np.ndarray        # (W,)
-    detail_w: np.ndarray    # (3, W_in, W_out)
-    detail_b: np.ndarray
-    local_w: np.ndarray     # (9, W_in, W_out)
-    local_b: np.ndarray
-    global_w: np.ndarray    # (21, W_in, W_out)
-    global_b: np.ndarray
-    fuse_w: np.ndarray      # (W, 2W), pooled vector in the second half
-    fuse_b: np.ndarray
-    offset_w: np.ndarray    # (2, W)
-    offset_b: np.ndarray
-    cls_w: np.ndarray       # (2, W)
-    cls_b: np.ndarray
-
-    @classmethod
-    def initialize(cls, feature_channels: int, width: int, rng=None) -> "EvolutionParams":
-        """Fresh parameters: encoder weights uniform in +-sqrt(1/(k*D_in)),
-        both heads zero so the first evolution step is the identity. Each
-        kernel is drawn in (D_out, D_in, k) order and stored transposed, so
-        a seed gives the same weights in either layout."""
-        rng = np.random.default_rng() if rng is None else rng
-        d_in = feature_channels + 2
-
-        def uniform(shape, fan):
-            a = np.sqrt(1.0 / fan)
-            return rng.uniform(-a, a, size=shape)
-
-        def kernel(k):
-            return np.ascontiguousarray(uniform((width, width, k), k * width).transpose(2, 1, 0))
-
-        return cls(
-            up_w=uniform((width, d_in), d_in),
-            up_b=np.zeros(width),
-            detail_w=kernel(3),
-            detail_b=np.zeros(width),
-            local_w=kernel(9),
-            local_b=np.zeros(width),
-            global_w=kernel(21),
-            global_b=np.zeros(width),
-            fuse_w=uniform((width, 2 * width), 2 * width),
-            fuse_b=np.zeros(width),
-            offset_w=np.zeros((2, width)),
-            offset_b=np.zeros(2),
-            cls_w=np.zeros((2, width)),
-            cls_b=np.zeros(2),
-        )
-
-    @property
-    def feature_dim(self) -> int:
-        return self.up_w.shape[1]
-
-    def arrays(self):
-        """Ordered (name, array) pairs; the canonical flattening."""
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
-
-    @classmethod
-    def from_arrays(cls, named: dict) -> "EvolutionParams":
-        return cls(**{f.name: np.asarray(named[f.name], dtype=float) for f in fields(cls)})
 
 
 def sample_features(grid, points) -> np.ndarray:
@@ -239,20 +176,15 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def softmax_backward(probs, d_probs):
     """d(logits) given d(probs) through a softmax."""
     inner = (d_probs * probs).sum(axis=-1, keepdims=True)
     return probs * (d_probs - inner)
 
 
-def forward(features, params: EvolutionParams):
-    """Run the micro-network on (B, N, C+2) vertex features.
+def forward(features, params):
+    """Run the micro-network of :class:`pipeline.PipelineParams` ``params``
+    on (B, N, C+2) vertex features.
 
     Returns (offsets, logits, probs, cache); offsets are (B, N, 2) in pixels,
     probs the per-vertex two-class softmax (valid class last).
@@ -280,18 +212,20 @@ def forward(features, params: EvolutionParams):
     f4 = _relu(z4)
     cache.update(pooled_argmax=argmax, cat=cat, z4=z4, f4=f4)
 
-    offsets = f4 @ params.offset_w.T + params.offset_b
+    offsets = f4 @ params.step_w.T + params.step_b
     logits = f4 @ params.cls_w.T + params.cls_b
-    probs = softmax(logits)
+    probs = softmax(logits, axis=-1)
     cache["probs"] = probs
     return offsets, logits, probs, cache
 
 
-def backward(cache, params: EvolutionParams, d_offsets=None, d_logits=None):
-    """Reverse-mode gradients for every parameter and the input features.
+def backward(cache, params, d_offsets=None, d_logits=None):
+    """Reverse-mode gradients for the micro-network's parameters and the
+    input features.
 
-    Returns (grads, d_features) where ``grads`` maps parameter field names to
-    arrays of matching shapes.
+    Returns (grads, d_features) where ``grads`` maps the names of the
+    parameters the given upstream gradients reach to arrays of matching
+    shapes: a head without an upstream gradient gets no entry.
     """
     f4 = cache.get("f4")
     if f4 is None:
@@ -299,12 +233,10 @@ def backward(cache, params: EvolutionParams, d_offsets=None, d_logits=None):
     b, n, width = f4.shape
     grads = {}
     d_f4 = 0.0
-    for head, d_head in (("offset", d_offsets), ("cls", d_logits)):
-        head_w = getattr(params, f"{head}_w")
+    for head, d_head in (("step", d_offsets), ("cls", d_logits)):
         if d_head is None:
-            grads[f"{head}_w"] = np.zeros_like(head_w)
-            grads[f"{head}_b"] = np.zeros(head_w.shape[0])
             continue
+        head_w = getattr(params, f"{head}_w")
         flat = np.asarray(d_head, dtype=float).reshape(-1, 2)
         grads[f"{head}_w"] = flat.T @ f4.reshape(-1, width)
         grads[f"{head}_b"] = flat.sum(axis=0)
@@ -333,7 +265,8 @@ def backward(cache, params: EvolutionParams, d_offsets=None, d_logits=None):
 
     d_z0 = d_prev * (cache["z0"] > 0)
     flat_dz0 = d_z0.reshape(-1, width)
-    grads["up_w"] = flat_dz0.T @ cache["features"].reshape(-1, params.feature_dim)
+    features = cache["features"]
+    grads["up_w"] = flat_dz0.T @ features.reshape(-1, features.shape[-1])
     grads["up_b"] = flat_dz0.sum(axis=0)
     d_features = d_z0 @ params.up_w
     return grads, d_features

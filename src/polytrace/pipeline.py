@@ -1,20 +1,21 @@
-"""Detection heads, the assembled model parameters, the contour forward,
-checkpoint files and whole-image inference.
+"""Detection heads, the model parameters, the contour forward, checkpoint
+files and whole-image inference.
 
 The trainable model is three pieces sharing the handcrafted feature grid:
 a center head (3x3 conv, ReLU, 1x1 conv, sigmoid) producing the keypoint
 heatmap over the whole grid, an offset head (two 3x3 convs with ReLU, then
 a 2N-channel 1x1) producing each initial contour's offsets from the
 features around its center cell, and the contour-evolution micro-network
-applied for ``EVOLUTION_ROUNDS`` rounds. Every 3x3 kernel is stored as
-(3, 3, C_in, C_out), the layout :func:`evolution.kernel_matrix` reads. The
-center head's 3x3 layer is :func:`evolution.conv` with zero padding and
-takes only :func:`evolution.conv_weight_grad`, since nothing uses the
-gradient of the feature grid. The offset head is evaluated only at the
-center cells, in training and inference alike: its first layer at the 3x3
-neighbours of each cell, from the 5x5 zero-padded patch around it, and the
-rest at the cell, so its cost grows with the number of centers, not the
-grid.
+applied for ``EVOLUTION_ROUNDS`` rounds. Their weights are the fields of
+one flat :class:`PipelineParams`, whose comments give every shape. Every
+3x3 kernel is stored as (3, 3, C_in, C_out), the layout
+:func:`evolution.kernel_matrix` reads. The center head's 3x3 layer is
+:func:`evolution.conv` with zero padding and takes only
+:func:`evolution.conv_weight_grad`, since nothing uses the gradient of the
+feature grid. The offset head is evaluated only at the center cells, in
+training and inference alike: its first layer at the 3x3 neighbours of
+each cell, from the 5x5 zero-padded patch around it, and the rest at the
+cell, so its cost grows with the number of centers, not the grid.
 
 :func:`evolve_contours` is the one contour forward of training and
 inference. It composes every initial contour of an image as
@@ -23,19 +24,20 @@ inference. It composes every initial contour of an image as
 backpropagates through the returned caches; :func:`predict_scene` passes
 the decoded peak positions and runs the offset head for those only.
 
-Checkpoint format (version 2): the ASCII magic line ``PTCK0002``, one JSON
+Checkpoint format (version 3): the ASCII magic line ``PTCK0003``, one JSON
 header line listing array names/shapes plus free-form metadata, then the
-raw row-major float64 little-endian buffers concatenated in header order.
-Loading checks the magic, then the header against the arrays the run
-configuration builds. Version 1 (``PTCK0001``) stored every convolution
-kernel as (C_out, C_in, *window); a shape check alone cannot tell the two
-layouts apart when a kernel's dimensions coincide, so it is rejected.
+raw row-major float64 little-endian buffers concatenated in header order,
+named as the :class:`PipelineParams` fields. Loading checks the magic, then
+the header against the arrays the run configuration builds. Older versions
+are rejected: version 1 stored kernels as (C_out, C_in, *window), which a
+shape check cannot tell apart when a kernel's dimensions coincide, and
+version 2 named the evolution arrays ``evolution.*``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .config import RunConfig
 from .detection import STRIDE, decode_peaks
 from .synth import feature_provider
 
-CHECKPOINT_MAGIC = b"PTCK0002"
+CHECKPOINT_MAGIC = b"PTCK0003"
 
 # the training objective supervises exactly two rounds: smooth L1 after the
 # first, dynamic matching and vertex classification after the second
@@ -53,6 +55,9 @@ EVOLUTION_ROUNDS = 2
 
 @dataclass
 class PipelineParams:
+    """Every weight of the model: C feature channels, head widths H1 and
+    H2, N vertices, evolution encoder width W."""
+
     center_w1: np.ndarray   # (3, 3, C, H1)
     center_b1: np.ndarray
     center_w2: np.ndarray   # (1, H1)
@@ -63,60 +68,76 @@ class PipelineParams:
     offset_b2: np.ndarray
     offset_w3: np.ndarray   # (2N, H2)
     offset_b3: np.ndarray
-    evolution: evo.EvolutionParams
-
-    HEAD_FIELDS = (
-        "center_w1", "center_b1", "center_w2", "center_b2",
-        "offset_w1", "offset_b1", "offset_w2", "offset_b2",
-        "offset_w3", "offset_b3",
-    )
+    up_w: np.ndarray        # (W, C+2)
+    up_b: np.ndarray
+    detail_w: np.ndarray    # (3, W_in, W_out)
+    detail_b: np.ndarray
+    local_w: np.ndarray     # (9, W_in, W_out)
+    local_b: np.ndarray
+    global_w: np.ndarray    # (21, W_in, W_out)
+    global_b: np.ndarray
+    fuse_w: np.ndarray      # (W, 2W), pooled vector in the second half
+    fuse_b: np.ndarray
+    step_w: np.ndarray      # (2, W)
+    step_b: np.ndarray
+    cls_w: np.ndarray       # (2, W)
+    cls_b: np.ndarray
 
     @classmethod
     def initialize(cls, cfg: RunConfig, rng=None) -> "PipelineParams":
+        """Fresh parameters drawn in field order: weights uniform in
+        +-sqrt(1/fan_in); the last offset layer and both evolution heads
+        zero, so the first evolution step is the identity."""
         rng = np.random.default_rng() if rng is None else rng
         c = cfg.feature_channels
         h1, h2 = cfg.center_hidden, cfg.offset_hidden
-        n = cfg.n_vertices
+        n, w = cfg.n_vertices, cfg.encoder_width
 
         def uniform(shape, fan):
             a = np.sqrt(1.0 / fan)
             return rng.uniform(-a, a, size=shape)
 
-        def kernel(c_out, c_in):
-            # drawn in (C_out, C_in, 3, 3) order, so a seed gives the same weights in either layout
-            return np.ascontiguousarray(uniform((c_out, c_in, 3, 3), 9 * c_in).transpose(2, 3, 1, 0))
+        def kernel(c_out, c_in, *window):
+            # drawn in (C_out, C_in, *window) order, so a seed gives the same weights in either layout
+            drawn = uniform((c_out, c_in, *window), np.prod(window) * c_in)
+            return np.ascontiguousarray(drawn.transpose(*range(2, drawn.ndim), 1, 0))
 
         return cls(
-            center_w1=kernel(h1, c),
+            center_w1=kernel(h1, c, 3, 3),
             center_b1=np.zeros(h1),
             center_w2=uniform((1, h1), h1),
             # bias the sigmoid toward the background prior of 0.1
             center_b2=np.full(1, float(np.log(0.1 / 0.9))),
-            offset_w1=kernel(h2, c),
+            offset_w1=kernel(h2, c, 3, 3),
             offset_b1=np.zeros(h2),
-            offset_w2=kernel(h2, h2),
+            offset_w2=kernel(h2, h2, 3, 3),
             offset_b2=np.zeros(h2),
             offset_w3=np.zeros((2 * n, h2)),
             offset_b3=np.zeros(2 * n),
-            evolution=evo.EvolutionParams.initialize(c, width=cfg.encoder_width, rng=rng),
+            up_w=uniform((w, c + 2), c + 2),
+            up_b=np.zeros(w),
+            detail_w=kernel(w, w, 3),
+            detail_b=np.zeros(w),
+            local_w=kernel(w, w, 9),
+            local_b=np.zeros(w),
+            global_w=kernel(w, w, 21),
+            global_b=np.zeros(w),
+            fuse_w=uniform((w, 2 * w), 2 * w),
+            fuse_b=np.zeros(w),
+            step_w=np.zeros((2, w)),
+            step_b=np.zeros(2),
+            cls_w=np.zeros((2, w)),
+            cls_b=np.zeros(2),
         )
 
     def arrays(self):
         """Ordered (name, array) pairs over the whole model."""
-        for name in self.HEAD_FIELDS:
-            yield name, getattr(self, name)
-        for name, arr in self.evolution.arrays():
-            yield f"evolution.{name}", arr
+        for f in fields(self):
+            yield f.name, getattr(self, f.name)
 
     @classmethod
     def from_arrays(cls, named: dict) -> "PipelineParams":
-        head = {name: np.asarray(named[name], dtype=float) for name in cls.HEAD_FIELDS}
-        evo_named = {
-            name.split(".", 1)[1]: arr
-            for name, arr in named.items()
-            if name.startswith("evolution.")
-        }
-        return cls(**head, evolution=evo.EvolutionParams.from_arrays(evo_named))
+        return cls(**{f.name: np.asarray(named[f.name], dtype=float) for f in fields(cls)})
 
 
 def _sigmoid(x):
@@ -236,14 +257,14 @@ def evolve_contours(grid, offsets, centers, params: PipelineParams, gamma: float
     caches = []
     for _ in range(EVOLUTION_ROUNDS):
         feats = evo.vertex_features(grid, stages[-1])
-        step, _, probs, cache = evo.forward(feats, params.evolution)
+        step, _, probs, cache = evo.forward(feats, params)
         stages.append(stages[-1] + step)
         caches.append(cache)
     return stages, probs, caches
 
 
 def save_checkpoint(params: PipelineParams, path, meta: dict | None = None):
-    """Write a version-2 checkpoint; byte output is deterministic."""
+    """Write a version-3 checkpoint; byte output is deterministic."""
     names = []
     buffers = []
     for name, arr in params.arrays():

@@ -37,6 +37,9 @@ from .synth import SceneSpec, SyntheticScene, feature_provider, generate_scene
 # consecutive unplaceable seeds after which make_dataset gives up
 MAX_SKIPPED_SEEDS = 100
 
+# the learning rate is multiplied by this at each of the two decay epochs
+DECAY_FACTOR = 0.2
+
 
 @dataclass
 class TrainInstance:
@@ -70,18 +73,12 @@ def prepare_scene(scene: SyntheticScene, cfg: RunConfig, image_id: int = 0) -> S
     return SceneBundle(features, heat_target, instances, (width, height), image_id)
 
 
-def zero_grads(params: PipelineParams, grads: dict | None = None) -> dict:
-    """Gradients named as in params.arrays(): those in ``grads``, zeros for
-    the parameters it does not reach."""
-    grads = grads or {}
-    return {name: grads[name] if name in grads else np.zeros_like(arr) for name, arr in params.arrays()}
-
-
 def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, train_evolution: bool = True):
     """Loss components and parameter gradients for one scene.
 
     Returns (components, grads) where components maps ct/init/e1/e2/cla to
-    scalars (instance means) and grads follows params.arrays() naming.
+    scalars (instance means) and grads maps the params.arrays() names of
+    only the parameters its losses reach.
     """
     eps = cfg.loss_balance
     n_inst = len(bundle.instances)
@@ -92,7 +89,7 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
 
     components = {"ct": l_ct.value, "init": 0.0, "e1": 0.0, "e2": 0.0, "cla": 0.0}
     if n_inst == 0:
-        return components, zero_grads(params, grads)
+        return components, grads
 
     centers = np.stack([inst.center for inst in bundle.instances])
     offsets, o_cache = offset_forward(bundle.features, centers, params)
@@ -113,7 +110,7 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
     grads.update(offset_backward(o_cache, params, d_offsets))
 
     if not train_evolution:
-        return components, zero_grads(params, grads)
+        return components, grads
 
     diagonal = float(np.hypot(*bundle.frame_dims))
     _, pts1, pts2 = stages
@@ -124,7 +121,7 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
         l_e1 = losses.smooth_l1(pts1[i], inst.contour.points)
         components["e1"] += l_e1.value / n_inst
         d_off1[i] = (eps / n_inst) * l_e1.grads["pred"]
-    g1, _ = evo.backward(cache1, params.evolution, d_offsets=d_off1)
+    g1, _ = evo.backward(cache1, params, d_offsets=d_off1)
 
     # second round: dynamic matching and vertex classification
     d_off2 = np.empty_like(pts2)
@@ -143,10 +140,10 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
         d_probs = np.zeros((cfg.n_vertices, 2))
         d_probs[:, 1] = l_cla.grads["probs"] / n_inst
         d_logits2[i] = evo.softmax_backward(probs2[i], d_probs)
-    g2, _ = evo.backward(cache2, params.evolution, d_offsets=d_off2, d_logits=d_logits2)
+    g2, _ = evo.backward(cache2, params, d_offsets=d_off2, d_logits=d_logits2)
     for name, g in g1.items():
-        g += g2[name]
-        grads[f"evolution.{name}"] = g
+        g2[name] += g
+    grads.update(g2)
 
     return components, grads
 
@@ -200,7 +197,7 @@ class Adam:
 
 def make_optimizer(cfg: RunConfig):
     if cfg.optimizer == "adam":
-        return Adam(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2)
+        return Adam(cfg.learning_rate)
     return MomentumSGD(cfg.learning_rate, cfg.momentum)
 
 
@@ -212,7 +209,7 @@ def train_step(bundles, params: PipelineParams, optimizer, cfg: RunConfig, train
     if optimizer.learning_rate < 0:
         raise ValueError("learning rate must be non-negative")
     total = 0.0
-    grads = zero_grads(params)
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays()}
     for bundle in bundles:
         components, scene_grads = scene_loss(bundle, params, cfg, train_evolution)
         total += losses.total_loss(components, cfg.loss_balance) / len(bundles)
@@ -238,7 +235,7 @@ def fit(bundles, cfg: RunConfig, params: PipelineParams | None = None, log=None)
     history = []
     for epoch in range(cfg.epochs_total):
         if epoch in (cfg.decay_epoch_1, cfg.decay_epoch_2):
-            optimizer.learning_rate *= cfg.decay_factor
+            optimizer.learning_rate *= DECAY_FACTOR
         train_evolution = epoch >= cfg.epochs_init
         order = rng.permutation(len(bundles))
         epoch_losses = []

@@ -11,11 +11,12 @@ from conftest import central_difference, flipped_kernel, relative_error
 SQUARE = np.array([[20.0, 20.0], [60.0, 20.0], [60.0, 60.0], [20.0, 60.0]])
 
 
-def tiny_params(rng, channels=3, width=8, random_heads=True):
-    params = evo.EvolutionParams.initialize(channels, width=width, rng=rng)
+def tiny_params(rng, channels=3, width=8, random_heads=True, **sizes):
+    cfg = RunConfig(feature_channels=channels, encoder_width=width, **sizes)
+    params = pipeline.PipelineParams.initialize(cfg, rng)
     if random_heads:
-        params.offset_w = rng.normal(scale=0.3, size=params.offset_w.shape)
-        params.offset_b = rng.normal(scale=0.1, size=2)
+        params.step_w = rng.normal(scale=0.3, size=params.step_w.shape)
+        params.step_b = rng.normal(scale=0.1, size=2)
         params.cls_w = rng.normal(scale=0.3, size=params.cls_w.shape)
         params.cls_b = rng.normal(scale=0.1, size=2)
     return params
@@ -214,35 +215,34 @@ class TestAssemble:
 
 
 def tiny_pipeline(rng, random_heads):
-    cfg = RunConfig(n_vertices=16, feature_channels=3, encoder_width=16, allow_nonstandard=True)
-    params = pipeline.PipelineParams.initialize(cfg, rng)
-    params.evolution = tiny_params(rng, channels=3, width=16, random_heads=random_heads)
-    return params
+    return tiny_params(rng, width=16, random_heads=random_heads, n_vertices=16, allow_nonstandard=True)
 
 
 class TestForward:
     def test_zero_heads_leave_contour_unchanged(self, rng):
         params = tiny_pipeline(rng, random_heads=False)
         grid = rng.normal(size=(16, 16, 3))
-        offmap = rng.normal(size=(16, 16, 32))
+        offsets = rng.normal(size=(2, 32))
         stages, probs, _ = pipeline.evolve_contours(
-            grid, offmap, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
+            grid, offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
         )
         assert len(stages) == pipeline.EVOLUTION_ROUNDS + 1
         for stage in stages[1:]:
+            assert stage.shape == (2, 16, 2)
             assert np.array_equal(stage, stages[0])
         assert np.allclose(probs, 0.5)
 
     def test_update_is_additive_offset(self, rng):
         params = tiny_pipeline(rng, random_heads=True)
         grid = rng.normal(size=(16, 16, 3))
-        offmap = rng.normal(size=(16, 16, 32))
+        offsets = rng.normal(size=(2, 32))
         stages, _, _ = pipeline.evolve_contours(
-            grid, offmap, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
+            grid, offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
         )
         for before, after in zip(stages, stages[1:]):
-            offsets, _, _, _ = evo.forward(evo.vertex_features(grid, before), params.evolution)
-            assert np.array_equal(after, before + offsets)
+            assert after.shape == (2, 16, 2)
+            step, _, _, _ = evo.forward(evo.vertex_features(grid, before), params)
+            assert np.array_equal(after, before + step)
 
     def test_batched_features_match_each_contour(self, rng):
         grid = rng.normal(size=(16, 16, 3))
@@ -283,8 +283,9 @@ class TestBackward:
         grads, _ = evo.backward(cache, params, d_offsets=d_off)
         f4 = cache["f4"]
         expected = np.einsum("bni,bnj->ij", d_off, f4)
-        assert np.allclose(grads["offset_w"], expected)
-        assert np.allclose(grads["offset_b"], d_off.sum(axis=(0, 1)))
+        assert np.allclose(grads["step_w"], expected)
+        assert np.allclose(grads["step_b"], d_off.sum(axis=(0, 1)))
+        assert "cls_w" not in grads and "cls_b" not in grads  # no upstream gradient, no entry
 
     def test_every_parameter_against_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -293,8 +294,11 @@ class TestBackward:
         a_off = rng.normal(size=(1, 8, 2))
         a_pr = rng.normal(size=(1, 8, 2))
         grads, _ = probe_gradients(feats, params, a_off, a_pr)
-        for name, value in params.arrays():
-            def f(arr, name=name, value=value):
+        assert len(grads) == 14  # every weight and bias of the micro-network
+        for name in grads:
+            value = getattr(params, name)
+
+            def f(arr, value=value):
                 saved = value.copy()
                 value[...] = arr
                 try:
@@ -321,21 +325,22 @@ class TestBackward:
         a_off = rng.normal(size=(1, 16, 2))
         a_pr = rng.normal(size=(1, 16, 2))
         grads, _ = probe_gradients(feats, params, a_off, a_pr)
+        named = {name: getattr(params, name) for name in grads}
         for trial in range(20):
-            direction = {name: rng.normal(size=arr.shape) for name, arr in params.arrays()}
+            direction = {name: rng.normal(size=arr.shape) for name, arr in named.items()}
             norm = np.sqrt(sum(float((d**2).sum()) for d in direction.values()))
             direction = {name: d / norm for name, d in direction.items()}
             analytic = sum(float((grads[n] * d).sum()) for n, d in direction.items())
             h = 1e-5
-            saved = {name: arr.copy() for name, arr in params.arrays()}
+            saved = {name: arr.copy() for name, arr in named.items()}
             for sign in (+1, -1):
-                for name, arr in params.arrays():
+                for name, arr in named.items():
                     arr[...] = saved[name] + sign * h * direction[name]
                 if sign > 0:
                     fp = linear_probe_loss(feats, params, a_off, a_pr)
                 else:
                     fm = linear_probe_loss(feats, params, a_off, a_pr)
-            for name, arr in params.arrays():
+            for name, arr in named.items():
                 arr[...] = saved[name]
             fd = (fp - fm) / (2 * h)
             denom = max(abs(analytic), abs(fd), 1e-10)

@@ -43,8 +43,8 @@ def params(cfg):
     rng = np.random.default_rng(11)
     p = pipeline.PipelineParams.initialize(cfg, rng)
     p.offset_w3 = rng.normal(scale=0.1, size=p.offset_w3.shape)
-    p.evolution.offset_w = rng.normal(scale=0.3, size=p.evolution.offset_w.shape)
-    p.evolution.cls_w = rng.normal(scale=0.3, size=p.evolution.cls_w.shape)
+    p.step_w = rng.normal(scale=0.3, size=p.step_w.shape)
+    p.cls_w = rng.normal(scale=0.3, size=p.cls_w.shape)
     return p
 
 
@@ -60,7 +60,7 @@ def reference_predict(image, params, cfg):
         pts = pipeline.initial_contours(off[None], det.position, cfg.expansion_factor)[0]
         for _ in range(2):
             feats = np.concatenate([evo.sample_features(grid, pts), evo.relative_coords(pts)], axis=-1)
-            offsets, _, probs, _ = evo.forward(feats[None], params.evolution)
+            offsets, _, probs, _ = evo.forward(feats[None], params)
             pts = pts + offsets[0]
         out.append((pts, probs[0, :, 1], det.score))
     return out
@@ -79,7 +79,7 @@ def test_predict_scene_matches_per_detection_reference(cfg, params):
 
 
 def test_predict_scene_rejects_non_finite_contours(cfg, params):
-    params.evolution.offset_b[:] = np.nan
+    params.step_b[:] = np.nan
     scene = training.make_dataset(cfg, 1)[0]
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
         pipeline.predict_scene(scene.image, params, cfg)
@@ -142,20 +142,57 @@ def test_checkpoint_missing_an_array_rejected(cfg, params, tmp_path):
         pipeline.load_checkpoint(path, cfg)
 
 
-def test_version_1_checkpoint_rejected(tmp_path):
+@pytest.mark.parametrize("magic", [b"PTCK0001", b"PTCK0002"])
+def test_older_checkpoint_versions_rejected(tmp_path, magic):
     # the shape check alone would pass: every kernel here is (3, 3, 3, 3) in either layout
     small = RunConfig(**{**TINY, "feature_channels": 3, "center_hidden": 3, "offset_hidden": 3, "encoder_width": 3})
     path = tmp_path / "a.ckpt"
     pipeline.save_checkpoint(pipeline.PipelineParams.initialize(small, np.random.default_rng(0)), path)
-    path.write_bytes(path.read_bytes().replace(pipeline.CHECKPOINT_MAGIC, b"PTCK0001", 1))
-    with pytest.raises(ValueError, match="PTCK0001.*PTCK0002"):
+    path.write_bytes(path.read_bytes().replace(pipeline.CHECKPOINT_MAGIC, magic, 1))
+    with pytest.raises(ValueError, match=f"{magic.decode()}.*PTCK0003"):
         pipeline.load_checkpoint(path, small)
 
 
-KERNELS = (
-    "center_w1", "offset_w1", "offset_w2",
-    "evolution.detail_w", "evolution.local_w", "evolution.global_w",
-)
+def reference_initialize(cfg, rng):
+    """Every array of a fresh model, drawn in the order of the two-part
+    parameter layout: center and offset head kernels, then the evolution
+    network's. Each kernel is drawn as (C_out, C_in, *window) and stored
+    transposed."""
+    c, h1, h2, n, w = (
+        cfg.feature_channels, cfg.center_hidden, cfg.offset_hidden, cfg.n_vertices, cfg.encoder_width
+    )
+
+    def uniform(shape, fan):
+        return rng.uniform(-np.sqrt(1.0 / fan), np.sqrt(1.0 / fan), size=shape)
+
+    named = {"center_w1": uniform((h1, c, 3, 3), 9 * c).transpose(2, 3, 1, 0)}
+    named["center_w2"] = uniform((1, h1), h1)
+    named["offset_w1"] = uniform((h2, c, 3, 3), 9 * c).transpose(2, 3, 1, 0)
+    named["offset_w2"] = uniform((h2, h2, 3, 3), 9 * h2).transpose(2, 3, 1, 0)
+    named["up_w"] = uniform((w, c + 2), c + 2)
+    for name, k in (("detail", 3), ("local", 9), ("global", 21)):
+        named[f"{name}_w"] = uniform((w, w, k), k * w).transpose(2, 1, 0)
+    named["fuse_w"] = uniform((w, 2 * w), 2 * w)
+    named.update(
+        center_b1=np.zeros(h1), center_b2=np.full(1, np.log(0.1 / 0.9)),
+        offset_b1=np.zeros(h2), offset_b2=np.zeros(h2),
+        offset_w3=np.zeros((2 * n, h2)), offset_b3=np.zeros(2 * n),
+        step_w=np.zeros((2, w)), step_b=np.zeros(2), cls_w=np.zeros((2, w)), cls_b=np.zeros(2),
+    )
+    named.update({f"{name}_b": np.zeros(w) for name in ("up", "detail", "local", "global", "fuse")})
+    return named
+
+
+def test_initialize_draws_in_the_reference_order(cfg):
+    named = dict(pipeline.PipelineParams.initialize(cfg, np.random.default_rng(3)).arrays())
+    expected = reference_initialize(cfg, np.random.default_rng(3))
+    assert len(named) == 24
+    assert sorted(named) == sorted(expected)
+    for name, arr in named.items():
+        assert np.array_equal(arr, expected[name]), name
+
+
+KERNELS = ("center_w1", "offset_w1", "offset_w2", "detail_w", "local_w", "global_w")
 
 
 def test_kernels_are_stored_in_gemm_layout(cfg, params):
@@ -259,11 +296,15 @@ def random_head(rng, **sizes):
     some ReLUs are off at every layer."""
     cfg = RunConfig(allow_nonstandard=True, **sizes)
     params = pipeline.PipelineParams.initialize(cfg, rng)
-    for name in pipeline.PipelineParams.HEAD_FIELDS:
+    for name, value in params.arrays():
         if name.startswith("offset_"):
-            value = getattr(params, name)
             value[...] = rng.normal(scale=0.5, size=value.shape)
     return params
+
+
+def head_names(params):
+    """Names of the center and offset head parameters."""
+    return [name for name, _ in params.arrays() if name.startswith(("center_", "offset_"))]
 
 
 def test_sparse_offset_head_matches_full_grid_head():
@@ -305,8 +346,9 @@ def test_head_gradients_against_finite_differences():
     _, o_cache = pipeline.offset_forward(grid, centers, params)
     grads = pipeline.center_backward(c_cache, params, a_heat)
     grads.update(pipeline.offset_backward(o_cache, params, a_off))
-    assert sorted(grads) == sorted(pipeline.PipelineParams.HEAD_FIELDS)
-    for name in pipeline.PipelineParams.HEAD_FIELDS:
+    assert len(head_names(params)) == 10
+    assert sorted(grads) == sorted(head_names(params))
+    for name in head_names(params):
         value = getattr(params, name)
 
         def f(arr, value=value):
