@@ -26,9 +26,16 @@ and computes relative coordinates for B contours of N vertices at once, and
 one :func:`forward` call runs all of them, so an image's contours are evolved
 as one tensor in training and in inference alike. Forward passes cache the
 activations :func:`backward` needs, which produces exact reverse-mode
-gradients for the parameters it reaches and for the input vertex features.
-The im2col columns of the convolutions are not cached: backward rebuilds
-them from each layer's cached input.
+gradients for the parameters it reaches. The im2col columns of the
+convolutions are not cached: backward rebuilds them from each layer's cached
+input.
+
+The network computes in the dtype of its parameters: :func:`forward` casts
+the vertex features, and :func:`backward` the upstream gradients, to it, and
+every activation, cache entry and gradient keeps it. The model stores these
+arrays as float32, which halves the bytes each GEMM moves; the
+finite-difference tests pass float64 parameters. :func:`conv` computes in
+its kernel's dtype, so the float64 center head's convolution stays float64.
 """
 
 from __future__ import annotations
@@ -133,7 +140,7 @@ def conv(x, kernel, bias, mode) -> np.ndarray:
     window = kernel.shape[:-2]
     if any(k % 2 == 0 for k in window):
         raise ValueError("convolution requires odd kernel sizes")
-    cols = _columns(np.asarray(x, dtype=float), window, mode)
+    cols = _columns(np.asarray(x, dtype=kernel.dtype), window, mode)
     out = cols.reshape(-1, cols.shape[-1]) @ kernel_matrix(kernel) + bias
     return out.reshape(*cols.shape[:-1], -1)
 
@@ -147,7 +154,7 @@ def conv_input_grad(d_out, kernel) -> np.ndarray:
     k, d_in, d_out_ch = kernel.shape
     b, n, _ = d_out.shape
     d_cols = (d_out.reshape(-1, d_out_ch) @ kernel_matrix(kernel).T).reshape(b, n, k, d_in)
-    d_x = np.zeros((b, n, d_in))
+    d_x = np.zeros((b, n, d_in), dtype=d_cols.dtype)
     for t in range(k):
         # tap t of output vertex j read vertex j + s modulo n, for any k, also k > n
         s = (t - (k - 1) // 2) % n
@@ -184,12 +191,12 @@ def softmax_backward(probs, d_probs):
 
 def forward(features, params):
     """Run the micro-network of :class:`pipeline.PipelineParams` ``params``
-    on (B, N, C+2) vertex features.
+    on (B, N, C+2) vertex features, in the dtype of its arrays.
 
-    Returns (offsets, logits, probs, cache); offsets are (B, N, 2) in pixels,
+    Returns (offsets, probs, cache); offsets are (B, N, 2) in pixels,
     probs the per-vertex two-class softmax (valid class last).
     """
-    x = np.asarray(features, dtype=float)
+    x = np.asarray(features, dtype=params.up_w.dtype)
     cache = {"features": x}
 
     z0 = x @ params.up_w.T + params.up_b
@@ -213,19 +220,16 @@ def forward(features, params):
     cache.update(pooled_argmax=argmax, cat=cat, z4=z4, f4=f4)
 
     offsets = f4 @ params.step_w.T + params.step_b
-    logits = f4 @ params.cls_w.T + params.cls_b
-    probs = softmax(logits, axis=-1)
-    cache["probs"] = probs
-    return offsets, logits, probs, cache
+    probs = softmax(f4 @ params.cls_w.T + params.cls_b, axis=-1)
+    return offsets, probs, cache
 
 
 def backward(cache, params, d_offsets=None, d_logits=None):
-    """Reverse-mode gradients for the micro-network's parameters and the
-    input features.
+    """Reverse-mode gradients for the micro-network's parameters.
 
-    Returns (grads, d_features) where ``grads`` maps the names of the
-    parameters the given upstream gradients reach to arrays of matching
-    shapes: a head without an upstream gradient gets no entry.
+    Returns a dict mapping the names of the parameters the given upstream
+    gradients reach to arrays of their shapes and dtypes: a head without an
+    upstream gradient gets no entry.
     """
     f4 = cache.get("f4")
     if f4 is None:
@@ -237,7 +241,7 @@ def backward(cache, params, d_offsets=None, d_logits=None):
         if d_head is None:
             continue
         head_w = getattr(params, f"{head}_w")
-        flat = np.asarray(d_head, dtype=float).reshape(-1, 2)
+        flat = np.asarray(d_head, dtype=head_w.dtype).reshape(-1, 2)
         grads[f"{head}_w"] = flat.T @ f4.reshape(-1, width)
         grads[f"{head}_b"] = flat.sum(axis=0)
         d_f4 = d_f4 + flat.reshape(b, n, 2) @ head_w
@@ -268,6 +272,4 @@ def backward(cache, params, d_offsets=None, d_logits=None):
     features = cache["features"]
     grads["up_w"] = flat_dz0.T @ features.reshape(-1, features.shape[-1])
     grads["up_b"] = flat_dz0.sum(axis=0)
-    d_features = d_z0 @ params.up_w
-    return grads, d_features
-
+    return grads

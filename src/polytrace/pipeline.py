@@ -7,8 +7,9 @@ heatmap over the whole grid, an offset head (two 3x3 convs with ReLU, then
 a 2N-channel 1x1) producing each initial contour's offsets from the
 features around its center cell, and the contour-evolution micro-network
 applied for ``EVOLUTION_ROUNDS`` rounds. Their weights are the fields of
-one flat :class:`PipelineParams`, whose comments give every shape. Every
-3x3 kernel is stored as (3, 3, C_in, C_out), the layout
+one flat :class:`PipelineParams`, whose :meth:`~PipelineParams.layout`
+gives every shape and dtype: the heads are float64, the evolution network
+float32. Every 3x3 kernel is stored as (3, 3, C_in, C_out), the layout
 :func:`evolution.kernel_matrix` reads. The center head's 3x3 layer is
 :func:`evolution.conv` with zero padding and takes only
 :func:`evolution.conv_weight_grad`, since nothing uses the gradient of the
@@ -24,14 +25,16 @@ inference. It composes every initial contour of an image as
 backpropagates through the returned caches; :func:`predict_scene` passes
 the decoded peak positions and runs the offset head for those only.
 
-Checkpoint format (version 3): the ASCII magic line ``PTCK0003``, one JSON
-header line listing array names/shapes plus free-form metadata, then the
-raw row-major float64 little-endian buffers concatenated in header order,
-named as the :class:`PipelineParams` fields. Loading checks the magic, then
-the header against the arrays the run configuration builds. Older versions
-are rejected: version 1 stored kernels as (C_out, C_in, *window), which a
-shape check cannot tell apart when a kernel's dimensions coincide, and
-version 2 named the evolution arrays ``evolution.*``.
+Checkpoint format (version 4): the ASCII magic line ``PTCK0004``, one JSON
+header line listing array names, shapes and dtypes (``<f4`` or ``<f8``)
+plus free-form metadata, then the raw row-major little-endian buffers, each
+in its own dtype, concatenated in header order and named as the
+:class:`PipelineParams` fields. Loading checks the magic, then the header
+against the names, shapes and dtypes :meth:`PipelineParams.layout` gives
+for the run configuration. Older versions are rejected: version 1 stored
+kernels as (C_out, C_in, *window), which a shape check cannot tell apart
+when a kernel's dimensions coincide, version 2 named the evolution arrays
+``evolution.*``, and version 3 stored every array as float64.
 """
 
 from __future__ import annotations
@@ -46,89 +49,101 @@ from .config import RunConfig
 from .detection import STRIDE, decode_peaks
 from .synth import feature_provider
 
-CHECKPOINT_MAGIC = b"PTCK0003"
+CHECKPOINT_MAGIC = b"PTCK0004"
 
 # the training objective supervises exactly two rounds: smooth L1 after the
 # first, dynamic matching and vertex classification after the second
 EVOLUTION_ROUNDS = 2
 
 
+# The evolution network computes in the dtype of its arrays (see
+# :mod:`evolution`); float32 halves the bytes its GEMMs move. The center and
+# offset heads stay float64: decode_peaks breaks no plateau ties, so heads
+# rounded to float32 could change which cells are detected.
+HEAD_DTYPE = np.float64
+EVOLUTION_DTYPE = np.float32
+
+
 @dataclass
 class PipelineParams:
-    """Every weight of the model: C feature channels, head widths H1 and
-    H2, N vertices, evolution encoder width W."""
+    """Every weight of the model; :meth:`layout` gives their shapes and
+    dtypes. Every 3x3 kernel is (3, 3, C_in, C_out) and every circular
+    kernel (k, W_in, W_out); ``fuse_w`` reads the pooled vector in the
+    second half of its 2W inputs."""
 
-    center_w1: np.ndarray   # (3, 3, C, H1)
+    center_w1: np.ndarray
     center_b1: np.ndarray
-    center_w2: np.ndarray   # (1, H1)
+    center_w2: np.ndarray
     center_b2: np.ndarray
-    offset_w1: np.ndarray   # (3, 3, C, H2)
+    offset_w1: np.ndarray
     offset_b1: np.ndarray
-    offset_w2: np.ndarray   # (3, 3, H2_in, H2_out)
+    offset_w2: np.ndarray
     offset_b2: np.ndarray
-    offset_w3: np.ndarray   # (2N, H2)
+    offset_w3: np.ndarray
     offset_b3: np.ndarray
-    up_w: np.ndarray        # (W, C+2)
+    up_w: np.ndarray
     up_b: np.ndarray
-    detail_w: np.ndarray    # (3, W_in, W_out)
+    detail_w: np.ndarray
     detail_b: np.ndarray
-    local_w: np.ndarray     # (9, W_in, W_out)
+    local_w: np.ndarray
     local_b: np.ndarray
-    global_w: np.ndarray    # (21, W_in, W_out)
+    global_w: np.ndarray
     global_b: np.ndarray
-    fuse_w: np.ndarray      # (W, 2W), pooled vector in the second half
+    fuse_w: np.ndarray
     fuse_b: np.ndarray
-    step_w: np.ndarray      # (2, W)
+    step_w: np.ndarray
     step_b: np.ndarray
-    cls_w: np.ndarray       # (2, W)
+    cls_w: np.ndarray
     cls_b: np.ndarray
 
-    @classmethod
-    def initialize(cls, cfg: RunConfig, rng=None) -> "PipelineParams":
-        """Fresh parameters drawn in field order: weights uniform in
-        +-sqrt(1/fan_in); the last offset layer and both evolution heads
-        zero, so the first evolution step is the identity."""
-        rng = np.random.default_rng() if rng is None else rng
+    @staticmethod
+    def layout(cfg: RunConfig) -> dict:
+        """Field name -> (shape, dtype) of every array, in field order, for C
+        feature channels, head widths H1 and H2, N vertices and evolution
+        encoder width W; the heads are ``HEAD_DTYPE``, the evolution network
+        ``EVOLUTION_DTYPE``."""
         c = cfg.feature_channels
         h1, h2 = cfg.center_hidden, cfg.offset_hidden
         n, w = cfg.n_vertices, cfg.encoder_width
-
-        def uniform(shape, fan):
-            a = np.sqrt(1.0 / fan)
-            return rng.uniform(-a, a, size=shape)
-
-        def kernel(c_out, c_in, *window):
-            # drawn in (C_out, C_in, *window) order, so a seed gives the same weights in either layout
-            drawn = uniform((c_out, c_in, *window), np.prod(window) * c_in)
-            return np.ascontiguousarray(drawn.transpose(*range(2, drawn.ndim), 1, 0))
-
-        return cls(
-            center_w1=kernel(h1, c, 3, 3),
-            center_b1=np.zeros(h1),
-            center_w2=uniform((1, h1), h1),
-            # bias the sigmoid toward the background prior of 0.1
-            center_b2=np.full(1, float(np.log(0.1 / 0.9))),
-            offset_w1=kernel(h2, c, 3, 3),
-            offset_b1=np.zeros(h2),
-            offset_w2=kernel(h2, h2, 3, 3),
-            offset_b2=np.zeros(h2),
-            offset_w3=np.zeros((2 * n, h2)),
-            offset_b3=np.zeros(2 * n),
-            up_w=uniform((w, c + 2), c + 2),
-            up_b=np.zeros(w),
-            detail_w=kernel(w, w, 3),
-            detail_b=np.zeros(w),
-            local_w=kernel(w, w, 9),
-            local_b=np.zeros(w),
-            global_w=kernel(w, w, 21),
-            global_b=np.zeros(w),
-            fuse_w=uniform((w, 2 * w), 2 * w),
-            fuse_b=np.zeros(w),
-            step_w=np.zeros((2, w)),
-            step_b=np.zeros(2),
-            cls_w=np.zeros((2, w)),
-            cls_b=np.zeros(2),
+        heads = dict(
+            center_w1=(3, 3, c, h1), center_b1=(h1,), center_w2=(1, h1), center_b2=(1,),
+            offset_w1=(3, 3, c, h2), offset_b1=(h2,), offset_w2=(3, 3, h2, h2), offset_b2=(h2,),
+            offset_w3=(2 * n, h2), offset_b3=(2 * n,),
         )
+        evolution = dict(
+            up_w=(w, c + 2), up_b=(w,), detail_w=(3, w, w), detail_b=(w,),
+            local_w=(9, w, w), local_b=(w,), global_w=(21, w, w), global_b=(w,),
+            fuse_w=(w, 2 * w), fuse_b=(w,), step_w=(2, w), step_b=(2,), cls_w=(2, w), cls_b=(2,),
+        )
+        return {
+            **{name: (shape, np.dtype(HEAD_DTYPE)) for name, shape in heads.items()},
+            **{name: (shape, np.dtype(EVOLUTION_DTYPE)) for name, shape in evolution.items()},
+        }
+
+    @classmethod
+    def initialize(cls, cfg: RunConfig, rng=None) -> "PipelineParams":
+        """Fresh parameters drawn in float64 in field order, then stored in
+        their :meth:`layout` dtype: weights uniform in +-sqrt(1/fan_in);
+        biases, the last offset layer and both evolution heads zero, so the
+        first evolution step is the identity."""
+        rng = np.random.default_rng() if rng is None else rng
+        named = {}
+        for name, (shape, dtype) in cls.layout(cfg).items():
+            if "_b" in name or name in ("offset_w3", "step_w", "cls_w"):
+                drawn = np.zeros(shape)
+            elif len(shape) > 2:
+                # a (*window, C_in, C_out) kernel is drawn in (C_out, C_in, *window) order,
+                # so a seed gives the same weights in either layout
+                a = np.sqrt(1.0 / np.prod(shape[:-1]))
+                drawn = rng.uniform(-a, a, size=(shape[-1], shape[-2], *shape[:-2]))
+                drawn = drawn.transpose(*range(2, len(shape)), 1, 0)
+            else:
+                a = np.sqrt(1.0 / shape[1])
+                drawn = rng.uniform(-a, a, size=shape)
+            named[name] = np.ascontiguousarray(drawn, dtype=dtype)
+        # bias the sigmoid toward the background prior of 0.1
+        named["center_b2"][:] = np.log(0.1 / 0.9)
+        return cls(**named)
 
     def arrays(self):
         """Ordered (name, array) pairs over the whole model."""
@@ -137,7 +152,8 @@ class PipelineParams:
 
     @classmethod
     def from_arrays(cls, named: dict) -> "PipelineParams":
-        return cls(**{f.name: np.asarray(named[f.name], dtype=float) for f in fields(cls)})
+        """Parameters from a name -> array mapping; every array keeps its dtype."""
+        return cls(**{f.name: np.asarray(named[f.name]) for f in fields(cls)})
 
 
 def _sigmoid(x):
@@ -257,21 +273,21 @@ def evolve_contours(grid, offsets, centers, params: PipelineParams, gamma: float
     caches = []
     for _ in range(EVOLUTION_ROUNDS):
         feats = evo.vertex_features(grid, stages[-1])
-        step, _, probs, cache = evo.forward(feats, params)
+        step, probs, cache = evo.forward(feats, params)
         stages.append(stages[-1] + step)
         caches.append(cache)
     return stages, probs, caches
 
 
 def save_checkpoint(params: PipelineParams, path, meta: dict | None = None):
-    """Write a version-3 checkpoint; byte output is deterministic."""
-    names = []
+    """Write a version-4 checkpoint; byte output is deterministic."""
+    entries = []
     buffers = []
     for name, arr in params.arrays():
-        a = np.ascontiguousarray(arr, dtype="<f8")
-        names.append({"name": name, "shape": list(a.shape)})
+        a = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+        entries.append({"name": name, "shape": list(a.shape), "dtype": a.dtype.str})
         buffers.append(a.tobytes())
-    header = json.dumps({"arrays": names, "meta": meta or {}}, sort_keys=True)
+    header = json.dumps({"arrays": entries, "meta": meta or {}}, sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + b"\n")
         fh.write(header.encode("utf-8") + b"\n")
@@ -283,30 +299,39 @@ def load_checkpoint(path, cfg: RunConfig):
     """Read a checkpoint; returns (PipelineParams, meta).
 
     Raises ValueError when the magic line is not this version's, naming
-    both, and, naming the array, when the checkpoint's array names or shapes
-    differ from those :meth:`PipelineParams.initialize` builds for ``cfg``.
+    both, and, naming the array, when the checkpoint's array names, shapes
+    or dtypes differ from the :meth:`PipelineParams.layout` of ``cfg``.
     """
-    expected = {name: arr.shape for name, arr in PipelineParams.initialize(cfg).arrays()}
+    layout = PipelineParams.layout(cfg)
+    expected = {name: (shape, dtype.newbyteorder("<").str) for name, (shape, dtype) in layout.items()}
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"unsupported checkpoint magic {magic!r}: only {CHECKPOINT_MAGIC!r} is read")
         header = json.loads(fh.readline().decode("utf-8"))
-        found = {entry["name"]: tuple(entry["shape"]) for entry in header["arrays"]}
+        found = {entry["name"]: (tuple(entry["shape"]), entry.get("dtype")) for entry in header["arrays"]}
         for name in sorted(expected.keys() | found.keys()):
-            if found.get(name) != expected.get(name):
+            got_shape, got_dtype = found.get(name, ("missing", None))
+            want_shape, want_dtype = expected.get(name, ("none", None))
+            if got_shape != want_shape:
                 raise ValueError(
                     f"checkpoint array {name!r} does not fit the config: shape"
-                    f" {found.get(name, 'missing')} in the file, {expected.get(name, 'none')} expected"
+                    f" {got_shape} in the file, {want_shape} expected"
+                )
+            if got_dtype != want_dtype:
+                raise ValueError(
+                    f"checkpoint array {name!r} does not fit the model: dtype"
+                    f" {got_dtype} in the file, {want_dtype} expected"
                 )
         named = {}
         for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"checkpoint truncated at array {entry['name']!r}")
-            named[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            name, shape = entry["name"], tuple(entry["shape"])
+            stored = np.dtype(entry["dtype"])
+            size = int(np.prod(shape)) * stored.itemsize
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ValueError(f"checkpoint truncated at array {name!r}")
+            named[name] = np.frombuffer(buf, dtype=stored).reshape(shape).astype(layout[name][1])
     return PipelineParams.from_arrays(named), header.get("meta", {})
 
 

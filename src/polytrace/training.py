@@ -8,7 +8,9 @@ densified ground truth after the first round, the dynamic matching loss
 plus the vertex classification loss after the second. The contours come
 from :func:`pipeline.evolve_contours`, the forward inference runs too.
 Vertex coordinates are treated as constants per stage, so gradients never
-cross stage boundaries through the sampling path.
+cross stage boundaries through the sampling path. Every gradient and every
+optimizer state array takes its parameter's dtype, and the optimizers
+update in place, so a step keeps the float32 evolution arrays float32.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
         l_e1 = losses.smooth_l1(pts1[i], inst.contour.points)
         components["e1"] += l_e1.value / n_inst
         d_off1[i] = (eps / n_inst) * l_e1.grads["pred"]
-    g1, _ = evo.backward(cache1, params, d_offsets=d_off1)
+    g1 = evo.backward(cache1, params, d_offsets=d_off1)
 
     # second round: dynamic matching and vertex classification
     d_off2 = np.empty_like(pts2)
@@ -140,7 +142,7 @@ def scene_loss(bundle: SceneBundle, params: PipelineParams, cfg: RunConfig, trai
         d_probs = np.zeros((cfg.n_vertices, 2))
         d_probs[:, 1] = l_cla.grads["probs"] / n_inst
         d_logits2[i] = evo.softmax_backward(probs2[i], d_probs)
-    g2, _ = evo.backward(cache2, params, d_offsets=d_off2, d_logits=d_logits2)
+    g2 = evo.backward(cache2, params, d_offsets=d_off2, d_logits=d_logits2)
     for name, g in g1.items():
         g2[name] += g
     grads.update(g2)

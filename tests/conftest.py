@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from polytrace.pipeline import PipelineParams
+
 
 @pytest.fixture
 def rng():
@@ -106,3 +108,9 @@ def flipped_kernel(kernel):
     output gradient is the input gradient of the zero-padded convolution
     with the (*window, C_in, C_out) ``kernel``."""
     return np.flip(kernel, axis=tuple(range(kernel.ndim - 2))).swapaxes(-1, -2)
+
+
+def as_float64(params):
+    """A copy of ``params`` with every array cast to float64, so the
+    evolution network computes in float64."""
+    return PipelineParams.from_arrays({name: arr.astype(np.float64) for name, arr in params.arrays()})

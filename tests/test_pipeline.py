@@ -8,7 +8,7 @@ from polytrace import evolution as evo
 from polytrace.config import RunConfig
 from polytrace.synth import feature_provider
 
-from conftest import central_difference, flipped_kernel, relative_error
+from conftest import as_float64, central_difference, flipped_kernel, relative_error
 
 TINY = dict(
     n_vertices=16,
@@ -42,9 +42,9 @@ def params(cfg):
     stage moves the contour."""
     rng = np.random.default_rng(11)
     p = pipeline.PipelineParams.initialize(cfg, rng)
-    p.offset_w3 = rng.normal(scale=0.1, size=p.offset_w3.shape)
-    p.step_w = rng.normal(scale=0.3, size=p.step_w.shape)
-    p.cls_w = rng.normal(scale=0.3, size=p.cls_w.shape)
+    p.offset_w3[...] = rng.normal(scale=0.1, size=p.offset_w3.shape)
+    p.step_w[...] = rng.normal(scale=0.3, size=p.step_w.shape)
+    p.cls_w[...] = rng.normal(scale=0.3, size=p.cls_w.shape)
     return p
 
 
@@ -60,7 +60,7 @@ def reference_predict(image, params, cfg):
         pts = pipeline.initial_contours(off[None], det.position, cfg.expansion_factor)[0]
         for _ in range(2):
             feats = np.concatenate([evo.sample_features(grid, pts), evo.relative_coords(pts)], axis=-1)
-            offsets, _, probs, _ = evo.forward(feats[None], params)
+            offsets, probs, _ = evo.forward(feats[None], params)
             pts = pts + offsets[0]
         out.append((pts, probs[0, :, 1], det.score))
     return out
@@ -117,7 +117,30 @@ def test_checkpoint_round_trip_is_byte_identical(cfg, params, tmp_path):
     assert meta == {"seed": 3}
     assert first.read_bytes() == second.read_bytes()
     for (name, a), (_, b) in zip(params.arrays(), loaded.arrays()):
+        assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
+
+
+def test_checkpoint_stores_each_array_in_its_dtype(cfg, params, tmp_path):
+    path = tmp_path / "a.ckpt"
+    pipeline.save_checkpoint(params, path)
+    magic, header, body = path.read_bytes().split(b"\n", 2)
+    entries = {entry["name"]: entry for entry in json.loads(header)["arrays"]}
+    assert magic == b"PTCK0004"
+    for name, arr in params.arrays():
+        assert entries[name]["dtype"] == ("<f8" if name.startswith(("center_", "offset_")) else "<f4"), name
+    assert len(body) == sum(arr.nbytes for _, arr in params.arrays())
+    loaded, _ = pipeline.load_checkpoint(path, cfg)
+    for name, arr in loaded.arrays():
+        assert arr.dtype == getattr(params, name).dtype, name
+
+
+def test_checkpoint_of_another_dtype_rejected(cfg, params, tmp_path):
+    path = tmp_path / "a.ckpt"
+    params.global_w = params.global_w.astype(np.float64)
+    pipeline.save_checkpoint(params, path)
+    with pytest.raises(ValueError, match="'global_w'.*<f8.*<f4"):
+        pipeline.load_checkpoint(path, cfg)
 
 
 @pytest.mark.parametrize(
@@ -136,20 +159,20 @@ def test_checkpoint_missing_an_array_rejected(cfg, params, tmp_path):
     magic, header, body = path.read_bytes().split(b"\n", 2)
     meta = json.loads(header)
     dropped = meta["arrays"].pop()
-    size = 8 * int(np.prod(dropped["shape"]))
+    size = np.dtype(dropped["dtype"]).itemsize * int(np.prod(dropped["shape"]))
     path.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), body[:-size]]))
     with pytest.raises(ValueError, match=dropped["name"]):
         pipeline.load_checkpoint(path, cfg)
 
 
-@pytest.mark.parametrize("magic", [b"PTCK0001", b"PTCK0002"])
+@pytest.mark.parametrize("magic", [b"PTCK0001", b"PTCK0002", b"PTCK0003"])
 def test_older_checkpoint_versions_rejected(tmp_path, magic):
     # the shape check alone would pass: every kernel here is (3, 3, 3, 3) in either layout
     small = RunConfig(**{**TINY, "feature_channels": 3, "center_hidden": 3, "offset_hidden": 3, "encoder_width": 3})
     path = tmp_path / "a.ckpt"
     pipeline.save_checkpoint(pipeline.PipelineParams.initialize(small, np.random.default_rng(0)), path)
     path.write_bytes(path.read_bytes().replace(pipeline.CHECKPOINT_MAGIC, magic, 1))
-    with pytest.raises(ValueError, match=f"{magic.decode()}.*PTCK0003"):
+    with pytest.raises(ValueError, match=f"{magic.decode()}.*PTCK0004"):
         pipeline.load_checkpoint(path, small)
 
 
@@ -189,7 +212,10 @@ def test_initialize_draws_in_the_reference_order(cfg):
     assert len(named) == 24
     assert sorted(named) == sorted(expected)
     for name, arr in named.items():
-        assert np.array_equal(arr, expected[name]), name
+        # the heads are stored in float64, the evolution network in float32
+        dtype = np.float64 if name.startswith(("center_", "offset_")) else np.float32
+        assert arr.dtype == dtype, name
+        assert np.array_equal(arr, expected[name].astype(dtype)), name
 
 
 KERNELS = ("center_w1", "offset_w1", "offset_w2", "detail_w", "local_w", "global_w")
@@ -234,7 +260,9 @@ def reference_optimizer_steps(kind, named, grad_steps, learning_rate):
 def test_optimizer_steps_match_reference_formulas(params, kind):
     rng = np.random.default_rng(5)
     named = {name: arr.copy() for name, arr in params.arrays()}
-    grad_steps = [{name: rng.normal(size=arr.shape) for name, arr in named.items()} for _ in range(3)]
+    grad_steps = [
+        {name: rng.normal(size=arr.shape).astype(arr.dtype) for name, arr in named.items()} for _ in range(3)
+    ]
     if kind == "momentum":
         optimizer = training.MomentumSGD(0.01, momentum=0.9)
     else:
@@ -243,7 +271,30 @@ def test_optimizer_steps_match_reference_formulas(params, kind):
         optimizer.step(params, grads)
     reference_optimizer_steps(kind, named, grad_steps, 0.01)
     for name, arr in params.arrays():
+        assert arr.dtype == named[name].dtype, name
         assert np.array_equal(arr, named[name]), name
+
+
+def test_train_step_keeps_every_dtype(cfg, params):
+    dtypes = {name: arr.dtype for name, arr in params.arrays()}
+    bundles = [training.prepare_scene(s, cfg, i) for i, s in enumerate(training.make_dataset(cfg, 2))]
+    for kind in ("momentum", "adam"):
+        training.train_step(bundles, params, training.make_optimizer(RunConfig(**TINY, optimizer=kind)), cfg)
+        for name, arr in params.arrays():
+            assert arr.dtype == dtypes[name], (kind, name)
+    assert {dtypes[name] for name in head_names(params)} == {np.dtype(np.float64)}
+    assert {dtypes[name] for name, _ in params.arrays() if name not in head_names(params)} == {np.dtype(np.float32)}
+
+
+def test_float32_fit_matches_float64_fit(cfg, params):
+    """A fit of the stored float32 evolution network against one of the
+    same arrays cast to float64; both start from the same weights."""
+    bundles = [training.prepare_scene(s, cfg, i) for i, s in enumerate(training.make_dataset(cfg, 2))]
+    wide = as_float64(params)
+    _, history = training.fit(bundles, cfg, params=params)
+    _, expected = training.fit(bundles, cfg, params=wide)
+    assert len(history) == cfg.epochs_total
+    assert relative_error(history, expected) < 1e-6
 
 
 def test_fit_is_deterministic_for_a_seed(cfg, tmp_path):
