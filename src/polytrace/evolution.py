@@ -21,14 +21,15 @@ C-contiguous layout. The input gradient, needed for the circular encoder
 only, is one GEMM against the transposed view whose column gradients are
 added back onto the vertices tap by tap.
 
-Every array is a (B, N, D) batch: :func:`vertex_features` samples the grid
-and computes relative coordinates for B contours of N vertices at once, and
-one :func:`forward` call runs all of them, so an image's contours are evolved
-as one tensor in training and in inference alike. Forward passes cache the
-activations :func:`backward` needs, which produces exact reverse-mode
-gradients for the parameters it reaches. The im2col columns of the
-convolutions are not cached: backward rebuilds them from each layer's cached
-input.
+Every array is a (B, N, D) batch: :func:`vertex_features` samples a stack
+of feature grids, each contour the grid of its own scene, and computes
+relative coordinates for B contours of N vertices at once, and one
+:func:`forward` call runs all of them, so the contours of an image in
+inference, and of every scene of a training step, are evolved as one
+tensor. Forward passes cache the activations :func:`backward` needs, which
+produces exact reverse-mode gradients for the parameters it reaches. The
+im2col columns of the convolutions are not cached: backward rebuilds them
+from each layer's cached input.
 
 The network computes in the dtype of its parameters: :func:`forward` casts
 the vertex features, and :func:`backward` the upstream gradients, to it, and
@@ -48,16 +49,18 @@ from scipy.special import softmax
 from .detection import STRIDE
 
 
-def sample_features(grid, points) -> np.ndarray:
+def sample_features(grids, scenes, points) -> np.ndarray:
     """Bilinear interpolation of every grid channel at stride-4 coordinates.
 
-    ``grid`` is (rows, cols, C); points are (..., 2) full-resolution pixels,
-    mapped to grid coordinates by dividing by the stride and clamped to the
-    grid. The result is (..., C).
+    ``grids`` is an (S, rows, cols, C) stack of feature grids and ``scenes``
+    the integer index into it of the grid each point reads, broadcasting
+    against ``points.shape[:-1]``; points are (..., 2) full-resolution
+    pixels, mapped to grid coordinates by dividing by the stride and clamped
+    to the grid. The result is (..., C).
     """
-    g = np.asarray(grid, dtype=float)
+    g = np.asarray(grids, dtype=float)
     pts = np.asarray(points, dtype=float)
-    rows, cols = g.shape[:2]
+    rows, cols = g.shape[1:3]
     gx = np.clip(pts[..., 0] / STRIDE, 0.0, cols - 1.0)
     gy = np.clip(pts[..., 1] / STRIDE, 0.0, rows - 1.0)
     x0 = np.clip(np.floor(gx).astype(int), 0, max(cols - 2, 0))
@@ -66,11 +69,12 @@ def sample_features(grid, points) -> np.ndarray:
     fy = (gy - y0)[..., None]
     x1 = np.minimum(x0 + 1, cols - 1)
     y1 = np.minimum(y0 + 1, rows - 1)
+    s = np.asarray(scenes)
     return (
-        g[y0, x0] * (1 - fy) * (1 - fx)
-        + g[y0, x1] * (1 - fy) * fx
-        + g[y1, x0] * fy * (1 - fx)
-        + g[y1, x1] * fy * fx
+        g[s, y0, x0] * (1 - fy) * (1 - fx)
+        + g[s, y0, x1] * (1 - fy) * fx
+        + g[s, y1, x0] * fy * (1 - fx)
+        + g[s, y1, x1] * fy * fx
     )
 
 
@@ -89,10 +93,12 @@ def relative_coords(points) -> np.ndarray:
     return (pts - (lo + hi) / 2.0) / safe
 
 
-def vertex_features(grid, points) -> np.ndarray:
+def vertex_features(grids, scenes, points) -> np.ndarray:
     """(B, N, C+2) network inputs for a (B, N, 2) batch of contours: the
-    sampled grid channels, then the two relative coordinates."""
-    return np.concatenate([sample_features(grid, points), relative_coords(points)], axis=-1)
+    channels sampled from grid ``scenes[b]`` of the (S, R, W, C) stack
+    ``grids`` for contour b, then the two relative coordinates."""
+    sampled = sample_features(grids, np.asarray(scenes)[:, None], points)
+    return np.concatenate([sampled, relative_coords(points)], axis=-1)
 
 
 @functools.lru_cache(maxsize=64)

@@ -19,11 +19,14 @@ each cell, from the 5x5 zero-padded patch around it, and the rest at the
 cell, so its cost grows with the number of centers, not the grid.
 
 :func:`evolve_contours` is the one contour forward of training and
-inference. It composes every initial contour of an image as
+inference. It composes every initial contour as
 ``center + gamma * STRIDE * offset`` and evolves all of them as one
-(B, N, 2) batch. Training passes the ground-truth bbox centers and
-backpropagates through the returned caches; :func:`predict_scene` passes
-the decoded peak positions and runs the offset head for those only.
+(B, N, 2) batch, each contour sampling the feature grid of its own scene
+from a stack of grids. Training passes the ground-truth bbox centers of
+every scene of a step, so a step runs one evolution forward and one
+backward per round, and backpropagates through the returned caches;
+:func:`predict_scene` passes its one grid as a stack of one and the decoded
+peak positions, and runs the offset head for those only.
 
 Checkpoint format (version 4): the ASCII magic line ``PTCK0004``, one JSON
 header line listing array names, shapes and dtypes (``<f4`` or ``<f8``)
@@ -260,19 +263,22 @@ def initial_contours(offsets, centers, gamma: float) -> np.ndarray:
     return c[:, None, :] + (gamma * STRIDE) * offsets.reshape(c.shape[0], -1, 2)
 
 
-def evolve_contours(grid, offsets, centers, params: PipelineParams, gamma: float):
+def evolve_contours(grids, scenes, offsets, centers, params: PipelineParams, gamma: float):
     """Compose the initial contours at ``centers`` from their (B, 2N)
     :func:`offset_forward` offsets and evolve them as a batch.
 
-    Returns (stages, probs, caches): ``stages`` holds the (B, N, 2) points of
-    the initial contours and of every round, ``probs`` the (B, N, 2) vertex
-    class probabilities of the last round (valid class last), and
-    ``caches`` the :func:`evolution.forward` cache of every round.
+    ``grids`` is the (S, R, W, C) stack of the feature grids of the scenes
+    the contours come from, and ``scenes`` the (B,) index into it of each
+    contour's scene, whose grid that contour samples. Returns (stages, probs,
+    caches): ``stages`` holds the (B, N, 2) points of the initial contours
+    and of every round, ``probs`` the (B, N, 2) vertex class probabilities
+    of the last round (valid class last), and ``caches`` the
+    :func:`evolution.forward` cache of every round.
     """
     stages = [initial_contours(offsets, centers, gamma)]
     caches = []
     for _ in range(EVOLUTION_ROUNDS):
-        feats = evo.vertex_features(grid, stages[-1])
+        feats = evo.vertex_features(grids, scenes, stages[-1])
         step, probs, cache = evo.forward(feats, params)
         stages.append(stages[-1] + step)
         caches.append(cache)
@@ -358,7 +364,8 @@ def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
         return []
     centers = np.stack([det.position for det in detections])
     offsets, _ = offset_forward(grid, centers, params)
-    stages, probs, _ = evolve_contours(grid, offsets, centers, params, cfg.expansion_factor)
+    scenes = np.zeros(len(detections), dtype=int)
+    stages, probs, _ = evolve_contours(grid[None], scenes, offsets, centers, params, cfg.expansion_factor)
     if not np.all(np.isfinite(stages[-1])):
         raise ValueError("evolved contours have non-finite coordinates")
     return [

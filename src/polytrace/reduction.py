@@ -8,17 +8,19 @@ final output must be a polygon.
 
 Cost model for an n-vertex ring: vertex NMS builds one n x n distance
 matrix and its greedy walk reads one row per keeper; angle pruning computes
-every interior angle in one stacked :func:`vertex_angle` call, then two
-neighbor angles per removal. A three-vertex ring computes no angles.
+every interior angle in one stacked :func:`vertex_angle` call, then the two
+neighbor angles of each removal as scalars, with the same bits. A
+three-vertex ring computes no angles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import pairwise_distances, vertex_angle
+from .geometry import _EPS, pairwise_distances, vertex_angle
 
 ANGLE_THRESHOLD = 8.0 * np.pi / 9.0
 
@@ -101,8 +103,8 @@ def prune_collinear(poly, angle_threshold: float = ANGLE_THRESHOLD) -> np.ndarra
         angles[worst] = -np.inf
         p, q = prev[worst], nxt[worst]
         nxt[p], prev[q] = q, p
-        both = np.array([p, q])
-        angles[both] = _angles_or_pi(pts, prev[both], both, nxt[both])
+        angles[p] = _angle_or_pi(pts, prev[p], p, q)
+        angles[q] = _angle_or_pi(pts, p, q, nxt[q])
     return pts[np.isfinite(angles)]
 
 
@@ -110,6 +112,20 @@ def _angles_or_pi(pts, prev, cur, nxt):
     """Interior angles at ring positions ``cur``, pi where a neighbor coincides."""
     angles = vertex_angle(pts[prev], pts[cur], pts[nxt])
     return np.where(np.isnan(angles), np.pi, angles)
+
+
+def _angle_or_pi(pts, prev, cur, nxt) -> float:
+    """:func:`_angles_or_pi` at one ring position, bit for bit, without the
+    cost of a stacked call: ``np.dot`` of two 2-vectors rounds as the Gram
+    matmul of :func:`vertex_angle` does, and ``np.arccos`` as its stacked
+    call. A plain ``ax * bx + ay * by`` or ``math.acos`` would differ in the
+    last bit for some triples."""
+    a = pts[prev] - pts[cur]
+    b = pts[nxt] - pts[cur]
+    na, nb = math.sqrt(np.dot(a, a)), math.sqrt(np.dot(b, b))
+    if na < _EPS or nb < _EPS:
+        return np.pi
+    return float(np.arccos(min(max(np.dot(a, b) / (na * nb), -1.0), 1.0)))
 
 
 def reduce(sc: ScoredContour, t: float = 0.6, angle_threshold: float = ANGLE_THRESHOLD) -> np.ndarray:

@@ -172,19 +172,19 @@ class TestConvAgainstReference:
 class TestSampling:
     def test_grid_node_exact(self, rng):
         grid = rng.normal(size=(8, 8, 3))
-        out = evo.sample_features(grid, np.array([[8.0, 12.0]]))  # node (3, 2)
+        out = evo.sample_features(grid[None], 0, np.array([[8.0, 12.0]]))  # node (3, 2)
         assert np.allclose(out[0], grid[3, 2])
 
     def test_midpoint_interpolates(self):
         grid = np.zeros((4, 4, 1))
         grid[1, 2, 0] = 1.0
-        out = evo.sample_features(grid, np.array([[6.0, 4.0]]))  # between (1,1) and (1,2)
+        out = evo.sample_features(grid[None], 0, np.array([[6.0, 4.0]]))  # between (1,1) and (1,2)
         assert out[0, 0] == pytest.approx(0.5)
 
     def test_matches_four_corner_formula(self, rng):
         grid = rng.normal(size=(10, 12, 4))
         pts = rng.uniform(0, 4 * np.array([11, 9]), size=(30, 2))
-        out = evo.sample_features(grid, pts)
+        out = evo.sample_features(grid[None], 0, pts)
         for p, got in zip(pts, out):
             gx, gy = p[0] / 4, p[1] / 4
             x0, y0 = int(np.floor(gx)), int(np.floor(gy))
@@ -200,7 +200,7 @@ class TestSampling:
 
     def test_out_of_frame_clamped(self, rng):
         grid = rng.normal(size=(6, 6, 2))
-        out = evo.sample_features(grid, np.array([[-10.0, -10.0], [1000.0, 1000.0]]))
+        out = evo.sample_features(grid[None], 0, np.array([[-10.0, -10.0], [1000.0, 1000.0]]))
         assert np.allclose(out[0], grid[0, 0])
         assert np.allclose(out[1], grid[5, 5])
 
@@ -209,10 +209,19 @@ class TestAssemble:
     def test_shape_and_layout(self, rng):
         grid = rng.normal(size=(8, 8, 1))
         points = rng.uniform(0.0, 32.0, size=(5, 2))
-        feats = evo.vertex_features(grid, points)
+        (feats,) = evo.vertex_features(grid[None], [0], points[None])
         assert feats.shape == (5, 3)
         assert np.array_equal(feats[:, -2:], evo.relative_coords(points))
-        assert np.array_equal(feats[:, :1], evo.sample_features(grid, points))
+        assert np.array_equal(feats[:, :1], evo.sample_features(grid[None], 0, points))
+
+    def test_each_contour_samples_its_own_scene(self, rng):
+        grids = rng.normal(size=(3, 8, 10, 2))
+        points = rng.uniform(0.0, 36.0, size=(4, 6, 2))
+        scenes = np.array([2, 0, 2, 1])
+        feats = evo.vertex_features(grids, scenes, points)
+        assert feats.shape == (4, 6, 4)
+        for b, s in enumerate(scenes):
+            assert np.array_equal(feats[b], evo.vertex_features(grids[s][None], [0], points[b][None])[0])
 
 
 def tiny_pipeline(rng, random_heads):
@@ -225,7 +234,7 @@ class TestForward:
         grid = rng.normal(size=(16, 16, 3))
         offsets = rng.normal(size=(2, 32))
         stages, probs, _ = pipeline.evolve_contours(
-            grid, offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
+            grid[None], [0, 0], offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
         )
         assert len(stages) == pipeline.EVOLUTION_ROUNDS + 1
         for stage in stages[1:]:
@@ -238,20 +247,20 @@ class TestForward:
         grid = rng.normal(size=(16, 16, 3))
         offsets = rng.normal(size=(2, 32))
         stages, _, _ = pipeline.evolve_contours(
-            grid, offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
+            grid[None], [0, 0], offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
         )
         for before, after in zip(stages, stages[1:]):
             assert after.shape == (2, 16, 2)
-            step, _, _ = evo.forward(evo.vertex_features(grid, before), params)
+            step, _, _ = evo.forward(evo.vertex_features(grid[None], [0, 0], before), params)
             assert np.array_equal(after, before + step)
 
     def test_batched_features_match_each_contour(self, rng):
         grid = rng.normal(size=(16, 16, 3))
         contour = densify(SQUARE, 16)
         feats = np.concatenate(
-            [evo.sample_features(grid, contour.points), evo.relative_coords(contour.points)], axis=-1
+            [evo.sample_features(grid[None], 0, contour.points), evo.relative_coords(contour.points)], axis=-1
         )
-        batch = evo.vertex_features(grid, np.stack([contour.points + 5.0, contour.points]))
+        batch = evo.vertex_features(grid[None], [0, 0], np.stack([contour.points + 5.0, contour.points]))
         assert batch.shape == (2, 16, 5)
         assert np.array_equal(batch[1], feats)
 

@@ -59,7 +59,7 @@ def reference_predict(image, params, cfg):
     for det, off in zip(detections, offsets):
         pts = pipeline.initial_contours(off[None], det.position, cfg.expansion_factor)[0]
         for _ in range(2):
-            feats = np.concatenate([evo.sample_features(grid, pts), evo.relative_coords(pts)], axis=-1)
+            feats = np.concatenate([evo.sample_features(grid[None], 0, pts), evo.relative_coords(pts)], axis=-1)
             offsets, probs, _ = evo.forward(feats[None], params)
             pts = pts + offsets[0]
         out.append((pts, probs[0, :, 1], det.score))
@@ -95,7 +95,7 @@ def test_training_and_inference_share_stage_points(cfg, params, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(training, "evolve_contours", recording)
-    training.scene_loss(bundle, params, cfg)
+    training.scene_loss([bundle], params, cfg)
     (stages, probs, _), = seen
 
     # inference decoding the same centers evolves the same contours
@@ -227,7 +227,7 @@ def test_kernels_are_stored_in_gemm_layout(cfg, params):
     for name in KERNELS:
         assert np.shares_memory(evo.kernel_matrix(named[name]), named[name]), name
     bundle = training.prepare_scene(training.make_dataset(cfg, 1)[0], cfg)
-    _, grads = training.scene_loss(bundle, params, cfg)
+    _, grads = training.scene_loss([bundle], params, cfg)
     for name in KERNELS:
         assert grads[name].shape == named[name].shape, name
         assert grads[name].flags.c_contiguous, name
@@ -284,6 +284,107 @@ def test_train_step_keeps_every_dtype(cfg, params):
             assert arr.dtype == dtypes[name], (kind, name)
     assert {dtypes[name] for name in head_names(params)} == {np.dtype(np.float64)}
     assert {dtypes[name] for name, _ in params.arrays() if name not in head_names(params)} == {np.dtype(np.float32)}
+
+
+def two_bundles(cfg):
+    """Prepared bundles of the first two scenes of the config's dataset
+    whose building counts differ."""
+    scenes = training.make_dataset(cfg, 6)
+    first = scenes[0]
+    second = next(s for s in scenes if len(s.buildings) != len(first.buildings))
+    return [training.prepare_scene(s, cfg, i) for i, s in enumerate((first, second))]
+
+
+@pytest.mark.parametrize("train_evolution", [True, False])
+def test_step_batch_equals_mean_of_single_scenes(cfg, params, train_evolution):
+    """All contours of a step evolved as one batch give the mean of the
+    scenes' losses and gradients, each scene taken alone."""
+    wide = as_float64(params)
+    bundles = two_bundles(cfg)
+    assert len(bundles[0].instances) != len(bundles[1].instances)
+    components, grads = training.scene_loss(bundles, wide, cfg, train_evolution)
+    alone = [training.scene_loss([b], wide, cfg, train_evolution) for b in bundles]
+    for name, value in components.items():
+        assert relative_error(value, np.mean([c[name] for c, _ in alone])) < 1e-12, name
+    assert sorted(grads) == sorted(alone[0][1]) == sorted(alone[1][1])
+    if not train_evolution:
+        assert sorted(grads) == sorted(head_names(params))
+    for name, g in grads.items():
+        assert g.dtype == np.float64, name
+        assert relative_error(g, (alone[0][1][name] + alone[1][1][name]) / 2) < 1e-12, name
+
+
+def test_train_step_runs_one_evolution_pass_per_round(cfg, params, monkeypatch):
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(name):
+        original = getattr(evo, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evo, name, counted(name))
+    training.train_step(two_bundles(cfg), params, training.make_optimizer(cfg), cfg)
+    assert calls == {"forward": pipeline.EVOLUTION_ROUNDS, "backward": pipeline.EVOLUTION_ROUNDS}
+
+
+def test_step_evolution_gradient_sums_both_rounds(cfg, params, monkeypatch):
+    backward, rounds = evo.backward, []
+
+    def recording(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        rounds.append({name: g.copy() for name, g in grads.items()})
+        return grads
+
+    monkeypatch.setattr(evo, "backward", recording)
+    _, grads = training.scene_loss(two_bundles(cfg), params, cfg)
+    last, first = rounds  # the last round is backpropagated first
+    assert sorted(first) == sorted(set(last) - {"cls_w", "cls_b"})
+    for name, g in last.items():
+        assert np.array_equal(grads[name], g + first[name] if name in first else g), name
+    assert np.any(first["step_w"]) and np.any(last["step_w"])
+
+
+def test_large_evolution_gradient_is_scaled_to_the_norm_bound(cfg, params, monkeypatch):
+    wide = as_float64(params)
+    bundles = two_bundles(cfg)
+    _, grads = training.scene_loss(bundles, wide, cfg)
+    evolution = [name for name in grads if name not in head_names(params)]
+    norm = np.sqrt(sum(np.vdot(grads[name], grads[name]) for name in evolution))
+    assert norm < training.EVOLUTION_GRAD_NORM_MAX
+    monkeypatch.setattr(training, "EVOLUTION_GRAD_NORM_MAX", norm / 4)
+    _, clipped = training.scene_loss(bundles, wide, cfg)
+    for name in head_names(params):
+        assert np.array_equal(clipped[name], grads[name]), name
+    for name in evolution:
+        assert relative_error(clipped[name], grads[name] / 4) < 1e-12, name
+
+
+def test_scene_loss_rejects_a_scene_without_buildings(cfg, params):
+    bundle = training.prepare_scene(training.make_dataset(cfg, 1)[0], cfg)
+    bundle.instances = []
+    bundle.heat_target = np.zeros_like(bundle.heat_target)
+    with pytest.raises(ValueError, match="no keypoints"):
+        training.scene_loss([bundle], params, cfg)
+
+
+def test_head_training_does_not_depend_on_the_evolution_network(cfg, params):
+    bundles = [training.prepare_scene(s, cfg, i) for i, s in enumerate(training.make_dataset(cfg, 2))]
+    perturbed = pipeline.PipelineParams.from_arrays({name: arr.copy() for name, arr in params.arrays()})
+    rng = np.random.default_rng(3)
+    for name, arr in perturbed.arrays():
+        if name not in head_names(params):
+            arr += rng.normal(scale=0.05, size=arr.shape).astype(arr.dtype)
+    fitted, _ = training.fit(bundles, cfg, params=params)
+    other, _ = training.fit(bundles, cfg, params=perturbed)
+    assert cfg.epochs_init < cfg.epochs_total  # the evolution network trains too
+    for name in head_names(params):
+        assert np.array_equal(getattr(fitted, name), getattr(other, name)), name
+    assert not np.array_equal(fitted.step_w, other.step_w)
 
 
 def test_float32_fit_matches_float64_fit(cfg, params):

@@ -239,6 +239,22 @@ class TestVectorisedAgainstReference:
             coincident_seen += int(coincident.sum())
         assert coincident_seen > 0
 
+    def test_scalar_angle_matches_stacked_angles(self, rng):
+        # random triples over six scales, integer-grid ones with repeated
+        # points, and triples with a neighbour on the centre vertex
+        triples = [rng.normal(size=(2000, 3, 2)) * scale + 50.0 for scale in (1e-3, 0.1, 1.0, 10.0, 1e3, 1e5)]
+        triples.append(rng.integers(0, 4, size=(2000, 3, 2)).astype(float))
+        coincident = rng.normal(size=(200, 3, 2))
+        coincident[:100, 0] = coincident[:100, 1]
+        coincident[100:, 2] = coincident[100:, 1]
+        triples.append(coincident)
+        pts = np.concatenate(triples).reshape(-1, 2)
+        third = np.arange(0, pts.shape[0], 3)
+        expected = red._angles_or_pi(pts, third, third + 1, third + 2)
+        got = np.array([red._angle_or_pi(pts, i, i + 1, i + 2) for i in third.tolist()])
+        assert np.array_equal(got, expected)
+        assert np.count_nonzero(expected == np.pi) >= 200
+
     @pytest.mark.parametrize("threshold", [0.1, 2.0, red.ANGLE_THRESHOLD, 3.0, 3.14])
     def test_prune_matches_per_vertex_loop(self, rng, threshold):
         for _ in range(40):
