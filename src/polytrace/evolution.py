@@ -10,16 +10,15 @@ logits (the cls head). The weights are the ``up_*`` to ``cls_*`` fields of
 :class:`pipeline.PipelineParams`, whose comments give their shapes;
 :func:`forward` and :func:`backward` read them from that one object.
 
-One :func:`conv` serves the circular encoder (``"wrap"`` padding over the
-vertex axis) and the zero-padded 3x3 center head of :mod:`pipeline`: each
-layer builds its im2col columns as one contiguous array (one ``np.take`` of
-cached circular indices, or one copy of the zero-padded windows) and runs
-one 2-D GEMM. Every kernel is stored in the layout that GEMM reads,
-``(*window, D_in, D_out)``, so :func:`kernel_matrix` is a free view and
-:func:`kernel_grad` returns the weight gradient in the kernel's own
-C-contiguous layout. The input gradient, needed for the circular encoder
-only, is one GEMM against the transposed view whose column gradients are
-added back onto the vertices tap by tap.
+The encoder's :func:`conv` is circular over the vertex axis: each layer
+builds its im2col columns as one contiguous array, one ``np.take`` of
+cached circular indices, and runs one 2-D GEMM. Every kernel is stored in
+the layout that GEMM reads, ``(*window, D_in, D_out)``, so
+:func:`kernel_matrix` is a free view and :func:`kernel_grad` returns the
+weight gradient in the kernel's own C-contiguous layout; the 3x3 heads of
+:mod:`pipeline` use both on their own im2col columns. The input gradient
+is one GEMM against the transposed view whose column gradients are added
+back onto the vertices tap by tap.
 
 Every array is a (B, N, D) batch: :func:`vertex_features` samples a stack
 of feature grids, each contour the grid of its own scene, and computes
@@ -35,8 +34,7 @@ The network computes in the dtype of its parameters: :func:`forward` casts
 the vertex features, and :func:`backward` the upstream gradients, to it, and
 every activation, cache entry and gradient keeps it. The model stores these
 arrays as float32, which halves the bytes each GEMM moves; the
-finite-difference tests pass float64 parameters. :func:`conv` computes in
-its kernel's dtype, so the float64 center head's convolution stays float64.
+finite-difference tests pass float64 parameters.
 """
 
 from __future__ import annotations
@@ -110,21 +108,11 @@ def _wrap_index(n: int, k: int) -> np.ndarray:
     return index
 
 
-def _columns(x, window, mode):
-    """im2col of the ``len(window)`` axes before the channel axis:
-    (..., *S, D) -> (..., *S, prod(window)*D), tap-major, as one contiguous
-    array. ``"wrap"`` (one window axis) gathers the circular windows with one
-    ``np.take``; ``"constant"`` zero-pads and copies the windows once."""
-    if mode == "wrap":
-        (k,) = window
-        cols = np.take(x, _wrap_index(x.shape[-2], k), axis=-2)
-    else:
-        nd = len(window)
-        pad = [(0, 0)] * (x.ndim - nd - 1) + [((k - 1) // 2,) * 2 for k in window] + [(0, 0)]
-        axes = tuple(range(x.ndim - nd - 1, x.ndim - 1))
-        view = np.lib.stride_tricks.sliding_window_view(np.pad(x, pad), window, axis=axes)
-        cols = np.ascontiguousarray(np.moveaxis(view, x.ndim - 1, -1))
-    return cols.reshape(*x.shape[:-1], -1)
+def _columns(x, k):
+    """Circular im2col of a (B, N, D) batch along the vertex axis:
+    (B, N, k*D), tap-major, as one contiguous array gathered by one
+    ``np.take`` of cached indices."""
+    return np.take(x, _wrap_index(x.shape[-2], k), axis=-2).reshape(*x.shape[:-1], -1)
 
 
 def kernel_matrix(kernel) -> np.ndarray:
@@ -134,29 +122,28 @@ def kernel_matrix(kernel) -> np.ndarray:
     return kernel.reshape(-1, kernel.shape[-1])
 
 
-def conv(x, kernel, bias, mode) -> np.ndarray:
-    """Same-size cross-correlation of a channels-last array.
+def conv(x, kernel, bias) -> np.ndarray:
+    """Same-size circular cross-correlation of a (B, N, D_in) batch along
+    its vertex axis, computed in the kernel's dtype.
 
-    ``kernel`` is (*window, D_in, D_out) with odd window sizes; the window
-    slides over the axes just before the channel axis of ``x``, which are
-    padded by ``mode``: ``"constant"`` for zeros, ``"wrap"`` for the circular
-    vertex axis. Output position n sees inputs n-(k-1)/2 .. n+(k-1)/2 along
-    each window axis. The columns of all positions form one 2-D GEMM.
+    ``kernel`` is (k, D_in, D_out) with odd k; output vertex n sees inputs
+    n-(k-1)/2 .. n+(k-1)/2 modulo N. The columns of all vertices form one
+    2-D GEMM.
     """
-    window = kernel.shape[:-2]
-    if any(k % 2 == 0 for k in window):
+    k = kernel.shape[0]
+    if k % 2 == 0:
         raise ValueError("convolution requires odd kernel sizes")
-    cols = _columns(np.asarray(x, dtype=kernel.dtype), window, mode)
+    cols = _columns(np.asarray(x, dtype=kernel.dtype), k)
     out = cols.reshape(-1, cols.shape[-1]) @ kernel_matrix(kernel) + bias
     return out.reshape(*cols.shape[:-1], -1)
 
 
 def conv_input_grad(d_out, kernel) -> np.ndarray:
-    """Gradient of the circular (``"wrap"``) :func:`conv` of a (B, N, D_in)
-    input for that input. One GEMM against the transposed kernel view gives
-    the column gradients; each tap's are added onto the vertices that tap
-    read, a circular shift done as two slice additions, so no temporary
-    larger than the column gradients is built."""
+    """Gradient of :func:`conv` of a (B, N, D_in) input for that input. One
+    GEMM against the transposed kernel view gives the column gradients; each
+    tap's are added onto the vertices that tap read, a circular shift done
+    as two slice additions, so no temporary larger than the column gradients
+    is built."""
     k, d_in, d_out_ch = kernel.shape
     b, n, _ = d_out.shape
     d_cols = (d_out.reshape(-1, d_out_ch) @ kernel_matrix(kernel).T).reshape(b, n, k, d_in)
@@ -169,10 +156,10 @@ def conv_input_grad(d_out, kernel) -> np.ndarray:
     return d_x
 
 
-def conv_weight_grad(d_out, x, kernel, mode):
+def conv_weight_grad(d_out, x, kernel):
     """Gradients (d_w, d_b) of :func:`conv` for its kernel and bias, from
     columns rebuilt from the layer input ``x``."""
-    return kernel_grad(_columns(x, kernel.shape[:-2], mode), d_out, kernel)
+    return kernel_grad(_columns(x, kernel.shape[0]), d_out, kernel)
 
 
 def kernel_grad(cols, d_out, kernel):
@@ -213,7 +200,7 @@ def forward(features, params):
     for name in ("detail", "local", "global"):
         kernel = getattr(params, f"{name}_w")
         bias = getattr(params, f"{name}_b")
-        z = conv(f_prev, kernel, bias, "wrap")
+        z = conv(f_prev, kernel, bias)
         f_prev = f_prev + _relu(z)
         cache[f"{name}_z"], cache[f"{name}_out"] = z, f_prev
 
@@ -270,7 +257,7 @@ def backward(cache, params, d_offsets=None, d_logits=None):
     for name in ("global", "local", "detail"):
         kernel = getattr(params, f"{name}_w")
         d_h = d_prev * (cache[f"{name}_z"] > 0)
-        grads[f"{name}_w"], grads[f"{name}_b"] = conv_weight_grad(d_h, layer_inputs[name], kernel, "wrap")
+        grads[f"{name}_w"], grads[f"{name}_b"] = conv_weight_grad(d_h, layer_inputs[name], kernel)
         d_prev = d_prev + conv_input_grad(d_h, kernel)  # residual shortcut
 
     d_z0 = d_prev * (cache["z0"] > 0)

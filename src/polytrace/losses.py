@@ -42,17 +42,20 @@ def _clamped_log(p):
 def focal_center_loss(pred_heatmap, target_heatmap) -> LossValue:
     """Penalty-reduced focal loss for the center-point heatmap.
 
-    Pixels where the target is exactly 1 are keypoints; the sum is averaged
-    by the keypoint count. Gradient key: ``heatmap``.
+    The heatmaps are (R, W), or (S, R, W) for S scenes. Pixels where the
+    target is exactly 1 are keypoints; each scene's sum is averaged by that
+    scene's keypoint count, and the loss is the mean over the scenes.
+    Gradient key: ``heatmap``.
     """
     pred = np.asarray(pred_heatmap, dtype=float)
     target = np.asarray(target_heatmap, dtype=float)
     if pred.shape != target.shape:
         raise ValueError("heatmap shapes differ")
     pos = target == 1.0
-    n_key = int(pos.sum())
-    if n_key == 0:
+    n_key = pos.sum(axis=(-2, -1), keepdims=True)
+    if np.any(n_key == 0):
         raise ValueError("target heatmap has no keypoints")
+    weight = 1.0 / (n_key * n_key.size)
     alpha, beta = FOCAL_ALPHA, FOCAL_BETA
     p = np.clip(pred, PROB_EPS, 1.0 - PROB_EPS)
     log_p = np.log(p)
@@ -60,11 +63,11 @@ def focal_center_loss(pred_heatmap, target_heatmap) -> LossValue:
 
     pos_term = (1.0 - p) ** alpha * log_p
     neg_term = (1.0 - target) ** beta * p**alpha * log_1p
-    value = -float(np.where(pos, pos_term, neg_term).sum()) / n_key
+    value = -float((np.where(pos, pos_term, neg_term) * weight).sum())
 
     d_pos = alpha * (1.0 - p) ** (alpha - 1) * log_p - (1.0 - p) ** alpha / p
     d_neg = (1.0 - target) ** beta * (alpha * p ** (alpha - 1) * log_1p - p**alpha / (1.0 - p))
-    grad = np.where(pos, d_pos, -d_neg) / n_key
+    grad = np.where(pos, d_pos, -d_neg) * weight
     grad = np.where((pred > PROB_EPS) & (pred < 1.0 - PROB_EPS), grad, 0.0)
     return LossValue(value, {"heatmap": grad})
 

@@ -10,13 +10,13 @@ applied for ``EVOLUTION_ROUNDS`` rounds. Their weights are the fields of
 one flat :class:`PipelineParams`, whose :meth:`~PipelineParams.layout`
 gives every shape and dtype: the heads are float64, the evolution network
 float32. Every 3x3 kernel is stored as (3, 3, C_in, C_out), the layout
-:func:`evolution.kernel_matrix` reads. The center head's 3x3 layer is
-:func:`evolution.conv` with zero padding and takes only
-:func:`evolution.conv_weight_grad`, since nothing uses the gradient of the
-feature grid. The offset head is evaluated only at the center cells, in
-training and inference alike: its first layer at the 3x3 neighbours of
-each cell, from the 5x5 zero-padded patch around it, and the rest at the
-cell, so its cost grows with the number of centers, not the grid.
+:func:`evolution.kernel_matrix` reads. Both heads read one zero-padded
+im2col of a stack of grids, :func:`grid_columns`. The center head runs
+over every cell and takes only weight gradients, since nothing uses the
+gradient of the feature grid. The offset head is evaluated only at the
+center cells, in training and inference alike: its first layer at the 3x3
+neighbours of each cell, whose rows it gathers from those columns, and the
+rest at the cell, so its cost grows with the number of centers, not the grid.
 
 :func:`evolve_contours` is the one contour forward of training and
 inference. It composes every initial contour as
@@ -168,82 +168,72 @@ def _sigmoid(x):
     return out
 
 
-def center_forward(grid, params: PipelineParams):
-    """Feature grid -> keypoint heatmap in (0, 1); returns (heatmap, cache)."""
-    z1 = evo.conv(grid, params.center_w1, params.center_b1, "constant")
+def grid_columns(grids) -> np.ndarray:
+    """Zero-padded 3x3 im2col of an (S, R, W, C) stack of feature grids:
+    (S, R, W, 9C), tap-major like :func:`evolution.kernel_matrix`, each
+    scene padded on its own. Both heads' first layers read these columns."""
+    g = np.asarray(grids, dtype=HEAD_DTYPE)
+    padded = np.pad(g, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    view = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    return np.ascontiguousarray(np.moveaxis(view, 3, -1)).reshape(*g.shape[:-1], -1)
+
+
+def center_forward(cols, params: PipelineParams):
+    """:func:`grid_columns` of S grids -> (S, R, W) keypoint heatmaps in
+    (0, 1), one GEMM per layer over every cell; returns (heatmap, cache)."""
+    z1 = cols @ evo.kernel_matrix(params.center_w1) + params.center_b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.center_w2.T + params.center_b2
     heat = _sigmoid(z2[..., 0])
-    return heat, {"grid": grid, "z1": z1, "a1": a1, "heat": heat}
+    return heat, {"cols": cols, "z1": z1, "a1": a1, "heat": heat}
 
 
 def center_backward(cache, params: PipelineParams, d_heat):
-    heat = cache["heat"]
+    """Head gradients from the gradient of :func:`center_forward`'s heatmaps."""
+    heat, a1 = cache["heat"], cache["a1"]
     d_z2 = (d_heat * heat * (1.0 - heat))[..., None]
-    a1 = cache["a1"]
     grads = {
         "center_w2": d_z2.reshape(-1, 1).T @ a1.reshape(-1, a1.shape[-1]),
-        "center_b2": d_z2.sum(axis=(0, 1)),
+        "center_b2": d_z2.reshape(-1, 1).sum(axis=0),
     }
-    d_a1 = d_z2 @ params.center_w2
-    d_z1 = d_a1 * (cache["z1"] > 0)
-    d_w1, d_b1 = evo.conv_weight_grad(d_z1, cache["grid"], params.center_w1, "constant")
-    grads["center_w1"] = d_w1
-    grads["center_b1"] = d_b1
+    d_z1 = (d_z2 @ params.center_w2) * (cache["z1"] > 0)
+    grads["center_w1"], grads["center_b1"] = evo.kernel_grad(cache["cols"], d_z1, params.center_w1)
     return grads
 
 
-def _neighbourhood_columns(grid, rows, cols) -> np.ndarray:
-    """(9B, 9C) im2col columns of a 3x3 layer at the 3x3 neighbours of each
-    cell (rows[b], cols[b]) of an (R, W, C) grid, neighbour-major: the 5x5
-    zero-padded patch around the cell that one output of two stacked 3x3
-    layers sees."""
-    padded = np.pad(grid, ((2, 2), (2, 2), (0, 0)))
-    span = np.arange(3)
-    # neighbour (i, j) of cell (r, c) reads its tap (dy, dx) at padded[r + i + dy, c + j + dx]
-    r = rows[:, None, None, None, None] + span[:, None, None, None] + span[:, None]
-    c = cols[:, None, None, None, None] + span[:, None, None] + span
-    return padded[r, c].reshape(9 * rows.size, 9 * grid.shape[-1])
-
-
-def _neighbours_inside(rows, cols, shape) -> np.ndarray:
-    """(9B, 1) mask of the 3x3 neighbours of each cell that lie in the grid."""
-    span = np.arange(-1, 2)
-    r, c = rows[:, None] + span, cols[:, None] + span
-    inside = ((r >= 0) & (r < shape[0]))[:, :, None] & ((c >= 0) & (c < shape[1]))[:, None, :]
-    return inside.reshape(-1, 1)
-
-
-def offset_forward(grid, centers, params: PipelineParams):
+def offset_forward(cols, scenes, centers, params: PipelineParams):
     """(B, 2N) offsets of the initial contours of (B, 2) full-resolution
-    centers, read at their :func:`center_cells`; returns (offsets, cache).
+    centers, read at their :func:`center_cells` in grid ``scenes[b]`` of the
+    :func:`grid_columns` ``cols``; returns (offsets, cache).
 
     The head is evaluated only where its output is read: the 1x1 layer and
     the second 3x3 layer at each center cell, the first 3x3 layer at that
-    cell's 3x3 neighbours. A neighbour outside the grid reads zero, as the
-    zero padding of a full-grid convolution makes it. Two centers in one
-    cell get one row each.
+    cell's 3x3 neighbours, whose rows it takes from ``cols``. A neighbour
+    outside the grid reads zero, as the zero padding of a full-grid
+    convolution makes it. Two centers in one cell get one row each.
     """
-    rows, cols = center_cells(centers)
-    cols1 = _neighbourhood_columns(grid, rows, cols)
+    cy, cx = center_cells(centers)
+    span = np.arange(-1, 2)
+    r, c = cy[:, None, None] + span[:, None], cx[:, None, None] + span
+    inside = (r >= 0) & (r < cols.shape[1]) & (c >= 0) & (c < cols.shape[2])
+    r, c = np.clip(r, 0, cols.shape[1] - 1), np.clip(c, 0, cols.shape[2] - 1)
+    cols1 = cols[np.asarray(scenes)[:, None, None], r, c].reshape(-1, cols.shape[-1])
     z1 = cols1 @ evo.kernel_matrix(params.offset_w1) + params.offset_b1
-    a1 = np.where(_neighbours_inside(rows, cols, grid.shape), np.maximum(z1, 0.0), 0.0)
-    z2 = a1.reshape(rows.size, 9 * a1.shape[-1]) @ evo.kernel_matrix(params.offset_w2) + params.offset_b2
+    cols2 = np.where(inside.reshape(-1, 1), np.maximum(z1, 0.0), 0.0).reshape(cy.size, -1)
+    z2 = cols2 @ evo.kernel_matrix(params.offset_w2) + params.offset_b2
     a2 = np.maximum(z2, 0.0)
     offsets = a2 @ params.offset_w3.T + params.offset_b3
-    return offsets, {"cols1": cols1, "a1": a1, "a2": a2}
+    return offsets, {"cols1": cols1, "cols2": cols2, "a2": a2}
 
 
 def offset_backward(cache, params: PipelineParams, d_offsets):
     """Head gradients from the (B, 2N) gradient of :func:`offset_forward`'s
     offsets; the rows of centers sharing a cell add up."""
-    a1, a2 = cache["a1"], cache["a2"]
+    cols2, a2 = cache["cols2"], cache["a2"]
     grads = {"offset_w3": d_offsets.T @ a2, "offset_b3": d_offsets.sum(axis=0)}
     d_z2 = (d_offsets @ params.offset_w3) * (a2 > 0)
-    cols2 = a1.reshape(a2.shape[0], 9 * a1.shape[-1])
     grads["offset_w2"], grads["offset_b2"] = evo.kernel_grad(cols2, d_z2, params.offset_w2)
-    d_a1 = (d_z2 @ evo.kernel_matrix(params.offset_w2).T).reshape(a1.shape)
-    d_z1 = d_a1 * (a1 > 0)
+    d_z1 = (d_z2 @ evo.kernel_matrix(params.offset_w2).T) * (cols2 > 0)
     grads["offset_w1"], grads["offset_b1"] = evo.kernel_grad(cache["cols1"], d_z1, params.offset_w1)
     return grads
 
@@ -357,15 +347,16 @@ def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
     order), one per surviving heatmap peak; every detection of the image is
     evolved in one batch.
     """
-    grid = feature_provider(image)
-    heat, _ = center_forward(grid, params)
-    detections = decode_peaks(heat, cfg.peak_threshold, cfg.max_detections)
+    grids = feature_provider(image)[None]
+    cols = grid_columns(grids)
+    heat, _ = center_forward(cols, params)
+    detections = decode_peaks(heat[0], cfg.peak_threshold, cfg.max_detections)
     if not detections:
         return []
     centers = np.stack([det.position for det in detections])
-    offsets, _ = offset_forward(grid, centers, params)
     scenes = np.zeros(len(detections), dtype=int)
-    stages, probs, _ = evolve_contours(grid[None], scenes, offsets, centers, params, cfg.expansion_factor)
+    offsets, _ = offset_forward(cols, scenes, centers, params)
+    stages, probs, _ = evolve_contours(grids, scenes, offsets, centers, params, cfg.expansion_factor)
     if not np.all(np.isfinite(stages[-1])):
         raise ValueError("evolved contours have non-finite coordinates")
     return [

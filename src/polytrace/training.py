@@ -1,15 +1,16 @@
 """End-to-end training: the losses of a step, their gradients and the fit loop.
 
-One training step processes a small batch of scenes. Per scene the center
-head is supervised by the focal heatmap loss and the offset head by the
+One training step processes a small batch of scenes. The center head is
+supervised by the focal heatmap loss and the offset head by the
 initial-contour loss at ground-truth centers. The evolution network is
 supervised by the per-stage contour losses: smooth L1 against the
 statically ordered densified ground truth after the first round, the
 dynamic matching loss plus the vertex classification loss after the
-second. The heads run per scene; the initial contours of every scene of the
-step then go through :func:`pipeline.evolve_contours`, the forward inference
-runs too, as one batch, so a step runs one evolution forward and one
-backward per round, whatever its number of scenes. Vertex coordinates are
+second. Both heads read one :func:`pipeline.grid_columns` of the step's
+stacked feature grids and run once per step; the initial contours of every
+scene then go through :func:`pipeline.evolve_contours`, the forward
+inference runs too, as one batch, so a step runs one evolution forward and
+one backward per round, whatever its number of scenes. Vertex coordinates are
 treated as constants per stage, so gradients never cross stage boundaries
 through the sampling path. Every gradient and every optimizer state array
 takes its parameter's dtype, and the optimizers update in place, so a step
@@ -34,6 +35,7 @@ from .pipeline import (
     center_backward,
     center_forward,
     evolve_contours,
+    grid_columns,
     initial_contours,
     offset_backward,
     offset_forward,
@@ -94,7 +96,7 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     their means over the scenes of each scene's instance mean, and ``grads``
     maps the params.arrays() names of only the parameters the losses reach
     to the gradient of that batch mean. The weights of the mean are folded
-    into the upstream gradients, ``1/S`` for the heads of each of S scenes
+    into the upstream gradients, ``1/S`` for the heatmap of each of S scenes
     and ``1/(n_inst * S)`` for every contour of a scene with n_inst
     buildings, so no per-scene gradient set is summed. The evolution
     network's gradients are scaled down to a joint L2 norm of
@@ -102,53 +104,44 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     when this took one scene; the benchmark probes it by that name.
 
     Raises ValueError for a scene without buildings, whose heatmap target
-    has no keypoint.
+    has no keypoint, and FloatingPointError when the heatmaps, a contour
+    stage or the vertex class probabilities are non-finite, before any loss
+    or match reads them.
     """
     eps = cfg.loss_balance
     n_scenes = len(bundles)
     components = dict.fromkeys(("ct", "init", "e1", "e2", "cla"), 0.0)
-    grads = {}
-
-    def accumulate(new):
-        for name, g in new.items():
-            if name in grads:
-                grads[name] += g
-            else:
-                grads[name] = g
-
-    # the heads of every scene, then one batch of all their contours
-    offsets, centers, o_caches = [], [], []
-    for bundle in bundles:
-        heat, c_cache = center_forward(bundle.features, params)
-        l_ct = losses.focal_center_loss(heat, bundle.heat_target)
-        components["ct"] += l_ct.value / n_scenes
-        accumulate(center_backward(c_cache, params, l_ct.grads["heatmap"] / n_scenes))
-        scene_centers = np.stack([inst.center for inst in bundle.instances])
-        scene_offsets, o_cache = offset_forward(bundle.features, scene_centers, params)
-        offsets.append(scene_offsets)
-        centers.append(scene_centers)
-        o_caches.append(o_cache)
-    counts = [len(bundle.instances) for bundle in bundles]
-    offsets, centers = np.concatenate(offsets), np.concatenate(centers)
-    if train_evolution:
-        grids = np.stack([bundle.features for bundle in bundles])
-        scenes = np.repeat(np.arange(n_scenes), counts)
-        stages, probs2, caches = evolve_contours(grids, scenes, offsets, centers, params, cfg.expansion_factor)
-    else:
-        stages = [initial_contours(offsets, centers, cfg.expansion_factor)]
     # every contour of the step in batch order, with its scene
     contours = [(inst, bundle) for bundle in bundles for inst in bundle.instances]
+    scenes = np.repeat(np.arange(n_scenes), [len(bundle.instances) for bundle in bundles])
+    centers = np.array([inst.center for inst, _ in contours], dtype=float).reshape(-1, 2)
 
-    pts0 = stages[0]
+    # both heads once over the stacked grids, then one batch of all contours
+    grids = np.stack([bundle.features for bundle in bundles])
+    cols = grid_columns(grids)
+    heat, c_cache = center_forward(cols, params)
+    # a diverging step stops before any loss or match reads a NaN
+    if not np.all(np.isfinite(heat)):
+        raise FloatingPointError("non-finite heatmap")
+    l_ct = losses.focal_center_loss(heat, np.stack([bundle.heat_target for bundle in bundles]))
+    components["ct"] = l_ct.value
+    grads = center_backward(c_cache, params, l_ct.grads["heatmap"])
+    offsets, o_cache = offset_forward(cols, scenes, centers, params)
+    if train_evolution:
+        stages, probs2, caches = evolve_contours(grids, scenes, offsets, centers, params, cfg.expansion_factor)
+    else:
+        stages, probs2 = [initial_contours(offsets, centers, cfg.expansion_factor)], np.zeros(0)
+    if not all(np.all(np.isfinite(a)) for a in (*stages, probs2)):
+        raise FloatingPointError("non-finite contours")
+
     d_offsets = np.empty_like(offsets)
     scale = cfg.expansion_factor * STRIDE
     for j, (inst, bundle) in enumerate(contours):
         n_inst = len(bundle.instances)
-        l_init = losses.smooth_l1(pts0[j], inst.contour.points)
+        l_init = losses.smooth_l1(stages[0][j], inst.contour.points)
         components["init"] += l_init.value / (n_inst * n_scenes)
         d_offsets[j] = (eps / n_inst * scale / n_scenes) * l_init.grads["pred"].reshape(-1)
-    for rows, o_cache in zip(np.split(d_offsets, np.cumsum(counts)[:-1]), o_caches):
-        accumulate(offset_backward(o_cache, params, rows))
+    grads.update(offset_backward(o_cache, params, d_offsets))
 
     if not train_evolution:
         return components, grads
@@ -243,7 +236,8 @@ def make_optimizer(cfg: RunConfig):
 def train_step(bundles, params: PipelineParams, optimizer, cfg: RunConfig, train_evolution: bool = True):
     """One optimizer update on a batch of scenes; returns the batch total loss.
 
-    Raises on a non-finite loss so training failures surface immediately.
+    Raises FloatingPointError on a non-finite heatmap, contour or loss, so
+    a diverging step surfaces immediately and leaves ``params`` unchanged.
     """
     if optimizer.learning_rate < 0:
         raise ValueError("learning rate must be non-negative")

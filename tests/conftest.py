@@ -110,6 +110,33 @@ def flipped_kernel(kernel):
     return np.flip(kernel, axis=tuple(range(kernel.ndim - 2))).swapaxes(-1, -2)
 
 
+def nine_tap_conv(x, w, b):
+    """Zero-padded 3x3 convolution of an (H, W, C_in) grid with a
+    (3, 3, C_in, C_out) kernel, one tap at a time."""
+    h, wd, _ = x.shape
+    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    out = np.tile(b, (h, wd, 1))
+    for dy in range(3):
+        for dx in range(3):
+            out += padded[dy : dy + h, dx : dx + wd] @ w[dy, dx]
+    return out
+
+
+def nine_tap_backward(d_out, x, w):
+    """Gradients (d_x, d_w, d_b) of :func:`nine_tap_conv`, one tap at a time."""
+    h, wd, cin = x.shape
+    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    d_padded = np.zeros_like(padded)
+    d_w = np.zeros_like(w)
+    flat_dout = d_out.reshape(-1, w.shape[-1])
+    for dy in range(3):
+        for dx in range(3):
+            patch = padded[dy : dy + h, dx : dx + wd]
+            d_w[dy, dx] = patch.reshape(-1, cin).T @ flat_dout
+            d_padded[dy : dy + h, dx : dx + wd] += d_out @ w[dy, dx].T
+    return d_padded[1:-1, 1:-1], d_w, d_out.sum(axis=(0, 1))
+
+
 def as_float64(params):
     """A copy of ``params`` with every array cast to float64, so the
     evolution network computes in float64."""

@@ -6,7 +6,7 @@ from polytrace import pipeline
 from polytrace.config import RunConfig
 from polytrace.geometry import densify
 
-from conftest import as_float64, central_difference, flipped_kernel, relative_error
+from conftest import as_float64, central_difference, flipped_kernel, nine_tap_backward, nine_tap_conv, relative_error
 
 SQUARE = np.array([[20.0, 20.0], [60.0, 20.0], [60.0, 60.0], [20.0, 60.0]])
 
@@ -36,7 +36,7 @@ def probe_gradients(features, params, a_off, a_pr):
 
 def circular(x, kernel, bias):
     """The encoder's circular convolution of one (N, D_in) contour."""
-    return evo.conv(x[None], kernel, bias, "wrap")[0]
+    return evo.conv(x[None], kernel, bias)[0]
 
 
 class TestCircularConv:
@@ -71,33 +71,6 @@ class TestCircularConv:
         base = circular(x, kernel, bias)
         rolled = circular(np.roll(x, 5, axis=0), kernel, bias)
         assert np.array_equal(rolled, np.roll(base, 5, axis=0))
-
-
-def nine_tap_conv(x, w, b):
-    """Zero-padded 3x3 convolution of an (H, W, C_in) grid with a
-    (3, 3, C_in, C_out) kernel, one tap at a time."""
-    h, wd, _ = x.shape
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    out = np.tile(b, (h, wd, 1))
-    for dy in range(3):
-        for dx in range(3):
-            out += padded[dy : dy + h, dx : dx + wd] @ w[dy, dx]
-    return out
-
-
-def nine_tap_backward(d_out, x, w):
-    """Gradients (d_x, d_w, d_b) of :func:`nine_tap_conv`, one tap at a time."""
-    h, wd, cin = x.shape
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    d_padded = np.zeros_like(padded)
-    d_w = np.zeros_like(w)
-    flat_dout = d_out.reshape(-1, w.shape[-1])
-    for dy in range(3):
-        for dx in range(3):
-            patch = padded[dy : dy + h, dx : dx + wd]
-            d_w[dy, dx] = patch.reshape(-1, cin).T @ flat_dout
-            d_padded[dy : dy + h, dx : dx + wd] += d_out @ w[dy, dx].T
-    return d_padded[1:-1, 1:-1], d_w, d_out.sum(axis=(0, 1))
 
 
 def gather_columns(x, k):
@@ -142,15 +115,19 @@ def fold_backward(d_out, x, kernel):
 
 class TestConvAgainstReference:
     def test_zero_padded_grid_matches_nine_taps(self, rng):
-        x = rng.normal(size=(5, 7, 3))
+        x = rng.normal(size=(2, 5, 7, 3))  # two scenes, so padding that bleeds between them fails
         w = rng.normal(size=(3, 3, 3, 4))
         b = rng.normal(size=4)
-        d_out = rng.normal(size=(5, 7, 4))
-        assert relative_error(evo.conv(x, w, b, "constant"), nine_tap_conv(x, w, b)) < 1e-12
-        got = (evo.conv(d_out, flipped_kernel(w), 0.0, "constant"), *evo.conv_weight_grad(d_out, x, w, "constant"))
-        for a, ref in zip(got, nine_tap_backward(d_out, x, w)):
-            assert a.shape == ref.shape
-            assert relative_error(a, ref) < 1e-12
+        d_out = rng.normal(size=(2, 5, 7, 4))
+        cols = pipeline.grid_columns(x)
+        assert cols.shape == (2, 5, 7, 27) and cols.flags.c_contiguous
+        d_cols = pipeline.grid_columns(d_out)
+        for s in range(2):
+            assert relative_error(cols[s] @ evo.kernel_matrix(w) + b, nine_tap_conv(x[s], w, b)) < 1e-12
+            got = (d_cols[s] @ evo.kernel_matrix(flipped_kernel(w)), *evo.kernel_grad(cols[s], d_out[s], w))
+            for a, ref in zip(got, nine_tap_backward(d_out[s], x[s], w)):
+                assert a.shape == ref.shape
+                assert relative_error(a, ref) < 1e-12
 
     @pytest.mark.parametrize("k", [3, 9, 21])
     @pytest.mark.parametrize("n", [8, 64])
@@ -159,11 +136,11 @@ class TestConvAgainstReference:
         kernel = rng.normal(size=(k, 5, 4))
         bias = rng.normal(size=4)
         d_out = rng.normal(size=(3, n, 4))
-        cols = evo._columns(x, (k,), "wrap")
+        cols = evo._columns(x, k)
         assert cols.flags.c_contiguous
         assert np.array_equal(cols, gather_columns(x, k))
-        assert relative_error(evo.conv(x, kernel, bias, "wrap"), gather_conv(x, kernel, bias)) < 1e-12
-        got = (evo.conv_input_grad(d_out, kernel), *evo.conv_weight_grad(d_out, x, kernel, "wrap"))
+        assert relative_error(evo.conv(x, kernel, bias), gather_conv(x, kernel, bias)) < 1e-12
+        got = (evo.conv_input_grad(d_out, kernel), *evo.conv_weight_grad(d_out, x, kernel))
         for a, ref in zip(got, fold_backward(d_out, x, kernel)):
             assert a.shape == ref.shape
             assert relative_error(a, ref) < 1e-12

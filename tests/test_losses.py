@@ -46,6 +46,26 @@ class TestFocalCenterLoss:
         with pytest.raises(ValueError):
             losses.focal_center_loss(np.full((3, 3), 0.5), np.zeros((3, 3)))
 
+    def test_stack_is_the_mean_of_its_scenes(self, rng):
+        # the scenes have different keypoint counts, so a count summed over the stack fails
+        target = rng.uniform(0.0, 0.9, size=(3, 6, 5))
+        target[0, 1, 2] = target[1, 4, 4] = target[1, 0, 0] = target[2, 3, 1] = 1.0
+        target[2, 5, 0] = target[2, 2, 2] = 1.0
+        pred = rng.uniform(0.05, 0.95, size=(3, 6, 5))
+        out = losses.focal_center_loss(pred, target)
+        alone = [losses.focal_center_loss(p, t) for p, t in zip(pred, target)]
+        assert out.value == pytest.approx(np.mean([a.value for a in alone]), rel=1e-12)
+        for got, a in zip(out.grads["heatmap"], alone):
+            assert relative_error(got, a.grads["heatmap"] / 3) < 1e-12
+        fd = central_difference(lambda p: losses.focal_center_loss(p, target).value, pred)
+        assert relative_error(out.grads["heatmap"], fd) < 1e-6
+
+    def test_stack_with_one_scene_without_keypoints_rejected(self):
+        target = np.zeros((2, 3, 3))
+        target[0, 1, 1] = 1.0
+        with pytest.raises(ValueError, match="no keypoints"):
+            losses.focal_center_loss(np.full((2, 3, 3), 0.5), target)
+
 
 class TestSmoothL1:
     def test_equal_points_zero(self):

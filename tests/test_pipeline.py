@@ -8,7 +8,7 @@ from polytrace import evolution as evo
 from polytrace.config import RunConfig
 from polytrace.synth import feature_provider
 
-from conftest import as_float64, central_difference, flipped_kernel, relative_error
+from conftest import as_float64, central_difference, nine_tap_backward, nine_tap_conv, relative_error
 
 TINY = dict(
     n_vertices=16,
@@ -52,9 +52,11 @@ def reference_predict(image, params, cfg):
     """One detection at a time: compose its contour, then evolve a batch of one.
     The offsets of every detection come from one :func:`pipeline.offset_forward`."""
     grid = feature_provider(image)
-    heat, _ = pipeline.center_forward(grid, params)
-    detections = detection.decode_peaks(heat, cfg.peak_threshold, cfg.max_detections)
-    offsets, _ = pipeline.offset_forward(grid, [det.position for det in detections], params)
+    cols = pipeline.grid_columns(grid[None])
+    heat, _ = pipeline.center_forward(cols, params)
+    detections = detection.decode_peaks(heat[0], cfg.peak_threshold, cfg.max_detections)
+    scenes = np.zeros(len(detections), dtype=int)
+    offsets, _ = pipeline.offset_forward(cols, scenes, [det.position for det in detections], params)
     out = []
     for det, off in zip(detections, offsets):
         pts = pipeline.initial_contours(off[None], det.position, cfg.expansion_factor)[0]
@@ -105,7 +107,8 @@ def test_training_and_inference_share_stage_points(cfg, params, monkeypatch):
     preds = pipeline.predict_scene(image, params, cfg)
     assert np.array_equal(np.stack([p.points for p in preds]), stages[-1])
     assert np.array_equal(np.stack([p.vertex_scores for p in preds]), probs[:, :, 1])
-    offsets, _ = pipeline.offset_forward(bundle.features, centers, params)
+    cols = pipeline.grid_columns(bundle.features[None])
+    offsets, _ = pipeline.offset_forward(cols, np.zeros(len(centers), dtype=int), centers, params)
     assert np.array_equal(stages[0], pipeline.initial_contours(offsets, centers, cfg.expansion_factor))
 
 
@@ -314,22 +317,50 @@ def test_step_batch_equals_mean_of_single_scenes(cfg, params, train_evolution):
         assert relative_error(g, (alone[0][1][name] + alone[1][1][name]) / 2) < 1e-12, name
 
 
-def test_train_step_runs_one_evolution_pass_per_round(cfg, params, monkeypatch):
-    calls = {"forward": 0, "backward": 0}
+def count_calls(monkeypatch, modules, names):
+    """Replace each function of ``names`` in every module of ``modules`` by
+    one counting wrapper of the first module's; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
 
-    def counted(name):
-        original = getattr(evo, name)
-
+    def counted(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(evo, name, counted(name))
+    for name in names:
+        wrapper = counted(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_train_step_runs_one_evolution_pass_per_round(cfg, params, monkeypatch):
+    calls = count_calls(monkeypatch, [evo], ("forward", "backward"))
     training.train_step(two_bundles(cfg), params, training.make_optimizer(cfg), cfg)
     assert calls == {"forward": pipeline.EVOLUTION_ROUNDS, "backward": pipeline.EVOLUTION_ROUNDS}
+
+
+def test_heads_run_once_per_step_and_per_image(cfg, params, monkeypatch):
+    names = ("grid_columns", "center_forward", "offset_forward")
+    # training imports the three by name, so both modules' names are wrapped
+    calls = count_calls(monkeypatch, [pipeline, training], names)
+    training.train_step(two_bundles(cfg), params, training.make_optimizer(cfg), cfg)
+    assert calls == dict.fromkeys(names, 1)
+    calls.update(dict.fromkeys(names, 0))
+    assert pipeline.predict_scene(training.make_dataset(cfg, 1)[0].image, params, cfg)
+    assert calls == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("name", ["center_b2", "offset_b3", "step_b", "cls_b"])
+def test_diverging_step_raises_floating_point_error(cfg, params, name):
+    getattr(params, name)[:] = np.nan
+    before = {key: arr.copy() for key, arr in params.arrays()}
+    with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+        training.train_step(two_bundles(cfg), params, training.make_optimizer(cfg), cfg)
+    for key, arr in params.arrays():
+        assert np.array_equal(arr, before[key], equal_nan=True), key
 
 
 def test_step_evolution_gradient_sums_both_rounds(cfg, params, monkeypatch):
@@ -418,9 +449,9 @@ def cell_centers(cells, rng):
 def full_grid_offsets(grid, centers, params):
     """The offset head run over the whole grid and read at the center cells;
     returns (offsets, cache)."""
-    z1 = evo.conv(grid, params.offset_w1, params.offset_b1, "constant")
+    z1 = nine_tap_conv(grid, params.offset_w1, params.offset_b1)
     a1 = np.maximum(z1, 0.0)
-    z2 = evo.conv(a1, params.offset_w2, params.offset_b2, "constant")
+    z2 = nine_tap_conv(a1, params.offset_w2, params.offset_b2)
     a2 = np.maximum(z2, 0.0)
     offmap = a2 @ params.offset_w3.T + params.offset_b3
     return offmap[pipeline.center_cells(centers)], (grid, z1, a1, z2, a2)
@@ -437,9 +468,9 @@ def full_grid_backward(cache, centers, params, d_offsets):
         "offset_b3": d_offmap.sum(axis=(0, 1)),
     }
     d_z2 = (d_offmap @ params.offset_w3) * (z2 > 0)
-    grads["offset_w2"], grads["offset_b2"] = evo.conv_weight_grad(d_z2, a1, params.offset_w2, "constant")
-    d_z1 = evo.conv(d_z2, flipped_kernel(params.offset_w2), 0.0, "constant") * (z1 > 0)
-    grads["offset_w1"], grads["offset_b1"] = evo.conv_weight_grad(d_z1, grid, params.offset_w1, "constant")
+    d_a1, grads["offset_w2"], grads["offset_b2"] = nine_tap_backward(d_z2, a1, params.offset_w2)
+    d_z1 = d_a1 * (z1 > 0)
+    _, grads["offset_w1"], grads["offset_b1"] = nine_tap_backward(d_z1, grid, params.offset_w1)
     return grads
 
 
@@ -466,7 +497,8 @@ def test_sparse_offset_head_matches_full_grid_head():
     # every cell, corners included, then a second center in a corner cell and in an inner cell
     cells = [(r, c) for r in range(5) for c in range(7)] + [(4, 0), (2, 3)]
     centers = cell_centers(cells, rng)
-    offsets, cache = pipeline.offset_forward(grid, centers, params)
+    scenes = np.zeros(len(cells), dtype=int)
+    offsets, cache = pipeline.offset_forward(pipeline.grid_columns(grid[None]), scenes, centers, params)
     expected, ref_cache = full_grid_offsets(grid, centers, params)
     assert offsets.shape == (len(cells), 16)
     assert relative_error(offsets, expected) < 1e-12
@@ -488,14 +520,17 @@ def test_head_gradients_against_finite_differences():
     centers = cell_centers([(0, 0), (4, 6), (3, 0), (2, 3), (2, 3)], rng)
     a_heat = rng.normal(size=(5, 7))
     a_off = rng.normal(size=(5, 8))
+    scenes = np.zeros(len(centers), dtype=int)
 
     def probe_loss():
-        heat, _ = pipeline.center_forward(grid, params)
-        offsets, _ = pipeline.offset_forward(grid, centers, params)
+        cols = pipeline.grid_columns(grid[None])
+        heat, _ = pipeline.center_forward(cols, params)
+        offsets, _ = pipeline.offset_forward(cols, scenes, centers, params)
         return float((a_heat * heat).sum() + (a_off * offsets).sum())
 
-    _, c_cache = pipeline.center_forward(grid, params)
-    _, o_cache = pipeline.offset_forward(grid, centers, params)
+    cols = pipeline.grid_columns(grid[None])
+    _, c_cache = pipeline.center_forward(cols, params)
+    _, o_cache = pipeline.offset_forward(cols, scenes, centers, params)
     grads = pipeline.center_backward(c_cache, params, a_heat)
     grads.update(pipeline.offset_backward(o_cache, params, a_off))
     assert len(head_names(params)) == 10
