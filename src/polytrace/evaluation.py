@@ -14,6 +14,16 @@ greedy matcher turns the rows into the match at every IoU threshold. The
 size splits come from the ground-truth masks. The mean instance IoU and the
 manual levels come from the mask match at IoU 0.5. :func:`match_instances`
 builds its rows from any IoU function and uses the same matcher.
+
+Cost model: the raster kernels are whole-array numpy passes with no Python
+loop over edges or pixels. A rasterization costs one pass over the
+polygon's (edge, pixel row) crossings plus a few passes over its bounding
+box. A boundary band costs 4 ORs for the boundary (a 3x3 dilation of the
+background) and 4d for the band, a manual level 4r, each over about a
+mask's bounding box. The IoU rows cost an OR, an AND and two counts over
+the full frame per (prediction, ground truth) pair of an image. On the
+benchmark's 128x128 frames the fixed cost of a few dozen numpy calls per
+instance dominates, not the pixel count.
 """
 
 from __future__ import annotations
@@ -22,7 +32,6 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import expand_mask, rasterize
 
@@ -73,9 +82,10 @@ def boundary_band(mask, d: int) -> np.ndarray:
     """Mask pixels within Chebyshev distance d of the mask's boundary.
 
     Boundary pixels are mask pixels with a non-mask 8-neighbor (frame edges
-    count as outside). Only the mask's bounding box is eroded and dilated:
-    the band and every boundary pixel lie inside it, and the zero border of
-    the erosion reads the pixels outside it as background, which they are.
+    count as outside): the mask ANDed with the 3x3 dilation of the
+    background. Only the mask's bounding box is dilated: the band and every
+    boundary pixel lie inside it, and a one-pixel border of background
+    around it stands for the pixels outside it, which are background.
     """
     m = np.asarray(mask, dtype=bool)
     band = np.zeros_like(m)
@@ -85,8 +95,10 @@ def boundary_band(mask, d: int) -> np.ndarray:
     cols = np.flatnonzero(m.any(axis=0))
     box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
     crop = m[box]
-    interior = ndimage.binary_erosion(crop, structure=np.ones((3, 3), dtype=bool), border_value=0)
-    band[box] = crop & expand_mask(crop & ~interior, d)
+    background = np.ones((crop.shape[0] + 2, crop.shape[1] + 2), dtype=bool)
+    background[1:-1, 1:-1] = ~crop
+    boundary = crop & expand_mask(background, 1)[1:-1, 1:-1]
+    band[box] = crop & expand_mask(boundary, d)
     return band
 
 

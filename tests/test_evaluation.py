@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from polytrace import evaluation as ev
 from polytrace.geometry import expand_mask, rasterize
@@ -167,6 +168,30 @@ class TestBoundaryIou:
         for mask in masks:
             for d in (2, 5):
                 assert np.array_equal(ev.boundary_band(mask, d), band_oracle(mask, d))
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_band_matches_scipy_erosion_and_oracle(self, d, rng):
+        h, w = 19, 26
+        masks = [np.zeros((h, w), dtype=bool), np.ones((h, w), dtype=bool)]
+        masks += [rng.random((h, w)) > p for p in (0.2, 0.6, 0.95)]
+        for i, j in ((0, 0), (0, 13), (h - 1, w - 1), (9, 0), (9, 13), (h - 1, 5)):
+            mask = np.zeros((h, w), dtype=bool)
+            mask[i, j] = True
+            masks.append(mask)
+        for rows, cols in ((slice(0, 6), slice(4, 15)), (slice(h - 7, h), slice(2, 20)),
+                           (slice(3, 16), slice(0, 5)), (slice(2, 12), slice(w - 9, w))):
+            mask = np.zeros((h, w), dtype=bool)
+            mask[rows, cols] = True
+            mask[rows.start + 2, cols.start + 2] = False  # a hole
+            masks.append(mask)
+        masks += [np.ones((1, 7), dtype=bool), np.ones((7, 1), dtype=bool)]
+        for mask in masks:
+            interior = ndimage.binary_erosion(mask, structure=np.ones((3, 3), dtype=bool), border_value=0)
+            square = np.ones((2 * d + 1, 2 * d + 1), dtype=bool)
+            expected = mask & ndimage.binary_dilation(mask & ~interior, structure=square)
+            band = ev.boundary_band(mask, d)
+            assert np.array_equal(band, expected)
+            assert np.array_equal(band, band_oracle(mask, d))
 
     def test_bounded(self):
         v = boundary_iou(rect(10, 10, 50, 50), rect(30, 30, 70, 70), FRAME)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from polytrace import geometry as geo
 from polytrace.evolution import relative_coords
@@ -26,6 +28,59 @@ def point_in_polygon(point, poly) -> bool:
         xint = a[:, 0] + (y - a[:, 1]) * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
     hits = crossing & (xint > x)
     return bool(np.count_nonzero(hits) % 2 == 1)
+
+
+def loop_rasterize(poly, width, height):
+    """Per-edge scanline rasterizer: each edge flips the pixels of the rows
+    it crosses whose centres lie left of the crossing. ``rasterize`` must
+    give the same bits without the loop over edges."""
+    p = geo.as_polygon(poly)
+    ys = np.arange(height) + 0.5
+    xs = np.arange(width) + 0.5
+    mask = np.zeros((height, width), dtype=bool)
+    for (x1, y1), (x2, y2) in zip(p, np.roll(p, -1, axis=0)):
+        if y1 == y2:
+            continue
+        rows = (y1 <= ys) != (y2 <= ys)
+        xint = x1 + (ys[rows] - y1) * (x2 - x1) / (y2 - y1)
+        mask[rows] ^= xs[None, :] < xint[:, None]
+    return mask
+
+
+def raster_cases():
+    """(name, polygon, (width, height)) on small non-square frames."""
+    rng = np.random.default_rng(16)
+    t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    ell = np.array([[2, 2], [20, 2], [20, 8], [8, 8], [8, 20], [2, 20]], dtype=float)
+    cases = [
+        ("l_shape", ell, (31, 23)),
+        ("l_shape_on_centres", ell + 0.5, (23, 31)),
+        ("l_shape_reversed", ell[::-1] + 0.25, (31, 23)),
+        ("diamond_on_centres", np.array([[10.5, 2.5], [18.5, 10.5], [10.5, 18.5], [2.5, 10.5]]), (31, 23)),
+        ("rectangle_on_edges", np.array([[3.0, 4.0], [17.0, 4.0], [17.0, 9.0], [3.0, 9.0]]), (31, 23)),
+        ("repeated_vertices", np.repeat(ell + 0.5, [1, 2, 1, 3, 1, 2], axis=0), (31, 23)),
+        ("over_every_edge", np.array([[-5.0, -3.5], [40.0, -2.0], [36.5, 30.0], [-4.0, 27.5]]), (31, 23)),
+        ("outside_frame", ell + 100.0, (31, 23)),
+        ("one_pixel_wide_frame", ell - 2.0, (1, 23)),
+        ("one_pixel_high_frame", ell - 1.75, (31, 1)),
+        ("self_intersecting", np.array([[2.0, 2.0], [25.0, 18.0], [25.0, 2.0], [2.0, 18.0]]), (31, 23)),
+    ]
+    for k in range(8):
+        center = rng.uniform(4.0, 28.0, 2)
+        radii = rng.uniform(3.0, 15.0, 2)
+        ring = center + radii * np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0.0, 0.5, (64, 2))
+        keep = np.sort(rng.choice(64, int(rng.integers(3, 13)), replace=False))
+        frame = (31, 23) if k % 2 else (23, 31)
+        cases += [
+            (f"jittered_ring_{k}", ring, frame),
+            (f"reduced_ring_{k}", ring[keep], frame),
+            (f"ring_on_pixel_edges_{k}", np.round(ring), frame),
+            (f"ring_on_pixel_centres_{k}", np.floor(ring) + 0.5, frame),
+        ]
+    return cases
+
+
+RASTER_CASES = raster_cases()
 
 
 class TestSignedArea:
@@ -309,6 +364,39 @@ class TestRasterize:
         with pytest.raises(ValueError):
             geo.rasterize(BIG_SQUARE, 0, 10)
 
+    @pytest.mark.parametrize("name,poly,frame", RASTER_CASES, ids=[c[0] for c in RASTER_CASES])
+    def test_bit_identical_to_edge_loop_and_oracle(self, name, poly, frame):
+        width, height = frame
+        mask = geo.rasterize(poly, width, height)
+        assert mask.shape == (height, width) and mask.dtype == bool
+        assert np.array_equal(mask, loop_rasterize(poly, width, height))
+        oracle = [[point_in_polygon((j + 0.5, i + 0.5), poly) for j in range(width)] for i in range(height)]
+        assert np.array_equal(mask, np.array(oracle, dtype=bool))
+
+    def test_model_rings_on_benchmark_frame_match_edge_loop(self):
+        rng = np.random.default_rng(1)
+        t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        for _ in range(50):
+            center = rng.uniform(-10.0, 138.0, 2)
+            radii = rng.uniform(3.0, 60.0, 2)
+            ring = center + radii * np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0.0, 0.5, (64, 2))
+            for poly in (ring, np.floor(ring) + 0.5):
+                assert np.array_equal(geo.rasterize(poly, 128, 128), loop_rasterize(poly, 128, 128))
+
+    def test_memory_is_linear_in_frame_pixels(self):
+        # a 1000-vertex ring filling a 1024x1024 frame; an edge x pixel
+        # broadcast would need about 1000 bytes per pixel
+        t = np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)
+        ring = 512.0 + 500.0 * np.column_stack([np.cos(t), np.sin(t)])
+        tracemalloc.start()
+        try:
+            mask = geo.rasterize(ring, 1024, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.sum() > 0.7 * 1024 * 1024
+        assert peak < 32 * 1024 * 1024
+
 
 class TestExpandMask:
     def test_radius_zero_is_identity(self):
@@ -339,3 +427,23 @@ class TestExpandMask:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             geo.expand_mask(np.zeros((3, 3), dtype=bool), -1)
+
+    @pytest.mark.parametrize("r", range(6))
+    def test_matches_square_dilation(self, r, rng):
+        h, w = 17, 23
+        masks = [np.zeros((h, w), dtype=bool), np.ones((h, w), dtype=bool), rng.random((h, w)) > 0.93]
+        for i, j in ((0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1), (8, 11)):
+            mask = np.zeros((h, w), dtype=bool)
+            mask[i, j] = True
+            masks.append(mask)
+        for rows, cols in ((slice(0, 3), slice(5, 9)), (slice(h - 2, h), slice(4, 15)),
+                           (slice(6, 10), slice(0, 2)), (slice(3, 12), slice(w - 4, w))):
+            mask = np.zeros((h, w), dtype=bool)
+            mask[rows, cols] = True
+            masks.append(mask)
+        masks += [np.ones((1, 9), dtype=bool), rng.random((9, 1)) > 0.5]
+        square = np.ones((2 * r + 1, 2 * r + 1), dtype=bool)
+        for mask in masks:
+            out = geo.expand_mask(mask, r)
+            assert out.dtype == bool and out is not mask
+            assert np.array_equal(out, ndimage.binary_dilation(mask, structure=square))
