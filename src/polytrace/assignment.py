@@ -14,6 +14,9 @@ import numpy as np
 
 from .geometry import pairwise_distances
 
+# weight of the normalized distance against the valid-class probability
+MATCH_DISTANCE_WEIGHT = 5.0
+
 
 @dataclass(frozen=True)
 class Assignment:
@@ -38,20 +41,13 @@ class Assignment:
         return np.nonzero(mask)[0]
 
 
-def match_cost(
-    gt_corners,
-    pred_points,
-    valid_probs,
-    delta: float = 5.0,
-    *,
-    diagonal: float,
-) -> np.ndarray:
+def match_cost(gt_corners, pred_points, valid_probs, *, diagonal: float) -> np.ndarray:
     """Pairwise matching cost between corners and predicted vertices.
 
-    Entry (i, j) is ``-c_j + delta * d(i, j)`` where c_j is the valid-class
-    probability of vertex j and d is the Euclidean distance in pixels divided
-    by ``diagonal`` (the image diagonal), so both terms live on comparable
-    scales.
+    Entry (i, j) is ``-c_j + MATCH_DISTANCE_WEIGHT * d(i, j)`` where c_j is
+    the valid-class probability of vertex j and d is the Euclidean distance
+    in pixels divided by ``diagonal`` (the image diagonal), so both terms
+    live on comparable scales.
     """
     corners = np.asarray(gt_corners, dtype=float)
     preds = np.asarray(pred_points, dtype=float)
@@ -64,7 +60,7 @@ def match_cost(
         raise ValueError("more corners than predicted vertices")
     if diagonal <= 0:
         raise ValueError("diagonal must be positive")
-    return -probs[None, :] + delta * pairwise_distances(corners, preds) / diagonal
+    return -probs[None, :] + MATCH_DISTANCE_WEIGHT * pairwise_distances(corners, preds) / diagonal
 
 
 def hungarian(cost) -> Assignment:

@@ -1,8 +1,10 @@
 """Run configuration: one dataclass.
 
-Every tunable of the pipeline lives here with its recommended default; a
+Every value a run may set lives here with its recommended default; a
 handful of core parameters are range-checked against their recommended
-intervals unless ``allow_nonstandard`` is set.
+intervals unless ``allow_nonstandard`` is set. A value that every run
+shares is not a field but a constant in the module that reads it, such as
+``pipeline.EXPANSION_FACTOR`` or ``training.BATCH_SCENES``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ RECOMMENDED_RANGES = {
     "peak_threshold": (0.05, 0.2),
     "max_detections": (200, 300),
     "vertex_threshold": (0.5, 0.7),
-    "match_distance_weight": (4.0, 6.0),
 }
 
 
@@ -26,9 +27,6 @@ class RunConfig:
     peak_threshold: float = 0.2
     max_detections: int = 200
     vertex_threshold: float = 0.6
-    match_distance_weight: float = 5.0
-    expansion_factor: float = 10.0
-    loss_balance: float = 1.0 / 3.0
 
     # model sizes
     feature_channels: int = 8
@@ -40,12 +38,10 @@ class RunConfig:
     # with two 1/5 learning-rate decays
     optimizer: str = "momentum"
     learning_rate: float = 0.01
-    momentum: float = 0.9
     epochs_total: int = 12
     epochs_init: int = 2
     decay_epoch_1: int = 8
     decay_epoch_2: int = 11
-    batch_scenes: int = 2
 
     # synthetic data
     frame_width: int = 128

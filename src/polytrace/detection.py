@@ -56,7 +56,7 @@ def build_heatmap_target(centers, bbox_sizes, image_dims) -> np.ndarray:
     return heat
 
 
-def decode_peaks(heatmap, threshold: float = 0.2, top_k: int = 200) -> list[CenterDetection]:
+def decode_peaks(heatmap, threshold: float, top_k: int) -> list[CenterDetection]:
     """Extract center detections from a heatmap.
 
     Cells equal to their 3x3 neighborhood maximum are peak candidates (ties

@@ -7,7 +7,7 @@ residual shortcuts, then fusion of a global max-pooled vector that is
 broadcast-concatenated back onto every vertex. Two pointwise heads emit the
 per-vertex coordinate offsets (the step head) and the two-class validity
 logits (the cls head). The weights are the ``up_*`` to ``cls_*`` fields of
-:class:`pipeline.PipelineParams`, whose comments give their shapes;
+:class:`pipeline.PipelineParams`, whose ``layout`` gives their shapes;
 :func:`forward` and :func:`backward` read them from that one object.
 
 The encoder's :func:`conv` is circular over the vertex axis: each layer

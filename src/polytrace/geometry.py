@@ -98,27 +98,23 @@ def pairwise_distances(a, b) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
-def vertex_angle(prev, cur, nxt):
-    """Interior angle at ``cur`` in [0, pi]; pi means collinear.
+def vertex_angle(prev, cur, nxt) -> np.ndarray:
+    """Interior angles at ``cur`` in [0, pi]; pi means collinear.
 
     ``prev`` and ``nxt`` are (..., 2) arrays of one shape, against which
-    ``cur`` broadcasts. A single triple returns a float and raises ValueError when a neighbour coincides
-    with ``cur``; a stack of triples returns an array with NaN there. The
-    norms and the dot product come from one stacked 2x2 Gram matmul, which
-    gives the same bits as ``np.linalg.norm`` and ``np.dot`` of one triple.
+    ``cur`` broadcasts; the result has their shape without the last axis, a
+    0-d array for one triple. An angle is pi, flat, where a neighbour
+    coincides with ``cur`` or the cosine is NaN. The norms and the dot
+    product come from one stacked 2x2 Gram matmul, which gives the same bits
+    as ``np.linalg.norm`` and ``np.dot`` of one triple.
     """
     cur = np.asarray(cur, dtype=float)
     d = np.stack([np.asarray(prev, dtype=float) - cur, np.asarray(nxt, dtype=float) - cur], axis=-2)
     gram = d @ d.swapaxes(-1, -2)
     na, nb = np.sqrt(gram[..., 0, 0]), np.sqrt(gram[..., 1, 1])
-    coincident = (na < _EPS) | (nb < _EPS)
     with np.errstate(divide="ignore", invalid="ignore"):
         angle = np.arccos(np.clip(gram[..., 0, 1] / (na * nb), -1.0, 1.0))
-    if np.ndim(angle) == 0:
-        if coincident:
-            raise ValueError("angle undefined for coincident points")
-        return float(angle)
-    return np.where(coincident, np.nan, angle)
+    return np.where((na < _EPS) | (nb < _EPS) | np.isnan(angle), np.pi, angle)
 
 
 def ray_boundary_intersection(poly, center, direction) -> np.ndarray:
@@ -232,7 +228,7 @@ class DensifiedContour:
         return np.arange(4) * (self.points.shape[0] // 4)
 
 
-def densify(poly, n_vertices: int = 64) -> DensifiedContour:
+def densify(poly, n_vertices: int) -> DensifiedContour:
     """Resample a polygon to ``n_vertices`` points anchored at the four
     directional control vertices.
 

@@ -21,6 +21,7 @@ PROB_EPS = 1e-7
 FOCAL_ALPHA = 2.0      # focusing exponent of the focal heatmap loss
 FOCAL_BETA = 4.0       # penalty reduction exponent near a keypoint
 INVALID_WEIGHT = 0.1   # weight of an unmatched vertex in the classification loss
+LOSS_BALANCE = 1.0 / 3.0  # weight of each contour loss in the total
 
 
 @dataclass
@@ -115,14 +116,13 @@ def classification_loss(valid_probs, assignment: Assignment) -> LossValue:
     return LossValue(value, {"probs": grad})
 
 
-def dml(pred, gt, gt_corners, assignment: Assignment, nearest: np.ndarray | None = None) -> LossValue:
+def dml(pred, gt, gt_corners, assignment: Assignment) -> LossValue:
     """Dynamic matching loss: boundary attraction plus corner attraction.
 
     ``pred`` and ``gt`` are (N, 2) rings. The first term is the mean L1
     distance from each predicted vertex to its nearest point (by L2) on the
     10x-densified ground-truth ring; the second is the mean L1 distance from
-    each matched predicted vertex to its corner. ``nearest`` lets callers
-    freeze the nearest-point selection; gradients always treat both
+    each matched predicted vertex to its corner. Gradients treat both
     selections as constants. Gradient key: ``pred``.
     """
     pred_pts = np.asarray(pred, dtype=float)
@@ -130,9 +130,7 @@ def dml(pred, gt, gt_corners, assignment: Assignment, nearest: np.ndarray | None
     corners = np.asarray(gt_corners, dtype=float)
     m = corners.shape[0]
     dense_gt = densify_x10(gt)
-    if nearest is None:
-        nearest = nearest_point_indices(pred_pts, dense_gt)
-    targets = dense_gt[nearest]
+    targets = dense_gt[nearest_point_indices(pred_pts, dense_gt)]
 
     diff_b = pred_pts - targets
     pre2gt = float(np.abs(diff_b).sum()) / n
@@ -148,11 +146,11 @@ def dml(pred, gt, gt_corners, assignment: Assignment, nearest: np.ndarray | None
     return LossValue(pre2gt + gt2pre, {"pred": grad})
 
 
-def total_loss(components, epsilon: float = 1.0 / 3.0) -> float:
-    """Multi-task combination ct + epsilon*(init + e1 + e2) + cla of the
-    per-component loss values, keyed by component name."""
+def total_loss(components) -> float:
+    """Multi-task combination ct + LOSS_BALANCE*(init + e1 + e2) + cla of
+    the per-component loss values, keyed by component name."""
     return (
         components["ct"]
-        + epsilon * (components["init"] + components["e1"] + components["e2"])
+        + LOSS_BALANCE * (components["init"] + components["e1"] + components["e2"])
         + components["cla"]
     )

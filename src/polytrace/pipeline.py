@@ -20,9 +20,9 @@ rest at the cell, so its cost grows with the number of centers, not the grid.
 
 :func:`evolve_contours` is the one contour forward of training and
 inference. It composes every initial contour as
-``center + gamma * STRIDE * offset`` and evolves all of them as one
-(B, N, 2) batch, each contour sampling the feature grid of its own scene
-from a stack of grids. Training passes the ground-truth bbox centers of
+``center + EXPANSION_FACTOR * STRIDE * offset`` and evolves all of them as
+one (B, N, 2) batch, each contour sampling the feature grid of its own
+scene from a stack of grids. Training passes the ground-truth bbox centers of
 every scene of a step, so a step runs one evolution forward and one
 backward per round, and backpropagates through the returned caches;
 :func:`predict_scene` passes its one grid as a stack of one and the decoded
@@ -58,6 +58,8 @@ CHECKPOINT_MAGIC = b"PTCK0004"
 # first, dynamic matching and vertex classification after the second
 EVOLUTION_ROUNDS = 2
 
+# the offset head's outputs are in units of this many stride-4 cells
+EXPANSION_FACTOR = 10.0
 
 # The evolution network computes in the dtype of its arrays (see
 # :mod:`evolution`); float32 halves the bytes its GEMMs move. The center and
@@ -124,12 +126,11 @@ class PipelineParams:
         }
 
     @classmethod
-    def initialize(cls, cfg: RunConfig, rng=None) -> "PipelineParams":
+    def initialize(cls, cfg: RunConfig, rng) -> "PipelineParams":
         """Fresh parameters drawn in float64 in field order, then stored in
         their :meth:`layout` dtype: weights uniform in +-sqrt(1/fan_in);
         biases, the last offset layer and both evolution heads zero, so the
         first evolution step is the identity."""
-        rng = np.random.default_rng() if rng is None else rng
         named = {}
         for name, (shape, dtype) in cls.layout(cfg).items():
             if "_b" in name or name in ("offset_w3", "step_w", "cls_w"):
@@ -245,15 +246,15 @@ def center_cells(centers) -> tuple:
     return (c[:, 1] // STRIDE).astype(int), (c[:, 0] // STRIDE).astype(int)
 
 
-def initial_contours(offsets, centers, gamma: float) -> np.ndarray:
+def initial_contours(offsets, centers) -> np.ndarray:
     """(B, N, 2) initial contours around (B, 2) full-resolution centers from
     their (B, 2N) stride-4 offsets; offsets become pixels through the stride
-    and the expansion factor."""
+    and ``EXPANSION_FACTOR``."""
     c = np.asarray(centers, dtype=float).reshape(-1, 2)
-    return c[:, None, :] + (gamma * STRIDE) * offsets.reshape(c.shape[0], -1, 2)
+    return c[:, None, :] + (EXPANSION_FACTOR * STRIDE) * offsets.reshape(c.shape[0], -1, 2)
 
 
-def evolve_contours(grids, scenes, offsets, centers, params: PipelineParams, gamma: float):
+def evolve_contours(grids, scenes, offsets, centers, params: PipelineParams):
     """Compose the initial contours at ``centers`` from their (B, 2N)
     :func:`offset_forward` offsets and evolve them as a batch.
 
@@ -265,7 +266,7 @@ def evolve_contours(grids, scenes, offsets, centers, params: PipelineParams, gam
     of the last round (valid class last), and ``caches`` the
     :func:`evolution.forward` cache of every round.
     """
-    stages = [initial_contours(offsets, centers, gamma)]
+    stages = [initial_contours(offsets, centers)]
     caches = []
     for _ in range(EVOLUTION_ROUNDS):
         feats = evo.vertex_features(grids, scenes, stages[-1])
@@ -356,7 +357,7 @@ def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
     centers = np.stack([det.position for det in detections])
     scenes = np.zeros(len(detections), dtype=int)
     offsets, _ = offset_forward(cols, scenes, centers, params)
-    stages, probs, _ = evolve_contours(grids, scenes, offsets, centers, params, cfg.expansion_factor)
+    stages, probs, _ = evolve_contours(grids, scenes, offsets, centers, params)
     if not np.all(np.isfinite(stages[-1])):
         raise ValueError("evolved contours have non-finite coordinates")
     return [

@@ -48,7 +48,7 @@ class ScoredContour:
         return ScoredContour(self.points[idx], self.scores[idx])
 
 
-def threshold_vertices(sc: ScoredContour, t: float = 0.6) -> ScoredContour:
+def threshold_vertices(sc: ScoredContour, t: float) -> ScoredContour:
     """Keep vertices scoring at least t, in their original cyclic order."""
     return sc.take(np.nonzero(sc.scores >= t)[0])
 
@@ -76,11 +76,11 @@ def vertex_nms(sc: ScoredContour, radius: float) -> ScoredContour:
     return sc.take(np.nonzero(keep)[0])
 
 
-def prune_collinear(poly, angle_threshold: float = ANGLE_THRESHOLD) -> np.ndarray:
+def prune_collinear(poly) -> np.ndarray:
     """Drop near-straight vertices one at a time.
 
     Each pass removes the single vertex with the largest interior angle above
-    the threshold (the first in ring order on ties), because removing a
+    ``ANGLE_THRESHOLD`` (the first in ring order on ties), because removing a
     vertex changes its neighbors' angles. A vertex with a coincident neighbor
     counts as flat (pi). Stops when no angle exceeds the threshold or only
     three vertices remain.
@@ -95,10 +95,10 @@ def prune_collinear(poly, angle_threshold: float = ANGLE_THRESHOLD) -> np.ndarra
     # argmax over input order is argmax over the surviving ring
     prev = np.roll(np.arange(n), 1)
     nxt = np.roll(np.arange(n), -1)
-    angles = _angles_or_pi(pts, prev, np.arange(n), nxt)
+    angles = vertex_angle(pts[prev], pts, pts[nxt])
     for _ in range(n - 3):
         worst = int(np.argmax(angles))
-        if angles[worst] <= angle_threshold:
+        if angles[worst] <= ANGLE_THRESHOLD:
             break
         angles[worst] = -np.inf
         p, q = prev[worst], nxt[worst]
@@ -108,18 +108,13 @@ def prune_collinear(poly, angle_threshold: float = ANGLE_THRESHOLD) -> np.ndarra
     return pts[np.isfinite(angles)]
 
 
-def _angles_or_pi(pts, prev, cur, nxt):
-    """Interior angles at ring positions ``cur``, pi where a neighbor coincides."""
-    angles = vertex_angle(pts[prev], pts[cur], pts[nxt])
-    return np.where(np.isnan(angles), np.pi, angles)
-
-
 def _angle_or_pi(pts, prev, cur, nxt) -> float:
-    """:func:`_angles_or_pi` at one ring position, bit for bit, without the
-    cost of a stacked call: ``np.dot`` of two 2-vectors rounds as the Gram
-    matmul of :func:`vertex_angle` does, and ``np.arccos`` as its stacked
-    call. A plain ``ax * bx + ay * by`` or ``math.acos`` would differ in the
-    last bit for some triples."""
+    """:func:`vertex_angle` at one ring position, pi where a neighbor
+    coincides, bit for bit wherever the cosine is not NaN, without the cost
+    of a stacked call: ``np.dot`` of two 2-vectors rounds as the Gram matmul
+    of :func:`vertex_angle` does, and ``np.arccos`` as its stacked call. A
+    plain ``ax * bx + ay * by`` or ``math.acos`` would differ in the last
+    bit for some triples."""
     a = pts[prev] - pts[cur]
     b = pts[nxt] - pts[cur]
     na, nb = math.sqrt(np.dot(a, a)), math.sqrt(np.dot(b, b))
@@ -128,7 +123,7 @@ def _angle_or_pi(pts, prev, cur, nxt) -> float:
     return float(np.arccos(min(max(np.dot(a, b) / (na * nb), -1.0), 1.0)))
 
 
-def reduce(sc: ScoredContour, t: float = 0.6, angle_threshold: float = ANGLE_THRESHOLD) -> np.ndarray:
+def reduce(sc: ScoredContour, t: float) -> np.ndarray:
     """Full reduction pipeline: threshold, vertex NMS, angle pruning.
 
     The NMS radius is half the mean segment length of the input contour,
@@ -144,7 +139,7 @@ def reduce(sc: ScoredContour, t: float = 0.6, angle_threshold: float = ANGLE_THR
     kept = vertex_nms(kept, radius)
     if len(kept) < 3:
         kept = vertex_nms(_top3(sc), 0.0)
-    return prune_collinear(kept.points, angle_threshold)
+    return prune_collinear(kept.points)
 
 
 def _top3(sc: ScoredContour) -> ScoredContour:

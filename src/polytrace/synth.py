@@ -143,11 +143,13 @@ def feature_provider(image) -> np.ndarray:
 
     Channels: block-mean intensity, x/y central-difference gradients,
     gradient magnitude, normalized x/y coordinates spanning [0, 1], and
-    Gaussian blurs of the intensity at sigma 1 and 3 grid cells.
+    Gaussian blurs of the intensity at sigma 1 and 3 grid cells. The image
+    is uint8, read as intensity / 255; any other dtype raises ValueError.
     """
-    img = np.asarray(image, dtype=float)
-    if img.max() > 1.0:
-        img = img / 255.0
+    img = np.asarray(image)
+    if img.dtype != np.uint8:
+        raise ValueError(f"feature_provider reads uint8 images, got dtype {img.dtype}")
+    img = img / 255.0
     h, w = img.shape
     pad_h = (-h) % STRIDE
     pad_w = (-w) % STRIDE

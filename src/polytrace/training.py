@@ -31,6 +31,7 @@ from .config import RunConfig
 from .detection import STRIDE, build_heatmap_target
 from .geometry import bbox_center, bounding_box, densify
 from .pipeline import (
+    EXPANSION_FACTOR,
     PipelineParams,
     center_backward,
     center_forward,
@@ -47,6 +48,13 @@ MAX_SKIPPED_SEEDS = 100
 
 # the learning rate is multiplied by this at each of the two decay epochs
 DECAY_FACTOR = 0.2
+
+# scenes per training step
+BATCH_SCENES = 2
+
+# velocity decay of momentum SGD, and Adam's moment decays and denominator floor
+MOMENTUM = 0.9
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Largest joint L2 norm of the evolution network's gradients in one step; a
 # larger gradient is scaled down to it (Pascanu et al., 2013,
@@ -108,7 +116,7 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     stage or the vertex class probabilities are non-finite, before any loss
     or match reads them.
     """
-    eps = cfg.loss_balance
+    eps = losses.LOSS_BALANCE
     n_scenes = len(bundles)
     components = dict.fromkeys(("ct", "init", "e1", "e2", "cla"), 0.0)
     # every contour of the step in batch order, with its scene
@@ -128,14 +136,14 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     grads = center_backward(c_cache, params, l_ct.grads["heatmap"])
     offsets, o_cache = offset_forward(cols, scenes, centers, params)
     if train_evolution:
-        stages, probs2, caches = evolve_contours(grids, scenes, offsets, centers, params, cfg.expansion_factor)
+        stages, probs2, caches = evolve_contours(grids, scenes, offsets, centers, params)
     else:
-        stages, probs2 = [initial_contours(offsets, centers, cfg.expansion_factor)], np.zeros(0)
+        stages, probs2 = [initial_contours(offsets, centers)], np.zeros(0)
     if not all(np.all(np.isfinite(a)) for a in (*stages, probs2)):
         raise FloatingPointError("non-finite contours")
 
     d_offsets = np.empty_like(offsets)
-    scale = cfg.expansion_factor * STRIDE
+    scale = EXPANSION_FACTOR * STRIDE
     for j, (inst, bundle) in enumerate(contours):
         n_inst = len(bundle.instances)
         l_init = losses.smooth_l1(stages[0][j], inst.contour.points)
@@ -159,7 +167,7 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
         # second round: dynamic matching and vertex classification
         valid = probs2[j, :, 1]
         diagonal = float(np.hypot(*bundle.frame_dims))
-        cost = match_cost(inst.corners, pts2[j], valid, cfg.match_distance_weight, diagonal=diagonal)
+        cost = match_cost(inst.corners, pts2[j], valid, diagonal=diagonal)
         assign = hungarian(cost)
         l_e2 = losses.dml(pts2[j], inst.contour.points, inst.corners, assign)
         components["e2"] += l_e2.value * w
@@ -181,12 +189,11 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
 
 
 class MomentumSGD:
-    """Gradient descent with classical momentum; the velocity of each
-    parameter is updated in place."""
+    """Gradient descent with classical momentum ``MOMENTUM``; the velocity of
+    each parameter is updated in place."""
 
-    def __init__(self, learning_rate, momentum=0.9):
+    def __init__(self, learning_rate):
         self.learning_rate = learning_rate
-        self.momentum = momentum
         self.velocity = {}
 
     def step(self, params: PipelineParams, grads: dict):
@@ -194,7 +201,7 @@ class MomentumSGD:
             vel = self.velocity.get(name)
             if vel is None:
                 vel = self.velocity[name] = np.zeros_like(arr)
-            vel *= self.momentum
+            vel *= MOMENTUM
             vel += grads[name]
             arr -= self.learning_rate * vel
 
@@ -202,16 +209,15 @@ class MomentumSGD:
 class Adam:
     """Adam; both moment estimates of each parameter are updated in place."""
 
-    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, learning_rate):
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {}
         self.v = {}
         self.t = 0
 
     def step(self, params: PipelineParams, grads: dict):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, arr in params.arrays():
             g = grads[name]
             m, v = self.m.get(name), self.v.get(name)
@@ -224,13 +230,13 @@ class Adam:
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1**self.t)
             v_hat = v / (1 - b2**self.t)
-            arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            arr -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def make_optimizer(cfg: RunConfig):
     if cfg.optimizer == "adam":
         return Adam(cfg.learning_rate)
-    return MomentumSGD(cfg.learning_rate, cfg.momentum)
+    return MomentumSGD(cfg.learning_rate)
 
 
 def train_step(bundles, params: PipelineParams, optimizer, cfg: RunConfig, train_evolution: bool = True):
@@ -242,7 +248,7 @@ def train_step(bundles, params: PipelineParams, optimizer, cfg: RunConfig, train
     if optimizer.learning_rate < 0:
         raise ValueError("learning rate must be non-negative")
     components, grads = scene_loss(bundles, params, cfg, train_evolution)
-    total = losses.total_loss(components, cfg.loss_balance)
+    total = losses.total_loss(components)
     if not np.isfinite(total):
         raise FloatingPointError(f"non-finite training loss {total}")
     for name, arr in params.arrays():
@@ -252,7 +258,7 @@ def train_step(bundles, params: PipelineParams, optimizer, cfg: RunConfig, train
     return total
 
 
-def fit(bundles, cfg: RunConfig, params: PipelineParams | None = None, log=None):
+def fit(bundles, cfg: RunConfig, params: PipelineParams | None = None):
     """Train on prepared scene bundles; deterministic given (cfg, seed).
 
     Follows the schedule shape: an initialization-only phase, then joint
@@ -270,12 +276,10 @@ def fit(bundles, cfg: RunConfig, params: PipelineParams | None = None, log=None)
         train_evolution = epoch >= cfg.epochs_init
         order = rng.permutation(len(bundles))
         epoch_losses = []
-        for start in range(0, len(order), cfg.batch_scenes):
-            batch = [bundles[i] for i in order[start : start + cfg.batch_scenes]]
+        for start in range(0, len(order), BATCH_SCENES):
+            batch = [bundles[i] for i in order[start : start + BATCH_SCENES]]
             epoch_losses.append(train_step(batch, params, optimizer, cfg, train_evolution))
         history.append(float(np.mean(epoch_losses)))
-        if log is not None:
-            log(epoch, history[-1])
     return params, history
 
 

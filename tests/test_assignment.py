@@ -31,22 +31,23 @@ class TestMatchCost:
         corners = np.array([[10.0, 10.0], [40.0, 40.0]])
         preds = np.array([[10.0, 10.0], [25.0, 25.0], [40.0, 40.0], [70.0, 5.0]])
         probs = np.full(4, 0.5)
-        cost = asg.match_cost(corners, preds, probs, delta=5.0, diagonal=100.0)
+        cost = asg.match_cost(corners, preds, probs, diagonal=100.0)
         assert np.argmin(cost[0]) == 0
         assert np.argmin(cost[1]) == 2
 
-    def test_zero_delta_prefers_highest_probability(self):
+    def test_zero_delta_prefers_highest_probability(self, monkeypatch):
+        monkeypatch.setattr(asg, "MATCH_DISTANCE_WEIGHT", 0.0)
         corners = np.array([[0.0, 0.0]])
         preds = np.array([[50.0, 50.0], [1.0, 1.0], [90.0, 90.0]])
         probs = np.array([0.2, 0.1, 0.9])
-        cost = asg.match_cost(corners, preds, probs, delta=0.0, diagonal=100.0)
+        cost = asg.match_cost(corners, preds, probs, diagonal=100.0)
         assert np.argmin(cost[0]) == 2
 
     def test_entrywise_hand_values(self):
         corners = np.array([[0.0, 0.0], [10.0, 0.0]])
         preds = np.array([[0.0, 0.0], [6.0, 8.0], [10.0, 0.0]])
         probs = np.array([0.5, 0.25, 1.0])
-        cost = asg.match_cost(corners, preds, probs, delta=5.0, diagonal=100.0)
+        cost = asg.match_cost(corners, preds, probs, diagonal=100.0)
         # distances row 0: 0, 10, 10; row 1: 10, sqrt(16+64)=8.944..., 0
         expected = np.array(
             [

@@ -42,7 +42,7 @@ class TestDecodePeaks:
     def test_single_unit_peak(self):
         heat = np.zeros((32, 32))
         heat[5, 7] = 1.0
-        out = det.decode_peaks(heat, threshold=0.2)
+        out = det.decode_peaks(heat, threshold=0.2, top_k=200)
         assert len(out) == 1
         assert out[0].score == 1.0
         assert np.allclose(out[0].position, ((7 + 0.5) * 4, (5 + 0.5) * 4))
@@ -50,7 +50,7 @@ class TestDecodePeaks:
 
     def test_all_below_threshold_empty(self):
         heat = np.full((16, 16), 0.1)
-        assert det.decode_peaks(heat, threshold=0.2) == []
+        assert det.decode_peaks(heat, threshold=0.2, top_k=200) == []
 
     def test_top_k_keeps_largest(self):
         heat = np.zeros((32, 32))
@@ -66,7 +66,7 @@ class TestDecodePeaks:
         heat[8, 2] = 0.5
         heat[2, 8] = 0.5
         heat[12, 12] = 0.9
-        out = det.decode_peaks(heat)
+        out = det.decode_peaks(heat, threshold=0.2, top_k=200)
         assert [d.score for d in out] == [0.9, 0.5, 0.5]
         assert np.array_equal(pipeline.center_cells(out[1].position), ([2], [8]))
         assert np.array_equal(pipeline.center_cells(out[2].position), ([8], [2]))
@@ -85,15 +85,15 @@ class TestDecodePeaks:
                 assert min(dists) <= 2 * np.sqrt(2) + 1e-9
 
 
-def compose(center, offsets, gamma=10.0):
+def compose(center, offsets):
     """The initial contour :func:`pipeline.initial_contours` composes from
     the (N, 2) stride-4 ``offsets`` of one ``center``."""
-    return pipeline.initial_contours(offsets.reshape(1, -1), center, gamma)[0]
+    return pipeline.initial_contours(offsets.reshape(1, -1), center)[0]
 
 
-def offset_targets(gt, center, gamma=10.0):
+def offset_targets(gt, center):
     """Stride-4 offsets that compose back to the (N, 2) ring ``gt``."""
-    return (gt - center) / (gamma * det.STRIDE)
+    return (gt - center) / (pipeline.EXPANSION_FACTOR * det.STRIDE)
 
 
 class TestInitialContour:
@@ -105,15 +105,15 @@ class TestInitialContour:
         # one stride-4 offset of 0.025 is 0.1 full-resolution pixels
         off = np.zeros((8, 2))
         off[0, 0] = 0.025
-        contour = compose(np.array([10.0, 10.0]), off, gamma=10.0)
+        contour = compose(np.array([10.0, 10.0]), off)
         assert np.allclose(contour[0], (11.0, 10.0))
         assert np.allclose(contour[1], (10.0, 10.0))
 
     def test_compose_inverts_targets(self):
         gt = densify(SQUARE, 64)
         center = np.array([57.0, 63.0])
-        off = offset_targets(gt.points, center, gamma=10.0)
-        back = compose(center, off, gamma=10.0)
+        off = offset_targets(gt.points, center)
+        back = compose(center, off)
         assert np.max(np.abs(back - gt.points)) < 1e-12
         assert np.array_equal(DensifiedContour(back).anchor_indices, gt.anchor_indices)
 

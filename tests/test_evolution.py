@@ -211,7 +211,7 @@ class TestForward:
         grid = rng.normal(size=(16, 16, 3))
         offsets = rng.normal(size=(2, 32))
         stages, probs, _ = pipeline.evolve_contours(
-            grid[None], [0, 0], offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
+            grid[None], [0, 0], offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params
         )
         assert len(stages) == pipeline.EVOLUTION_ROUNDS + 1
         for stage in stages[1:]:
@@ -224,7 +224,7 @@ class TestForward:
         grid = rng.normal(size=(16, 16, 3))
         offsets = rng.normal(size=(2, 32))
         stages, _, _ = pipeline.evolve_contours(
-            grid[None], [0, 0], offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params, 10.0
+            grid[None], [0, 0], offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params
         )
         for before, after in zip(stages, stages[1:]):
             assert after.shape == (2, 16, 2)

@@ -315,9 +315,13 @@ class TestVertexAngle:
         angle = geo.vertex_angle((0, 0), (1, 0), (2, 0.1))
         assert angle == pytest.approx(math.pi - math.atan(0.1), abs=1e-12)
 
-    def test_coincident_rejected(self):
-        with pytest.raises(ValueError):
-            geo.vertex_angle((1, 1), (1, 1), (2, 2))
+    def test_coincident_neighbour_reads_pi(self):
+        assert geo.vertex_angle((1, 1), (1, 1), (2, 2)) == math.pi
+        assert geo.vertex_angle((2, 2), (1, 1), (1, 1)) == math.pi
+        prev = np.array([[1.0, 1.0], [0.0, 1.0], [5.0, 5.0]])
+        nxt = np.array([[2.0, 2.0], [1.0, 0.0], [5.0, 5.0]])
+        got = geo.vertex_angle(prev, np.array([[1.0, 1.0], [0.0, 0.0], [5.0, 5.0]]), nxt)
+        assert np.array_equal(got, [math.pi, math.pi / 2, math.pi])
 
     @given(st.floats(0.05, math.pi - 0.05))
     @settings(max_examples=40, deadline=None)

@@ -59,7 +59,7 @@ def reference_predict(image, params, cfg):
     offsets, _ = pipeline.offset_forward(cols, scenes, [det.position for det in detections], params)
     out = []
     for det, off in zip(detections, offsets):
-        pts = pipeline.initial_contours(off[None], det.position, cfg.expansion_factor)[0]
+        pts = pipeline.initial_contours(off[None], det.position)[0]
         for _ in range(2):
             feats = np.concatenate([evo.sample_features(grid[None], 0, pts), evo.relative_coords(pts)], axis=-1)
             offsets, probs, _ = evo.forward(feats[None], params)
@@ -109,7 +109,7 @@ def test_training_and_inference_share_stage_points(cfg, params, monkeypatch):
     assert np.array_equal(np.stack([p.vertex_scores for p in preds]), probs[:, :, 1])
     cols = pipeline.grid_columns(bundle.features[None])
     offsets, _ = pipeline.offset_forward(cols, np.zeros(len(centers), dtype=int), centers, params)
-    assert np.array_equal(stages[0], pipeline.initial_contours(offsets, centers, cfg.expansion_factor))
+    assert np.array_equal(stages[0], pipeline.initial_contours(offsets, centers))
 
 
 def test_checkpoint_round_trip_is_byte_identical(cfg, params, tmp_path):
@@ -267,9 +267,9 @@ def test_optimizer_steps_match_reference_formulas(params, kind):
         {name: rng.normal(size=arr.shape).astype(arr.dtype) for name, arr in named.items()} for _ in range(3)
     ]
     if kind == "momentum":
-        optimizer = training.MomentumSGD(0.01, momentum=0.9)
+        optimizer = training.MomentumSGD(0.01)
     else:
-        optimizer = training.Adam(0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        optimizer = training.Adam(0.01)
     for grads in grad_steps:
         optimizer.step(params, grads)
     reference_optimizer_steps(kind, named, grad_steps, 0.01)

@@ -25,11 +25,11 @@ def scored_square_ring(n=64, jitter=0.0, rng=None):
 class TestThreshold:
     def test_all_ones_unchanged(self):
         sc = red.ScoredContour(np.random.default_rng(0).uniform(0, 10, (5, 2)), np.ones(5))
-        assert len(red.threshold_vertices(sc)) == 5
+        assert len(red.threshold_vertices(sc, 0.6)) == 5
 
     def test_all_zero_empty(self):
         sc = red.ScoredContour(np.zeros((5, 2)), np.zeros(5))
-        assert len(red.threshold_vertices(sc)) == 0
+        assert len(red.threshold_vertices(sc, 0.6)) == 0
 
     def test_filter_keeps_order(self):
         sc = red.ScoredContour(np.array([[0, 0], [1, 0], [2, 0]]), np.array([0.7, 0.5, 0.9]))
@@ -107,11 +107,12 @@ class TestPruneCollinear:
                 if a <= red.ANGLE_THRESHOLD:
                     assert any(np.allclose(poly[i], q) for q in out)
 
-    def test_triangle_floor(self):
+    def test_triangle_floor(self, monkeypatch):
         # near-circular ring collapses no further than three vertices
+        monkeypatch.setattr(red, "ANGLE_THRESHOLD", 0.1)
         theta = np.arange(30) * 2 * np.pi / 30
         poly = np.column_stack([np.cos(theta), np.sin(theta)]) * 40 + 50
-        out = red.prune_collinear(poly, angle_threshold=0.1)
+        out = red.prune_collinear(poly)
         assert out.shape[0] == 3
 
 
@@ -160,7 +161,7 @@ class TestReduce:
 
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
-            red.reduce(red.ScoredContour(np.zeros((2, 2)), np.zeros(2)))
+            red.reduce(red.ScoredContour(np.zeros((2, 2)), np.zeros(2)), 0.6)
 
 
 def reference_angle(prev, cur, nxt):
@@ -223,19 +224,13 @@ class TestVectorisedAgainstReference:
             pts = seeded_ring(rng, n)
             prev, nxt = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
             expected = np.array([reference_angle(p, c, q) for p, c, q in zip(prev, pts, nxt)])
-            ring = np.arange(n)
-            got = red._angles_or_pi(pts, np.roll(ring, 1), ring, np.roll(ring, -1))
-            assert np.array_equal(got, expected)
-            # the stack reads NaN exactly where one triple raises
             stacked = vertex_angle(prev, pts, nxt)
-            coincident = (prev == pts).all(axis=1) | (nxt == pts).all(axis=1)
-            assert np.array_equal(np.isnan(stacked), coincident)
+            assert np.array_equal(stacked, expected)
+            # one triple reads what the stack reads, pi at a coincident neighbour too
             for i in range(n):
-                if coincident[i]:
-                    with pytest.raises(ValueError):
-                        vertex_angle(prev[i], pts[i], nxt[i])
-                else:
-                    assert vertex_angle(prev[i], pts[i], nxt[i]) == stacked[i] == expected[i]
+                assert vertex_angle(prev[i], pts[i], nxt[i]) == stacked[i]
+            coincident = (prev == pts).all(axis=1) | (nxt == pts).all(axis=1)
+            assert np.all(stacked[coincident] == np.pi)
             coincident_seen += int(coincident.sum())
         assert coincident_seen > 0
 
@@ -250,16 +245,17 @@ class TestVectorisedAgainstReference:
         triples.append(coincident)
         pts = np.concatenate(triples).reshape(-1, 2)
         third = np.arange(0, pts.shape[0], 3)
-        expected = red._angles_or_pi(pts, third, third + 1, third + 2)
+        expected = vertex_angle(pts[third], pts[third + 1], pts[third + 2])
         got = np.array([red._angle_or_pi(pts, i, i + 1, i + 2) for i in third.tolist()])
         assert np.array_equal(got, expected)
         assert np.count_nonzero(expected == np.pi) >= 200
 
     @pytest.mark.parametrize("threshold", [0.1, 2.0, red.ANGLE_THRESHOLD, 3.0, 3.14])
-    def test_prune_matches_per_vertex_loop(self, rng, threshold):
+    def test_prune_matches_per_vertex_loop(self, rng, threshold, monkeypatch):
+        monkeypatch.setattr(red, "ANGLE_THRESHOLD", threshold)
         for _ in range(40):
             pts = seeded_ring(rng, int(rng.integers(4, 65)))
-            assert np.array_equal(red.prune_collinear(pts, threshold), reference_prune(pts, threshold))
+            assert np.array_equal(red.prune_collinear(pts), reference_prune(pts, threshold))
 
     def test_nms_matches_bruteforce_greedy(self, rng):
         for _ in range(60):

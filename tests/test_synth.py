@@ -130,3 +130,16 @@ class TestFeatureProvider:
     def test_non_multiple_of_stride_dims(self):
         grid = synth.feature_provider(np.zeros((30, 45), dtype=np.uint8))
         assert grid.shape == (8, 12, 8)
+
+    def test_uint8_scaled_by_dtype_not_by_maximum(self):
+        # an image whose brightest pixel is 1 is still 0..255 data
+        image = np.zeros((32, 32), dtype=np.uint8)
+        image[:16] = 1
+        grid = synth.feature_provider(image)
+        assert grid[0, 0, 0] == 1.0 / 255.0
+        assert grid[-1, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint16])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            synth.feature_provider(np.zeros((32, 32), dtype=dtype))
