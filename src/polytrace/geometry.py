@@ -7,12 +7,12 @@ screen has positive signed area; ``normalize_orientation`` makes that the
 canonical order.
 
 A ``DensifiedContour`` is a fixed-size resampling of a polygon: four
-control vertices are inserted where the rays from the bounding-box center
-in the top/right/bottom/left directions meet the boundary, and each of the
-four arcs between them is resampled to the same number of points. Index 0
-is always the top-direction control vertex and the ring runs clockwise, so
-the anchors of an N-point ring sit at 0, N/4, N/2 and 3N/4 and are derived
-from N rather than stored.
+control vertices sit at the ring positions, an edge and a parameter along
+it, where the rays from the bounding-box center in the top/right/bottom/left
+directions meet the boundary, and each of the four arcs between them is
+resampled to the same number of points. Index 0 is always the
+top-direction control vertex and the ring runs clockwise, so the control
+vertices of an N-point ring are points 0, N/4, N/2 and 3N/4.
 """
 
 from __future__ import annotations
@@ -156,59 +156,12 @@ def ray_boundary_intersection(poly, center, direction) -> np.ndarray:
     return c + max(best_t, 0.0) * d
 
 
-def insert_control_vertices(poly) -> tuple[np.ndarray, np.ndarray]:
-    """Insert the four directional control vertices on the ring.
-
-    Returns ``(vertices, anchor_indices)`` where the ring is clockwise and
-    ``anchor_indices`` locates the top/right/bottom/left control vertices in
-    that order. A control vertex coinciding with an existing vertex is not
-    duplicated.
-    """
-    p = normalize_orientation(as_polygon(poly, strict=True))
-    center = bbox_center(p)
-    m = p.shape[0]
-    edges_a = p
-    edges_b = np.roll(p, -1, axis=0)
-    e = edges_b - edges_a
-    lens2 = np.maximum(np.einsum("ij,ij->i", e, e), _EPS**2)
-    tol = 1e-9
-    # anchor -> (edge index, parameter along that edge); anchors hitting an
-    # edge end are snapped onto the matching original vertex (u == 0)
-    placements = []
-    for d in ANCHOR_DIRECTIONS:
-        q = ray_boundary_intersection(p, center, d)
-        u = np.clip(np.einsum("ij,ij->i", q - edges_a, e) / lens2, 0.0, 1.0)
-        proj = edges_a + u[:, None] * e
-        idx = int(np.argmin(np.linalg.norm(proj - q, axis=1)))
-        uk = float(u[idx])
-        if uk >= 1.0 - tol:
-            idx, uk = (idx + 1) % m, 0.0
-        placements.append((idx, uk, q))
-
-    by_edge: dict[int, list[tuple[float, int, np.ndarray]]] = {}
-    for k, (idx, u, q) in enumerate(placements):
-        by_edge.setdefault(idx, []).append((u, k, q))
-    out: list[np.ndarray] = []
-    anchor_pos: dict[int, int] = {}
-    for i in range(m):
-        out.append(p[i])
-        vertex_slot = len(out) - 1
-        for u, k, q in sorted(by_edge.get(i, []), key=lambda item: item[0]):
-            if u <= tol:
-                anchor_pos[k] = vertex_slot
-            else:
-                out.append(q)
-                anchor_pos[k] = len(out) - 1
-    anchors = np.array([anchor_pos[k] for k in range(len(ANCHOR_DIRECTIONS))], dtype=int)
-    return np.array(out), anchors
-
-
 @dataclass(frozen=True)
 class DensifiedContour:
     """Fixed-size clockwise vertex ring with directional anchors.
 
     ``points`` is (N, 2) with N divisible by 4; the top/right/bottom/left
-    control vertices sit at :attr:`anchor_indices` 0, N/4, N/2 and 3N/4.
+    control vertices are points 0, N/4, N/2 and 3N/4.
     """
 
     points: np.ndarray
@@ -223,36 +176,52 @@ class DensifiedContour:
         if pts.shape[0] % 4 != 0:
             raise ValueError(f"vertex count {pts.shape[0]} not divisible by 4")
 
-    @property
-    def anchor_indices(self) -> np.ndarray:
-        return np.arange(4) * (self.points.shape[0] // 4)
-
 
 def densify(poly, n_vertices: int) -> DensifiedContour:
     """Resample a polygon to ``n_vertices`` points anchored at the four
     directional control vertices.
 
-    Each of the four boundary arcs between consecutive control vertices is
-    resampled uniformly by arc length to n_vertices/4 points; point 0 is the
-    top-direction control vertex and the ring is clockwise.
+    A control vertex sits at ring position ``(idx, u)``, ``u`` in [0, 1)
+    along the edge from vertex ``idx``; one within 1e-9 of an edge end is
+    that end vertex, ``u`` = 0. Each arc, from a control vertex through the
+    ring vertices after it to the next one, is resampled uniformly by arc
+    length to n_vertices/4 points; point 0 is the top control vertex and the
+    ring is clockwise. Raises ValueError where a ray misses the boundary,
+    the positions do not run clockwise from the top one, or an arc has zero
+    length.
     """
     if n_vertices < 4 or n_vertices % 4 != 0:
         raise ValueError(f"vertex count {n_vertices} must be a multiple of 4")
-    ring, anchors = insert_control_vertices(poly)
-    k = ring.shape[0]
-    shift = anchors[0]
-    ring = np.roll(ring, -shift, axis=0)
-    anchors = (anchors - shift) % k
-    if not np.all(np.diff(anchors) > 0):
+    p = normalize_orientation(as_polygon(poly, strict=True))
+    center = bbox_center(p)
+    m = p.shape[0]
+    e = np.roll(p, -1, axis=0) - p
+    lens2 = np.maximum(np.einsum("ij,ij->i", e, e), _EPS**2)
+    anchors = []  # (idx, u, point) per direction
+    for d in ANCHOR_DIRECTIONS:
+        q = ray_boundary_intersection(p, center, d)
+        u = np.clip(np.einsum("ij,ij->i", q - p, e) / lens2, 0.0, 1.0)
+        proj = p + u[:, None] * e
+        idx = int(np.argmin(np.linalg.norm(proj - q, axis=1)))
+        uk = float(u[idx])
+        if uk >= 1.0 - _EPS:
+            idx, uk = (idx + 1) % m, 0.0
+        if uk <= _EPS:
+            uk, q = 0.0, p[idx]
+        anchors.append((idx, uk, q))
+    # positions ordered with ties broken by direction run clockwise from the
+    # top one iff they descend exactly once around the cycle
+    keys = [(idx, u, k) for k, (idx, u, _) in enumerate(anchors)]
+    wraps = [keys[(k + 1) % 4] < keys[k] for k in range(4)]
+    if sum(wraps) != 1:
         raise ValueError("control vertices out of cyclic order")
-    per_arc = n_vertices // 4
     pieces = []
-    bounds = list(anchors) + [k]
-    for a0, a1 in zip(bounds[:-1], bounds[1:]):
-        chain = ring[a0 : a1 + 1] if a1 < k else np.vstack([ring[a0:], ring[:1]])
-        pieces.append(_resample_open_chain(chain, per_arc))
-    points = np.vstack(pieces)
-    return DensifiedContour(points)
+    for k in range(4):
+        (ia, _, qa), (ib, ub, qb) = anchors[k], anchors[(k + 1) % 4]
+        # vertex ib precedes control vertex k + 1 unless it is that vertex
+        between = p[np.arange(ia + 1, ib + (ub > 0) + m * wraps[k]) % m]
+        pieces.append(_resample_open_chain(np.vstack([qa, between, qb]), n_vertices // 4))
+    return DensifiedContour(np.vstack(pieces))
 
 
 def _resample_open_chain(chain: np.ndarray, count: int) -> np.ndarray:

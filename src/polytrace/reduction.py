@@ -109,18 +109,19 @@ def prune_collinear(poly) -> np.ndarray:
 
 
 def _angle_or_pi(pts, prev, cur, nxt) -> float:
-    """:func:`vertex_angle` at one ring position, pi where a neighbor
-    coincides, bit for bit wherever the cosine is not NaN, without the cost
-    of a stacked call: ``np.dot`` of two 2-vectors rounds as the Gram matmul
-    of :func:`vertex_angle` does, and ``np.arccos`` as its stacked call. A
-    plain ``ax * bx + ay * by`` or ``math.acos`` would differ in the last
-    bit for some triples."""
+    """:func:`vertex_angle` at one ring position, bit for bit, pi where a
+    neighbor coincides or the cosine is NaN after an overflow, without the
+    cost of a stacked call: ``np.dot`` of two 2-vectors rounds as the Gram
+    matmul of :func:`vertex_angle` does, and ``np.arccos`` as its stacked
+    call. A plain ``ax * bx + ay * by`` or ``math.acos`` would differ in the
+    last bit for some triples."""
     a = pts[prev] - pts[cur]
     b = pts[nxt] - pts[cur]
     na, nb = math.sqrt(np.dot(a, a)), math.sqrt(np.dot(b, b))
     if na < _EPS or nb < _EPS:
         return np.pi
-    return float(np.arccos(min(max(np.dot(a, b) / (na * nb), -1.0), 1.0)))
+    angle = float(np.arccos(min(max(np.dot(a, b) / (na * nb), -1.0), 1.0)))
+    return np.pi if math.isnan(angle) else angle
 
 
 def reduce(sc: ScoredContour, t: float) -> np.ndarray:

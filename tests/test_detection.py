@@ -115,7 +115,6 @@ class TestInitialContour:
         off = offset_targets(gt.points, center)
         back = compose(center, off)
         assert np.max(np.abs(back - gt.points)) < 1e-12
-        assert np.array_equal(DensifiedContour(back).anchor_indices, gt.anchor_indices)
 
     def test_gt_at_center_gives_zero_offsets(self):
         gt = DensifiedContour(np.tile([30.0, 40.0], (8, 1)))

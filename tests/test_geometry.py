@@ -15,6 +15,8 @@ from conftest import hausdorff_between_rings, points_to_ring_distance, random_co
 SQUARE_CCW_YDOWN = np.array([[0.0, 0.0], [0.0, 10.0], [10.0, 10.0], [10.0, 0.0]])
 SQUARE_CW = SQUARE_CCW_YDOWN[::-1]
 BIG_SQUARE = np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 100.0], [0.0, 100.0]])
+# bbox center (20, 20) inside the cavity; the rightward ray escapes through the opening
+C_SHAPE = np.array([[0, 0], [40, 0], [40, 10], [10, 10], [10, 30], [40, 30], [40, 40], [0, 40]], dtype=float)
 
 
 def point_in_polygon(point, poly) -> bool:
@@ -122,60 +124,23 @@ class TestRayBoundaryIntersection:
     def test_concave_shape_takes_outermost_crossing(self):
         # C-shape open to the right: the -x ray from the cavity crosses the
         # inner wall (x=10) and the outer wall (x=0); the outer one must win.
-        c_shape = np.array(
-            [
-                [0, 0], [40, 0], [40, 10], [10, 10],
-                [10, 30], [40, 30], [40, 40], [0, 40],
-            ],
-            dtype=float,
-        )
-        center = geo.bbox_center(c_shape)  # (20, 20) inside the cavity
+        center = geo.bbox_center(C_SHAPE)
         # oracle: enumerate edge crossings of the leftward ray explicitly
         hits = []
-        for a, b in zip(c_shape, np.roll(c_shape, -1, axis=0)):
+        for a, b in zip(C_SHAPE, np.roll(C_SHAPE, -1, axis=0)):
             if (a[1] <= center[1]) != (b[1] <= center[1]):
                 x = a[0] + (center[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
                 if x <= center[0]:
                     hits.append(x)
         assert len(hits) >= 2
-        hit = geo.ray_boundary_intersection(c_shape, center, (-1, 0))
+        hit = geo.ray_boundary_intersection(C_SHAPE, center, (-1, 0))
         assert hit[0] == pytest.approx(min(hits))
         assert hit[1] == pytest.approx(center[1])
 
     def test_no_intersection_raises(self):
         # the same cavity center, but the ray escapes through the opening
-        c_shape = np.array(
-            [
-                [0, 0], [40, 0], [40, 10], [10, 10],
-                [10, 30], [40, 30], [40, 40], [0, 40],
-            ],
-            dtype=float,
-        )
         with pytest.raises(ValueError):
-            geo.ray_boundary_intersection(c_shape, geo.bbox_center(c_shape), (1, 0))
-
-
-class TestControlVertices:
-    def test_square_gains_edge_midpoints(self):
-        ring, anchors = geo.insert_control_vertices(BIG_SQUARE)
-        anchor_pts = ring[anchors]
-        assert np.allclose(anchor_pts, [[50, 0], [100, 50], [50, 100], [0, 50]])
-        assert ring.shape[0] == 8
-
-    def test_anchor_on_existing_vertex_not_duplicated(self):
-        diamond = np.array([[50, 0], [100, 50], [50, 100], [0, 50]], dtype=float)
-        ring, anchors = geo.insert_control_vertices(diamond)
-        assert ring.shape[0] == 4
-        assert np.allclose(ring[anchors], diamond)
-
-    def test_rotated_square_anchors_at_corners(self):
-        theta = np.pi / 4
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        rotated = (BIG_SQUARE - 50) @ rot.T + 50
-        ring, anchors = geo.insert_control_vertices(rotated)
-        anchor_pts = ring[anchors]
-        for q in anchor_pts:
-            assert np.min(np.linalg.norm(rotated - q, axis=1)) < 1e-9
+            geo.ray_boundary_intersection(C_SHAPE, geo.bbox_center(C_SHAPE), (1, 0))
 
 
 class TestDensify:
@@ -186,14 +151,33 @@ class TestDensify:
         assert np.allclose(dc.points[16], (100, 50))
         assert np.allclose(dc.points[32], (50, 100))
         assert np.allclose(dc.points[48], (0, 50))
-        assert list(dc.anchor_indices) == [0, 16, 32, 48]
+
+    def test_square_anchors_at_edge_midpoints(self):
+        dc = geo.densify(BIG_SQUARE, 8)
+        assert np.allclose(dc.points[np.arange(4) * 2], [[50, 0], [100, 50], [50, 100], [0, 50]])
+
+    def test_anchor_on_existing_vertex_not_duplicated(self):
+        # each anchor is a diamond corner itself, the top one also where the
+        # top ray meets the left edge 6e-12 of its length short of that corner
+        for top_x in (50.0, 50.0 + 3e-10):
+            diamond = np.array([[top_x, 0], [100, 50], [50, 100], [0, 50]])
+            dc = geo.densify(diamond, 16)
+            assert np.array_equal(dc.points[np.arange(4) * 4], diamond)
+
+    def test_rotated_square_anchors_at_corners(self):
+        theta = np.pi / 4
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        rotated = (BIG_SQUARE - 50) @ rot.T + 50
+        dc = geo.densify(rotated, 16)
+        for q in dc.points[np.arange(4) * 4]:
+            assert np.min(np.linalg.norm(rotated - q, axis=1)) < 1e-9
 
     def test_anchors_lie_on_directional_rays(self, rng):
         for _ in range(20):
             poly = random_convex_polygon(rng)
             dc = geo.densify(poly, 64)
             center = geo.bbox_center(poly)
-            for idx, direction in zip(dc.anchor_indices, geo.ANCHOR_DIRECTIONS):
+            for idx, direction in zip(np.arange(4) * 64 // 4, geo.ANCHOR_DIRECTIONS):
                 offset = dc.points[idx] - center
                 # perpendicular distance to the ray and forward progress
                 perp = abs(offset[0] * direction[1] - offset[1] * direction[0])
@@ -221,6 +205,22 @@ class TestDensify:
     def test_bad_vertex_count_rejected(self):
         with pytest.raises(ValueError):
             geo.densify(BIG_SQUARE, 62)
+
+    def test_coincident_anchors_rejected(self):
+        # the bbox center (5, 5) lies on the hypotenuse, where the right and
+        # bottom rays both stop
+        with pytest.raises(ValueError):
+            geo.densify([[0, 0], [10, 0], [0, 10]], 8)
+
+    def test_anchors_out_of_cyclic_order_rejected(self):
+        # the bbox center (2.5, 3) lies on an edge, where the top and left
+        # rays both stop, so clockwise from top the left one comes first
+        with pytest.raises(ValueError):
+            geo.densify([[5, 1], [0, 5], [1, 5], [4, 3]], 8)
+
+    def test_escaping_ray_rejected(self):
+        with pytest.raises(ValueError):
+            geo.densify(C_SHAPE, 8)
 
 
 class TestDensifyX10:

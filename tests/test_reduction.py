@@ -159,6 +159,13 @@ class TestReduce:
             for corner in SQUARE:
                 assert np.min(np.linalg.norm(out - corner, axis=1)) <= 0.5
 
+    def test_overflowing_ring_keeps_three_vertices(self):
+        # every cosine is NaN after the overflow, so every angle reads flat
+        pts = np.array([[0, 0], [2, 0.1], [4, 0], [2, 3]]) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = red.reduce(red.ScoredContour(pts, [0.9] * 4), 0.6)
+        assert out.shape[0] >= 3
+
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
             red.reduce(red.ScoredContour(np.zeros((2, 2)), np.zeros(2)), 0.6)
@@ -236,17 +243,21 @@ class TestVectorisedAgainstReference:
 
     def test_scalar_angle_matches_stacked_angles(self, rng):
         # random triples over six scales, integer-grid ones with repeated
-        # points, and triples with a neighbour on the centre vertex
+        # points, triples with a neighbour on the centre vertex, and triples
+        # whose cosine is NaN after an overflow
         triples = [rng.normal(size=(2000, 3, 2)) * scale + 50.0 for scale in (1e-3, 0.1, 1.0, 10.0, 1e3, 1e5)]
         triples.append(rng.integers(0, 4, size=(2000, 3, 2)).astype(float))
         coincident = rng.normal(size=(200, 3, 2))
         coincident[:100, 0] = coincident[:100, 1]
         coincident[100:, 2] = coincident[100:, 1]
         triples.append(coincident)
+        ring = np.array([[0, 0], [2, 0.1], [4, 0], [2, 3]]) * 1e200
+        triples.append(np.stack([np.roll(ring, 1, axis=0), ring, np.roll(ring, -1, axis=0)], axis=1))
         pts = np.concatenate(triples).reshape(-1, 2)
         third = np.arange(0, pts.shape[0], 3)
-        expected = vertex_angle(pts[third], pts[third + 1], pts[third + 2])
-        got = np.array([red._angle_or_pi(pts, i, i + 1, i + 2) for i in third.tolist()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = vertex_angle(pts[third], pts[third + 1], pts[third + 2])
+            got = np.array([red._angle_or_pi(pts, i, i + 1, i + 2) for i in third.tolist()])
         assert np.array_equal(got, expected)
         assert np.count_nonzero(expected == np.pi) >= 200
 
