@@ -13,6 +13,16 @@ directions meet the boundary, and each of the four arcs between them is
 resampled to the same number of points. Index 0 is always the
 top-direction control vertex and the ring runs clockwise, so the control
 vertices of an N-point ring are points 0, N/4, N/2 and 3N/4.
+
+Cost model for one :func:`densify` of an M-vertex polygon to N points: one
+validation and one orientation pass over the ring; one (4, M) pass that
+solves all four rays against every edge, plus a Python loop over only the
+endpoints of edges collinear with a ray; one (4, M) pass that projects the
+four hits onto every edge; one gather, one ``diff`` and one row-wise
+``cumsum`` of the four arcs, padded to the longest; then per arc one length
+sum and two ``np.interp`` calls of N/4 points. That is about a hundred
+numpy calls whatever M and N, so at the benchmark's sizes their fixed cost
+dominates, not the vertex count.
 """
 
 from __future__ import annotations
@@ -42,10 +52,15 @@ def as_polygon(vertices, strict: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(poly)):
         raise ValueError("polygon has non-finite coordinates")
     if strict:
-        gaps = np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)
+        gaps = np.linalg.norm(_next(poly) - poly, axis=1)
         if np.any(gaps < _EPS):
             raise ValueError("polygon has consecutive duplicate vertices")
     return poly
+
+
+def _next(p: np.ndarray) -> np.ndarray:
+    """``np.roll(p, -1, axis=0)``, each vertex's successor, with less overhead."""
+    return np.concatenate((p[1:], p[:1]))
 
 
 def bounding_box(points) -> np.ndarray:
@@ -65,9 +80,11 @@ def signed_area(poly) -> float:
     Positive for clockwise traversal on screen (y down), negative for
     counterclockwise.
     """
-    p = as_polygon(poly)
-    x, y = p[:, 0], p[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    return _shoelace(as_polygon(poly))
+
+
+def _shoelace(p: np.ndarray) -> float:
+    (x, y), (xn, yn) = p.T, _next(p).T
     return float(np.sum(x * yn - xn * y) / 2.0)
 
 
@@ -76,8 +93,11 @@ def normalize_orientation(poly) -> np.ndarray:
 
     Raises ValueError for zero-area input.
     """
-    p = as_polygon(poly)
-    area = signed_area(p)
+    return _clockwise(as_polygon(poly))
+
+
+def _clockwise(p: np.ndarray) -> np.ndarray:
+    area = _shoelace(p)
     if abs(area) < _EPS:
         raise ValueError("cannot orient a zero-area polygon")
     if area < 0:
@@ -117,43 +137,50 @@ def vertex_angle(prev, cur, nxt) -> np.ndarray:
     return np.where((na < _EPS) | (nb < _EPS) | np.isnan(angle), np.pi, angle)
 
 
-def ray_boundary_intersection(poly, center, direction) -> np.ndarray:
-    """Intersect a ray from ``center`` with the ring, keeping the crossing
-    farthest from the center.
+def ray_boundary_intersection(poly, center, directions) -> np.ndarray:
+    """Intersect rays from ``center`` with the ring, keeping for each the
+    crossing farthest from the center.
 
-    The outermost crossing is the deterministic choice when a concave
-    boundary is crossed more than once; it always lies on the outer sweep
-    of the contour.
+    ``directions`` is one (2,) direction or a (K, 2) stack, and the hits
+    have its shape. The outermost crossing is the deterministic choice when
+    a concave boundary is crossed more than once; it always lies on the
+    outer sweep of the contour. Raises ValueError for a zero-length
+    direction or a ray that misses the boundary.
     """
+    d = np.asarray(directions, dtype=float)
+    if not np.all(np.any(d != 0.0, axis=-1)):
+        raise ValueError("ray direction must be non-zero")
+    d = d.reshape(-1, 2)
+    d = d / np.linalg.norm(d, axis=1, keepdims=True)
     p = as_polygon(poly)
-    c = np.asarray(center, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    a = p
-    b = np.roll(p, -1, axis=0)
-    e = b - a
-    r = a - c
-    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
-    best_t = -np.inf
-    # generic (non-parallel) edges, solved edge-wise
+    hits = _ray_hits(p, np.asarray(center, dtype=float), d, _next(p) - p)
+    return hits.reshape(np.shape(directions))
+
+
+def _ray_hits(p, c, d, e) -> np.ndarray:
+    """(K, 2) outermost hits of the K unit rays ``d`` from ``c`` on the ring
+    ``p`` with edge vectors ``e``, all edges of all rays in one (K, M) pass;
+    only the endpoints of edges collinear with a ray are visited in a loop.
+    """
+    r = p - c
+    denom = d[:, :1] * e[:, 1] - d[:, 1:] * e[:, 0]
+    cross = r[:, 0] * d[:, 1:] - r[:, 1] * d[:, :1]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (r[:, 0] * e[:, 1] - r[:, 1] * e[:, 0]) / denom
-        u = (r[:, 0] * d[1] - r[:, 1] * d[0]) / denom
-    ok = (np.abs(denom) > _EPS) & (u >= -_EPS) & (u <= 1.0 + _EPS) & (t >= -_EPS)
-    if np.any(ok):
-        best_t = float(t[ok].max())
-    # edges collinear with the ray contribute their endpoints
+        u = cross / denom
     par = np.abs(denom) <= _EPS
-    if np.any(par):
-        coll = par & (np.abs(r[:, 0] * d[1] - r[:, 1] * d[0]) <= 1e-7)
-        for i in np.nonzero(coll)[0]:
-            for q in (a[i], b[i]):
-                tq = float(np.dot(q - c, d))
-                if tq >= -_EPS and tq > best_t:
-                    best_t = tq
-    if not np.isfinite(best_t):
+    ok = ~par & (u >= -_EPS) & (u <= 1.0 + _EPS) & (t >= -_EPS)
+    best = np.where(ok, t, -np.inf).max(axis=1)
+    # edges collinear with a ray contribute their endpoints
+    m = p.shape[0]
+    for k, i in zip(*np.nonzero(par & (np.abs(cross) <= 1e-7))):
+        for q in (p[i], p[(i + 1) % m]):
+            tq = float(np.dot(q - c, d[k]))
+            if tq >= -_EPS and tq > best[k]:
+                best[k] = tq
+    if not np.all(np.isfinite(best)):
         raise ValueError("ray does not intersect the polygon boundary")
-    return c + max(best_t, 0.0) * d
+    return c + np.maximum(best, 0.0)[:, None] * d
 
 
 @dataclass(frozen=True)
@@ -188,53 +215,59 @@ def densify(poly, n_vertices: int) -> DensifiedContour:
     length to n_vertices/4 points; point 0 is the top control vertex and the
     ring is clockwise. Raises ValueError where a ray misses the boundary,
     the positions do not run clockwise from the top one, or an arc has zero
-    length.
+    length. Known rejection: a polygon whose bbox center lies on its
+    boundary is rejected wherever two rays stop at the center, since their
+    control vertices meet there; every axis-aligned right triangle is.
+
+    The four arcs are cut as one padded (4, L) chain, but each keeps its
+    own length sum and its own ``np.interp`` calls: a pairwise sum rounds by
+    the length of what it sums, so a padded or concatenated one could
+    change bits.
     """
     if n_vertices < 4 or n_vertices % 4 != 0:
         raise ValueError(f"vertex count {n_vertices} must be a multiple of 4")
-    p = normalize_orientation(as_polygon(poly, strict=True))
-    center = bbox_center(p)
+    p = _clockwise(as_polygon(poly, strict=True))
     m = p.shape[0]
-    e = np.roll(p, -1, axis=0) - p
+    e = _next(p) - p
+    q = _ray_hits(p, bbox_center(p), ANCHOR_DIRECTIONS, e)
     lens2 = np.maximum(np.einsum("ij,ij->i", e, e), _EPS**2)
-    anchors = []  # (idx, u, point) per direction
-    for d in ANCHOR_DIRECTIONS:
-        q = ray_boundary_intersection(p, center, d)
-        u = np.clip(np.einsum("ij,ij->i", q - p, e) / lens2, 0.0, 1.0)
-        proj = p + u[:, None] * e
-        idx = int(np.argmin(np.linalg.norm(proj - q, axis=1)))
-        uk = float(u[idx])
-        if uk >= 1.0 - _EPS:
-            idx, uk = (idx + 1) % m, 0.0
-        if uk <= _EPS:
-            uk, q = 0.0, p[idx]
-        anchors.append((idx, uk, q))
+    u = np.clip(np.einsum("kij,ij->ki", q[:, None] - p, e) / lens2, 0.0, 1.0)
+    proj = p + u[..., None] * e
+    idx = np.argmin(np.linalg.norm(proj - q[:, None], axis=2), axis=1)
+    u = u[np.arange(4), idx]
+    end = u >= 1.0 - _EPS
+    idx, u = np.where(end, (idx + 1) % m, idx), np.where(end, 0.0, u)
+    start = u <= _EPS
+    u = np.where(start, 0.0, u)
+    q = np.where(start[:, None], p[idx], q)
     # positions ordered with ties broken by direction run clockwise from the
     # top one iff they descend exactly once around the cycle
-    keys = [(idx, u, k) for k, (idx, u, _) in enumerate(anchors)]
-    wraps = [keys[(k + 1) % 4] < keys[k] for k in range(4)]
-    if sum(wraps) != 1:
+    keys = list(zip(idx.tolist(), u.tolist(), range(4)))
+    wraps = np.array([keys[(k + 1) % 4] < keys[k] for k in range(4)])
+    if wraps.sum() != 1:
         raise ValueError("control vertices out of cyclic order")
-    pieces = []
+    # arc k: control vertex k, the ring vertices from idx[k] + 1 up to the
+    # edge of control vertex k + 1 (that vertex itself where u = 0), then
+    # control vertex k + 1, repeated as padding; p and q share one table
+    nxt = np.array([1, 2, 3, 0])
+    inner = np.maximum(idx[nxt] + (u[nxt] > 0) + m * wraps - idx - 1, 0)
+    pos = np.arange(1, inner.max() + 2)
+    table = np.vstack([p, q])
+    rows = np.where(pos <= inner[:, None], (idx[:, None] + pos) % m, m + nxt[:, None])
+    chain = table[np.column_stack([m + np.arange(4), rows])]
+    seg = np.linalg.norm(np.diff(chain, axis=1), axis=2)
+    cum = np.concatenate([np.zeros((4, 1)), np.cumsum(seg, axis=1)], axis=1)
+    count = n_vertices // 4
+    out = np.empty((4, count, 2))
     for k in range(4):
-        (ia, _, qa), (ib, ub, qb) = anchors[k], anchors[(k + 1) % 4]
-        # vertex ib precedes control vertex k + 1 unless it is that vertex
-        between = p[np.arange(ia + 1, ib + (ub > 0) + m * wraps[k]) % m]
-        pieces.append(_resample_open_chain(np.vstack([qa, between, qb]), n_vertices // 4))
-    return DensifiedContour(np.vstack(pieces))
-
-
-def _resample_open_chain(chain: np.ndarray, count: int) -> np.ndarray:
-    """Uniform arc-length resampling of an open chain; start kept, end dropped."""
-    seg = np.linalg.norm(np.diff(chain, axis=0), axis=1)
-    total = float(seg.sum())
-    if total < _EPS:
-        raise ValueError("degenerate zero-length arc between control vertices")
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.arange(count) * (total / count)
-    x = np.interp(targets, cum, chain[:, 0])
-    y = np.interp(targets, cum, chain[:, 1])
-    return np.column_stack([x, y])
+        n = inner[k] + 1  # segments of arc k
+        total = float(seg[k, :n].sum())
+        if total < _EPS:
+            raise ValueError("degenerate zero-length arc between control vertices")
+        targets = np.arange(count) * (total / count)
+        out[k, :, 0] = np.interp(targets, cum[k, : n + 1], chain[k, : n + 1, 0])
+        out[k, :, 1] = np.interp(targets, cum[k, : n + 1], chain[k, : n + 1, 1])
+    return DensifiedContour(out.reshape(-1, 2))
 
 
 def densify_x10(points) -> np.ndarray:

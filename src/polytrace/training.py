@@ -82,7 +82,12 @@ class SceneBundle:
 
 
 def prepare_scene(scene: SyntheticScene, cfg: RunConfig, image_id: int = 0) -> SceneBundle:
-    """Precompute everything reusable across epochs for one scene."""
+    """Precompute everything reusable across epochs for one scene.
+
+    Raises ValueError for a footprint ``geometry.densify`` rejects, such as
+    one whose bbox center lies on its boundary (every axis-aligned right
+    triangle); ``synth.generate_scene`` places none.
+    """
     features = feature_provider(scene.image)
     height, width = np.asarray(scene.image).shape
     centers, sizes, instances = [], [], []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polytrace.geometry import ANCHOR_DIRECTIONS, as_polygon, bbox_center, normalize_orientation
 from polytrace.pipeline import PipelineParams
 
 
@@ -141,3 +142,82 @@ def as_float64(params):
     """A copy of ``params`` with every array cast to float64, so the
     evolution network computes in float64."""
     return PipelineParams.from_arrays({name: arr.astype(np.float64) for name, arr in params.arrays()})
+
+
+def reference_densify(poly, n_vertices):
+    """Points of ``geometry.densify``, one ray, one projection and one arc at
+    a time; ``densify`` must give the same bits and reject the same inputs."""
+    if n_vertices < 4 or n_vertices % 4 != 0:
+        raise ValueError(f"vertex count {n_vertices} must be a multiple of 4")
+    p = normalize_orientation(as_polygon(poly, strict=True))
+    center = bbox_center(p)
+    m = p.shape[0]
+    e = np.roll(p, -1, axis=0) - p
+    lens2 = np.maximum(np.einsum("ij,ij->i", e, e), 1e-9**2)
+    anchors = []  # (idx, u, point) per direction
+    for d in ANCHOR_DIRECTIONS:
+        q = reference_ray_hit(p, center, d)
+        u = np.clip(np.einsum("ij,ij->i", q - p, e) / lens2, 0.0, 1.0)
+        proj = p + u[:, None] * e
+        idx = int(np.argmin(np.linalg.norm(proj - q, axis=1)))
+        uk = float(u[idx])
+        if uk >= 1.0 - 1e-9:
+            idx, uk = (idx + 1) % m, 0.0
+        if uk <= 1e-9:
+            uk, q = 0.0, p[idx]
+        anchors.append((idx, uk, q))
+    keys = [(idx, u, k) for k, (idx, u, _) in enumerate(anchors)]
+    wraps = [keys[(k + 1) % 4] < keys[k] for k in range(4)]
+    if sum(wraps) != 1:
+        raise ValueError("control vertices out of cyclic order")
+    pieces = []
+    for k in range(4):
+        (ia, _, qa), (ib, ub, qb) = anchors[k], anchors[(k + 1) % 4]
+        between = p[np.arange(ia + 1, ib + (ub > 0) + m * wraps[k]) % m]
+        pieces.append(reference_resample(np.vstack([qa, between, qb]), n_vertices // 4))
+    return np.vstack(pieces)
+
+
+def reference_ray_hit(poly, center, direction):
+    """The crossing of one ray from ``center`` with the ring farthest from
+    the center, one direction at a time."""
+    p = as_polygon(poly)
+    c = np.asarray(center, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    a = p
+    b = np.roll(p, -1, axis=0)
+    e = b - a
+    r = a - c
+    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
+    best_t = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (r[:, 0] * e[:, 1] - r[:, 1] * e[:, 0]) / denom
+        u = (r[:, 0] * d[1] - r[:, 1] * d[0]) / denom
+    ok = (np.abs(denom) > 1e-9) & (u >= -1e-9) & (u <= 1.0 + 1e-9) & (t >= -1e-9)
+    if np.any(ok):
+        best_t = float(t[ok].max())
+    par = np.abs(denom) <= 1e-9
+    if np.any(par):
+        coll = par & (np.abs(r[:, 0] * d[1] - r[:, 1] * d[0]) <= 1e-7)
+        for i in np.nonzero(coll)[0]:
+            for q in (a[i], b[i]):
+                tq = float(np.dot(q - c, d))
+                if tq >= -1e-9 and tq > best_t:
+                    best_t = tq
+    if not np.isfinite(best_t):
+        raise ValueError("ray does not intersect the polygon boundary")
+    return c + max(best_t, 0.0) * d
+
+
+def reference_resample(chain, count):
+    """Uniform arc-length resampling of an open chain; start kept, end dropped."""
+    seg = np.linalg.norm(np.diff(chain, axis=0), axis=1)
+    total = float(seg.sum())
+    if total < 1e-9:
+        raise ValueError("degenerate zero-length arc between control vertices")
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.arange(count) * (total / count)
+    x = np.interp(targets, cum, chain[:, 0])
+    y = np.interp(targets, cum, chain[:, 1])
+    return np.column_stack([x, y])

@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from polytrace import geometry as geo
+from polytrace import synth
 from polytrace.evolution import relative_coords
 
-from conftest import hausdorff_between_rings, points_to_ring_distance, random_convex_polygon
+from conftest import (
+    hausdorff_between_rings,
+    points_to_ring_distance,
+    random_convex_polygon,
+    reference_densify,
+    reference_ray_hit,
+)
 
 SQUARE_CCW_YDOWN = np.array([[0.0, 0.0], [0.0, 10.0], [10.0, 10.0], [10.0, 0.0]])
 SQUARE_CW = SQUARE_CCW_YDOWN[::-1]
@@ -85,6 +92,62 @@ def raster_cases():
 RASTER_CASES = raster_cases()
 
 
+# a ray runs along an edge 5e-8 off it, so only that edge's far endpoint
+# gives its hit (its end, then in the mirror image its start); a ray's
+# farthest crossing lies a rounding error behind the center, and the hit
+# clamps to the center
+NEAR_DEGENERATE_RINGS = [
+    [[3.00000005, 0.0], [4.0, 2.0], [2.0, 6.0], [3.00000005, 1.0]],
+    [[2.99999995, 0.0], [2.0, 2.0], [4.0, 6.0], [2.99999995, 1.0]],
+    [[0.1, 2.1], [2.1, 2.1], [2.1, 1.1], [4.1, 2.1]],
+    [[0.3, 1.3], [2.3, 2.3], [1.3, 3.3], [1.3, 1.3]],
+]
+
+
+def densify_cases(count, seed=20):
+    """``count`` seeded (polygon, n_vertices) pairs from eight families, each
+    ring starting at a random vertex and in a random direction, then the
+    near-degenerate rings; many are degenerate or self-intersecting, so
+    ``densify`` rejects a good share."""
+    rng = np.random.default_rng(seed)
+    spec = synth.SceneSpec()
+
+    def star():
+        k = int(rng.integers(3, 65))  # long arcs, whose sums round by length
+        angle = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        radius = rng.uniform(2.0, 30.0, k)
+        return rng.uniform(20.0, 80.0, 2) + radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+
+    def integer_grid():
+        return np.round(star())
+
+    def tiny_integer():
+        return rng.integers(0, 5, (int(rng.integers(3, 7)), 2)).astype(float)
+
+    def right_triangle():
+        (a, b), corner = rng.uniform(1.0, 40.0, 2), rng.uniform(0.0, 50.0, 2)
+        return corner + np.array([[0.0, 0.0], [a, 0.0], [0.0, b]])
+
+    families = [
+        lambda: synth._make_rect(rng, spec) + rng.uniform(6.0, 80.0, 2),
+        lambda: synth._make_rot_rect(rng, spec) + rng.uniform(6.0, 80.0, 2),
+        lambda: synth._make_l_shape(rng, spec) + rng.uniform(6.0, 80.0, 2),
+        lambda: random_convex_polygon(rng, int(rng.integers(3, 16))),
+        star,
+        integer_grid,
+        tiny_integer,
+        right_triangle,
+    ]
+    cases = []
+    for i in range(count):
+        poly = families[i % len(families)]()
+        if rng.random() < 0.5:
+            poly = poly[::-1]
+        poly = np.roll(poly, int(rng.integers(0, poly.shape[0])), axis=0)
+        cases.append((poly, int(rng.choice([4, 8, 16, 64, 128]))))
+    return cases + [(np.array(ring), n) for ring in NEAR_DEGENERATE_RINGS for n in (4, 64)]
+
+
 class TestSignedArea:
     def test_counterclockwise_square_is_negative(self):
         assert geo.signed_area(SQUARE_CCW_YDOWN) == pytest.approx(-100.0)
@@ -141,6 +204,23 @@ class TestRayBoundaryIntersection:
         # the same cavity center, but the ray escapes through the opening
         with pytest.raises(ValueError):
             geo.ray_boundary_intersection(C_SHAPE, geo.bbox_center(C_SHAPE), (1, 0))
+
+    @pytest.mark.parametrize("directions", [(0, 0), [(0, -1), (0.0, 0.0)]])
+    def test_zero_direction_rejected(self, directions):
+        with pytest.raises(ValueError, match="non-zero"):
+            geo.ray_boundary_intersection(BIG_SQUARE, (50, 50), directions)
+
+    def test_stack_equals_one_ray_at_a_time(self, rng):
+        directions = np.vstack([geo.ANCHOR_DIRECTIONS, [[1.0, 1.0], [-3.0, 0.5]]])
+        for _ in range(20):
+            poly = random_convex_polygon(rng)
+            center = geo.bbox_center(poly)
+            hits = geo.ray_boundary_intersection(poly, center, directions)
+            assert hits.shape == directions.shape
+            for d, hit in zip(directions, hits):
+                assert np.allclose(hit, reference_ray_hit(poly, center, d), rtol=0.0, atol=1e-9)
+            for d, hit in zip(geo.ANCHOR_DIRECTIONS, hits):
+                assert np.array_equal(hit, reference_ray_hit(poly, center, d))
 
 
 class TestDensify:
@@ -221,6 +301,26 @@ class TestDensify:
     def test_escaping_ray_rejected(self):
         with pytest.raises(ValueError):
             geo.densify(C_SHAPE, 8)
+
+    def test_bit_identical_to_per_ray_reference(self):
+        """Equal points, zero signs included, and a ValueError on exactly the
+        same inputs as the one-ray-at-a-time oracle."""
+        equal = rejected = 0
+        for poly, n in densify_cases(3000):
+            try:
+                expected = reference_densify(poly, n)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    geo.densify(poly, n)
+                rejected += 1
+                continue
+            points = geo.densify(poly, n).points
+            assert points.shape == expected.shape
+            assert np.array_equal(points, expected)
+            assert np.array_equal(np.signbit(points), np.signbit(expected))
+            equal += 1
+        # both outcomes are well represented
+        assert equal > 1500 and rejected > 500
 
 
 class TestDensifyX10:

@@ -4,7 +4,50 @@ from scipy import ndimage
 
 from polytrace import synth, training
 from polytrace.config import RunConfig
-from polytrace.geometry import rasterize, signed_area
+from polytrace.geometry import densify, rasterize, signed_area
+
+
+class ScriptedRng:
+    """Stands in for a Generator in the shape makers: each ``uniform`` or
+    ``integers`` call returns the next scripted value."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def uniform(self, low, high):
+        value = self.values.pop(0)
+        assert low <= value <= high
+        return value
+
+    def integers(self, low, high):
+        value = self.values.pop(0)
+        assert low <= value < high
+        return value
+
+
+def maker_settings(spec):
+    """(maker, scripted draws) at both ends of ``size_range``, at rotations
+    0, pi/4 and just below pi/2, at notch fractions 0.3 and 0.45 and at all
+    four L corners."""
+    sizes = spec.size_range
+    thetas = (0.0, np.pi / 4, np.nextafter(np.pi / 2, 0.0))
+    for w in sizes:
+        for h in sizes:
+            yield synth._make_rect, (w, h)
+            for theta in thetas:
+                yield synth._make_rot_rect, (w, h, theta)
+            for fw in (0.3, 0.45):
+                for fh in (0.3, 0.45):
+                    for corner in range(4):
+                        yield synth._make_l_shape, (w, h, fw, fh, corner)
+
+
+def assert_densifiable(poly):
+    # as placed by generate_scene: shifted to the frame margin, then further
+    for shift in (0.0, synth.MARGIN, 37.25):
+        placed = poly - poly.min(axis=0) + shift
+        for n in (8, 64):
+            assert densify(placed, n).points.shape == (n, 2)
 
 
 class TestGenerateScene:
@@ -62,6 +105,25 @@ class TestGenerateScene:
             for seed in range(5):
                 generated = synth.generate_scene(seed, spec)
             assert generated is not None
+
+
+class TestShapeMakers:
+    """``generate_scene`` drops a building ``densify`` rejects, but the
+    makers must never produce one."""
+
+    def test_extreme_settings_densifiable(self):
+        spec = synth.SceneSpec()
+        for maker, draws in maker_settings(spec):
+            rng = ScriptedRng(*draws)
+            assert_densifiable(maker(rng, spec))
+            assert not rng.values
+
+    def test_random_sweep_densifiable(self):
+        rng = np.random.default_rng(31)
+        spec = synth.SceneSpec()
+        for _ in range(100):
+            for maker in (synth._make_rect, synth._make_rot_rect, synth._make_l_shape):
+                assert_densifiable(maker(rng, spec))
 
 
 class TestMakeDataset:
