@@ -2,13 +2,13 @@
 vertices, plus the nearest-point queries used by the matching losses.
 
 Cost matrices are (M, N) with M ground-truth corners in rows and N predicted
-vertices in columns, M <= N. All tie-breaking is by lowest index so results
-are reproducible.
+vertices in columns, M <= N. :func:`hungarian` returns the matched columns
+as an (M,) int array: row i is matched to column ``matched[i]``, and the
+columns are distinct. All tie-breaking is by lowest index so results are
+reproducible.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,29 +16,6 @@ from .geometry import pairwise_distances
 
 # weight of the normalized distance against the valid-class probability
 MATCH_DISTANCE_WEIGHT = 5.0
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Injective row-to-column map: row i is matched to column sigma[i]."""
-
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        sig = np.asarray(self.sigma, dtype=int)
-        object.__setattr__(self, "sigma", sig)
-        if sig.ndim != 1:
-            raise ValueError("assignment must be a 1-D index array")
-        if np.unique(sig).size != sig.size:
-            raise ValueError("assignment columns must be distinct")
-
-    def matched_columns(self) -> np.ndarray:
-        return self.sigma
-
-    def unmatched_columns(self, n_columns: int) -> np.ndarray:
-        mask = np.ones(n_columns, dtype=bool)
-        mask[self.sigma] = False
-        return np.nonzero(mask)[0]
 
 
 def match_cost(gt_corners, pred_points, valid_probs, *, diagonal: float) -> np.ndarray:
@@ -63,8 +40,9 @@ def match_cost(gt_corners, pred_points, valid_probs, *, diagonal: float) -> np.n
     return -probs[None, :] + MATCH_DISTANCE_WEIGHT * pairwise_distances(corners, preds) / diagonal
 
 
-def hungarian(cost) -> Assignment:
-    """Minimum-cost injective assignment of every row to a distinct column.
+def hungarian(cost) -> np.ndarray:
+    """Minimum-cost injective assignment of every row to a distinct column;
+    returns the (M,) int array of each row's column.
 
     Exact O(n^3) shortest-augmenting-path algorithm with dual potentials.
     Requires a finite (M, N) matrix with M <= N.
@@ -110,11 +88,11 @@ def hungarian(cost) -> Assignment:
             j1 = way[j0]
             col_row[j0] = col_row[j1]
             j0 = j1
-    sigma = np.zeros(m, dtype=int)
+    matched = np.zeros(m, dtype=int)
     for j in range(1, n + 1):
         if col_row[j] != 0:
-            sigma[col_row[j] - 1] = j - 1
-    return Assignment(sigma)
+            matched[col_row[j] - 1] = j - 1
+    return matched
 
 
 def nearest_point_indices(query_points, points) -> np.ndarray:

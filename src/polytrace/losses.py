@@ -1,20 +1,20 @@
 """Training objectives with analytic gradients.
 
-Every loss returns a :class:`LossValue` carrying the scalar and the partial
-derivatives with respect to its continuous inputs, keyed by input name;
-:func:`total_loss` weights the per-component scalars into the objective.
-Discrete selections (Hungarian matches, nearest-point indices) are treated
-as constants inside a step's gradient; they are recomputed between steps,
-which is what makes the vertex pairing dynamic at step granularity.
+Every loss returns a ``(value, grad)`` pair: the scalar and its partial
+derivative with respect to the loss's one continuous input, an array of
+that input's shape. :func:`total_loss` weights the per-component scalars
+into the objective. A non-finite value is returned as it is; the total's
+check in ``training.train_step`` rejects it. Discrete selections (Hungarian
+matches, nearest-point indices) are treated as constants inside a step's
+gradient; they are recomputed between steps, which is what makes the vertex
+pairing dynamic at step granularity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .assignment import Assignment, nearest_point_indices
+from .assignment import nearest_point_indices
 from .geometry import densify_x10
 
 PROB_EPS = 1e-7
@@ -24,29 +24,17 @@ INVALID_WEIGHT = 0.1   # weight of an unmatched vertex in the classification los
 LOSS_BALANCE = 1.0 / 3.0  # weight of each contour loss in the total
 
 
-@dataclass
-class LossValue:
-    """Scalar objective plus per-input gradients (same shapes as the inputs)."""
-
-    value: float
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("loss value must be finite")
-
-
 def _clamped_log(p):
     return np.log(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
 
 
-def focal_center_loss(pred_heatmap, target_heatmap) -> LossValue:
+def focal_center_loss(pred_heatmap, target_heatmap) -> tuple[float, np.ndarray]:
     """Penalty-reduced focal loss for the center-point heatmap.
 
     The heatmaps are (R, W), or (S, R, W) for S scenes. Pixels where the
     target is exactly 1 are keypoints; each scene's sum is averaged by that
-    scene's keypoint count, and the loss is the mean over the scenes.
-    Gradient key: ``heatmap``.
+    scene's keypoint count, and the loss is the mean over the scenes. The
+    gradient is with respect to ``pred_heatmap``.
     """
     pred = np.asarray(pred_heatmap, dtype=float)
     target = np.asarray(target_heatmap, dtype=float)
@@ -70,14 +58,14 @@ def focal_center_loss(pred_heatmap, target_heatmap) -> LossValue:
     d_neg = (1.0 - target) ** beta * (alpha * p ** (alpha - 1) * log_1p - p**alpha / (1.0 - p))
     grad = np.where(pos, d_pos, -d_neg) * weight
     grad = np.where((pred > PROB_EPS) & (pred < 1.0 - PROB_EPS), grad, 0.0)
-    return LossValue(value, {"heatmap": grad})
+    return value, grad
 
 
-def smooth_l1(pred_points, gt_points) -> LossValue:
+def smooth_l1(pred_points, gt_points) -> tuple[float, np.ndarray]:
     """Mean smooth-L1 over vertices, summed over x and y per vertex.
 
-    Per coordinate: 0.5 x^2 for |x| < 1, |x| - 0.5 otherwise. Gradient key:
-    ``pred``.
+    Per coordinate: 0.5 x^2 for |x| < 1, |x| - 0.5 otherwise. The gradient
+    is with respect to ``pred_points``.
     """
     pred = np.asarray(pred_points, dtype=float)
     gt = np.asarray(gt_points, dtype=float)
@@ -88,20 +76,21 @@ def smooth_l1(pred_points, gt_points) -> LossValue:
     a = np.abs(diff)
     per_coord = np.where(a < 1.0, 0.5 * diff**2, a - 0.5)
     grad = np.where(a < 1.0, diff, np.sign(diff)) / n
-    return LossValue(float(per_coord.sum()) / n, {"pred": grad})
+    return float(per_coord.sum()) / n, grad
 
 
-def classification_loss(valid_probs, assignment: Assignment) -> LossValue:
+def classification_loss(valid_probs, matched) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of the matched/unmatched vertex labels.
 
-    Matched vertices contribute -log(c); unmatched ones contribute
-    ``INVALID_WEIGHT * -log(1 - c)`` to counter the class imbalance.
-    Gradient key: ``probs``.
+    ``matched`` holds the distinct vertex indices that ``hungarian`` matched
+    to a corner. Matched vertices contribute -log(c); the others contribute
+    ``INVALID_WEIGHT * -log(1 - c)`` to counter the class imbalance. The
+    gradient is with respect to ``valid_probs``.
     """
     c = np.asarray(valid_probs, dtype=float)
     n = c.shape[0]
-    matched = assignment.matched_columns()
-    unmatched = assignment.unmatched_columns(n)
+    unmatched = np.ones(n, dtype=bool)
+    unmatched[matched] = False
     value = float(-_clamped_log(c[matched]).sum())
     value += INVALID_WEIGHT * float(-_clamped_log(1.0 - c[unmatched]).sum())
 
@@ -113,17 +102,18 @@ def classification_loss(valid_probs, assignment: Assignment) -> LossValue:
         INVALID_WEIGHT / np.clip(1.0 - c[unmatched], PROB_EPS, None),
         0.0,
     )
-    return LossValue(value, {"probs": grad})
+    return value, grad
 
 
-def dml(pred, gt, gt_corners, assignment: Assignment) -> LossValue:
+def dml(pred, gt, gt_corners, matched) -> tuple[float, np.ndarray]:
     """Dynamic matching loss: boundary attraction plus corner attraction.
 
     ``pred`` and ``gt`` are (N, 2) rings. The first term is the mean L1
     distance from each predicted vertex to its nearest point (by L2) on the
     10x-densified ground-truth ring; the second is the mean L1 distance from
-    each matched predicted vertex to its corner. Gradients treat both
-    selections as constants. Gradient key: ``pred``.
+    each matched predicted vertex ``pred[matched[i]]`` to its corner
+    ``gt_corners[i]``. The gradient, with respect to ``pred``, treats both
+    selections as constants.
     """
     pred_pts = np.asarray(pred, dtype=float)
     n = pred_pts.shape[0]
@@ -136,14 +126,13 @@ def dml(pred, gt, gt_corners, assignment: Assignment) -> LossValue:
     pre2gt = float(np.abs(diff_b).sum()) / n
     grad = np.sign(diff_b) / n
 
-    sigma = assignment.matched_columns()
-    if sigma.size != m:
+    if matched.size != m:
         raise ValueError("assignment size does not match corner count")
-    diff_c = pred_pts[sigma] - corners
+    diff_c = pred_pts[matched] - corners
     gt2pre = float(np.abs(diff_c).sum()) / m
-    np.add.at(grad, sigma, np.sign(diff_c) / m)
+    np.add.at(grad, matched, np.sign(diff_c) / m)
 
-    return LossValue(pre2gt + gt2pre, {"pred": grad})
+    return pre2gt + gt2pre, grad
 
 
 def total_loss(components) -> float:

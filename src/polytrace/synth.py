@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .detection import STRIDE
-from .geometry import densify, normalize_orientation, rasterize
+from .geometry import normalize_orientation, rasterize
 
 SHAPE_KINDS = ("rect", "rot_rect", "l_shape")
 SHAPE_MIX = (0.45, 0.30, 0.25)  # probabilities of SHAPE_KINDS
@@ -110,10 +110,6 @@ def generate_scene(seed: int, spec: SceneSpec = SceneSpec()) -> SyntheticScene:
                 [poly[:, 0].min(), poly[:, 1].min(), poly[:, 0].max(), poly[:, 1].max()]
             ) + np.array([-1.0, -1.0, 1.0, 1.0]) * (GAP / 2)
             if any(_boxes_overlap(box, other) for other in boxes):
-                continue
-            try:
-                densify(poly, 8)  # every building must be densifiable
-            except ValueError:
                 continue
             buildings.append(normalize_orientation(poly))
             boxes.append(box)

@@ -15,6 +15,9 @@ treated as constants per stage, so gradients never cross stage boundaries
 through the sampling path. Every gradient and every optimizer state array
 takes its parameter's dtype, and the optimizers update in place, so a step
 keeps the float32 evolution arrays float32.
+
+Each :class:`TrainInstance` holds its densified ground truth as a plain
+(N, 2) ``ring``, and every loss returns a ``(value, grad)`` pair.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ EVOLUTION_GRAD_NORM_MAX = 100.0
 @dataclass
 class TrainInstance:
     corners: np.ndarray  # (M, 2) ground-truth corner polygon
-    contour: object      # DensifiedContour ground truth
+    ring: np.ndarray     # (N, 2) densified ground-truth ring
     center: np.ndarray   # bbox center, full-resolution pixels
 
 
@@ -86,18 +89,19 @@ def prepare_scene(scene: SyntheticScene, cfg: RunConfig, image_id: int = 0) -> S
 
     Raises ValueError for a footprint ``geometry.densify`` rejects, such as
     one whose bbox center lies on its boundary (every axis-aligned right
-    triangle); ``synth.generate_scene`` places none.
+    triangle). ``synth.generate_scene`` does not check for one; its shape
+    makers never make one, as ``tests/test_synth.py`` checks.
     """
     features = feature_provider(scene.image)
     height, width = np.asarray(scene.image).shape
     centers, sizes, instances = [], [], []
     for poly in scene.buildings:
-        dc = densify(poly, cfg.n_vertices)
+        ring = densify(poly, cfg.n_vertices).points
         center = bbox_center(poly)
         box = bounding_box(poly)
         centers.append(center)
         sizes.append((box[2] - box[0], box[3] - box[1]))
-        instances.append(TrainInstance(corners=np.asarray(poly, dtype=float), contour=dc, center=center))
+        instances.append(TrainInstance(corners=np.asarray(poly, dtype=float), ring=ring, center=center))
     heat_target = build_heatmap_target(centers, sizes, (width, height))
     return SceneBundle(features, heat_target, instances, (width, height), image_id)
 
@@ -136,9 +140,9 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     # a diverging step stops before any loss or match reads a NaN
     if not np.all(np.isfinite(heat)):
         raise FloatingPointError("non-finite heatmap")
-    l_ct = losses.focal_center_loss(heat, np.stack([bundle.heat_target for bundle in bundles]))
-    components["ct"] = l_ct.value
-    grads = center_backward(c_cache, params, l_ct.grads["heatmap"])
+    heat_target = np.stack([bundle.heat_target for bundle in bundles])
+    components["ct"], d_heat = losses.focal_center_loss(heat, heat_target)
+    grads = center_backward(c_cache, params, d_heat)
     offsets, o_cache = offset_forward(cols, scenes, centers, params)
     if train_evolution:
         stages, probs2, caches = evolve_contours(grids, scenes, offsets, centers, params)
@@ -151,9 +155,9 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     scale = EXPANSION_FACTOR * STRIDE
     for j, (inst, bundle) in enumerate(contours):
         n_inst = len(bundle.instances)
-        l_init = losses.smooth_l1(stages[0][j], inst.contour.points)
-        components["init"] += l_init.value / (n_inst * n_scenes)
-        d_offsets[j] = (eps / n_inst * scale / n_scenes) * l_init.grads["pred"].reshape(-1)
+        l_init, d_init = losses.smooth_l1(stages[0][j], inst.ring)
+        components["init"] += l_init / (n_inst * n_scenes)
+        d_offsets[j] = (eps / n_inst * scale / n_scenes) * d_init.reshape(-1)
     grads.update(offset_backward(o_cache, params, d_offsets))
 
     if not train_evolution:
@@ -166,20 +170,20 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     for j, (inst, bundle) in enumerate(contours):
         w = 1.0 / (len(bundle.instances) * n_scenes)
         # first evolution round: static index-aligned supervision
-        l_e1 = losses.smooth_l1(pts1[j], inst.contour.points)
-        components["e1"] += l_e1.value * w
-        d_off1[j] = (eps * w) * l_e1.grads["pred"]
+        l_e1, d_e1 = losses.smooth_l1(pts1[j], inst.ring)
+        components["e1"] += l_e1 * w
+        d_off1[j] = (eps * w) * d_e1
         # second round: dynamic matching and vertex classification
         valid = probs2[j, :, 1]
         diagonal = float(np.hypot(*bundle.frame_dims))
         cost = match_cost(inst.corners, pts2[j], valid, diagonal=diagonal)
-        assign = hungarian(cost)
-        l_e2 = losses.dml(pts2[j], inst.contour.points, inst.corners, assign)
-        components["e2"] += l_e2.value * w
-        d_off2[j] = (eps * w) * l_e2.grads["pred"]
-        l_cla = losses.classification_loss(valid, assign)
-        components["cla"] += l_cla.value * w
-        d_probs2[j, :, 1] = w * l_cla.grads["probs"]
+        matched = hungarian(cost)
+        l_e2, d_e2 = losses.dml(pts2[j], inst.ring, inst.corners, matched)
+        components["e2"] += l_e2 * w
+        d_off2[j] = (eps * w) * d_e2
+        l_cla, d_cla = losses.classification_loss(valid, matched)
+        components["cla"] += l_cla * w
+        d_probs2[j, :, 1] = w * d_cla
     d_logits2 = evo.softmax_backward(probs2, d_probs2)
     # each round's cache is dropped as soon as its backward returns
     evolution_grads = evo.backward(caches.pop(), params, d_offsets=d_off2, d_logits=d_logits2)

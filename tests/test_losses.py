@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polytrace import losses
-from polytrace.assignment import Assignment, nearest_point_indices
+from polytrace.assignment import hungarian, nearest_point_indices
 from polytrace.geometry import DensifiedContour, densify, densify_x10
 
 from conftest import central_difference, relative_error
@@ -22,25 +22,25 @@ class TestFocalCenterLoss:
         target = np.zeros((8, 8))
         target[2, 3] = 1.0
         pred = np.where(target == 1.0, 1.0 - 1e-7, 1e-7)
-        out = losses.focal_center_loss(pred, target)
-        assert out.value == pytest.approx(0.0, abs=1e-12)
+        value, _ = losses.focal_center_loss(pred, target)
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_single_keypoint_half_confidence(self):
         target = np.zeros((4, 4))
         target[1, 1] = 1.0
         pred = np.full((4, 4), 1e-7)
         pred[1, 1] = 0.5
-        out = losses.focal_center_loss(pred, target)
-        assert out.value == pytest.approx(-0.25 * math.log(0.5), abs=1e-9)
+        value, _ = losses.focal_center_loss(pred, target)
+        assert value == pytest.approx(-0.25 * math.log(0.5), abs=1e-9)
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(10):
             target = rng.uniform(0.0, 0.9, size=(6, 6))
             target[tuple(rng.integers(0, 6, size=2))] = 1.0
             pred = rng.uniform(0.05, 0.95, size=(6, 6))
-            out = losses.focal_center_loss(pred, target)
-            fd = central_difference(lambda p: losses.focal_center_loss(p, target).value, pred)
-            assert relative_error(out.grads["heatmap"], fd) < 1e-6
+            _, grad = losses.focal_center_loss(pred, target)
+            fd = central_difference(lambda p: losses.focal_center_loss(p, target)[0], pred)
+            assert relative_error(grad, fd) < 1e-6
 
     def test_no_keypoints_rejected(self):
         with pytest.raises(ValueError):
@@ -52,13 +52,13 @@ class TestFocalCenterLoss:
         target[0, 1, 2] = target[1, 4, 4] = target[1, 0, 0] = target[2, 3, 1] = 1.0
         target[2, 5, 0] = target[2, 2, 2] = 1.0
         pred = rng.uniform(0.05, 0.95, size=(3, 6, 5))
-        out = losses.focal_center_loss(pred, target)
+        value, grad = losses.focal_center_loss(pred, target)
         alone = [losses.focal_center_loss(p, t) for p, t in zip(pred, target)]
-        assert out.value == pytest.approx(np.mean([a.value for a in alone]), rel=1e-12)
-        for got, a in zip(out.grads["heatmap"], alone):
-            assert relative_error(got, a.grads["heatmap"] / 3) < 1e-12
-        fd = central_difference(lambda p: losses.focal_center_loss(p, target).value, pred)
-        assert relative_error(out.grads["heatmap"], fd) < 1e-6
+        assert value == pytest.approx(np.mean([v for v, _ in alone]), rel=1e-12)
+        for got, (_, g) in zip(grad, alone):
+            assert relative_error(got, g / 3) < 1e-12
+        fd = central_difference(lambda p: losses.focal_center_loss(p, target)[0], pred)
+        assert relative_error(grad, fd) < 1e-6
 
     def test_stack_with_one_scene_without_keypoints_rejected(self):
         target = np.zeros((2, 3, 3))
@@ -70,15 +70,15 @@ class TestFocalCenterLoss:
 class TestSmoothL1:
     def test_equal_points_zero(self):
         pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert losses.smooth_l1(pts, pts).value == 0.0
+        assert losses.smooth_l1(pts, pts)[0] == 0.0
 
     def test_small_offset_quadratic(self):
-        out = losses.smooth_l1(np.array([[0.5, 0.0]]), np.array([[0.0, 0.0]]))
-        assert out.value == pytest.approx(0.125)
+        value, _ = losses.smooth_l1(np.array([[0.5, 0.0]]), np.array([[0.0, 0.0]]))
+        assert value == pytest.approx(0.125)
 
     def test_large_offset_linear(self):
-        out = losses.smooth_l1(np.array([[2.0, 0.0]]), np.array([[0.0, 0.0]]))
-        assert out.value == pytest.approx(1.5)
+        value, _ = losses.smooth_l1(np.array([[2.0, 0.0]]), np.array([[0.0, 0.0]]))
+        assert value == pytest.approx(1.5)
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(10):
@@ -88,9 +88,9 @@ class TestSmoothL1:
             # keep clear of the |x| = 1 kink
             offsets[np.abs(np.abs(offsets) - 1.0) < 1e-3] += 0.01
             pred = gt + offsets
-            out = losses.smooth_l1(pred, gt)
-            fd = central_difference(lambda p: losses.smooth_l1(p, gt).value, pred)
-            assert relative_error(out.grads["pred"], fd) < 1e-6
+            _, grad = losses.smooth_l1(pred, gt)
+            fd = central_difference(lambda p: losses.smooth_l1(p, gt)[0], pred)
+            assert relative_error(grad, fd) < 1e-6
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -100,38 +100,44 @@ class TestSmoothL1:
 class TestClassificationLoss:
     def test_perfect_classification_is_zero(self):
         probs = np.array([1.0, 0.0, 1.0, 0.0])
-        out = losses.classification_loss(probs, Assignment(np.array([0, 2])))
-        assert out.value == pytest.approx(0.0, abs=1e-5)
+        value, _ = losses.classification_loss(probs, np.array([0, 2]))
+        assert value == pytest.approx(0.0, abs=1e-5)
 
     def test_single_matched_half_confidence(self):
-        out = losses.classification_loss(np.array([0.5]), Assignment(np.array([0])))
-        assert out.value == pytest.approx(-math.log(0.5))
+        value, _ = losses.classification_loss(np.array([0.5]), np.array([0]))
+        assert value == pytest.approx(-math.log(0.5))
 
     def test_invalid_weight_applied(self, monkeypatch):
         probs = np.array([1.0, 0.5])
-        out = losses.classification_loss(probs, Assignment(np.array([0])))
-        assert out.value == pytest.approx(0.1 * -math.log(0.5), abs=1e-6)
+        value, _ = losses.classification_loss(probs, np.array([0]))
+        assert value == pytest.approx(0.1 * -math.log(0.5), abs=1e-6)
         monkeypatch.setattr(losses, "INVALID_WEIGHT", 0.3)
-        out = losses.classification_loss(probs, Assignment(np.array([0])))
-        assert out.value == pytest.approx(0.3 * -math.log(0.5), abs=1e-6)
+        value, _ = losses.classification_loss(probs, np.array([0]))
+        assert value == pytest.approx(0.3 * -math.log(0.5), abs=1e-6)
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(10):
             n = 12
             probs = rng.uniform(0.05, 0.95, size=n)
-            sigma = rng.choice(n, size=4, replace=False)
-            a = Assignment(sigma)
-            out = losses.classification_loss(probs, a)
-            fd = central_difference(lambda p: losses.classification_loss(p, a).value, probs)
-            assert relative_error(out.grads["probs"], fd) < 1e-6
+            matched = rng.choice(n, size=4, replace=False)
+            _, grad = losses.classification_loss(probs, matched)
+            fd = central_difference(lambda p: losses.classification_loss(p, matched)[0], probs)
+            assert relative_error(grad, fd) < 1e-6
+
+    def test_column_hungarian_leaves_free_is_unmatched(self):
+        # rows take columns 1 and 0, so column 2 is scored as an invalid vertex
+        matched = hungarian(np.array([[1.0, 0.0, 3.0], [0.0, 5.0, 4.0]]))
+        probs = np.array([0.8, 0.6, 0.3])
+        value, grad = losses.classification_loss(probs, matched)
+        assert value == pytest.approx(-math.log(0.6) - math.log(0.8) - 0.1 * math.log(0.7))
+        assert np.allclose(grad, [-1.0 / 0.8, -1.0 / 0.6, 0.1 / 0.7])
 
 
 class TestDml:
     def test_zero_at_perfect_prediction(self):
         gt = square_ring_contour()
-        a = Assignment(np.arange(4))
-        out = losses.dml(gt.points.copy(), gt.points, SQUARE, a)
-        assert out.value == 0.0
+        value, _ = losses.dml(gt.points.copy(), gt.points, SQUARE, np.arange(4))
+        assert value == 0.0
 
     def test_displaced_square_matches_bruteforce_oracle(self):
         gt = square_ring_contour()
@@ -145,17 +151,15 @@ class TestDml:
             nearest = dense[np.argmin(d2)]
             expected_pre2gt += np.abs(p - nearest).sum()
         expected_pre2gt /= pred.shape[0]
-        a = Assignment(np.arange(4))
         expected_gt2pre = np.abs(pred - SQUARE).sum() / 4
-        out = losses.dml(pred, gt.points, SQUARE, a)
-        assert out.value == pytest.approx(expected_pre2gt + expected_gt2pre)
+        value, _ = losses.dml(pred, gt.points, SQUARE, np.arange(4))
+        assert value == pytest.approx(expected_pre2gt + expected_gt2pre)
 
     def test_on_boundary_vertex_contributes_nothing(self):
         gt = square_ring_contour()
         # exactly on a 10x subdivision point of the top edge, between corners
         pred = gt.points.copy()
         pred[0] = [16.0, 10.0]
-        a = Assignment(np.array([1, 2, 3, 0]))
         dense = densify_x10(gt.points)
         nearest = nearest_point_indices(pred, dense)
         assert np.abs(pred[0] - dense[nearest[0]]).sum() < 1e-9
@@ -163,11 +167,11 @@ class TestDml:
     def test_translation_invariance(self, rng):
         gt = densify(SQUARE, 16)
         pred = gt.points + rng.normal(scale=1.0, size=(16, 2))
-        a = Assignment(rng.choice(16, size=4, replace=False))
-        base = losses.dml(pred, gt.points, SQUARE, a).value
+        matched = rng.choice(16, size=4, replace=False)
+        base, _ = losses.dml(pred, gt.points, SQUARE, matched)
         shift = np.array([31.7, -8.25])
         gt_shifted = DensifiedContour(gt.points + shift)
-        moved = losses.dml(pred + shift, gt_shifted.points, SQUARE + shift, a).value
+        moved, _ = losses.dml(pred + shift, gt_shifted.points, SQUARE + shift, matched)
         assert moved == pytest.approx(base, abs=1e-9)
 
     def test_boundary_term_decreases_along_approach(self, monkeypatch):
@@ -176,27 +180,27 @@ class TestDml:
         pred[0] = [50.0, 5.0]
         dense = densify_x10(gt.points)
         nearest = nearest_point_indices(pred, dense)
-        a = Assignment(np.array([1, 2, 3, 0]))
+        matched = np.array([1, 2, 3, 0])
         target = dense[nearest[0]]
         monkeypatch.setattr(losses, "nearest_point_indices", lambda query, points: nearest)
         values = []
         for frac in np.linspace(0.0, 0.9, 10):
             moved = pred.copy()
             moved[0] = pred[0] + frac * (target - pred[0])
-            values.append(losses.dml(moved, gt.points, SQUARE, a).value)
+            values.append(losses.dml(moved, gt.points, SQUARE, matched)[0])
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_gradient_matches_finite_differences(self, rng, monkeypatch):
         gt = densify(SQUARE, 16)
         for _ in range(10):
             pred = gt.points + rng.normal(scale=1.3, size=(16, 2))
-            a = Assignment(rng.choice(16, size=4, replace=False))
+            matched = rng.choice(16, size=4, replace=False)
             nearest = nearest_point_indices(pred, densify_x10(gt.points))
             # the selection stays frozen while the differences move pred
             monkeypatch.setattr(losses, "nearest_point_indices", lambda query, points: nearest)
-            out = losses.dml(pred, gt.points, SQUARE, a)
-            fd = central_difference(lambda p: losses.dml(p, gt.points, SQUARE, a).value, pred)
-            assert relative_error(out.grads["pred"], fd) < 1e-6
+            _, grad = losses.dml(pred, gt.points, SQUARE, matched)
+            fd = central_difference(lambda p: losses.dml(p, gt.points, SQUARE, matched)[0], pred)
+            assert relative_error(grad, fd) < 1e-6
 
 
 class TestTotalLoss:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from polytrace import detection, pipeline, training
+from polytrace import detection, losses, pipeline, training
 from polytrace import evolution as evo
 from polytrace.config import RunConfig
 from polytrace.synth import feature_provider
@@ -361,6 +361,18 @@ def test_diverging_step_raises_floating_point_error(cfg, params, name):
         training.train_step(two_bundles(cfg), params, training.make_optimizer(cfg), cfg)
     for key, arr in params.arrays():
         assert np.array_equal(arr, before[key], equal_nan=True), key
+
+
+def test_non_finite_loss_raises_floating_point_error(cfg, params, monkeypatch):
+    """A loss that is not finite on finite contours stops the step, with the
+    error a diverging step raises, before the optimizer moves a parameter."""
+    dml = losses.dml
+    monkeypatch.setattr(losses, "dml", lambda *args: (np.nan, dml(*args)[1]))
+    before = {key: arr.copy() for key, arr in params.arrays()}
+    with pytest.raises(FloatingPointError, match="non-finite training loss"):
+        training.train_step(two_bundles(cfg), params, training.make_optimizer(cfg), cfg)
+    for key, arr in params.arrays():
+        assert np.array_equal(arr, before[key]), key
 
 
 def test_step_evolution_gradient_sums_both_rounds(cfg, params, monkeypatch):

@@ -97,6 +97,24 @@ class TestGenerateScene:
                 for j in range(i + 1, len(masks)):
                     assert not np.any(masks[i] & masks[j])
 
+    def test_placed_buildings_densifiable(self):
+        """``generate_scene`` does not run ``densify``, so every building it
+        places, over seeded sweeps of the sparse (one building) and dense
+        (one to four) specs, must densify at 8 and at 64 vertices."""
+        for cfg in (RunConfig(min_buildings=1, max_buildings=1), RunConfig()):
+            spec = training.scene_spec_from_config(cfg)
+            placed = 0
+            for seed in range(200):
+                try:
+                    scene = synth.generate_scene(seed, spec)
+                except RuntimeError:
+                    continue
+                for poly in scene.buildings:
+                    for n in (8, 64):
+                        assert densify(poly, n).points.shape == (n, 2), (seed, n)
+                placed += len(scene.buildings)
+            assert placed >= 200 * cfg.min_buildings - 10
+
     def test_impossible_packing_raises(self, monkeypatch):
         monkeypatch.setattr(synth, "MAX_TRIES", 20)
         spec = synth.SceneSpec(frame_dims=(64, 64), n_buildings=(8, 8), size_range=(40.0, 48.0))
@@ -108,8 +126,8 @@ class TestGenerateScene:
 
 
 class TestShapeMakers:
-    """``generate_scene`` drops a building ``densify`` rejects, but the
-    makers must never produce one."""
+    """``generate_scene`` does not check that a building densifies, so the
+    makers must never produce one ``densify`` rejects."""
 
     def test_extreme_settings_densifiable(self):
         spec = synth.SceneSpec()
