@@ -2,13 +2,21 @@
 
 Per-vertex features (sampled grid channels plus relative coordinates) run
 through a circular 1-D convolution encoder that aggregates detail-to-global
-context: an up-dimensioning 1x1 layer, then kernel sizes 3, 9 and 21 with
+context: an up-dimensioning 1x1 layer, then three circular layers with
 residual shortcuts, then fusion of a global max-pooled vector that is
 broadcast-concatenated back onto every vertex. Two pointwise heads emit the
 per-vertex coordinate offsets (the step head) and the two-class validity
 logits (the cls head). The weights are the ``up_*`` to ``cls_*`` fields of
 :class:`pipeline.PipelineParams`, whose ``layout`` gives their shapes;
 :func:`forward` and :func:`backward` read them from that one object.
+
+The three circular layers, ``detail``, ``local`` and ``global``, have kernel
+sizes 3, 9 and 5 (:meth:`pipeline.PipelineParams.layout`) and read their
+taps 1, 1 and 5 vertices apart (:data:`DILATIONS`), so each output vertex
+sees 1, 4 and 10 vertices to either side. The global layer reaches as far
+as 21 adjacent taps would, as Deep Snake's dilated circular convolutions do
+(Peng et al., CVPR 2020, arXiv:2001.01629), at a quarter of their
+multiply-adds.
 
 The encoder's :func:`conv` is circular over the vertex axis: each layer
 builds its im2col columns as one contiguous array, one ``np.take`` of
@@ -45,6 +53,11 @@ import numpy as np
 from scipy.special import softmax
 
 from .detection import STRIDE
+
+# layer -> dilation of its circular kernel: its taps read vertices this far
+# apart. Checkpoints do not record it (see :mod:`pipeline`), so a change here
+# is a new checkpoint version.
+DILATIONS = {"detail": 1, "local": 1, "global": 5}
 
 
 def sample_features(grids, scenes, points) -> np.ndarray:
@@ -100,19 +113,20 @@ def vertex_features(grids, scenes, points) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _wrap_index(n: int, k: int) -> np.ndarray:
-    """(n, k) vertex indices of the circular windows: row m holds
-    m-(k-1)/2 .. m+(k-1)/2 modulo n, for any k, also k > n."""
-    index = (np.arange(n)[:, None] + np.arange(k) - (k - 1) // 2) % n
+def _wrap_index(n: int, k: int, d: int) -> np.ndarray:
+    """(n, k) vertex indices of the circular windows of dilation d: row m
+    holds m + (t - (k-1)/2)*d modulo n for taps t = 0 .. k-1, for any k and
+    d, also (k-1)*d >= n, where taps alias."""
+    index = (np.arange(n)[:, None] + (np.arange(k) - (k - 1) // 2) * d) % n
     index.flags.writeable = False
     return index
 
 
-def _columns(x, k):
-    """Circular im2col of a (B, N, D) batch along the vertex axis:
-    (B, N, k*D), tap-major, as one contiguous array gathered by one
-    ``np.take`` of cached indices."""
-    return np.take(x, _wrap_index(x.shape[-2], k), axis=-2).reshape(*x.shape[:-1], -1)
+def _columns(x, k, d):
+    """Circular im2col of a (B, N, D) batch along the vertex axis at
+    dilation d: (B, N, k*D), tap-major, as one contiguous array gathered by
+    one ``np.take`` of cached indices."""
+    return np.take(x, _wrap_index(x.shape[-2], k, d), axis=-2).reshape(*x.shape[:-1], -1)
 
 
 def kernel_matrix(kernel) -> np.ndarray:
@@ -122,44 +136,44 @@ def kernel_matrix(kernel) -> np.ndarray:
     return kernel.reshape(-1, kernel.shape[-1])
 
 
-def conv(x, kernel, bias) -> np.ndarray:
+def conv(x, kernel, bias, d) -> np.ndarray:
     """Same-size circular cross-correlation of a (B, N, D_in) batch along
-    its vertex axis, computed in the kernel's dtype.
+    its vertex axis at dilation d, computed in the kernel's dtype.
 
     ``kernel`` is (k, D_in, D_out) with odd k; output vertex n sees inputs
-    n-(k-1)/2 .. n+(k-1)/2 modulo N. The columns of all vertices form one
-    2-D GEMM.
+    n + (t - (k-1)/2)*d modulo N for t = 0 .. k-1. The columns of all
+    vertices form one 2-D GEMM.
     """
     k = kernel.shape[0]
     if k % 2 == 0:
         raise ValueError("convolution requires odd kernel sizes")
-    cols = _columns(np.asarray(x, dtype=kernel.dtype), k)
+    cols = _columns(np.asarray(x, dtype=kernel.dtype), k, d)
     out = cols.reshape(-1, cols.shape[-1]) @ kernel_matrix(kernel) + bias
     return out.reshape(*cols.shape[:-1], -1)
 
 
-def conv_input_grad(d_out, kernel) -> np.ndarray:
-    """Gradient of :func:`conv` of a (B, N, D_in) input for that input. One
-    GEMM against the transposed kernel view gives the column gradients; each
-    tap's are added onto the vertices that tap read, a circular shift done
-    as two slice additions, so no temporary larger than the column gradients
-    is built."""
+def conv_input_grad(d_out, kernel, d) -> np.ndarray:
+    """Gradient of :func:`conv` at dilation d of a (B, N, D_in) input for
+    that input. One GEMM against the transposed kernel view gives the column
+    gradients; each tap's are added onto the vertices that tap read, a
+    circular shift done as two slice additions, so no temporary larger than
+    the column gradients is built."""
     k, d_in, d_out_ch = kernel.shape
     b, n, _ = d_out.shape
     d_cols = (d_out.reshape(-1, d_out_ch) @ kernel_matrix(kernel).T).reshape(b, n, k, d_in)
     d_x = np.zeros((b, n, d_in), dtype=d_cols.dtype)
     for t in range(k):
-        # tap t of output vertex j read vertex j + s modulo n, for any k, also k > n
-        s = (t - (k - 1) // 2) % n
+        # tap t of output vertex j read vertex j + s modulo n, for any k and d
+        s = ((t - (k - 1) // 2) * d) % n
         d_x[:, s:] += d_cols[:, : n - s, t]
         d_x[:, :s] += d_cols[:, n - s :, t]
     return d_x
 
 
-def conv_weight_grad(d_out, x, kernel):
-    """Gradients (d_w, d_b) of :func:`conv` for its kernel and bias, from
-    columns rebuilt from the layer input ``x``."""
-    return kernel_grad(_columns(x, kernel.shape[0]), d_out, kernel)
+def conv_weight_grad(d_out, x, kernel, d):
+    """Gradients (d_w, d_b) of :func:`conv` at dilation d for its kernel and
+    bias, from columns rebuilt from the layer input ``x``."""
+    return kernel_grad(_columns(x, kernel.shape[0], d), d_out, kernel)
 
 
 def kernel_grad(cols, d_out, kernel):
@@ -197,10 +211,10 @@ def forward(features, params):
     cache["z0"], cache["f0"] = z0, f0
 
     f_prev = f0
-    for name in ("detail", "local", "global"):
+    for name, d in DILATIONS.items():
         kernel = getattr(params, f"{name}_w")
         bias = getattr(params, f"{name}_b")
-        z = conv(f_prev, kernel, bias)
+        z = conv(f_prev, kernel, bias, d)
         f_prev = f_prev + _relu(z)
         cache[f"{name}_z"], cache[f"{name}_out"] = z, f_prev
 
@@ -254,11 +268,11 @@ def backward(cache, params, d_offsets=None, d_logits=None):
 
     d_prev = d_f3
     layer_inputs = {"detail": cache["f0"], "local": cache["detail_out"], "global": cache["local_out"]}
-    for name in ("global", "local", "detail"):
+    for name, d in reversed(DILATIONS.items()):
         kernel = getattr(params, f"{name}_w")
         d_h = d_prev * (cache[f"{name}_z"] > 0)
-        grads[f"{name}_w"], grads[f"{name}_b"] = conv_weight_grad(d_h, layer_inputs[name], kernel)
-        d_prev = d_prev + conv_input_grad(d_h, kernel)  # residual shortcut
+        grads[f"{name}_w"], grads[f"{name}_b"] = conv_weight_grad(d_h, layer_inputs[name], kernel, d)
+        d_prev = d_prev + conv_input_grad(d_h, kernel, d)  # residual shortcut
 
     d_z0 = d_prev * (cache["z0"] > 0)
     flat_dz0 = d_z0.reshape(-1, width)

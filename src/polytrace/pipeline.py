@@ -28,7 +28,7 @@ backward per round, and backpropagates through the returned caches;
 :func:`predict_scene` passes its one grid as a stack of one and the decoded
 peak positions, and runs the offset head for those only.
 
-Checkpoint format (version 4): the ASCII magic line ``PTCK0004``, one JSON
+Checkpoint format (version 5): the ASCII magic line ``PTCK0005``, one JSON
 header line listing array names, shapes and dtypes (``<f4`` or ``<f8``)
 plus free-form metadata, then the raw row-major little-endian buffers, each
 in its own dtype, concatenated in header order and named as the
@@ -37,7 +37,10 @@ against the names, shapes and dtypes :meth:`PipelineParams.layout` gives
 for the run configuration. Older versions are rejected: version 1 stored
 kernels as (C_out, C_in, *window), which a shape check cannot tell apart
 when a kernel's dimensions coincide, version 2 named the evolution arrays
-``evolution.*``, and version 3 stored every array as float64.
+``evolution.*``, version 3 stored every array as float64, and version 4's
+global layer was 21 adjacent taps. Version 5's is 5 taps read 5 vertices
+apart (:data:`evolution.DILATIONS`). The header records kernel shapes, not
+dilations, so a kernel is only read under the dilations of its own version.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .config import RunConfig
 from .detection import STRIDE, decode_peaks
 from .synth import feature_provider
 
-CHECKPOINT_MAGIC = b"PTCK0004"
+CHECKPOINT_MAGIC = b"PTCK0005"
 
 # the training objective supervises exactly two rounds: smooth L1 after the
 # first, dynamic matching and vertex classification after the second
@@ -106,7 +109,8 @@ class PipelineParams:
         """Field name -> (shape, dtype) of every array, in field order, for C
         feature channels, head widths H1 and H2, N vertices and evolution
         encoder width W; the heads are ``HEAD_DTYPE``, the evolution network
-        ``EVOLUTION_DTYPE``."""
+        ``EVOLUTION_DTYPE``. Each circular kernel is read at the dilation
+        :data:`evolution.DILATIONS` gives its layer."""
         c = cfg.feature_channels
         h1, h2 = cfg.center_hidden, cfg.offset_hidden
         n, w = cfg.n_vertices, cfg.encoder_width
@@ -117,7 +121,7 @@ class PipelineParams:
         )
         evolution = dict(
             up_w=(w, c + 2), up_b=(w,), detail_w=(3, w, w), detail_b=(w,),
-            local_w=(9, w, w), local_b=(w,), global_w=(21, w, w), global_b=(w,),
+            local_w=(9, w, w), local_b=(w,), global_w=(5, w, w), global_b=(w,),
             fuse_w=(w, 2 * w), fuse_b=(w,), step_w=(2, w), step_b=(2,), cls_w=(2, w), cls_b=(2,),
         )
         return {
@@ -277,7 +281,7 @@ def evolve_contours(grids, scenes, offsets, centers, params: PipelineParams):
 
 
 def save_checkpoint(params: PipelineParams, path, meta: dict | None = None):
-    """Write a version-4 checkpoint; byte output is deterministic."""
+    """Write a version-5 checkpoint; byte output is deterministic."""
     entries = []
     buffers = []
     for name, arr in params.arrays():

@@ -80,20 +80,39 @@ def hausdorff_between_rings(ring_a, ring_b, step=0.05):
     return max(float(d_ab), float(d_ba))
 
 
-def central_difference(f, x, h=1e-5):
-    """Central finite-difference gradient of scalar f at array x."""
+def central_difference(f, x, h=1e-5, kinks=None):
+    """Central finite-difference gradient of scalar f at array x.
+
+    ``kinks``, if given, maps an array to a tuple of arrays that fix which
+    piece of a piecewise-smooth f the array lies on, such as ReLU masks and
+    max-pool argmaxes. Where x+h or x-h lands on another piece than x, a
+    difference across the kink says nothing about the gradient, so that
+    coordinate's step is halved until both land on x's piece; a coordinate
+    that still crosses at a step of 1e-8 fails with an AssertionError.
+    """
+    h_min = 1e-8
     x = np.array(x, dtype=float)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
+    at_x = None if kinks is None else kinks(x)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        step = h
+        while True:
+            sides = []
+            for value in (orig + step, orig - step):
+                flat[i] = value
+                sides.append((f(x), None if kinks is None else kinks(x)))
+            flat[i] = orig
+            (fp, kp), (fm, km) = sides
+            if kinks is None or all(
+                np.array_equal(u, v) for side in (kp, km) for u, v in zip(at_x, side, strict=True)
+            ):
+                break
+            assert step > h_min, f"coordinate {i} crosses a kink at every step down to {h_min}"
+            step = max(step / 2.0, h_min)
+        gflat[i] = (fp - fm) / (2.0 * step)
     return grad
 
 
@@ -111,15 +130,24 @@ def flipped_kernel(kernel):
     return np.flip(kernel, axis=tuple(range(kernel.ndim - 2))).swapaxes(-1, -2)
 
 
+def tap_slices(k, d, n):
+    """Where the k taps of a size-k window of dilation d read an axis of n
+    positions padded by (k-1)//2*d on each side: tap t reads
+    ``padded[t*d : t*d + n]``, so output m sees input m + (t - (k-1)//2)*d.
+    The circular encoder's windows pad by wrapping, the grid heads' by
+    zeros; the oracles of both read their taps here."""
+    return [slice(t * d, t * d + n) for t in range(k)]
+
+
 def nine_tap_conv(x, w, b):
     """Zero-padded 3x3 convolution of an (H, W, C_in) grid with a
     (3, 3, C_in, C_out) kernel, one tap at a time."""
     h, wd, _ = x.shape
     padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
     out = np.tile(b, (h, wd, 1))
-    for dy in range(3):
-        for dx in range(3):
-            out += padded[dy : dy + h, dx : dx + wd] @ w[dy, dx]
+    for dy, rows in enumerate(tap_slices(3, 1, h)):
+        for dx, cols in enumerate(tap_slices(3, 1, wd)):
+            out += padded[rows, cols] @ w[dy, dx]
     return out
 
 
@@ -130,11 +158,10 @@ def nine_tap_backward(d_out, x, w):
     d_padded = np.zeros_like(padded)
     d_w = np.zeros_like(w)
     flat_dout = d_out.reshape(-1, w.shape[-1])
-    for dy in range(3):
-        for dx in range(3):
-            patch = padded[dy : dy + h, dx : dx + wd]
-            d_w[dy, dx] = patch.reshape(-1, cin).T @ flat_dout
-            d_padded[dy : dy + h, dx : dx + wd] += d_out @ w[dy, dx].T
+    for dy, rows in enumerate(tap_slices(3, 1, h)):
+        for dx, cols in enumerate(tap_slices(3, 1, wd)):
+            d_w[dy, dx] = padded[rows, cols].reshape(-1, cin).T @ flat_dout
+            d_padded[rows, cols] += d_out @ w[dy, dx].T
     return d_padded[1:-1, 1:-1], d_w, d_out.sum(axis=(0, 1))
 
 

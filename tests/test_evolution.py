@@ -6,7 +6,15 @@ from polytrace import pipeline
 from polytrace.config import RunConfig
 from polytrace.geometry import densify
 
-from conftest import as_float64, central_difference, flipped_kernel, nine_tap_backward, nine_tap_conv, relative_error
+from conftest import (
+    as_float64,
+    central_difference,
+    flipped_kernel,
+    nine_tap_backward,
+    nine_tap_conv,
+    relative_error,
+    tap_slices,
+)
 
 SQUARE = np.array([[20.0, 20.0], [60.0, 20.0], [60.0, 60.0], [20.0, 60.0]])
 
@@ -36,7 +44,7 @@ def probe_gradients(features, params, a_off, a_pr):
 
 def circular(x, kernel, bias):
     """The encoder's circular convolution of one (N, D_in) contour."""
-    return evo.conv(x[None], kernel, bias)[0]
+    return evo.conv(x[None], kernel, bias, 1)[0]
 
 
 class TestCircularConv:
@@ -73,33 +81,34 @@ class TestCircularConv:
         assert np.array_equal(rolled, np.roll(base, 5, axis=0))
 
 
-def gather_columns(x, k):
-    """Wrap-around im2col of a (B, N, D) batch along the vertex axis, tap by tap."""
-    b, n, d = x.shape
-    p = (k - 1) // 2
+def gather_columns(x, k, d):
+    """Wrap-around im2col of a (B, N, D) batch along the vertex axis at
+    dilation d, tap by tap."""
+    b, n, d_in = x.shape
+    p = (k - 1) // 2 * d
     padded = x[:, np.arange(-p, n + p) % n]
-    cols = np.empty((b, n, k * d))
-    for t in range(k):
-        cols[:, :, t * d : (t + 1) * d] = padded[:, t : t + n]
+    cols = np.empty((b, n, k * d_in))
+    for t, taps in enumerate(tap_slices(k, d, n)):
+        cols[:, :, t * d_in : (t + 1) * d_in] = padded[:, taps]
     return cols
 
 
-def gather_conv(x, kernel, bias):
+def gather_conv(x, kernel, bias, d):
     k, d_in, d_out = kernel.shape
-    return gather_columns(x, k) @ kernel.reshape(k * d_in, d_out) + bias
+    return gather_columns(x, k, d) @ kernel.reshape(k * d_in, d_out) + bias
 
 
-def fold_backward(d_out, x, kernel):
+def fold_backward(d_out, x, kernel, d):
     """Gradients of :func:`gather_conv`: column gradients folded back through
     the circular padding, by slices when p < N and by ``np.add.at`` otherwise."""
     k, d_in, d_out_ch = kernel.shape
     b, n, _ = x.shape
-    p = (k - 1) // 2
+    p = (k - 1) // 2 * d
     w = kernel.reshape(k * d_in, d_out_ch)
     d_cols = d_out @ w.T
     d_padded = np.zeros((b, n + 2 * p, d_in))
-    for t in range(k):
-        d_padded[:, t : t + n] += d_cols[:, :, t * d_in : (t + 1) * d_in]
+    for t, taps in enumerate(tap_slices(k, d, n)):
+        d_padded[:, taps] += d_cols[:, :, t * d_in : (t + 1) * d_in]
     if p < n:
         d_x = d_padded[:, p : p + n].copy()
         d_x[:, n - p :] += d_padded[:, :p]
@@ -107,7 +116,7 @@ def fold_backward(d_out, x, kernel):
     else:
         d_x = np.zeros(x.shape)
         np.add.at(d_x, (slice(None), np.arange(-p, n + p) % n), d_padded)
-    flat_cols = gather_columns(x, k).reshape(-1, k * d_in)
+    flat_cols = gather_columns(x, k, d).reshape(-1, k * d_in)
     flat_dout = d_out.reshape(-1, d_out_ch)
     d_w = (flat_cols.T @ flat_dout).reshape(k, d_in, d_out_ch)
     return d_x, d_w, flat_dout.sum(axis=0)
@@ -129,21 +138,60 @@ class TestConvAgainstReference:
                 assert a.shape == ref.shape
                 assert relative_error(a, ref) < 1e-12
 
-    @pytest.mark.parametrize("k", [3, 9, 21])
+    # (k-1)*d >= N aliases taps: k >= 9 at d=1 and every k at d=4 or 5 on N=8,
+    # k=21 at d=4 or 5 on N=64
+    @pytest.mark.parametrize("k", [3, 5, 9, 21])
+    @pytest.mark.parametrize("d", [1, 4, 5])
     @pytest.mark.parametrize("n", [8, 64])
-    def test_circular_batch_matches_gather_and_fold(self, rng, k, n):
+    def test_circular_batch_matches_gather_and_fold(self, rng, k, d, n):
         x = rng.normal(size=(3, n, 5))
         kernel = rng.normal(size=(k, 5, 4))
         bias = rng.normal(size=4)
         d_out = rng.normal(size=(3, n, 4))
-        cols = evo._columns(x, k)
+        cols = evo._columns(x, k, d)
         assert cols.flags.c_contiguous
-        assert np.array_equal(cols, gather_columns(x, k))
-        assert relative_error(evo.conv(x, kernel, bias), gather_conv(x, kernel, bias)) < 1e-12
-        got = (evo.conv_input_grad(d_out, kernel), *evo.conv_weight_grad(d_out, x, kernel))
-        for a, ref in zip(got, fold_backward(d_out, x, kernel)):
+        assert np.array_equal(cols, gather_columns(x, k, d))
+        assert relative_error(evo.conv(x, kernel, bias, d), gather_conv(x, kernel, bias, d)) < 1e-12
+        got = (evo.conv_input_grad(d_out, kernel, d), *evo.conv_weight_grad(d_out, x, kernel, d))
+        for a, ref in zip(got, fold_backward(d_out, x, kernel, d)):
             assert a.shape == ref.shape
             assert relative_error(a, ref) < 1e-12
+
+    @pytest.mark.parametrize("n", [7, 16])  # 7 < (k-1)*d = 20: taps alias
+    def test_dilated_gradients_against_finite_differences(self, n):
+        rng = np.random.default_rng(45)
+        x = rng.normal(size=(2, n, 3))
+        kernel = rng.normal(size=(5, 3, 4))
+        bias = rng.normal(size=4)
+        probe = rng.normal(size=(2, n, 4))
+        args = {"x": x, "kernel": kernel, "bias": bias}
+        got = {
+            "x": evo.conv_input_grad(probe, kernel, 5),
+            **dict(zip(("kernel", "bias"), evo.conv_weight_grad(probe, x, kernel, 5))),
+        }
+        for name, value in args.items():
+
+            def f(arr, name=name):
+                return float((probe * evo.conv(**{**args, name: arr}, d=5)).sum())
+
+            assert relative_error(got[name], central_difference(f, value)) < 1e-8, name
+
+
+def test_each_layer_reaches_its_half_window():
+    """An impulse at vertex 0 of a 64-vertex ring reaches every d-th output
+    up to (k-1)*d/2 vertices to either side and no other: 1, 4 and 10 for
+    the detail, local and global layers at their layout's k."""
+    layout = pipeline.PipelineParams.layout(RunConfig())
+    reach = {}
+    for name, d in evo.DILATIONS.items():
+        k = layout[f"{name}_w"][0][0]
+        x = np.zeros((1, 64, 1))
+        x[0, 0] = 1.0
+        seen = np.flatnonzero(evo.conv(x, np.ones((k, 1, 1)), np.zeros(1), d)[0, :, 0])
+        offsets = (seen + 32) % 64 - 32  # signed ring distance from vertex 0
+        reach[name] = int(offsets.max())
+        assert np.array_equal(np.sort(offsets), np.arange(-reach[name], reach[name] + 1, d)), name
+    assert reach == {"detail": 1, "local": 4, "global": 10}
 
 
 class TestSampling:
@@ -282,15 +330,37 @@ class TestBackward:
         for name in grads:
             value = getattr(params, name)
 
-            def f(arr, value=value):
+            def at(arr, read, value=value):
                 saved = value.copy()
                 value[...] = arr
                 try:
-                    return linear_probe_loss(feats, params, a_off, a_pr)
+                    return read()
                 finally:
                     value[...] = saved
-            fd = central_difference(f, value)
+
+            def f(arr):
+                return at(arr, lambda: linear_probe_loss(feats, params, a_off, a_pr))
+
+            def kinks(arr):
+                # the pieces of the network: every ReLU mask and the max-pool argmax
+                cache = at(arr, lambda: evo.forward(feats, params)[2])
+                masks = [cache[key] > 0 for key in ("z0", "detail_z", "local_z", "global_z", "z4")]
+                return (*masks, cache["pooled_argmax"])
+
+            fd = central_difference(f, value, kinks=kinks)
             assert relative_error(grads[name], fd) < 1e-6, name
+
+    def test_difference_steps_around_kinks(self):
+        def f(x):
+            return float(np.maximum(x, 0.0).sum())
+
+        def kinks(x):
+            return (x > 0,)
+
+        # 1e-5 and 5e-6 cross the kink of the second coordinate, 2.5e-6 not
+        assert np.allclose(central_difference(f, np.array([0.3, 3e-6, -3e-6]), kinks=kinks), [1, 1, 0])
+        with pytest.raises(AssertionError, match="coordinate 1 crosses a kink"):
+            central_difference(f, np.array([0.3, 0.0]), kinks=kinks)
 
     def test_directional_derivative_full_width(self):
         rng = np.random.default_rng(44)
@@ -328,7 +398,7 @@ class TestBackward:
 
 def test_float32_network_matches_float64():
     """The stored float32 network against the same arrays cast to float64, at
-    the default sizes (N=64, W=128, k up to 21)."""
+    the default sizes (N=64, W=128, the global layer 5 taps 5 vertices apart)."""
     rng = np.random.default_rng(46)
     params = pipeline.PipelineParams.initialize(RunConfig(), rng)
     params.step_w[...] = rng.normal(scale=0.3, size=params.step_w.shape)

@@ -118,6 +118,7 @@ def test_checkpoint_round_trip_is_byte_identical(cfg, params, tmp_path):
     loaded, meta = pipeline.load_checkpoint(first, cfg)
     pipeline.save_checkpoint(loaded, second, meta)
     assert meta == {"seed": 3}
+    assert first.read_bytes().startswith(b"PTCK0005\n")
     assert first.read_bytes() == second.read_bytes()
     for (name, a), (_, b) in zip(params.arrays(), loaded.arrays()):
         assert a.dtype == b.dtype, name
@@ -129,7 +130,7 @@ def test_checkpoint_stores_each_array_in_its_dtype(cfg, params, tmp_path):
     pipeline.save_checkpoint(params, path)
     magic, header, body = path.read_bytes().split(b"\n", 2)
     entries = {entry["name"]: entry for entry in json.loads(header)["arrays"]}
-    assert magic == b"PTCK0004"
+    assert magic == b"PTCK0005"
     for name, arr in params.arrays():
         assert entries[name]["dtype"] == ("<f8" if name.startswith(("center_", "offset_")) else "<f4"), name
     assert len(body) == sum(arr.nbytes for _, arr in params.arrays())
@@ -168,14 +169,15 @@ def test_checkpoint_missing_an_array_rejected(cfg, params, tmp_path):
         pipeline.load_checkpoint(path, cfg)
 
 
-@pytest.mark.parametrize("magic", [b"PTCK0001", b"PTCK0002", b"PTCK0003"])
+@pytest.mark.parametrize("magic", [b"PTCK0001", b"PTCK0002", b"PTCK0003", b"PTCK0004"])
 def test_older_checkpoint_versions_rejected(tmp_path, magic):
-    # the shape check alone would pass: every kernel here is (3, 3, 3, 3) in either layout
+    # the shape check alone would pass: every kernel here is (3, 3, 3, 3) in either layout,
+    # and a version-4 (5, W, W) kernel would be read at dilation 1
     small = RunConfig(**{**TINY, "feature_channels": 3, "center_hidden": 3, "offset_hidden": 3, "encoder_width": 3})
     path = tmp_path / "a.ckpt"
     pipeline.save_checkpoint(pipeline.PipelineParams.initialize(small, np.random.default_rng(0)), path)
     path.write_bytes(path.read_bytes().replace(pipeline.CHECKPOINT_MAGIC, magic, 1))
-    with pytest.raises(ValueError, match=f"{magic.decode()}.*PTCK0004"):
+    with pytest.raises(ValueError, match=f"{magic.decode()}.*PTCK0005"):
         pipeline.load_checkpoint(path, small)
 
 
@@ -196,7 +198,7 @@ def reference_initialize(cfg, rng):
     named["offset_w1"] = uniform((h2, c, 3, 3), 9 * c).transpose(2, 3, 1, 0)
     named["offset_w2"] = uniform((h2, h2, 3, 3), 9 * h2).transpose(2, 3, 1, 0)
     named["up_w"] = uniform((w, c + 2), c + 2)
-    for name, k in (("detail", 3), ("local", 9), ("global", 21)):
+    for name, k in (("detail", 3), ("local", 9), ("global", 5)):
         named[f"{name}_w"] = uniform((w, w, k), k * w).transpose(2, 1, 0)
     named["fuse_w"] = uniform((w, 2 * w), 2 * w)
     named.update(
