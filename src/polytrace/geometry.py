@@ -271,13 +271,13 @@ def densify(poly, n_vertices: int) -> DensifiedContour:
 
 
 def densify_x10(points) -> np.ndarray:
-    """Subdivide every segment of an (N, 2) ring into 10 equal parts
-    (original vertices kept)."""
+    """Subdivide every segment of an (..., N, 2) ring into 10 equal parts
+    (original vertices kept); the result is (..., 10N, 2)."""
     pts = np.asarray(points, dtype=float)
-    nxt = np.roll(pts, -1, axis=0)
-    f = np.arange(10)[None, :, None] / 10.0
-    dense = pts[:, None, :] * (1.0 - f) + nxt[:, None, :] * f
-    return dense.reshape(-1, 2)
+    nxt = np.roll(pts, -1, axis=-2)
+    f = np.arange(10)[:, None] / 10.0
+    dense = pts[..., None, :] * (1.0 - f) + nxt[..., None, :] * f
+    return dense.reshape(*pts.shape[:-2], -1, 2)
 
 
 def rasterize(poly, width: int, height: int) -> np.ndarray:

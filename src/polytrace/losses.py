@@ -1,13 +1,16 @@
 """Training objectives with analytic gradients.
 
-Every loss returns a ``(value, grad)`` pair: the scalar and its partial
+Every loss returns a ``(value, grad)`` pair: the value and its partial
 derivative with respect to the loss's one continuous input, an array of
-that input's shape. :func:`total_loss` weights the per-component scalars
-into the objective. A non-finite value is returned as it is; the total's
-check in ``training.train_step`` rejects it. Discrete selections (Hungarian
-matches, nearest-point indices) are treated as constants inside a step's
-gradient; they are recomputed between steps, which is what makes the vertex
-pairing dynamic at step granularity.
+that input's shape. The contour losses take a training step's whole batch
+of rings and return one value per ring, shaped like the batch's leading
+axes; the caller weights them into the batch mean. :func:`total_loss`
+weights the per-component scalars into the objective. A non-finite value
+is returned as it is; the total's check in ``training.train_step``
+rejects it. Discrete selections (Hungarian matches, nearest-point indices)
+are treated as constants inside a step's gradient; they are recomputed
+between steps, which is what makes the vertex pairing dynamic at step
+granularity.
 """
 
 from __future__ import annotations
@@ -61,76 +64,74 @@ def focal_center_loss(pred_heatmap, target_heatmap) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def smooth_l1(pred_points, gt_points) -> tuple[float, np.ndarray]:
-    """Mean smooth-L1 over vertices, summed over x and y per vertex.
+def smooth_l1(pred_points, gt_points) -> tuple[np.ndarray, np.ndarray]:
+    """Mean smooth-L1 over the vertices of each ring, summed over x and y
+    per vertex.
 
-    Per coordinate: 0.5 x^2 for |x| < 1, |x| - 0.5 otherwise. The gradient
-    is with respect to ``pred_points``.
+    The rings are (..., N, 2); the values have the leading shape. Per
+    coordinate: 0.5 x^2 for |x| < 1, |x| - 0.5 otherwise. The gradient is
+    with respect to ``pred_points``.
     """
     pred = np.asarray(pred_points, dtype=float)
     gt = np.asarray(gt_points, dtype=float)
     if pred.shape != gt.shape:
         raise ValueError(f"point counts differ: {pred.shape} vs {gt.shape}")
-    n = pred.shape[0]
+    n = pred.shape[-2]
     diff = pred - gt
     a = np.abs(diff)
     per_coord = np.where(a < 1.0, 0.5 * diff**2, a - 0.5)
     grad = np.where(a < 1.0, diff, np.sign(diff)) / n
-    return float(per_coord.sum()) / n, grad
+    return per_coord.sum(axis=(-2, -1)) / n, grad
 
 
-def classification_loss(valid_probs, matched) -> tuple[float, np.ndarray]:
+def classification_loss(valid_probs, is_matched) -> tuple[np.ndarray, np.ndarray]:
     """Negative log-likelihood of the matched/unmatched vertex labels.
 
-    ``matched`` holds the distinct vertex indices that ``hungarian`` matched
-    to a corner. Matched vertices contribute -log(c); the others contribute
+    ``valid_probs`` and the boolean ``is_matched`` are (..., N), one row per
+    ring; ``is_matched`` marks the vertices that ``hungarian`` matched to a
+    corner. Matched vertices contribute -log(c); the others contribute
     ``INVALID_WEIGHT * -log(1 - c)`` to counter the class imbalance. The
-    gradient is with respect to ``valid_probs``.
+    values have the leading shape; the gradient is with respect to
+    ``valid_probs``.
     """
     c = np.asarray(valid_probs, dtype=float)
-    n = c.shape[0]
-    unmatched = np.ones(n, dtype=bool)
-    unmatched[matched] = False
-    value = float(-_clamped_log(c[matched]).sum())
-    value += INVALID_WEIGHT * float(-_clamped_log(1.0 - c[unmatched]).sum())
+    value = -np.where(is_matched, _clamped_log(c), 0.0).sum(axis=-1)
+    value += INVALID_WEIGHT * -np.where(is_matched, 0.0, _clamped_log(1.0 - c)).sum(axis=-1)
 
-    grad = np.zeros(n)
     interior = (c > PROB_EPS) & (c < 1.0 - PROB_EPS)
-    grad[matched] = np.where(interior[matched], -1.0 / np.clip(c[matched], PROB_EPS, None), 0.0)
-    grad[unmatched] = np.where(
-        interior[unmatched],
-        INVALID_WEIGHT / np.clip(1.0 - c[unmatched], PROB_EPS, None),
-        0.0,
-    )
+    matched_grad = -1.0 / np.clip(c, PROB_EPS, None)
+    unmatched_grad = INVALID_WEIGHT / np.clip(1.0 - c, PROB_EPS, None)
+    grad = np.where(interior, np.where(is_matched, matched_grad, unmatched_grad), 0.0)
     return value, grad
 
 
-def dml(pred, gt, gt_corners, matched) -> tuple[float, np.ndarray]:
+def dml(pred, gt, corner_targets, is_matched) -> tuple[np.ndarray, np.ndarray]:
     """Dynamic matching loss: boundary attraction plus corner attraction.
 
-    ``pred`` and ``gt`` are (N, 2) rings. The first term is the mean L1
-    distance from each predicted vertex to its nearest point (by L2) on the
-    10x-densified ground-truth ring; the second is the mean L1 distance from
-    each matched predicted vertex ``pred[matched[i]]`` to its corner
-    ``gt_corners[i]``. The gradient, with respect to ``pred``, treats both
+    ``pred`` and ``gt`` are (B, N, 2) batches of rings. The first term is
+    the mean L1 distance from each predicted vertex to its nearest point (by
+    L2) on its 10x-densified ground-truth ring; the second is the mean L1
+    distance from each matched predicted vertex, where the (B, N) boolean
+    ``is_matched`` is set, to its corner ``corner_targets[b, v]``; the other
+    entries of the (B, N, 2) ``corner_targets`` are ignored. Returns the
+    (B,) values; the gradient, with respect to ``pred``, treats both
     selections as constants.
     """
     pred_pts = np.asarray(pred, dtype=float)
-    n = pred_pts.shape[0]
-    corners = np.asarray(gt_corners, dtype=float)
-    m = corners.shape[0]
+    n = pred_pts.shape[-2]
+    m = is_matched.sum(axis=-1)
     dense_gt = densify_x10(gt)
-    targets = dense_gt[nearest_point_indices(pred_pts, dense_gt)]
+    # one ring at a time: one (B, N, 10N) distance matrix is slower than B small ones
+    targets = np.stack([d[nearest_point_indices(p, d)] for p, d in zip(pred_pts, dense_gt)])
 
     diff_b = pred_pts - targets
-    pre2gt = float(np.abs(diff_b).sum()) / n
+    pre2gt = np.abs(diff_b).sum(axis=(-2, -1)) / n
     grad = np.sign(diff_b) / n
 
-    if matched.size != m:
-        raise ValueError("assignment size does not match corner count")
-    diff_c = pred_pts[matched] - corners
-    gt2pre = float(np.abs(diff_c).sum()) / m
-    np.add.at(grad, matched, np.sign(diff_c) / m)
+    on = is_matched[..., None]
+    diff_c = pred_pts - corner_targets
+    gt2pre = np.where(on, np.abs(diff_c), 0.0).sum(axis=(-2, -1)) / m
+    grad += np.where(on, np.sign(diff_c) / m[:, None, None], 0.0)
 
     return pre2gt + gt2pre, grad
 

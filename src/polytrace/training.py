@@ -15,9 +15,6 @@ treated as constants per stage, so gradients never cross stage boundaries
 through the sampling path. Every gradient and every optimizer state array
 takes its parameter's dtype, and the optimizers update in place, so a step
 keeps the float32 evolution arrays float32.
-
-Each :class:`TrainInstance` holds its densified ground truth as a plain
-(N, 2) ``ring``, and every loss returns a ``(value, grad)`` pair.
 """
 
 from __future__ import annotations
@@ -69,17 +66,12 @@ EVOLUTION_GRAD_NORM_MAX = 100.0
 
 
 @dataclass
-class TrainInstance:
-    corners: np.ndarray  # (M, 2) ground-truth corner polygon
-    ring: np.ndarray     # (N, 2) densified ground-truth ring
-    center: np.ndarray   # bbox center, full-resolution pixels
-
-
-@dataclass
 class SceneBundle:
     features: np.ndarray
     heat_target: np.ndarray
-    instances: list
+    rings: np.ndarray    # (n, N, 2) densified ground-truth rings, one per building
+    centers: np.ndarray  # (n, 2) bbox centers, full-resolution pixels
+    corners: list        # n (M, 2) ground-truth corner polygons
     frame_dims: tuple
     image_id: int = 0
 
@@ -94,16 +86,12 @@ def prepare_scene(scene: SyntheticScene, cfg: RunConfig, image_id: int = 0) -> S
     """
     features = feature_provider(scene.image)
     height, width = np.asarray(scene.image).shape
-    centers, sizes, instances = [], [], []
-    for poly in scene.buildings:
-        ring = densify(poly, cfg.n_vertices).points
-        center = bbox_center(poly)
-        box = bounding_box(poly)
-        centers.append(center)
-        sizes.append((box[2] - box[0], box[3] - box[1]))
-        instances.append(TrainInstance(corners=np.asarray(poly, dtype=float), ring=ring, center=center))
-    heat_target = build_heatmap_target(centers, sizes, (width, height))
-    return SceneBundle(features, heat_target, instances, (width, height), image_id)
+    corners = [np.asarray(poly, dtype=float) for poly in scene.buildings]
+    rings = np.array([densify(poly, cfg.n_vertices).points for poly in corners]).reshape(-1, cfg.n_vertices, 2)
+    centers = np.array([bbox_center(poly) for poly in corners]).reshape(-1, 2)
+    boxes = np.array([bounding_box(poly) for poly in corners]).reshape(-1, 4)
+    heat_target = build_heatmap_target(centers, boxes[:, 2:] - boxes[:, :2], (width, height))
+    return SceneBundle(features, heat_target, rings, centers, corners, (width, height), image_id)
 
 
 def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution: bool = True):
@@ -129,9 +117,10 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     n_scenes = len(bundles)
     components = dict.fromkeys(("ct", "init", "e1", "e2", "cla"), 0.0)
     # every contour of the step in batch order, with its scene
-    contours = [(inst, bundle) for bundle in bundles for inst in bundle.instances]
-    scenes = np.repeat(np.arange(n_scenes), [len(bundle.instances) for bundle in bundles])
-    centers = np.array([inst.center for inst, _ in contours], dtype=float).reshape(-1, 2)
+    counts = [len(bundle.rings) for bundle in bundles]
+    scenes = np.repeat(np.arange(n_scenes), counts)
+    rings = np.concatenate([bundle.rings for bundle in bundles])
+    centers = np.concatenate([bundle.centers for bundle in bundles])
 
     # both heads once over the stacked grids, then one batch of all contours
     grids = np.stack([bundle.features for bundle in bundles])
@@ -151,39 +140,41 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     if not all(np.all(np.isfinite(a)) for a in (*stages, probs2)):
         raise FloatingPointError("non-finite contours")
 
-    d_offsets = np.empty_like(offsets)
+    # each contour's weight in the mean over scenes of the instance means
+    n_inst = np.repeat(counts, counts)
+    w = 1.0 / (n_inst * n_scenes)
     scale = EXPANSION_FACTOR * STRIDE
-    for j, (inst, bundle) in enumerate(contours):
-        n_inst = len(bundle.instances)
-        l_init, d_init = losses.smooth_l1(stages[0][j], inst.ring)
-        components["init"] += l_init / (n_inst * n_scenes)
-        d_offsets[j] = (eps / n_inst * scale / n_scenes) * d_init.reshape(-1)
+    l_init, d_init = losses.smooth_l1(stages[0], rings)
+    components["init"] = float((l_init / (n_inst * n_scenes)).sum())
+    d_offsets = (eps / n_inst * scale / n_scenes)[:, None] * d_init.reshape(len(rings), -1)
     grads.update(offset_backward(o_cache, params, d_offsets))
 
     if not train_evolution:
         return components, grads
 
     _, pts1, pts2 = stages
-    d_off1 = np.empty_like(pts1)
-    d_off2 = np.empty_like(pts2)
+    valid = probs2[:, :, 1]
+    # the discrete matching one contour at a time: Hungarian is sequential,
+    # and the corner counts differ
+    is_matched = np.zeros(valid.shape, dtype=bool)
+    corner_targets = np.zeros(pts2.shape)
+    contours = [(corners, float(np.hypot(*b.frame_dims))) for b in bundles for corners in b.corners]
+    for j, (corners, diagonal) in enumerate(contours):
+        matched = hungarian(match_cost(corners, pts2[j], valid[j], diagonal=diagonal))
+        is_matched[j, matched] = True
+        corner_targets[j, matched] = corners
+    # first evolution round: static index-aligned supervision
+    l_e1, d_e1 = losses.smooth_l1(pts1, rings)
+    components["e1"] = float((l_e1 * w).sum())
+    d_off1 = (eps * w)[:, None, None] * d_e1
+    # second round: dynamic matching and vertex classification
+    l_e2, d_e2 = losses.dml(pts2, rings, corner_targets, is_matched)
+    components["e2"] = float((l_e2 * w).sum())
+    d_off2 = (eps * w)[:, None, None] * d_e2
+    l_cla, d_cla = losses.classification_loss(valid, is_matched)
+    components["cla"] = float((l_cla * w).sum())
     d_probs2 = np.zeros(probs2.shape)
-    for j, (inst, bundle) in enumerate(contours):
-        w = 1.0 / (len(bundle.instances) * n_scenes)
-        # first evolution round: static index-aligned supervision
-        l_e1, d_e1 = losses.smooth_l1(pts1[j], inst.ring)
-        components["e1"] += l_e1 * w
-        d_off1[j] = (eps * w) * d_e1
-        # second round: dynamic matching and vertex classification
-        valid = probs2[j, :, 1]
-        diagonal = float(np.hypot(*bundle.frame_dims))
-        cost = match_cost(inst.corners, pts2[j], valid, diagonal=diagonal)
-        matched = hungarian(cost)
-        l_e2, d_e2 = losses.dml(pts2[j], inst.ring, inst.corners, matched)
-        components["e2"] += l_e2 * w
-        d_off2[j] = (eps * w) * d_e2
-        l_cla, d_cla = losses.classification_loss(valid, matched)
-        components["cla"] += l_cla * w
-        d_probs2[j, :, 1] = w * d_cla
+    d_probs2[:, :, 1] = w[:, None] * d_cla
     d_logits2 = evo.softmax_backward(probs2, d_probs2)
     # each round's cache is dropped as soon as its backward returns
     evolution_grads = evo.backward(caches.pop(), params, d_offsets=d_off2, d_logits=d_logits2)
@@ -272,8 +263,11 @@ def fit(bundles, cfg: RunConfig, params: PipelineParams | None = None):
 
     Follows the schedule shape: an initialization-only phase, then joint
     training, with the learning rate divided by 5 at the two decay epochs.
-    Returns (params, history) with one mean total loss per epoch.
+    Returns (params, history) with one mean total loss per epoch. Raises
+    ValueError when there is no bundle to train on.
     """
+    if not bundles:
+        raise ValueError("fit needs at least one scene bundle")
     rng = np.random.default_rng(np.random.SeedSequence([0x7A10, cfg.seed]))
     if params is None:
         params = PipelineParams.initialize(cfg, rng)

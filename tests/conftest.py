@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from polytrace import detection, losses, pipeline, training
+from polytrace import evolution as evo
+from polytrace.assignment import hungarian, match_cost
 from polytrace.geometry import ANCHOR_DIRECTIONS, as_polygon, bbox_center, normalize_orientation
 from polytrace.pipeline import PipelineParams
 
@@ -248,3 +253,95 @@ def reference_resample(chain, count):
     x = np.interp(targets, cum, chain[:, 0])
     y = np.interp(targets, cum, chain[:, 1])
     return np.column_stack([x, y])
+
+
+def reference_smooth_l1(pred, gt):
+    """Smooth L1 of one (N, 2) ring: its value and gradient."""
+    n = pred.shape[0]
+    diff = pred - gt
+    a = np.abs(diff)
+    value = float(np.where(a < 1.0, 0.5 * diff**2, a - 0.5).sum()) / n
+    return value, np.where(a < 1.0, diff, np.sign(diff)) / n
+
+
+def reference_scene_loss(bundles, params, train_evolution=True):
+    """``training.scene_loss`` one contour at a time: each contour's smooth
+    L1, nearest points on its 10x-densified ring, corner term and
+    classification written out, and its gradient rows stored into the
+    batch's. ``scene_loss`` must give the same gradient bits."""
+    eps, clamp = losses.LOSS_BALANCE, losses.PROB_EPS
+    n_scenes = len(bundles)
+    components = dict.fromkeys(("ct", "init", "e1", "e2", "cla"), 0.0)
+    contours = [(ring, corners, b) for b in bundles for ring, corners in zip(b.rings, b.corners)]
+    scenes = np.repeat(np.arange(n_scenes), [len(b.rings) for b in bundles])
+    centers = np.concatenate([b.centers for b in bundles])
+    grids = np.stack([b.features for b in bundles])
+    cols = pipeline.grid_columns(grids)
+    heat, c_cache = pipeline.center_forward(cols, params)
+    components["ct"], d_heat = losses.focal_center_loss(heat, np.stack([b.heat_target for b in bundles]))
+    grads = pipeline.center_backward(c_cache, params, d_heat)
+    offsets, o_cache = pipeline.offset_forward(cols, scenes, centers, params)
+    if train_evolution:
+        stages, probs2, caches = pipeline.evolve_contours(grids, scenes, offsets, centers, params)
+    else:
+        stages = [pipeline.initial_contours(offsets, centers)]
+
+    d_offsets = np.empty_like(offsets)
+    scale = pipeline.EXPANSION_FACTOR * detection.STRIDE
+    for j, (ring, _, bundle) in enumerate(contours):
+        n_inst = len(bundle.rings)
+        l_init, d_init = reference_smooth_l1(stages[0][j], ring)
+        components["init"] += l_init / (n_inst * n_scenes)
+        d_offsets[j] = (eps / n_inst * scale / n_scenes) * d_init.reshape(-1)
+    grads.update(pipeline.offset_backward(o_cache, params, d_offsets))
+    if not train_evolution:
+        return components, grads
+
+    _, pts1, pts2 = stages
+    d_off1 = np.empty_like(pts1)
+    d_off2 = np.empty_like(pts2)
+    d_probs2 = np.zeros(probs2.shape)
+    for j, (ring, corners, bundle) in enumerate(contours):
+        w = 1.0 / (len(bundle.rings) * n_scenes)
+        l_e1, d_e1 = reference_smooth_l1(pts1[j], ring)
+        components["e1"] += l_e1 * w
+        d_off1[j] = (eps * w) * d_e1
+
+        pred, c = pts2[j], probs2[j, :, 1].astype(float)
+        n, m = pred.shape[0], corners.shape[0]
+        matched = hungarian(match_cost(corners, pred, c, diagonal=float(np.hypot(*bundle.frame_dims))))
+        # DML: L1 to the nearest of ten points per ring segment, and to the matched corners
+        f = np.arange(10)[None, :, None] / 10.0
+        dense = (ring[:, None] * (1.0 - f) + np.roll(ring, -1, axis=0)[:, None] * f).reshape(-1, 2)
+        nearest = np.argmin(np.linalg.norm(pred[:, None] - dense[None], axis=2), axis=1)
+        diff_b = pred - dense[nearest]
+        diff_c = pred[matched] - corners
+        d_e2 = np.sign(diff_b) / n
+        np.add.at(d_e2, matched, np.sign(diff_c) / m)
+        components["e2"] += (float(np.abs(diff_b).sum()) / n + float(np.abs(diff_c).sum()) / m) * w
+        d_off2[j] = (eps * w) * d_e2
+
+        # classification: the matched vertices and their index complement
+        unmatched = np.setdiff1d(np.arange(n), matched)
+        log_c = np.log(np.clip(c, clamp, 1.0 - clamp))
+        log_1c = np.log(np.clip(1.0 - c, clamp, 1.0 - clamp))
+        l_cla = float(-log_c[matched].sum()) + losses.INVALID_WEIGHT * float(-log_1c[unmatched].sum())
+        components["cla"] += l_cla * w
+        interior = (c > clamp) & (c < 1.0 - clamp)
+        d_cla = np.zeros(n)
+        d_cla[matched] = np.where(interior[matched], -1.0 / np.clip(c[matched], clamp, None), 0.0)
+        d_cla[unmatched] = np.where(
+            interior[unmatched], losses.INVALID_WEIGHT / np.clip(1.0 - c[unmatched], clamp, None), 0.0
+        )
+        d_probs2[j, :, 1] = w * d_cla
+
+    d_logits2 = evo.softmax_backward(probs2, d_probs2)
+    evolution_grads = evo.backward(caches.pop(), params, d_offsets=d_off2, d_logits=d_logits2)
+    for name, g in evo.backward(caches.pop(), params, d_offsets=d_off1).items():
+        evolution_grads[name] += g
+    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in evolution_grads.values()))
+    if norm > training.EVOLUTION_GRAD_NORM_MAX:
+        for g in evolution_grads.values():
+            g *= training.EVOLUTION_GRAD_NORM_MAX / norm
+    grads.update(evolution_grads)
+    return components, grads

@@ -96,23 +96,56 @@ class TestSmoothL1:
         with pytest.raises(ValueError):
             losses.smooth_l1(np.zeros((3, 2)), np.zeros((4, 2)))
 
+    def test_batch_equals_its_rows_alone(self, rng):
+        gt = rng.uniform(0, 20, size=(3, 12, 2))
+        pred = gt + rng.normal(scale=1.5, size=gt.shape)
+        value, grad = losses.smooth_l1(pred, gt)
+        assert value.shape == (3,) and grad.shape == gt.shape
+        for b in range(3):
+            alone_value, alone_grad = losses.smooth_l1(pred[b : b + 1], gt[b : b + 1])
+            assert value[b] == alone_value[0]
+            assert np.array_equal(grad[b], alone_grad[0])
+
+
+def as_mask(n, matched):
+    """The (n,) boolean row of the vertices ``matched`` lists."""
+    mask = np.zeros(n, dtype=bool)
+    mask[matched] = True
+    return mask
+
+
+def classify_one(probs, matched):
+    """``classification_loss`` of one ring as a batch of one."""
+    value, grad = losses.classification_loss(probs[None], as_mask(len(probs), matched)[None])
+    return value[0], grad[0]
+
+
+def dml_one(pred, gt, corners, matched):
+    """``dml`` of one ring as a batch of one, with corner i matched to
+    vertex ``matched[i]``."""
+    corner_targets = np.zeros(pred.shape)
+    corner_targets[matched] = corners
+    is_matched = as_mask(len(pred), matched)
+    value, grad = losses.dml(pred[None], gt[None], corner_targets[None], is_matched[None])
+    return value[0], grad[0]
+
 
 class TestClassificationLoss:
     def test_perfect_classification_is_zero(self):
         probs = np.array([1.0, 0.0, 1.0, 0.0])
-        value, _ = losses.classification_loss(probs, np.array([0, 2]))
+        value, _ = classify_one(probs, np.array([0, 2]))
         assert value == pytest.approx(0.0, abs=1e-5)
 
     def test_single_matched_half_confidence(self):
-        value, _ = losses.classification_loss(np.array([0.5]), np.array([0]))
+        value, _ = classify_one(np.array([0.5]), np.array([0]))
         assert value == pytest.approx(-math.log(0.5))
 
     def test_invalid_weight_applied(self, monkeypatch):
         probs = np.array([1.0, 0.5])
-        value, _ = losses.classification_loss(probs, np.array([0]))
+        value, _ = classify_one(probs, np.array([0]))
         assert value == pytest.approx(0.1 * -math.log(0.5), abs=1e-6)
         monkeypatch.setattr(losses, "INVALID_WEIGHT", 0.3)
-        value, _ = losses.classification_loss(probs, np.array([0]))
+        value, _ = classify_one(probs, np.array([0]))
         assert value == pytest.approx(0.3 * -math.log(0.5), abs=1e-6)
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -120,23 +153,34 @@ class TestClassificationLoss:
             n = 12
             probs = rng.uniform(0.05, 0.95, size=n)
             matched = rng.choice(n, size=4, replace=False)
-            _, grad = losses.classification_loss(probs, matched)
-            fd = central_difference(lambda p: losses.classification_loss(p, matched)[0], probs)
+            _, grad = classify_one(probs, matched)
+            fd = central_difference(lambda p: classify_one(p, matched)[0], probs)
             assert relative_error(grad, fd) < 1e-6
 
     def test_column_hungarian_leaves_free_is_unmatched(self):
         # rows take columns 1 and 0, so column 2 is scored as an invalid vertex
         matched = hungarian(np.array([[1.0, 0.0, 3.0], [0.0, 5.0, 4.0]]))
         probs = np.array([0.8, 0.6, 0.3])
-        value, grad = losses.classification_loss(probs, matched)
+        value, grad = classify_one(probs, matched)
         assert value == pytest.approx(-math.log(0.6) - math.log(0.8) - 0.1 * math.log(0.7))
         assert np.allclose(grad, [-1.0 / 0.8, -1.0 / 0.6, 0.1 / 0.7])
+
+    def test_batch_equals_its_rows_alone(self, rng):
+        probs = rng.uniform(0.05, 0.95, size=(3, 12))
+        probs[1, 5] = 0.0  # a clamped vertex, whose gradient is zero
+        is_matched = np.stack([as_mask(12, rng.choice(12, size=k, replace=False)) for k in (3, 4, 6)])
+        value, grad = losses.classification_loss(probs, is_matched)
+        assert value.shape == (3,) and grad.shape == (3, 12)
+        for b in range(3):
+            alone_value, alone_grad = losses.classification_loss(probs[b : b + 1], is_matched[b : b + 1])
+            assert value[b] == alone_value[0]
+            assert np.array_equal(grad[b], alone_grad[0])
 
 
 class TestDml:
     def test_zero_at_perfect_prediction(self):
         gt = square_ring_contour()
-        value, _ = losses.dml(gt.points.copy(), gt.points, SQUARE, np.arange(4))
+        value, _ = dml_one(gt.points.copy(), gt.points, SQUARE, np.arange(4))
         assert value == 0.0
 
     def test_displaced_square_matches_bruteforce_oracle(self):
@@ -152,7 +196,7 @@ class TestDml:
             expected_pre2gt += np.abs(p - nearest).sum()
         expected_pre2gt /= pred.shape[0]
         expected_gt2pre = np.abs(pred - SQUARE).sum() / 4
-        value, _ = losses.dml(pred, gt.points, SQUARE, np.arange(4))
+        value, _ = dml_one(pred, gt.points, SQUARE, np.arange(4))
         assert value == pytest.approx(expected_pre2gt + expected_gt2pre)
 
     def test_on_boundary_vertex_contributes_nothing(self):
@@ -168,10 +212,10 @@ class TestDml:
         gt = densify(SQUARE, 16)
         pred = gt.points + rng.normal(scale=1.0, size=(16, 2))
         matched = rng.choice(16, size=4, replace=False)
-        base, _ = losses.dml(pred, gt.points, SQUARE, matched)
+        base, _ = dml_one(pred, gt.points, SQUARE, matched)
         shift = np.array([31.7, -8.25])
         gt_shifted = DensifiedContour(gt.points + shift)
-        moved, _ = losses.dml(pred + shift, gt_shifted.points, SQUARE + shift, matched)
+        moved, _ = dml_one(pred + shift, gt_shifted.points, SQUARE + shift, matched)
         assert moved == pytest.approx(base, abs=1e-9)
 
     def test_boundary_term_decreases_along_approach(self, monkeypatch):
@@ -187,7 +231,7 @@ class TestDml:
         for frac in np.linspace(0.0, 0.9, 10):
             moved = pred.copy()
             moved[0] = pred[0] + frac * (target - pred[0])
-            values.append(losses.dml(moved, gt.points, SQUARE, matched)[0])
+            values.append(dml_one(moved, gt.points, SQUARE, matched)[0])
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_gradient_matches_finite_differences(self, rng, monkeypatch):
@@ -198,9 +242,23 @@ class TestDml:
             nearest = nearest_point_indices(pred, densify_x10(gt.points))
             # the selection stays frozen while the differences move pred
             monkeypatch.setattr(losses, "nearest_point_indices", lambda query, points: nearest)
-            _, grad = losses.dml(pred, gt.points, SQUARE, matched)
-            fd = central_difference(lambda p: losses.dml(p, gt.points, SQUARE, matched)[0], pred)
+            _, grad = dml_one(pred, gt.points, SQUARE, matched)
+            fd = central_difference(lambda p: dml_one(p, gt.points, SQUARE, matched)[0], pred)
             assert relative_error(grad, fd) < 1e-6
+
+    def test_batch_equals_its_rows_alone(self, rng):
+        # rings of different sizes and places, with 4, 6 and 5 matched corners
+        gt = np.stack([densify(SQUARE * s + t, 16).points for s, t in ((1.0, 0.0), (1.5, 7.0), (0.8, -3.0))])
+        pred = gt + rng.normal(scale=1.3, size=gt.shape)
+        corner_targets = rng.uniform(0.0, 60.0, size=gt.shape)
+        is_matched = np.stack([as_mask(16, rng.choice(16, size=k, replace=False)) for k in (4, 6, 5)])
+        value, grad = losses.dml(pred, gt, corner_targets, is_matched)
+        assert value.shape == (3,) and grad.shape == gt.shape
+        for b in range(3):
+            row = slice(b, b + 1)
+            alone_value, alone_grad = losses.dml(pred[row], gt[row], corner_targets[row], is_matched[row])
+            assert value[b] == alone_value[0]
+            assert np.array_equal(grad[b], alone_grad[0])
 
 
 class TestTotalLoss:

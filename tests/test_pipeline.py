@@ -8,7 +8,14 @@ from polytrace import evolution as evo
 from polytrace.config import RunConfig
 from polytrace.synth import feature_provider
 
-from conftest import as_float64, central_difference, nine_tap_backward, nine_tap_conv, relative_error
+from conftest import (
+    as_float64,
+    central_difference,
+    nine_tap_backward,
+    nine_tap_conv,
+    reference_scene_loss,
+    relative_error,
+)
 
 TINY = dict(
     n_vertices=16,
@@ -89,7 +96,7 @@ def test_predict_scene_rejects_non_finite_contours(cfg, params):
 
 def test_training_and_inference_share_stage_points(cfg, params, monkeypatch):
     bundle = training.prepare_scene(training.make_dataset(cfg, 1)[0], cfg)
-    centers = [inst.center for inst in bundle.instances]
+    centers = bundle.centers
     seen = []
 
     def recording(*args, **kwargs):
@@ -306,7 +313,7 @@ def test_step_batch_equals_mean_of_single_scenes(cfg, params, train_evolution):
     scenes' losses and gradients, each scene taken alone."""
     wide = as_float64(params)
     bundles = two_bundles(cfg)
-    assert len(bundles[0].instances) != len(bundles[1].instances)
+    assert len(bundles[0].rings) != len(bundles[1].rings)
     components, grads = training.scene_loss(bundles, wide, cfg, train_evolution)
     alone = [training.scene_loss([b], wide, cfg, train_evolution) for b in bundles]
     for name, value in components.items():
@@ -317,6 +324,37 @@ def test_step_batch_equals_mean_of_single_scenes(cfg, params, train_evolution):
     for name, g in grads.items():
         assert g.dtype == np.float64, name
         assert relative_error(g, (alone[0][1][name] + alone[1][1][name]) / 2) < 1e-12, name
+
+
+def mixed_corner_bundles(cfg):
+    """Prepared bundles of two scenes of the config's dataset whose building
+    counts differ and whose footprints include 4- and 6-corner polygons."""
+    scenes = training.make_dataset(cfg, 12)
+    first, second = next(
+        (a, b)
+        for i, a in enumerate(scenes)
+        for b in scenes[i + 1 :]
+        if len(a.buildings) != len(b.buildings) and {len(p) for p in a.buildings + b.buildings} == {4, 6}
+    )
+    return [training.prepare_scene(s, cfg, i) for i, s in enumerate((first, second))]
+
+
+@pytest.mark.parametrize("train_evolution", [True, False])
+def test_scene_loss_matches_per_contour_reference(cfg, params, train_evolution):
+    bundles = mixed_corner_bundles(cfg)
+    components, grads = training.scene_loss(bundles, params, cfg, train_evolution)
+    expected, expected_grads = reference_scene_loss(bundles, params, train_evolution)
+    assert components.keys() == expected.keys()
+    for name, value in expected.items():
+        assert relative_error(components[name], value) < 1e-12, name
+    assert sorted(grads) == sorted(expected_grads)
+    for name, g in expected_grads.items():
+        assert np.array_equal(grads[name], g), name
+
+
+def test_fit_rejects_an_empty_dataset(cfg):
+    with pytest.raises(ValueError, match="at least one scene"):
+        training.fit([], cfg)
 
 
 def count_calls(monkeypatch, modules, names):
@@ -411,7 +449,7 @@ def test_large_evolution_gradient_is_scaled_to_the_norm_bound(cfg, params, monke
 
 def test_scene_loss_rejects_a_scene_without_buildings(cfg, params):
     bundle = training.prepare_scene(training.make_dataset(cfg, 1)[0], cfg)
-    bundle.instances = []
+    bundle.rings, bundle.centers, bundle.corners = bundle.rings[:0], bundle.centers[:0], []
     bundle.heat_target = np.zeros_like(bundle.heat_target)
     with pytest.raises(ValueError, match="no keypoints"):
         training.scene_loss([bundle], params, cfg)
