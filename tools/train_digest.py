@@ -12,7 +12,7 @@ final parameters, the step count with the number of steps that raised
   ``make_dataset(RunConfig(), N)``.
 - ``replay WORKLOAD:SEED``: the benchmark's train section alone. It runs
   ``perfbench.workloads.Bench(WORKLOAD, SEED).setup()``, the warm-up batches,
-  then chunk ``k % rounds`` of the batches in round k, for ``--passes``
+  then chunk ``k % rounds`` of the batches in round k, for ``PASSES``
   passes of every batch. A step that raises ``FloatingPointError`` leaves
   the parameters unchanged, as in the benchmark.
 
@@ -32,6 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# passes over the batches of each replay, 8 rounds each: on both workloads a
+# replay makes 3 warm-up steps + 5 passes of 100 steps = 503 steps
+PASSES = 5
 
 
 def parse_args(argv):
@@ -40,7 +43,6 @@ def parse_args(argv):
     parser.add_argument(
         "--replay", nargs="*", default=[], metavar="WORKLOAD:SEEDS", help="e.g. dense:3 or sparse:1-10"
     )
-    parser.add_argument("--passes", type=int, default=5, help="passes over the batches of each replay")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two outputs and exit")
     return parser.parse_args(argv)
 
@@ -83,7 +85,7 @@ def fit_run(n_scenes: int):
     return params, losses
 
 
-def replay_run(workload: str, seed: int, passes: int):
+def replay_run(workload: str, seed: int):
     """(params, per-step losses) of the benchmark's train steps in its order;
     a failed step's loss is the name of its error."""
     from perfbench import workloads
@@ -93,7 +95,7 @@ def replay_run(workload: str, seed: int, passes: int):
     bench.setup()
     sizes, batches = bench.sizes, bench.batches
     order = batches[: sizes.warmup_steps]
-    for k in range(passes * sizes.rounds):
+    for k in range(PASSES * sizes.rounds):
         order += batches[workloads._part(len(batches), k % sizes.rounds, sizes.rounds)]
     losses = []
     for batch in order:
@@ -163,7 +165,7 @@ def main(argv=None) -> int:
     for n in args.fit:
         report(f"fit {n}", *fit_run(n))
     for workload, seed in replays(args.replay):
-        report(f"replay {workload}:{seed}", *replay_run(workload, seed, args.passes))
+        report(f"replay {workload}:{seed}", *replay_run(workload, seed))
     return 0
 
 
