@@ -63,6 +63,11 @@ class RunConfig:
             raise ValueError("n_vertices must be divisible by 4")
         if self.optimizer not in ("momentum", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not 1 <= self.min_buildings <= self.max_buildings:
+            raise ValueError(
+                f"building counts {self.min_buildings}..{self.max_buildings} need"
+                " 1 <= min_buildings <= max_buildings"
+            )
         if not self.allow_nonstandard:
             for key, (lo, hi) in RECOMMENDED_RANGES.items():
                 value = getattr(self, key)

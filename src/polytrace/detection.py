@@ -69,13 +69,11 @@ def decode_peaks(heatmap, threshold: float, top_k: int) -> list[CenterDetection]
     values = heat[peaks]
     flat = peaks[0] * heat.shape[1] + peaks[1]
     order = np.lexsort((flat, -values))[:top_k]
+    order = order[values[order] > threshold]
     out = []
-    for idx in order:
-        score = float(values[idx])
-        if score <= threshold:
-            continue
+    for idx in order.tolist():
         row, col = int(peaks[0][idx]), int(peaks[1][idx])
         position = np.array([(col + 0.5) * STRIDE, (row + 0.5) * STRIDE])
-        out.append(CenterDetection(position, score))
+        out.append(CenterDetection(position, float(values[idx])))
     return out
 

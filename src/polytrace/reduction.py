@@ -7,9 +7,12 @@ three survivors the top-3 scored vertices are restored instead, since the
 final output must be a polygon.
 
 Cost model for an n-vertex ring: vertex NMS builds one n x n distance
-matrix and its greedy walk reads one row per keeper; angle pruning computes
-every interior angle in one stacked :func:`vertex_angle` call, then the two
-neighbor angles of each removal as scalars, with the same bits. A
+matrix, and its greedy walk runs only over the vertices that have another
+vertex closer than the radius, one row per keeper; every other vertex
+survives any walk. Angle pruning computes every interior angle in one
+stacked :func:`vertex_angle` call, then keeps the ring links and angles in
+Python lists, and each removal updates its two neighbors' angles with one
+2x2 Gram matmul each, with the same bits as the stacked call. A
 three-vertex ring computes no angles.
 """
 
@@ -44,8 +47,13 @@ class ScoredContour:
         return self.points.shape[0]
 
     def take(self, indices) -> "ScoredContour":
+        """The rows at ``indices``, without validating them again: rows of a
+        valid contour are valid."""
         idx = np.asarray(indices, dtype=int)
-        return ScoredContour(self.points[idx], self.scores[idx])
+        out = object.__new__(ScoredContour)
+        object.__setattr__(out, "points", self.points[idx])
+        object.__setattr__(out, "scores", self.scores[idx])
+        return out
 
 
 def threshold_vertices(sc: ScoredContour, t: float) -> ScoredContour:
@@ -56,24 +64,27 @@ def threshold_vertices(sc: ScoredContour, t: float) -> ScoredContour:
 def mean_segment_length(points) -> float:
     """Mean edge length of the closed ring."""
     pts = np.asarray(points, dtype=float)
-    return float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).mean())
+    d = np.diff(pts, axis=0, append=pts[:1])
+    return float(np.sqrt((d * d).sum(axis=1)).mean())
 
 
 def vertex_nms(sc: ScoredContour, radius: float) -> ScoredContour:
     """Greedy suppression: highest score first (ties by lower index), each
-    keeper removes every not-yet-kept vertex strictly nearer than radius."""
+    keeper removes every not-yet-kept vertex strictly nearer than radius.
+
+    A vertex with no other vertex that near is kept by any walk, so the walk
+    runs over the others only. A NaN distance counts as near."""
     if radius < 0:
         raise ValueError("suppression radius must be non-negative")
-    n = len(sc)
-    # far[i, j]: vertex j survives keeper i
-    far = pairwise_distances(sc.points, sc.points) >= radius
-    alive = np.ones(n, dtype=bool)
-    keep = np.zeros(n, dtype=bool)
-    for idx in np.lexsort((np.arange(n), -sc.scores)).tolist():
-        if alive[idx]:
-            keep[idx] = True
-            alive &= far[idx]
-    return sc.take(np.nonzero(keep)[0])
+    # close[i, j]: keeper i suppresses vertex j
+    close = ~(pairwise_distances(sc.points, sc.points) >= radius)
+    np.fill_diagonal(close, False)
+    crowded = np.flatnonzero(close.any(axis=1))
+    keep = np.ones(len(sc), dtype=bool)
+    for idx in crowded[np.lexsort((crowded, -sc.scores[crowded]))].tolist():
+        if keep[idx]:
+            keep[close[idx]] = False
+    return sc.take(np.flatnonzero(keep))
 
 
 def prune_collinear(poly) -> np.ndarray:
@@ -91,37 +102,42 @@ def prune_collinear(poly) -> np.ndarray:
         raise ValueError("polygon needs at least 3 vertices")
     if n == 3:
         return pts.copy()
-    # ring neighbors by input index; a removed vertex reads -inf so that
-    # argmax over input order is argmax over the surviving ring
-    prev = np.roll(np.arange(n), 1)
-    nxt = np.roll(np.arange(n), -1)
-    angles = vertex_angle(pts[prev], pts, pts[nxt])
+    ring = np.concatenate((pts[-1:], pts, pts[:1]))  # one neighbor wrapped on each side
+    angles = vertex_angle(ring[:-2], pts, ring[2:]).tolist()
+    # ring neighbors by input index; a removed vertex reads -inf so that the
+    # first maximum in input order is the first maximum of the surviving ring
+    prev = [n - 1, *range(n - 1)]
+    nxt = [*range(1, n), 0]
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     for _ in range(n - 3):
-        worst = int(np.argmax(angles))
-        if angles[worst] <= ANGLE_THRESHOLD:
+        top = max(angles)
+        if top <= ANGLE_THRESHOLD:
             break
-        angles[worst] = -np.inf
+        worst = angles.index(top)
+        angles[worst] = -math.inf
         p, q = prev[worst], nxt[worst]
         nxt[p], prev[q] = q, p
-        angles[p] = _angle_or_pi(pts, prev[p], p, q)
-        angles[q] = _angle_or_pi(pts, p, q, nxt[q])
+        angles[p] = _angle(xs, ys, prev[p], p, q)
+        angles[q] = _angle(xs, ys, p, q, nxt[q])
     return pts[np.isfinite(angles)]
 
 
-def _angle_or_pi(pts, prev, cur, nxt) -> float:
-    """:func:`vertex_angle` at one ring position, bit for bit, pi where a
-    neighbor coincides or the cosine is NaN after an overflow, without the
-    cost of a stacked call: ``np.dot`` of two 2-vectors rounds as the Gram
-    matmul of :func:`vertex_angle` does, and ``np.arccos`` as its stacked
-    call. A plain ``ax * bx + ay * by`` or ``math.acos`` would differ in the
-    last bit for some triples."""
-    a = pts[prev] - pts[cur]
-    b = pts[nxt] - pts[cur]
-    na, nb = math.sqrt(np.dot(a, a)), math.sqrt(np.dot(b, b))
+def _angle(xs, ys, prev, cur, nxt) -> float:
+    """:func:`vertex_angle` at one ring position of coordinate lists, bit
+    for bit, pi where a neighbor coincides or the cosine is NaN after an
+    overflow, without the cost of a stacked call: the 2x2 Gram matmul of the
+    two difference vectors rounds as the stacked Gram of
+    :func:`vertex_angle` does, and ``np.arccos`` as its stacked call. A
+    plain ``ax * bx + ay * by`` or ``math.acos`` would differ in the last
+    bit for some triples."""
+    x, y = xs[cur], ys[cur]
+    d = np.array(((xs[prev] - x, ys[prev] - y), (xs[nxt] - x, ys[nxt] - y)))
+    (aa, ab), (_, bb) = (d @ d.T).tolist()
+    na, nb = math.sqrt(aa), math.sqrt(bb)
     if na < _EPS or nb < _EPS:
-        return np.pi
-    angle = float(np.arccos(min(max(np.dot(a, b) / (na * nb), -1.0), 1.0)))
-    return np.pi if math.isnan(angle) else angle
+        return math.pi
+    angle = float(np.arccos(min(max(ab / (na * nb), -1.0), 1.0)))
+    return math.pi if math.isnan(angle) else angle
 
 
 def reduce(sc: ScoredContour, t: float) -> np.ndarray:

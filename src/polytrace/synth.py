@@ -13,6 +13,7 @@ relied on by trained checkpoints.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +142,12 @@ def feature_provider(image) -> np.ndarray:
     gradient magnitude, normalized x/y coordinates spanning [0, 1], and
     Gaussian blurs of the intensity at sigma 1 and 3 grid cells. The image
     is uint8, read as intensity / 255; any other dtype raises ValueError.
+
+    Every bit is fixed, because trained checkpoints read it: the block mean
+    sums each block's columns, then its rows, then divides by 16, the order
+    ``mean(axis=(1, 3))`` sums in (another order rounds differently), and
+    each blur is the row pass then the column pass of
+    ``ndimage.gaussian_filter1d`` that ``ndimage.gaussian_filter`` runs.
     """
     img = np.asarray(image)
     if img.dtype != np.uint8:
@@ -152,13 +159,25 @@ def feature_provider(image) -> np.ndarray:
     if pad_h or pad_w:
         img = np.pad(img, ((0, pad_h), (0, pad_w)), mode="edge")
     rows, cols = img.shape[0] // STRIDE, img.shape[1] // STRIDE
-    down = img.reshape(rows, STRIDE, cols, STRIDE).mean(axis=(1, 3))
+    down = img.reshape(rows, STRIDE, cols, STRIDE).sum(axis=3).sum(axis=1) / STRIDE**2
 
-    gy, gx = np.gradient(down)
-    mag = np.hypot(gx, gy)
+    grid = np.empty((rows, cols, 8))
+    grid[..., 0] = down
+    grid[..., 2], grid[..., 1] = np.gradient(down)
+    np.hypot(grid[..., 1], grid[..., 2], out=grid[..., 3])
+    grid[..., 4:6] = _coordinate_channels(rows, cols)
+    for channel, sigma in ((6, 1.0), (7, 3.0)):
+        blur = grid[..., channel]
+        ndimage.gaussian_filter1d(down, sigma, axis=0, output=blur, mode="nearest")
+        ndimage.gaussian_filter1d(blur, sigma, axis=1, output=blur, mode="nearest")
+    return grid
+
+
+@functools.lru_cache(maxsize=8)
+def _coordinate_channels(rows: int, cols: int) -> np.ndarray:
+    """Read-only (rows, cols, 2) normalized x and y of each grid cell."""
     xs = np.linspace(0.0, 1.0, cols) if cols > 1 else np.zeros(cols)
     ys = np.linspace(0.0, 1.0, rows) if rows > 1 else np.zeros(rows)
-    coord_x, coord_y = np.meshgrid(xs, ys)
-    blur1 = ndimage.gaussian_filter(down, 1.0, mode="nearest")
-    blur3 = ndimage.gaussian_filter(down, 3.0, mode="nearest")
-    return np.stack([down, gx, gy, mag, coord_x, coord_y, blur1, blur3], axis=2)
+    coords = np.stack(np.meshgrid(xs, ys), axis=2)
+    coords.flags.writeable = False
+    return coords

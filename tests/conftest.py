@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from polytrace import detection, losses, pipeline, training
+from polytrace import detection, losses, pipeline, reduction, training
 from polytrace import evolution as evo
 from polytrace.assignment import hungarian, match_cost
-from polytrace.geometry import ANCHOR_DIRECTIONS, as_polygon, bbox_center, normalize_orientation
+from polytrace.geometry import (
+    ANCHOR_DIRECTIONS,
+    as_polygon,
+    bbox_center,
+    normalize_orientation,
+    pairwise_distances,
+    vertex_angle,
+)
 from polytrace.pipeline import PipelineParams
 
 
@@ -345,3 +353,111 @@ def reference_scene_loss(bundles, params, train_evolution=True):
             g *= training.EVOLUTION_GRAD_NORM_MAX / norm
     grads.update(evolution_grads)
     return components, grads
+
+
+def reference_feature_provider(image):
+    """``synth.feature_provider`` as a mean over each block, one stack of
+    eight channel arrays and ``ndimage.gaussian_filter`` blurs; the feature
+    grid must give the same bits."""
+    img = np.asarray(image) / 255.0
+    h, w = img.shape
+    stride = detection.STRIDE
+    pad_h = (-h) % stride
+    pad_w = (-w) % stride
+    if pad_h or pad_w:
+        img = np.pad(img, ((0, pad_h), (0, pad_w)), mode="edge")
+    rows, cols = img.shape[0] // stride, img.shape[1] // stride
+    down = img.reshape(rows, stride, cols, stride).mean(axis=(1, 3))
+    gy, gx = np.gradient(down)
+    mag = np.hypot(gx, gy)
+    xs = np.linspace(0.0, 1.0, cols) if cols > 1 else np.zeros(cols)
+    ys = np.linspace(0.0, 1.0, rows) if rows > 1 else np.zeros(rows)
+    coord_x, coord_y = np.meshgrid(xs, ys)
+    blur1 = ndimage.gaussian_filter(down, 1.0, mode="nearest")
+    blur3 = ndimage.gaussian_filter(down, 3.0, mode="nearest")
+    return np.stack([down, gx, gy, mag, coord_x, coord_y, blur1, blur3], axis=2)
+
+
+def reference_decode_peaks(heatmap, threshold, top_k):
+    """``detection.decode_peaks`` with the threshold checked inside the
+    per-peak loop, after the top_k cut; ``decode_peaks`` must return the
+    same detections."""
+    heat = np.asarray(heatmap, dtype=float)
+    neighborhood = ndimage.maximum_filter(heat, size=3, mode="constant", cval=-np.inf)
+    peaks = np.nonzero(heat >= neighborhood)
+    values = heat[peaks]
+    flat = peaks[0] * heat.shape[1] + peaks[1]
+    order = np.lexsort((flat, -values))[:top_k]
+    out = []
+    for idx in order:
+        score = float(values[idx])
+        if score <= threshold:
+            continue
+        row, col = int(peaks[0][idx]), int(peaks[1][idx])
+        position = np.array([(col + 0.5) * detection.STRIDE, (row + 0.5) * detection.STRIDE])
+        out.append(detection.CenterDetection(position, score))
+    return out
+
+
+def reference_reduce(sc, t):
+    """``reduction.reduce`` with a greedy NMS walk over every vertex and
+    angle pruning on arrays, its neighbour angles from ``np.dot``;
+    ``reduce`` must give the same bits."""
+    if len(sc) < 3:
+        raise ValueError("contour needs at least 3 scored vertices")
+    pts = sc.points
+    radius = float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).mean()) / 2.0
+    kept = reduction.threshold_vertices(sc, t)
+    if len(kept) < 3:
+        kept = reduction._top3(sc)
+    kept = reference_vertex_nms(kept, radius)
+    if len(kept) < 3:
+        kept = reference_vertex_nms(reduction._top3(sc), 0.0)
+    return reference_prune_collinear(kept.points)
+
+
+def reference_vertex_nms(sc, radius):
+    """``reduction.vertex_nms`` with a greedy walk over every vertex."""
+    n = len(sc)
+    far = pairwise_distances(sc.points, sc.points) >= radius
+    alive = np.ones(n, dtype=bool)
+    keep = np.zeros(n, dtype=bool)
+    for idx in np.lexsort((np.arange(n), -sc.scores)).tolist():
+        if alive[idx]:
+            keep[idx] = True
+            alive &= far[idx]
+    return sc.take(np.nonzero(keep)[0])
+
+
+def reference_prune_collinear(poly):
+    """``reduction.prune_collinear`` on arrays, neighbour angles from
+    :func:`reference_angle_or_pi`."""
+    pts = np.asarray(poly, dtype=float)
+    n = pts.shape[0]
+    if n == 3:
+        return pts.copy()
+    prev = np.roll(np.arange(n), 1)
+    nxt = np.roll(np.arange(n), -1)
+    angles = vertex_angle(pts[prev], pts, pts[nxt])
+    for _ in range(n - 3):
+        worst = int(np.argmax(angles))
+        if angles[worst] <= reduction.ANGLE_THRESHOLD:
+            break
+        angles[worst] = -np.inf
+        p, q = prev[worst], nxt[worst]
+        nxt[p], prev[q] = q, p
+        angles[p] = reference_angle_or_pi(pts, prev[p], p, q)
+        angles[q] = reference_angle_or_pi(pts, p, q, nxt[q])
+    return pts[np.isfinite(angles)]
+
+
+def reference_angle_or_pi(pts, prev, cur, nxt):
+    """One ring position's angle from ``np.dot`` of two 2-vectors, pi where
+    a neighbour coincides or the cosine is NaN."""
+    a = pts[prev] - pts[cur]
+    b = pts[nxt] - pts[cur]
+    na, nb = math.sqrt(np.dot(a, a)), math.sqrt(np.dot(b, b))
+    if na < 1e-9 or nb < 1e-9:
+        return np.pi
+    angle = float(np.arccos(min(max(np.dot(a, b) / (na * nb), -1.0), 1.0)))
+    return np.pi if math.isnan(angle) else angle

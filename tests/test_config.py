@@ -45,6 +45,18 @@ def test_range_ends_accepted(key):
         assert getattr(RunConfig(**{key: bound}), key) == bound
 
 
+@pytest.mark.parametrize("counts", [(0, 1), (0, 0), (-1, 4), (3, 2)])
+def test_building_counts_need_one_to_max(counts):
+    low, high = counts
+    for allow in (False, True):
+        with pytest.raises(ValueError, match="min_buildings"):
+            RunConfig(min_buildings=low, max_buildings=high, allow_nonstandard=allow)
+
+
+def test_equal_building_counts_accepted():
+    assert RunConfig(min_buildings=1, max_buildings=1).max_buildings == 1
+
+
 def test_field_names_are_pinned():
     # a new knob is a new configuration to test and benchmark: add it here on purpose
     assert [f.name for f in fields(RunConfig)] == [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from conftest import reference_decode_peaks
+from scipy import ndimage
 
 from polytrace import detection as det
 from polytrace import pipeline
@@ -83,6 +85,23 @@ class TestDecodePeaks:
             for c in centers:
                 dists = [np.linalg.norm(d.position - c) for d in out]
                 assert min(dists) <= 2 * np.sqrt(2) + 1e-9
+
+    def test_matches_reference_with_many_subthreshold_peaks(self, rng):
+        # quantized low noise has hundreds of local maxima below the
+        # threshold, and the spots above it tie
+        for _ in range(20):
+            heat = rng.integers(0, 8, (48, 48)) / 20.0
+            spots = rng.integers(0, 48, (15, 2))
+            heat[spots[:, 0], spots[:, 1]] = rng.choice([0.6, 0.6, 0.8, 0.9], 15)
+            neighborhood = ndimage.maximum_filter(heat, size=3, mode="constant", cval=-np.inf)
+            assert np.count_nonzero((heat >= neighborhood) & (heat <= 0.4)) >= 100
+            for threshold in (0.4, 0.6, 0.85):
+                for top_k in (3, 50, 200, 2500):
+                    got = det.decode_peaks(heat, threshold, top_k)
+                    expected = reference_decode_peaks(heat, threshold, top_k)
+                    assert [(d.score, d.position.tolist()) for d in got] == [
+                        (d.score, d.position.tolist()) for d in expected
+                    ]
 
 
 def compose(center, offsets):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from conftest import reference_prune_collinear, reference_reduce, reference_vertex_nms
 
 from polytrace import reduction as red
+from polytrace import synth
 from polytrace.geometry import densify, vertex_angle
 
 SQUARE = np.array([[10.0, 10.0], [50.0, 10.0], [50.0, 50.0], [10.0, 50.0]])
@@ -255,9 +257,10 @@ class TestVectorisedAgainstReference:
         triples.append(np.stack([np.roll(ring, 1, axis=0), ring, np.roll(ring, -1, axis=0)], axis=1))
         pts = np.concatenate(triples).reshape(-1, 2)
         third = np.arange(0, pts.shape[0], 3)
+        xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
         with np.errstate(over="ignore", invalid="ignore"):
             expected = vertex_angle(pts[third], pts[third + 1], pts[third + 2])
-            got = np.array([red._angle_or_pi(pts, i, i + 1, i + 2) for i in third.tolist()])
+            got = np.array([red._angle(xs, ys, i, i + 1, i + 2) for i in third.tolist()])
         assert np.array_equal(got, expected)
         assert np.count_nonzero(expected == np.pi) >= 200
 
@@ -279,3 +282,89 @@ class TestVectorisedAgainstReference:
                 out = red.vertex_nms(sc, radius)
                 assert np.array_equal(out.points, pts[kept])
                 assert np.array_equal(out.scores, scores[kept])
+
+
+def assert_reduce_matches_reference(sc, t):
+    got, expected = red.reduce(sc, t), reference_reduce(sc, t)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+class TestReduceBitIdentity:
+    """``reduce`` against its greedy walk over every vertex and its array
+    angle pruning (``conftest.reference_reduce``)."""
+
+    def test_jittered_densified_footprints(self, rng):
+        fallbacks = 0
+        for seed in range(120):
+            try:
+                scene = synth.generate_scene(seed)
+            except RuntimeError:
+                continue
+            for poly in scene.buildings:
+                ring = densify(poly, 64).points
+                points = ring + rng.normal(0.0, 0.5, ring.shape)
+                scores = rng.uniform(0.05, 0.7, 64)
+                nearest = np.linalg.norm(poly[:, None] - ring[None], axis=2).argmin(axis=1)
+                scores[(nearest - 1) % 64] = 0.75
+                scores[(nearest + 1) % 64] = 0.75
+                scores[nearest] = 0.95
+                for t in (0.6, 0.9, 0.99):
+                    sc = red.ScoredContour(points, scores)
+                    fallbacks += np.count_nonzero(scores >= t) < 3
+                    assert_reduce_matches_reference(sc, t)
+        assert fallbacks > 0
+
+    @pytest.mark.parametrize("threshold", [0.1, 2.0, red.ANGLE_THRESHOLD, 3.0, 3.14])
+    def test_seeded_rings(self, rng, threshold, monkeypatch):
+        monkeypatch.setattr(red, "ANGLE_THRESHOLD", threshold)
+        for _ in range(40):
+            pts = seeded_ring(rng, int(rng.integers(4, 65)))
+            assert np.array_equal(red.prune_collinear(pts), reference_prune_collinear(pts))
+            segments = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+            assert red.mean_segment_length(pts) == float(segments.mean())
+            scores = rng.choice([0.3, 0.6, 0.6, 0.8, 0.95], pts.shape[0])  # tied scores
+            assert_reduce_matches_reference(red.ScoredContour(pts, scores), 0.6)
+
+    def test_all_scores_below_threshold_take_top3(self, rng):
+        # the path of an untrained vertex classifier: no vertex reaches 0.6
+        for _ in range(100):
+            n = int(rng.integers(3, 65))
+            pts = seeded_ring(rng, n) if n > 3 else rng.normal(size=(3, 2)) * 10
+            scores = rng.uniform(0.0, 0.6, n)
+            if rng.uniform() < 0.5:
+                scores = np.round(scores, 1)  # ties among the top three
+            assert_reduce_matches_reference(red.ScoredContour(pts, scores), 0.6)
+
+
+class TestNmsWalkOverCrowdedVertices:
+    def test_no_close_pair_keeps_every_vertex(self, rng):
+        pts = np.column_stack([np.arange(12.0) * 3.0, np.zeros(12)])
+        sc = red.ScoredContour(pts, rng.uniform(0, 1, 12))
+        for radius in (0.0, 1.0, 3.0):
+            out = red.vertex_nms(sc, radius)
+            assert np.array_equal(out.points, pts) and np.array_equal(out.scores, sc.scores)
+        assert len(red.vertex_nms(sc, np.nextafter(3.0, np.inf))) < 12
+
+    def test_radius_zero_keeps_coincident_points(self, rng):
+        pts = rng.integers(0, 3, (30, 2)).astype(float)
+        sc = red.ScoredContour(pts, rng.choice([0.2, 0.9], 30))
+        out = red.vertex_nms(sc, 0.0)
+        assert np.array_equal(out.points, pts) and np.array_equal(out.scores, sc.scores)
+
+    def test_coincident_points_match_reference(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            pts = rng.integers(0, 6, (n, 2)).astype(float)
+            pts[: n // 3] = pts[0]  # a run of coincident points
+            sc = red.ScoredContour(pts, rng.choice([0.2, 0.5, 0.5, 0.9], n))
+            for radius in (0.0, 1.0, 2.5):
+                out, expected = red.vertex_nms(sc, radius), reference_vertex_nms(sc, radius)
+                assert np.array_equal(out.points, expected.points)
+                assert np.array_equal(out.scores, expected.scores)
+
+    def test_nan_distance_suppresses(self):
+        pts = np.array([[0.0, 0.0], [np.nan, 1.0], [9.0, 9.0]])
+        sc = red.ScoredContour(pts, np.array([0.5, 0.9, 0.7]))
+        out, expected = red.vertex_nms(sc, 1.0), reference_vertex_nms(sc, 1.0)
+        assert np.array_equal(out.points, expected.points, equal_nan=True)
+        assert np.array_equal(out.scores, [0.9])

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from conftest import reference_feature_provider
 from scipy import ndimage
 
 from polytrace import synth, training
@@ -223,3 +226,35 @@ class TestFeatureProvider:
     def test_other_dtypes_rejected(self, dtype):
         with pytest.raises(ValueError, match=np.dtype(dtype).name):
             synth.feature_provider(np.zeros((32, 32), dtype=dtype))
+
+    def test_matches_reference_bit_for_bit(self):
+        # >= 200 scenes of the sparse (one building) and dense (one to four) specs
+        for cfg in (RunConfig(min_buildings=1, max_buildings=1), RunConfig()):
+            spec = training.scene_spec_from_config(cfg)
+            checked = 0
+            for seed in range(210):
+                try:
+                    image = synth.generate_scene(seed, spec).image
+                except RuntimeError:
+                    continue
+                assert np.array_equal(synth.feature_provider(image), reference_feature_provider(image))
+                checked += 1
+            assert checked >= 200
+        # a padded frame, and the smallest grid a gradient allows
+        rng = np.random.default_rng(5)
+        for dims in ((130, 126), (8, 8), (7, 5)):
+            image = rng.integers(0, 256, dims, dtype=np.uint8)
+            assert np.array_equal(synth.feature_provider(image), reference_feature_provider(image))
+
+    def test_single_cell_grid_rejected_as_before(self):
+        image = np.zeros((4, 4), dtype=np.uint8)
+        with pytest.raises(ValueError) as expected:
+            reference_feature_provider(image)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            synth.feature_provider(image)
+
+    def test_cached_coordinates_stay_unchanged(self):
+        first = synth.feature_provider(np.zeros((32, 48), dtype=np.uint8))
+        first[..., 4:6] = -1.0  # each grid owns its channels
+        again = synth.feature_provider(np.zeros((32, 48), dtype=np.uint8))
+        assert np.array_equal(again, reference_feature_provider(np.zeros((32, 48), dtype=np.uint8)))

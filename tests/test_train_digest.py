@@ -1,10 +1,15 @@
-"""Smoke test of tools/train_digest.py on a default 2-scene fit."""
+"""Smoke test of tools/train_digest.py on a default 2-scene fit, and its
+infer digests in process on a small benchmark set-up."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "train_digest.py"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "train_digest.py"
 
 
 def run_digest(*args):
@@ -29,3 +34,45 @@ def test_digest_of_a_two_scene_fit_and_its_comparison(tmp_path):
     assert equal.returncode == 0 and "fit 2: params equal" in equal.stdout
     differ = run_digest("--compare", str(same), str(other))
     assert differ.returncode == 1 and "fit 2: params DIFFER" in differ.stdout
+
+
+def test_infer_digests_follow_each_output(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT))
+    spec = importlib.util.spec_from_file_location("train_digest", SCRIPT)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    from perfbench import workloads
+
+    from polytrace import reduction
+
+    sizes = workloads.Sizes(train_steps=1, infer_scenes=6, post_instances=8, rounds=1)
+
+    def digests(seed, model=None):
+        bench = workloads.Bench("dense", seed, sizes)
+        if model is None:
+            bench.fit_model()
+        else:
+            bench.model = model
+        bench.setup()
+        return tool.infer_digests(bench), bench
+
+    first, bench = digests(1)
+    assert list(first) == list(tool.INFER_DIGESTS)
+    assert all(len(d) == 64 for d in first.values())
+    assert digests(1, bench.model)[0] == first
+    assert digests(2, bench.model)[0]["features"] != first["features"]
+
+    # a reduction that keeps one more vertex moves only the reduced polygons
+    prune = reduction.prune_collinear
+    monkeypatch.setattr(reduction, "prune_collinear", lambda poly: np.vstack([prune(poly), poly[:1]]))
+    moved = digests(1, bench.model)[0]
+    assert [moved[k] == first[k] for k in tool.INFER_DIGESTS] == [True, True, False, False]
+
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("".join(f"infer dense:1 {k} {v}\n" for k, v in first.items()))
+    new.write_text("".join(f"infer dense:1 {k} {v}\n" for k, v in moved.items()))
+    equal = run_digest("--compare", str(old), str(old))
+    assert equal.returncode == 0 and "infer dense:1: digests equal" in equal.stdout
+    differ = run_digest("--compare", str(old), str(new))
+    assert differ.returncode == 1
+    assert "infer dense:1: digests DIFFER: infer_polygons, postprocess_polygons" in differ.stdout

@@ -1,6 +1,8 @@
-"""Digests of training runs, to check that a change trains bit-identically.
+"""Digests of training and inference runs, to check that a change trains
+and infers bit-identically.
 
     python3 tools/train_digest.py --fit 4 32 --replay dense:1-10 sparse:1-10 > out.txt
+    python3 tools/train_digest.py --infer dense:1-10 sparse:1-10 > infer.txt
     python3 tools/train_digest.py --compare parent.txt change.txt
 
 Run from the root of a checkout, once on each side of a change, then compare
@@ -15,10 +17,18 @@ final parameters, the step count with the number of steps that raised
   then chunk ``k % rounds`` of the batches in round k, for ``PASSES``
   passes of every batch. A step that raises ``FloatingPointError`` leaves
   the parameters unchanged, as in the benchmark.
+- ``infer WORKLOAD:SEED``: the benchmark's infer and postprocess outputs,
+  without timing. After ``Bench(WORKLOAD, SEED).setup()`` it prints one
+  sha256 each of the feature grids of the held-out scenes, their
+  predictions (points, vertex scores and score of each), their reduced
+  polygons, and the reduced polygons of the postprocess rings; an error
+  is hashed by its type's name. The benchmark's infer model depends on
+  neither workload nor seed, so it is fitted once per process.
 
 ``--compare`` reads two outputs of the same runs. It prints, per run,
-whether the parameter digests are equal and the largest relative difference
-of a step's loss, and exits 1 if a digest or a failure count differs.
+whether the digests are equal and, for training runs, the largest relative
+difference of a step's loss, and exits 1 if a digest or a failure count
+differs.
 BLAS and OpenMP threads are pinned to one, as the benchmark pins them.
 """
 
@@ -32,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+INFER_DIGESTS = ("features", "predictions", "infer_polygons", "postprocess_polygons")
 # passes over the batches of each replay, 8 rounds each: on both workloads a
 # replay makes 3 warm-up steps + 5 passes of 100 steps = 503 steps
 PASSES = 5
@@ -43,6 +54,7 @@ def parse_args(argv):
     parser.add_argument(
         "--replay", nargs="*", default=[], metavar="WORKLOAD:SEEDS", help="e.g. dense:3 or sparse:1-10"
     )
+    parser.add_argument("--infer", nargs="*", default=[], metavar="WORKLOAD:SEEDS", help="as --replay")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two outputs and exit")
     return parser.parse_args(argv)
 
@@ -106,6 +118,53 @@ def replay_run(workload: str, seed: int):
     return bench.params, losses
 
 
+def infer_digests(bench) -> dict:
+    """{name: sha256} of the infer and postprocess outputs of a set-up
+    ``Bench`` that holds its infer model; one ``reduce`` per postprocess ring."""
+    from polytrace import pipeline, reduction, synth
+
+    cfg = bench.cfg
+    h = {name: hashlib.sha256() for name in INFER_DIGESTS}
+
+    def reduced(sc):
+        try:
+            poly = reduction.reduce(sc, cfg.vertex_threshold)
+        except Exception as exc:
+            return type(exc).__name__.encode()
+        return f"{len(poly)} vertices".encode() + poly.tobytes()
+
+    for scene in bench.scenes[: bench.sizes.infer_scenes]:
+        h["features"].update(synth.feature_provider(scene.image).tobytes())
+        try:
+            preds = pipeline.predict_scene(scene.image, bench.model, cfg)
+        except Exception as exc:
+            h["predictions"].update(type(exc).__name__.encode())
+            continue
+        h["predictions"].update(f"{len(preds)} detections".encode())
+        for p in preds:
+            h["predictions"].update(p.points.tobytes() + p.vertex_scores.tobytes() + float(p.score).hex().encode())
+            h["infer_polygons"].update(reduced(reduction.ScoredContour(p.points, p.vertex_scores)))
+    for _, _, sc in bench.contours:
+        h["postprocess_polygons"].update(reduced(sc))
+    return {name: digest.hexdigest() for name, digest in h.items()}
+
+
+def infer_runs(specs):
+    """(label, digests) of each ``--infer`` run, with one fitted infer model."""
+    from perfbench import workloads
+
+    model = None
+    for workload, seed in replays(specs):
+        bench = workloads.Bench(workload, seed)
+        if model is None:
+            bench.fit_model()
+            model = bench.model
+        else:
+            bench.model = model
+        bench.setup()
+        yield f"infer {workload}:{seed}", infer_digests(bench)
+
+
 def report(label: str, params, losses) -> None:
     failed = sum(isinstance(loss, str) for loss in losses)
     print(f"{label} params {params_digest(params)}")
@@ -115,19 +174,16 @@ def report(label: str, params, losses) -> None:
 
 
 def read_output(path):
-    """{run label: {"params": digest, "steps": line, "losses": [str]}} of one output."""
+    """{run label: {line kind: rest of the line}, with "losses": [str]} of one
+    output; a run's label is the first two words of each of its lines."""
     runs = {}
     for line in Path(path).read_text().splitlines():
-        head, _, rest = line.partition(" params ")
-        if rest:
-            runs[head] = {"params": rest, "steps": None, "losses": []}
-            continue
-        head, _, rest = line.partition(" steps ")
-        if rest:
-            runs[head]["steps"] = rest
-            continue
-        head, _, rest = line.rpartition(" step ")
-        runs[head]["losses"].append(rest.split()[1])
+        kind, name, key, rest = line.split(" ", 3)
+        run = runs.setdefault(f"{kind} {name}", {"losses": []})
+        if key == "step":
+            run["losses"].append(rest.split()[1])
+        else:
+            run[key] = rest
     return runs
 
 
@@ -139,19 +195,22 @@ def compare(old_path, new_path) -> int:
     status = 0
     for label, a in old.items():
         b = new[label]
-        same = a["params"] == b["params"] and a["steps"] == b["steps"]
+        differ = sorted(key for key in a.keys() | b.keys() if key != "losses" and a.get(key) != b.get(key))
         worst = 0.0
         for x, y in zip(a["losses"], b["losses"]):
             if x != y:
                 try:
                     u, v = float.fromhex(x), float.fromhex(y)
                 except ValueError:  # a failed step on one side only
-                    same, worst = False, float("inf")
+                    differ, worst = differ or ["losses"], float("inf")
                     continue
                 worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
-        status |= not same
-        verdict = "params equal" if same else "params DIFFER"
-        print(f"{label}: {verdict}, steps {b['steps']}, largest relative loss difference {worst:.3g}")
+        status |= bool(differ)
+        if "params" in a:
+            verdict = "params DIFFER" if differ else "params equal"
+            print(f"{label}: {verdict}, steps {b['steps']}, largest relative loss difference {worst:.3g}")
+        else:
+            print(f"{label}: " + (f"digests DIFFER: {', '.join(differ)}" if differ else "digests equal"))
     return status
 
 
@@ -166,6 +225,9 @@ def main(argv=None) -> int:
         report(f"fit {n}", *fit_run(n))
     for workload, seed in replays(args.replay):
         report(f"replay {workload}:{seed}", *replay_run(workload, seed))
+    for label, digests in infer_runs(args.infer):
+        for name, digest in digests.items():
+            print(f"{label} {name} {digest}")
     return 0
 
 
