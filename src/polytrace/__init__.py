@@ -10,7 +10,7 @@ The package is organized around the stages of the pipeline:
 - :mod:`polytrace.reduction`   vertex thresholding, NMS and angle pruning
 - :mod:`polytrace.evaluation`  mask/boundary IoU, AP and manual-level metrics
 - :mod:`polytrace.synth`       synthetic scenes and the handcrafted feature grid
-- :mod:`polytrace.pipeline`    detection heads, the contour forward, checkpoints, inference
+- :mod:`polytrace.pipeline`    detection heads, the contour forward, inference
 - :mod:`polytrace.training`    optimizers and the end-to-end training loop
 - :mod:`polytrace.config`      run configuration
 """

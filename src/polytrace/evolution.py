@@ -55,8 +55,7 @@ from scipy.special import softmax
 from .detection import STRIDE
 
 # layer -> dilation of its circular kernel: its taps read vertices this far
-# apart. Checkpoints do not record it (see :mod:`pipeline`), so a change here
-# is a new checkpoint version.
+# apart.
 DILATIONS = {"detail": 1, "local": 1, "global": 5}
 
 

@@ -137,26 +137,6 @@ def vertex_angle(prev, cur, nxt) -> np.ndarray:
     return np.where((na < _EPS) | (nb < _EPS) | np.isnan(angle), np.pi, angle)
 
 
-def ray_boundary_intersection(poly, center, directions) -> np.ndarray:
-    """Intersect rays from ``center`` with the ring, keeping for each the
-    crossing farthest from the center.
-
-    ``directions`` is one (2,) direction or a (K, 2) stack, and the hits
-    have its shape. The outermost crossing is the deterministic choice when
-    a concave boundary is crossed more than once; it always lies on the
-    outer sweep of the contour. Raises ValueError for a zero-length
-    direction or a ray that misses the boundary.
-    """
-    d = np.asarray(directions, dtype=float)
-    if not np.all(np.any(d != 0.0, axis=-1)):
-        raise ValueError("ray direction must be non-zero")
-    d = d.reshape(-1, 2)
-    d = d / np.linalg.norm(d, axis=1, keepdims=True)
-    p = as_polygon(poly)
-    hits = _ray_hits(p, np.asarray(center, dtype=float), d, _next(p) - p)
-    return hits.reshape(np.shape(directions))
-
-
 def _ray_hits(p, c, d, e) -> np.ndarray:
     """(K, 2) outermost hits of the K unit rays ``d`` from ``c`` on the ring
     ``p`` with edge vectors ``e``, all edges of all rays in one (K, M) pass;

@@ -1,5 +1,5 @@
-"""Detection heads, the model parameters, the contour forward, checkpoint
-files and whole-image inference.
+"""Detection heads, the model parameters, the contour forward and
+whole-image inference.
 
 The trainable model is three pieces sharing the handcrafted feature grid:
 a center head (3x3 conv, ReLU, 1x1 conv, sigmoid) producing the keypoint
@@ -27,25 +27,10 @@ every scene of a step, so a step runs one evolution forward and one
 backward per round, and backpropagates through the returned caches;
 :func:`predict_scene` passes its one grid as a stack of one and the decoded
 peak positions, and runs the offset head for those only.
-
-Checkpoint format (version 5): the ASCII magic line ``PTCK0005``, one JSON
-header line listing array names, shapes and dtypes (``<f4`` or ``<f8``)
-plus free-form metadata, then the raw row-major little-endian buffers, each
-in its own dtype, concatenated in header order and named as the
-:class:`PipelineParams` fields. Loading checks the magic, then the header
-against the names, shapes and dtypes :meth:`PipelineParams.layout` gives
-for the run configuration. Older versions are rejected: version 1 stored
-kernels as (C_out, C_in, *window), which a shape check cannot tell apart
-when a kernel's dimensions coincide, version 2 named the evolution arrays
-``evolution.*``, version 3 stored every array as float64, and version 4's
-global layer was 21 adjacent taps. Version 5's is 5 taps read 5 vertices
-apart (:data:`evolution.DILATIONS`). The header records kernel shapes, not
-dilations, so a kernel is only read under the dilations of its own version.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -54,8 +39,6 @@ from . import evolution as evo
 from .config import RunConfig
 from .detection import STRIDE, decode_peaks
 from .synth import feature_provider
-
-CHECKPOINT_MAGIC = b"PTCK0005"
 
 # the training objective supervises exactly two rounds: smooth L1 after the
 # first, dynamic matching and vertex classification after the second
@@ -157,11 +140,6 @@ class PipelineParams:
         """Ordered (name, array) pairs over the whole model."""
         for f in fields(self):
             yield f.name, getattr(self, f.name)
-
-    @classmethod
-    def from_arrays(cls, named: dict) -> "PipelineParams":
-        """Parameters from a name -> array mapping; every array keeps its dtype."""
-        return cls(**{f.name: np.asarray(named[f.name]) for f in fields(cls)})
 
 
 def _sigmoid(x):
@@ -278,62 +256,6 @@ def evolve_contours(grids, scenes, offsets, centers, params: PipelineParams):
         stages.append(stages[-1] + step)
         caches.append(cache)
     return stages, probs, caches
-
-
-def save_checkpoint(params: PipelineParams, path, meta: dict | None = None):
-    """Write a version-5 checkpoint; byte output is deterministic."""
-    entries = []
-    buffers = []
-    for name, arr in params.arrays():
-        a = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-        entries.append({"name": name, "shape": list(a.shape), "dtype": a.dtype.str})
-        buffers.append(a.tobytes())
-    header = json.dumps({"arrays": entries, "meta": meta or {}}, sort_keys=True)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC + b"\n")
-        fh.write(header.encode("utf-8") + b"\n")
-        for buf in buffers:
-            fh.write(buf)
-
-
-def load_checkpoint(path, cfg: RunConfig):
-    """Read a checkpoint; returns (PipelineParams, meta).
-
-    Raises ValueError when the magic line is not this version's, naming
-    both, and, naming the array, when the checkpoint's array names, shapes
-    or dtypes differ from the :meth:`PipelineParams.layout` of ``cfg``.
-    """
-    layout = PipelineParams.layout(cfg)
-    expected = {name: (shape, dtype.newbyteorder("<").str) for name, (shape, dtype) in layout.items()}
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"unsupported checkpoint magic {magic!r}: only {CHECKPOINT_MAGIC!r} is read")
-        header = json.loads(fh.readline().decode("utf-8"))
-        found = {entry["name"]: (tuple(entry["shape"]), entry.get("dtype")) for entry in header["arrays"]}
-        for name in sorted(expected.keys() | found.keys()):
-            got_shape, got_dtype = found.get(name, ("missing", None))
-            want_shape, want_dtype = expected.get(name, ("none", None))
-            if got_shape != want_shape:
-                raise ValueError(
-                    f"checkpoint array {name!r} does not fit the config: shape"
-                    f" {got_shape} in the file, {want_shape} expected"
-                )
-            if got_dtype != want_dtype:
-                raise ValueError(
-                    f"checkpoint array {name!r} does not fit the model: dtype"
-                    f" {got_dtype} in the file, {want_dtype} expected"
-                )
-        named = {}
-        for entry in header["arrays"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            stored = np.dtype(entry["dtype"])
-            size = int(np.prod(shape)) * stored.itemsize
-            buf = fh.read(size)
-            if len(buf) != size:
-                raise ValueError(f"checkpoint truncated at array {name!r}")
-            named[name] = np.frombuffer(buf, dtype=stored).reshape(shape).astype(layout[name][1])
-    return PipelineParams.from_arrays(named), header.get("meta", {})
 
 
 @dataclass

@@ -7,8 +7,8 @@ reproducible bit for bit.
 
 The feature grid stands in for a learned backbone: 8 channels of
 downsampled intensity, central-difference gradients, gradient magnitude,
-normalized coordinates and two Gaussian blurs. Channel order is fixed and
-relied on by trained checkpoints.
+normalized coordinates and two Gaussian blurs. Channel order is fixed:
+the head weights of a fitted model read the channels by position.
 """
 
 from __future__ import annotations
@@ -141,9 +141,11 @@ def feature_provider(image) -> np.ndarray:
     Channels: block-mean intensity, x/y central-difference gradients,
     gradient magnitude, normalized x/y coordinates spanning [0, 1], and
     Gaussian blurs of the intensity at sigma 1 and 3 grid cells. The image
-    is uint8, read as intensity / 255; any other dtype raises ValueError.
+    is uint8, read as intensity / 255; any other dtype raises ValueError, and
+    so does an image under 5 px along an axis, whose grid has one cell there
+    and no central difference.
 
-    Every bit is fixed, because trained checkpoints read it: the block mean
+    Every bit is fixed, because a fitted model reads it: the block mean
     sums each block's columns, then its rows, then divides by 16, the order
     ``mean(axis=(1, 3))`` sums in (another order rounds differently), and
     each blur is the row pass then the column pass of
@@ -152,8 +154,12 @@ def feature_provider(image) -> np.ndarray:
     img = np.asarray(image)
     if img.dtype != np.uint8:
         raise ValueError(f"feature_provider reads uint8 images, got dtype {img.dtype}")
-    img = img / 255.0
     h, w = img.shape
+    if min(h, w) <= STRIDE:
+        raise ValueError(
+            f"feature_provider needs at least {STRIDE + 1} px along each axis, got an image of shape {img.shape}"
+        )
+    img = img / 255.0
     pad_h = (-h) % STRIDE
     pad_w = (-w) % STRIDE
     if pad_h or pad_w:

@@ -181,7 +181,7 @@ def nine_tap_backward(d_out, x, w):
 def as_float64(params):
     """A copy of ``params`` with every array cast to float64, so the
     evolution network computes in float64."""
-    return PipelineParams.from_arrays({name: arr.astype(np.float64) for name, arr in params.arrays()})
+    return PipelineParams(**{name: arr.astype(np.float64) for name, arr in params.arrays()})
 
 
 def reference_densify(poly, n_vertices):

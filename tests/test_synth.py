@@ -240,18 +240,21 @@ class TestFeatureProvider:
                 assert np.array_equal(synth.feature_provider(image), reference_feature_provider(image))
                 checked += 1
             assert checked >= 200
-        # a padded frame, and the smallest grid a gradient allows
+        # a padded frame, and the smallest grids a gradient allows
         rng = np.random.default_rng(5)
-        for dims in ((130, 126), (8, 8), (7, 5)):
+        for dims in ((130, 126), (8, 8), (7, 5), (5, 64)):
             image = rng.integers(0, 256, dims, dtype=np.uint8)
             assert np.array_equal(synth.feature_provider(image), reference_feature_provider(image))
 
     def test_single_cell_grid_rejected_as_before(self):
-        image = np.zeros((4, 4), dtype=np.uint8)
-        with pytest.raises(ValueError) as expected:
-            reference_feature_provider(image)
-        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            synth.feature_provider(image)
+        # a one-cell axis has no central difference; the message names the shape
+        for dims in ((4, 4), (4, 64), (64, 3)):
+            image = np.zeros(dims, dtype=np.uint8)
+            with pytest.raises(ValueError):
+                reference_feature_provider(image)
+            expected = f"at least 5 px along each axis, got an image of shape {dims}"
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                synth.feature_provider(image)
 
     def test_cached_coordinates_stay_unchanged(self):
         first = synth.feature_provider(np.zeros((32, 48), dtype=np.uint8))

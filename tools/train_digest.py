@@ -15,8 +15,9 @@ final parameters, the step count with the number of steps that raised
 - ``replay WORKLOAD:SEED``: the benchmark's train section alone. It runs
   ``perfbench.workloads.Bench(WORKLOAD, SEED).setup()``, the warm-up batches,
   then chunk ``k % rounds`` of the batches in round k, for ``PASSES``
-  passes of every batch. A step that raises ``FloatingPointError`` leaves
-  the parameters unchanged, as in the benchmark.
+  passes of every batch: 1003 steps on both workloads. A step that raises
+  ``FloatingPointError`` leaves the parameters unchanged, as in the
+  benchmark.
 - ``infer WORKLOAD:SEED``: the benchmark's infer and postprocess outputs,
   without timing. After ``Bench(WORKLOAD, SEED).setup()`` it prints one
   sha256 each of the feature grids of the held-out scenes, their
@@ -44,8 +45,9 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 INFER_DIGESTS = ("features", "predictions", "infer_polygons", "postprocess_polygons")
 # passes over the batches of each replay, 8 rounds each: on both workloads a
-# replay makes 3 warm-up steps + 5 passes of 100 steps = 503 steps
-PASSES = 5
+# replay makes 3 warm-up steps + 10 passes of 100 steps = 1003 steps, 80
+# rounds, more than the 52 (dense) and 65 (sparse) a 30 s benchmark run reached
+PASSES = 10
 
 
 def parse_args(argv):
