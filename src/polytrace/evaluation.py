@@ -1,4 +1,4 @@
-"""Mask and boundary IoU, averaged precision, size splits and the
+"""Mask and boundary IoU, averaged precision and the
 manual-delineation-level statistics.
 
 All metrics are raster-based: polygons are rasterized with the pixel-center
@@ -7,23 +7,27 @@ pixels, so every value is reproducible bit-for-bit and checkable against a
 per-pixel oracle.
 
 :func:`evaluate` makes one pass over images that share one (width, height)
-frame. It rasterizes each prediction and ground truth once and computes each
-mask's boundary band once. Each prediction gets one row of mask IoUs and one
-row of band IoUs, against the ground truths of its own image only. One
-greedy matcher turns the rows into the match at every IoU threshold. The
-size splits come from the ground-truth masks. The mean instance IoU and the
-manual levels come from the mask match at IoU 0.5. :func:`match_instances`
-builds its rows from any IoU function and uses the same matcher.
+frame. Only images with both predictions and ground truths are rasterized,
+in blocks of whole images. Each block's predictions and ground truths are
+one stack of equal-shape frame windows (crops). Each prediction gets one row
+of mask IoUs and one row of band IoUs, against the ground truths of its own
+image only. One greedy matcher turns the rows into the match at every IoU
+threshold. The mean instance IoU and the manual levels come from the mask
+match at IoU 0.5. :func:`match_instances` builds its rows from any IoU
+function and uses the same matcher.
 
-Cost model: the raster kernels are whole-array numpy passes with no Python
-loop over edges or pixels. A rasterization costs one pass over the
-polygon's (edge, pixel row) crossings plus a few passes over its bounding
-box. A boundary band costs 4 ORs for the boundary (a 3x3 dilation of the
-background) and 4d for the band, a manual level 4r, each over about a
-mask's bounding box. The IoU rows cost an OR, an AND and two counts over
-the full frame per (prediction, ground truth) pair of an image. On the
-benchmark's 128x128 frames the fixed cost of a few dozen numpy calls per
-instance dominates, not the pixel count.
+Cost model: per block, one :func:`rasterize` call (one pass over the
+crossings of all its rings), two stack dilations for the boundary bands
+(4 ORs for the boundary, a 3x3 dilation of the background, and 4d for the
+band), two for the manual levels of its ground truths (4r each, r = 2 and
+3), and area counts over the stack's axes. Intersections are counted only
+for the (prediction, ground truth) pairs of an image whose masks' bounding
+boxes meet, over the overlap of their crops; the union is area_a + area_b -
+intersection, which is integer-exact. ``BLOCK_PIXELS`` caps the pixels of a
+block's stack, which bounds its temporaries at about 11 bytes per pixel; an
+image whose own rings exceed the cap makes a block of its own. On the
+benchmark's 128x128 frames a block holds about a hundred rings, so the
+fixed cost of the numpy calls is paid per block, not per instance.
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ import numpy as np
 from .geometry import expand_mask, rasterize
 
 IOU_THRESHOLDS = np.array([0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95])
-SIZE_SPLIT_PIXELS = 7500
 BOUNDARY_FRACTION = 0.01  # boundary band width as a fraction of the frame diagonal
-SMALL_MEDIUM = "S&M"
-LARGE = "L"
+LEVEL_RADII = (2, 3)  # manual-level expansions, in pixels
+BLOCK_PIXELS = 1 << 19  # cap on the pixels of one crop stack in evaluate
 
 
 @dataclass(frozen=True)
@@ -65,41 +68,54 @@ class GroundTruth:
 
 def mask_iou(a, b, frame_dims) -> float:
     """Intersection over union of the rasterized polygons; 0 on empty union."""
-    width, height = frame_dims
-    ma = rasterize(a, width, height)
-    mb = rasterize(b, width, height)
-    return masks_iou(ma, mb)
+    masks, origins = rasterize([a, b], *frame_dims)
+    area_a, area_b = np.count_nonzero(masks, axis=(1, 2)).tolist()
+    window = _overlap(masks.shape[1:], *origins.tolist())
+    inter = int(np.count_nonzero(masks[0][window[0]] & masks[1][window[1]])) if window else 0
+    return _iou(inter, area_a, area_b)
 
 
 def masks_iou(ma, mb) -> float:
+    """Intersection over union of two masks of one shape; 0 on empty union."""
     union = int(np.count_nonzero(ma | mb))
     if union == 0:
         return 0.0
     return int(np.count_nonzero(ma & mb)) / union
 
 
-def boundary_band(mask, d: int) -> np.ndarray:
-    """Mask pixels within Chebyshev distance d of the mask's boundary.
+def _iou(inter: int, area_a: int, area_b: int) -> float:
+    """IoU from the two areas and their intersection, which give the union
+    exactly; 0 on empty union."""
+    union = area_a + area_b - inter
+    return inter / union if union else 0.0
 
-    Boundary pixels are mask pixels with a non-mask 8-neighbor (frame edges
-    count as outside): the mask ANDed with the 3x3 dilation of the
-    background. Only the mask's bounding box is dilated: the band and every
-    boundary pixel lie inside it, and a one-pixel border of background
-    around it stands for the pixels outside it, which are background.
+
+def _overlap(shape, origin_a, origin_b):
+    """The slices of two (h, w) frame windows at (row, column) origins that
+    cover the frame pixels of both, or None where they do not overlap."""
+    (h, w), dr, dc = shape, origin_b[0] - origin_a[0], origin_b[1] - origin_a[1]
+    if abs(dr) >= h or abs(dc) >= w:
+        return None
+    rows_a, rows_b = slice(max(dr, 0), h + min(dr, 0)), slice(max(-dr, 0), h + min(-dr, 0))
+    cols_a, cols_b = slice(max(dc, 0), w + min(dc, 0)), slice(max(-dc, 0), w + min(-dc, 0))
+    return (rows_a, cols_a), (rows_b, cols_b)
+
+
+def boundary_band(mask, d: int) -> np.ndarray:
+    """Mask pixels within Chebyshev distance d of the mask's boundary, for
+    one mask or for each mask of a stack over the last two axes.
+
+    Boundary pixels are mask pixels with a non-mask 8-neighbor (the edges of
+    the last two axes count as outside): the mask ANDed with the 3x3
+    dilation of the background, padded by one background pixel each side.
+    The band is the mask ANDed with the boundary dilated by d.
     """
     m = np.asarray(mask, dtype=bool)
-    band = np.zeros_like(m)
-    rows = np.flatnonzero(m.any(axis=1))
-    if rows.size == 0:
-        return band
-    cols = np.flatnonzero(m.any(axis=0))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    crop = m[box]
-    background = np.ones((crop.shape[0] + 2, crop.shape[1] + 2), dtype=bool)
-    background[1:-1, 1:-1] = ~crop
-    boundary = crop & expand_mask(background, 1)[1:-1, 1:-1]
-    band[box] = crop & expand_mask(boundary, d)
-    return band
+    *lead, h, w = m.shape
+    background = np.ones((*lead, h + 2, w + 2), dtype=bool)
+    background[..., 1:-1, 1:-1] = ~m
+    boundary = m & expand_mask(background, 1)[..., 1:-1, 1:-1]
+    return m & expand_mask(boundary, d)
 
 
 def boundary_distance(frame_dims) -> int:
@@ -117,10 +133,6 @@ class MatchResult:
     @property
     def true_positives(self) -> int:
         return len(self.pairs)
-
-    @property
-    def false_positives(self) -> int:
-        return len(self.unmatched_preds)
 
 
 def match_instances(preds, gts, iou_fn, threshold: float) -> MatchResult:
@@ -172,32 +184,23 @@ def _greedy_match(order, rows, n_gts: int, threshold: float) -> MatchResult:
     return MatchResult(pairs, unmatched_preds)
 
 
-def size_split(gt_mask) -> str:
-    """Rasterized area below 7500 pixels is small-and-medium, the rest large."""
-    area = int(np.count_nonzero(gt_mask))
-    return SMALL_MEDIUM if area < SIZE_SPLIT_PIXELS else LARGE
-
-
-def manual_level_threshold(gt_mask, r: int) -> float:
+def manual_level_threshold(gt_mask, r: int):
     """Instance-level IoU threshold from expanding the rasterized ground
-    truth by r pixels.
+    truth by r pixels, for one mask or for each mask of a stack over the
+    last two axes; 0 for an empty mask.
 
     The expansion is a superset of the mask, so the IoU reduces to
-    |mask| / |expanded mask|. Only the mask's bounding box grown by r and
-    clipped to the frame is dilated: no pixel outside it can be set, and the
-    frame clips the dilation in both.
+    |mask| / |expanded mask|. Pixels beyond the last two axes count as
+    outside the frame: a frame-window crop gives its frame's value as long
+    as it reaches r pixels beyond the mask wherever the frame does.
     """
-    if r not in (2, 3):
+    if r not in LEVEL_RADII:
         raise ValueError("manual-level expansion must be 2 or 3 pixels")
     m = np.asarray(gt_mask, dtype=bool)
-    area = int(np.count_nonzero(m))
-    if area == 0:
-        return 0.0
-    rows = np.flatnonzero(m.any(axis=1))
-    cols = np.flatnonzero(m.any(axis=0))
-    crop = m[max(rows[0] - r, 0) : rows[-1] + r + 1, max(cols[0] - r, 0) : cols[-1] + r + 1]
-    expanded = int(np.count_nonzero(expand_mask(crop, r)))
-    return area / expanded
+    area = np.count_nonzero(m, axis=(-2, -1))
+    expanded = np.count_nonzero(expand_mask(m, r), axis=(-2, -1))
+    levels = np.divide(area, expanded, out=np.zeros(np.shape(area)), where=area > 0)
+    return levels[()]
 
 
 @dataclass
@@ -206,10 +209,6 @@ class EvalReport:
 
     ap_msk: float
     ap_bdy: float
-    ap_msk_sm: float
-    ap_msk_l: float
-    ap_bdy_sm: float
-    ap_bdy_l: float
     manual_level_2px: float
     manual_level_3px: float
     mean_instance_iou: float
@@ -228,25 +227,22 @@ def evaluate(preds, gts, frame_dims) -> EvalReport:
     """
     if len(gts) == 0:
         raise ValueError("evaluation needs at least one ground truth")
-    width, height = frame_dims
     d = boundary_distance(frame_dims)
-    gt_masks = [rasterize(gt.polygon, width, height) for gt in gts]
     mask_rows, band_rows = [[] for _ in preds], [[] for _ in preds]
-    for pis, gis in _image_groups(preds, gts):
-        gt_bands = {gi: boundary_band(gt_masks[gi], d) for gi in gis}
-        for pi in pis:
-            mask = rasterize(preds[pi].polygon, width, height)
-            band = boundary_band(mask, d)
-            mask_rows[pi] = [(gi, masks_iou(mask, gt_masks[gi])) for gi in gis]
-            band_rows[pi] = [(gi, masks_iou(band, gt_bands[gi])) for gi in gis]
+    levels = {r: {} for r in LEVEL_RADII}
+    for block in _blocks(_image_groups(preds, gts), preds, gts, frame_dims):
+        scored, block_levels = _score_block(block, preds, gts, frame_dims, d)
+        for pi, gi, iou, band_iou in scored:
+            mask_rows[pi].append((gi, iou))
+            band_rows[pi].append((gi, band_iou))
+        for r in LEVEL_RADII:
+            levels[r].update(block_levels[r])
 
     order = _score_order(preds)
-    classes = [size_split(mask) for mask in gt_masks]
-    precision, splits, matches = {}, {}, {}
+    precision, matches = {}, {}
     for kind, rows in (("mask", mask_rows), ("boundary", band_rows)):
         matches[kind] = [_greedy_match(order, rows, len(gts), float(thr)) for thr in IOU_THRESHOLDS]
         precision[kind] = [m.true_positives / len(preds) if preds else 0.0 for m in matches[kind]]
-        splits[kind] = {label: _split_ap(matches[kind], classes, label) for label in (SMALL_MEDIUM, LARGE)}
 
     # the mask match at IOU_THRESHOLDS[0] == 0.5 gives the per-instance IoUs
     # and the manual levels; unmatched ground truths count as failures
@@ -254,18 +250,11 @@ def evaluate(preds, gts, frame_dims) -> EvalReport:
     per_gt_iou = np.zeros(len(gts))
     for _, gi, iou in pairs:
         per_gt_iou[gi] = iou
-    manual = {
-        r: sum(iou > manual_level_threshold(gt_masks[gi], r) for _, gi, iou in pairs) / len(gts)
-        for r in (2, 3)
-    }
+    manual = {r: sum(iou > levels[r][gi] for _, gi, iou in pairs) / len(gts) for r in LEVEL_RADII}
 
     return EvalReport(
         ap_msk=float(np.mean(precision["mask"])),
         ap_bdy=float(np.mean(precision["boundary"])),
-        ap_msk_sm=splits["mask"][SMALL_MEDIUM],
-        ap_msk_l=splits["mask"][LARGE],
-        ap_bdy_sm=splits["boundary"][SMALL_MEDIUM],
-        ap_bdy_l=splits["boundary"][LARGE],
         manual_level_2px=manual[2],
         manual_level_3px=manual[3],
         mean_instance_iou=float(per_gt_iou.mean()),
@@ -274,18 +263,89 @@ def evaluate(preds, gts, frame_dims) -> EvalReport:
     )
 
 
-def _split_ap(results, classes, label):
-    """AP restricted to one size class, from the per-threshold matches.
+def _blocks(groups, preds, gts, frame_dims) -> list:
+    """The image groups cut into consecutive blocks whose crop stack keeps
+    within ``BLOCK_PIXELS``; a group that alone exceeds it is a block.
 
-    At each threshold, predictions matched to a ground truth of the other
-    class are set aside; precision is TP(class) / (TP(class) + unmatched).
-    A class with no ground truths, or no predictions, reports 0.
+    A ring's crop is at most the ceiling of its vertex extent plus 2
+    pixels, plus the pad each side, cut to the frame: :func:`rasterize`
+    sets no pixel beyond the rows of centres in [ymin, ymax) and a column
+    beyond those in [xmin, xmax) each side.
     """
-    if label not in classes:
-        return 0.0
-    values = []
-    for result in results:
-        tp = sum(1 for _, gi, _ in result.pairs if classes[gi] == label)
-        fp = result.false_positives
-        values.append(tp / (tp + fp) if tp + fp else 0.0)
-    return float(np.mean(values))
+    if not groups:
+        return []
+    rings = [poly for pis, gis in groups for poly in _group_rings(pis, gis, preds, gts)]
+    pts, starts = np.concatenate(rings), _starts([len(r) for r in rings])
+    extent = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+    dims = np.minimum(np.ceil(extent) + 2 + 2 * max(LEVEL_RADII), frame_dims)
+    counts = [len(pis) + len(gis) for pis, gis in groups]
+    blocks, block, size, box = [], [], 0, (0, 0)
+    for group, count, (w, h) in zip(groups, counts, np.maximum.reduceat(dims, _starts(counts)).tolist()):
+        grown = (max(box[0], w), max(box[1], h))
+        if block and (size + count) * grown[0] * grown[1] > BLOCK_PIXELS:
+            blocks.append(block)
+            block, size, grown = [], 0, (w, h)
+        block.append(group)
+        size, box = size + count, grown
+    blocks.append(block)
+    return blocks
+
+
+def _starts(sizes) -> np.ndarray:
+    """Offset of each of consecutive runs of the given sizes."""
+    sizes = np.asarray(sizes)
+    return np.cumsum(sizes) - sizes
+
+
+def _group_rings(pis, gis, preds, gts) -> list:
+    return [preds[pi].polygon for pi in pis] + [gts[gi].polygon for gi in gis]
+
+
+def _score_block(groups, preds, gts, frame_dims, d):
+    """(scored, levels) of a block from one crop stack: (pred_index,
+    gt_index, mask IoU, band IoU) of each pair of an image whose masks'
+    bounding boxes meet, in row order, and {r: {gt_index: manual level}}.
+
+    The other pairs have IoU 0, below every threshold, and are left out.
+    """
+    rings, pairs, gt_slots, gt_ids = [], [], [], []
+    for pis, gis in groups:
+        first, n = len(rings), len(pis)
+        rings += _group_rings(pis, gis, preds, gts)
+        gt_slots += range(first + n, len(rings))
+        gt_ids += gis
+        pairs += [(first + i, first + n + j, pi, gi) for i, pi in enumerate(pis) for j, gi in enumerate(gis)]
+    masks, origins = rasterize(rings, *frame_dims, pad=max(LEVEL_RADII))
+    bands = boundary_band(masks, d)
+    levels = {r: dict(zip(gt_ids, manual_level_threshold(masks[gt_slots], r).tolist())) for r in LEVEL_RADII}
+
+    area = np.count_nonzero(masks, axis=(1, 2))
+    top, left, bottom, right = _mask_boxes(masks, origins)
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 4)
+    a, b = pairs[:, 0], pairs[:, 1]
+    meet = (
+        (area[a] > 0)
+        & (area[b] > 0)
+        & (np.maximum(top[a], top[b]) < np.minimum(bottom[a], bottom[b]))
+        & (np.maximum(left[a], left[b]) < np.minimum(right[a], right[b]))
+    )
+    area, band_area = area.tolist(), np.count_nonzero(bands, axis=(1, 2)).tolist()
+    shape, origins = masks.shape[1:], origins.tolist()
+    scored = []
+    for i, j, pi, gi in pairs[meet].tolist():
+        sa, sb = _overlap(shape, origins[i], origins[j])
+        inter = int(np.count_nonzero(masks[i][sa] & masks[j][sb]))
+        band_inter = int(np.count_nonzero(bands[i][sa] & bands[j][sb]))
+        scored.append((pi, gi, _iou(inter, area[i], area[j]), _iou(band_inter, band_area[i], band_area[j])))
+    return scored, levels
+
+
+def _mask_boxes(masks, origins):
+    """Frame rows [top, bottom) and columns [left, right) of the bounding box
+    of each nonempty mask of a crop stack."""
+    (h, w), rows, cols = masks.shape[1:], masks.any(axis=2), masks.any(axis=1)
+    top = origins[:, 0] + rows.argmax(axis=1)
+    bottom = origins[:, 0] + h - rows[:, ::-1].argmax(axis=1)
+    left = origins[:, 1] + cols.argmax(axis=1)
+    right = origins[:, 1] + w - cols[:, ::-1].argmax(axis=1)
+    return top, left, bottom, right

@@ -260,52 +260,89 @@ def densify_x10(points) -> np.ndarray:
     return dense.reshape(*pts.shape[:-2], -1, 2)
 
 
-def rasterize(poly, width: int, height: int) -> np.ndarray:
-    """Boolean (height, width) mask; pixel (i, j) is set iff its center
-    (j+0.5, i+0.5) is inside by the even-odd rule.
+def rasterize(rings, width: int, height: int, pad: int = 0):
+    """Rasterize K rings into one stack of frame windows:
+    ``(crops, origins)``, a (K, h, w) boolean stack and the (K, 2) frame
+    (row, column) of each crop's top-left pixel.
 
-    One pass over every (edge, pixel row) crossing, with no loop over the
-    edges. The edge from y1 to y2 crosses the rows whose centre lies in
-    [min(y1, y2), max(y1, y2)), found by ``searchsorted`` on the row
-    centres, so a horizontal edge crosses none. A crossing lies at
-    ``x1 + (ys - y1) * (x2 - x1) / (y2 - y1)`` and flips every pixel whose
-    centre is left of it. A closed ring crosses each row an even number of
-    times, so flipping the pixels from the crossing rightward instead gives
-    the same mask: each crossing's column is counted in a per-row
-    histogram, and a running parity along the row fills it. Temporaries
-    are O(crossings + bounding-box pixels), about 11 bytes per pixel of the
-    polygon's bounding box, whatever the vertex count.
+    Pixel (i, j) of the (height, width) frame is set iff its centre
+    (j+0.5, i+0.5) is inside the ring by the even-odd rule. Crop k is
+    ``frame[r:r + h, c:c + w]`` for ``(r, c) = origins[k]``: every crop
+    pixel is a frame pixel, and no pixel of ring k outside its crop is set.
+    All crops share one shape, the largest pixel extent of a ring grown by
+    ``pad`` on each side and cut to the frame. A crop reaches at least
+    ``pad`` pixels beyond its ring's pixels wherever the frame allows, so a
+    dilation by up to ``pad`` inside a crop equals one inside the frame.
+
+    One pass over every (edge, crop row) crossing of every ring, with no
+    loop over rings or edges. The edge from y1 to y2 crosses the rows whose
+    centre lies in [min(y1, y2), max(y1, y2)): rows ``ceil(y - 0.5)`` on,
+    clipped to the crop, so a horizontal edge crosses none. A crossing lies
+    at ``x1 + (ys - y1) * (x2 - x1) / (y2 - y1)`` and flips every pixel
+    whose centre is left of it. A closed ring crosses each row an even
+    number of times, so flipping the pixels from the crossing rightward,
+    from column ``ceil(x - 0.5)`` clipped to the crop, gives the same mask:
+    each crossing's column is counted in a histogram of every crop row, and
+    a running parity along the rows fills them: a log-step XOR scan, about
+    log2(w) passes over the stack. Both ``ceil`` forms equal a
+    ``searchsorted`` on the pixel centres once clipped to the frame. The
+    temporaries are O(crossings) plus about 11 bytes per stack pixel, so a
+    caller bounds the memory by the rings it passes at once.
     """
     if width <= 0 or height <= 0:
         raise ValueError("raster dimensions must be positive")
-    p = as_polygon(poly)
-    mask = np.zeros((height, width), dtype=bool)
-    box = bounding_box(p)
-    j0 = max(0, int(np.floor(box[0] - 1.0)))
-    j1 = min(width - 1, int(np.ceil(box[2] + 1.0)))
-    i0 = max(0, int(np.floor(box[1] - 1.0)))
-    i1 = min(height - 1, int(np.ceil(box[3] + 1.0)))
-    if j0 > j1 or i0 > i1:
-        return mask
-    ys = np.arange(i0, i1 + 1) + 0.5
-    xs = np.arange(j0, j1 + 1) + 0.5
-    (x1, y1), (x2, y2) = p.T, np.concatenate((p[1:], p[:1])).T  # np.roll with less overhead
-    first = np.searchsorted(ys, np.minimum(y1, y2))
-    counts = np.searchsorted(ys, np.maximum(y1, y2)) - first
+    polys = [np.asarray(r, dtype=float) for r in rings]
+    for p in polys:
+        if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3:
+            raise ValueError(f"polygon must have shape (M, 2) with M >= 3, got {p.shape}")
+    if not polys:
+        return np.zeros((0, 0, 0), dtype=bool), np.zeros((0, 2), dtype=np.int64)
+    pts = np.concatenate(polys)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("polygon has non-finite coordinates")
+    sizes = np.array([p.shape[0] for p in polys])
+    starts = np.cumsum(sizes) - sizes
+    # the pixels a ring can set: rows whose centre lies in [ymin, ymax), and
+    # a column more each side than those in [xmin, xmax), where a crossing
+    # rounded past a vertex can reach
+    frame, margin = np.array([width, height]), np.array([pad + 1, pad])
+    lo, hi = np.ceil(np.stack([np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)]) - 0.5)
+    w, h = np.minimum((hi - lo).max(axis=0) + 2 * margin, frame).astype(np.int64).tolist()
+    c0, r0 = np.minimum(np.maximum(lo - margin, 0), frame - (w, h)).astype(np.int64).T
+
+    ring = np.repeat(np.arange(len(polys)), sizes)
+    succ = np.arange(1, pts.shape[0] + 1)
+    succ[starts + sizes - 1] = starts
+    (x1, y1), (x2, y2) = pts.T, pts[succ].T
+    first, last = _clip_ceil(np.sort([y1, y2], axis=0), r0[ring], h)
+    counts = last - first
     edge = np.repeat(np.arange(x1.size), counts)
     row = np.arange(edge.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    xint = x1[edge] + (ys[row] - y1[edge]) * (x2 - x1)[edge] / (y2 - y1)[edge]
-    cols = xs.size + 1
-    flips = np.bincount(row * cols + np.searchsorted(xs, xint), minlength=ys.size * cols)
-    flips = flips.reshape(ys.size, cols)[:, :-1]
-    parity = np.cumsum(flips, axis=1, dtype=np.uint8)
-    mask[i0 : i1 + 1, j0 : j1 + 1] = parity & 1
-    return mask
+    xint = x1[edge] + (row + 0.5 - y1[edge]) * (x2 - x1)[edge] / (y2 - y1)[edge]
+    k, n = ring[edge], len(polys)
+    col = _clip_ceil(xint, c0[k], w) - c0[k]
+    # the histogram is laid out (column, ring, row); the running parity along
+    # the columns is a log-step XOR scan, each step one pass over the stack
+    flips = np.bincount((col * n + k) * h + row - r0[k], minlength=(w + 1) * n * h)
+    parity = flips.reshape(w + 1, n, h)[:-1].astype(np.uint8)
+    step = 1
+    while step < w:
+        parity[step:] ^= parity[:-step]
+        step *= 2
+    parity &= 1
+    return np.ascontiguousarray(parity.view(bool).transpose(1, 2, 0)), np.column_stack([r0, c0])
+
+
+def _clip_ceil(v, start, size) -> np.ndarray:
+    """``ceil(v - 0.5)``, the first pixel whose centre is at or past v,
+    clipped to [start, start + size]."""
+    return np.minimum(np.maximum(np.ceil(v - 0.5), start), start + size).astype(np.int64)
 
 
 def expand_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     """Morphological dilation by a (2r+1) square, i.e. Chebyshev radius r,
-    with everything outside the frame read as background.
+    of the last two axes, with everything outside them read as background;
+    a (K, h, w) stack dilates each of its K masks.
 
     The square is separable: 2r+1 row shifts ORed on a zero-padded copy,
     then 2r+1 column shifts of that, about 4r+2 passes over the mask.
@@ -316,15 +353,15 @@ def expand_mask(mask: np.ndarray, radius: int) -> np.ndarray:
     r = int(radius)
     if r == 0:
         return m.copy()
-    h, w = m.shape
-    padded = np.zeros((h + 2 * r, w), dtype=bool)
-    padded[r : r + h] = m
-    rows = padded[:h].copy()
+    *lead, h, w = m.shape
+    padded = np.zeros((*lead, h + 2 * r, w), dtype=bool)
+    padded[..., r : r + h, :] = m
+    rows = padded[..., :h, :].copy()
     for k in range(1, 2 * r + 1):
-        rows |= padded[k : k + h]
-    padded = np.zeros((h, w + 2 * r), dtype=bool)
-    padded[:, r : r + w] = rows
-    out = padded[:, :w].copy()
+        rows |= padded[..., k : k + h, :]
+    padded = np.zeros((*lead, h, w + 2 * r), dtype=bool)
+    padded[..., r : r + w] = rows
+    out = padded[..., :w].copy()
     for k in range(1, 2 * r + 1):
-        out |= padded[:, k : k + w]
+        out |= padded[..., k : k + w]
     return out

@@ -85,8 +85,10 @@ _MAKERS = {"rect": _make_rect, "rot_rect": _make_rot_rect, "l_shape": _make_l_sh
 def generate_scene(seed: int, spec: SceneSpec = SceneSpec()) -> SyntheticScene:
     """Deterministic scene: placed buildings, filled raster, additive noise.
 
-    Raises RuntimeError when the requested count cannot be placed without
-    overlap within the retry budget.
+    A building that finds no place without overlap within ``MAX_TRIES``
+    attempts ends the placement: the scene keeps the buildings placed
+    before it. Raises ValueError, naming the spec, when the first building
+    cannot be placed.
     """
     rng = np.random.default_rng(np.random.SeedSequence([0x5CEE, int(seed)]))
     width, height = spec.frame_dims
@@ -98,7 +100,6 @@ def generate_scene(seed: int, spec: SceneSpec = SceneSpec()) -> SyntheticScene:
     buildings = []
     boxes = []  # (xmin, ymin, xmax, ymax) inflated by GAP/2
     for _ in range(count):
-        placed = False
         for _ in range(MAX_TRIES):
             kind = SHAPE_KINDS[int(rng.choice(len(SHAPE_KINDS), p=mix))]
             poly = _MAKERS[kind](rng, spec)
@@ -114,17 +115,17 @@ def generate_scene(seed: int, spec: SceneSpec = SceneSpec()) -> SyntheticScene:
                 continue
             buildings.append(normalize_orientation(poly))
             boxes.append(box)
-            placed = True
             break
-        if not placed:
-            raise RuntimeError(
-                f"could not place building {len(buildings) + 1}/{count} without overlap"
-            )
+        else:  # no place found: keep the buildings placed so far
+            break
+    if not buildings:
+        raise ValueError(f"no building of {spec} can be placed within {MAX_TRIES} attempts")
 
     image = np.full((height, width), rng.uniform(*BACKGROUND))
-    for poly in buildings:
-        fill = rng.uniform(*FOREGROUND)
-        image[rasterize(poly, width, height)] = fill
+    masks, origins = rasterize(buildings, width, height)
+    h, w = masks.shape[1:]
+    for mask, (r, c) in zip(masks, origins):
+        image[r : r + h, c : c + w][mask] = rng.uniform(*FOREGROUND)
     if spec.noise_sigma > 0:
         image = image + rng.normal(0.0, spec.noise_sigma, size=image.shape)
     image = np.clip(np.rint(image), 0, 255).astype(np.uint8)
@@ -141,9 +142,9 @@ def feature_provider(image) -> np.ndarray:
     Channels: block-mean intensity, x/y central-difference gradients,
     gradient magnitude, normalized x/y coordinates spanning [0, 1], and
     Gaussian blurs of the intensity at sigma 1 and 3 grid cells. The image
-    is uint8, read as intensity / 255; any other dtype raises ValueError, and
-    so does an image under 5 px along an axis, whose grid has one cell there
-    and no central difference.
+    is 2-D uint8, read as intensity / 255; any other shape or dtype raises
+    ValueError, and so does an image under 5 px along an axis, whose grid has
+    one cell there and no central difference.
 
     Every bit is fixed, because a fitted model reads it: the block mean
     sums each block's columns, then its rows, then divides by 16, the order
@@ -152,6 +153,8 @@ def feature_provider(image) -> np.ndarray:
     ``ndimage.gaussian_filter1d`` that ``ndimage.gaussian_filter`` runs.
     """
     img = np.asarray(image)
+    if img.ndim != 2:
+        raise ValueError(f"feature_provider reads 2-D grayscale images, got an image of shape {img.shape}")
     if img.dtype != np.uint8:
         raise ValueError(f"feature_provider reads uint8 images, got dtype {img.dtype}")
     h, w = img.shape

@@ -43,9 +43,6 @@ from .pipeline import (
 )
 from .synth import SceneSpec, SyntheticScene, feature_provider, generate_scene
 
-# consecutive unplaceable seeds after which make_dataset gives up
-MAX_SKIPPED_SEEDS = 100
-
 # the learning rate is multiplied by this at each of the two decay epochs
 DECAY_FACTOR = 0.2
 
@@ -296,23 +293,8 @@ def scene_spec_from_config(cfg: RunConfig) -> SceneSpec:
 
 
 def make_dataset(cfg: RunConfig, count: int, seed_offset: int = 0):
-    """Deterministic list of ``count`` scenes from consecutive seeds starting
-    at cfg.seed + seed_offset.
-
-    A seed whose buildings cannot be placed is skipped and the next seed is
-    tried, so scene i has seed cfg.seed + seed_offset + i only when no
-    earlier seed failed. After ``MAX_SKIPPED_SEEDS`` failures in a row the
-    last placement error is raised.
-    """
+    """Deterministic list of ``count`` scenes; scene i has seed
+    cfg.seed + seed_offset + i."""
     spec = scene_spec_from_config(cfg)
-    scenes, seed, skipped = [], cfg.seed + seed_offset, 0
-    while len(scenes) < count:
-        try:
-            scenes.append(generate_scene(seed, spec))
-            skipped = 0
-        except RuntimeError:
-            skipped += 1
-            if skipped == MAX_SKIPPED_SEEDS:
-                raise
-        seed += 1
-    return scenes
+    start = cfg.seed + seed_offset
+    return [generate_scene(start + i, spec) for i in range(count)]

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from polytrace import detection, losses, pipeline, reduction, training
+from polytrace import detection, evaluation, losses, pipeline, reduction, training
 from polytrace import evolution as evo
 from polytrace.assignment import hungarian, match_cost
 from polytrace.geometry import (
     ANCHOR_DIRECTIONS,
     as_polygon,
     bbox_center,
+    bounding_box,
+    expand_mask,
     normalize_orientation,
     pairwise_distances,
+    rasterize,
     vertex_angle,
 )
 from polytrace.pipeline import PipelineParams
@@ -461,3 +464,114 @@ def reference_angle_or_pi(pts, prev, cur, nxt):
         return np.pi
     angle = float(np.arccos(min(max(np.dot(a, b) / (na * nb), -1.0), 1.0)))
     return np.pi if math.isnan(angle) else angle
+
+
+def frame_mask(poly, width, height):
+    """The (height, width) frame mask of one ring, its ``rasterize`` crop
+    placed at its origin."""
+    (crop,), ((r, c),) = rasterize([poly], width, height)
+    mask = np.zeros((height, width), dtype=bool)
+    mask[r : r + crop.shape[0], c : c + crop.shape[1]] = crop
+    return mask
+
+
+def reference_rasterize(poly, width, height):
+    """One ring's full-frame mask over its bounding box grown by a pixel,
+    its crossing rows and columns from ``searchsorted`` on the pixel
+    centres; every crop of ``geometry.rasterize`` must hold the same bits."""
+    if width <= 0 or height <= 0:
+        raise ValueError("raster dimensions must be positive")
+    p = as_polygon(poly)
+    mask = np.zeros((height, width), dtype=bool)
+    box = bounding_box(p)
+    j0 = max(0, int(np.floor(box[0] - 1.0)))
+    j1 = min(width - 1, int(np.ceil(box[2] + 1.0)))
+    i0 = max(0, int(np.floor(box[1] - 1.0)))
+    i1 = min(height - 1, int(np.ceil(box[3] + 1.0)))
+    if j0 > j1 or i0 > i1:
+        return mask
+    ys = np.arange(i0, i1 + 1) + 0.5
+    xs = np.arange(j0, j1 + 1) + 0.5
+    (x1, y1), (x2, y2) = p.T, np.roll(p, -1, axis=0).T
+    first = np.searchsorted(ys, np.minimum(y1, y2))
+    counts = np.searchsorted(ys, np.maximum(y1, y2)) - first
+    edge = np.repeat(np.arange(x1.size), counts)
+    row = np.arange(edge.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    xint = x1[edge] + (ys[row] - y1[edge]) * (x2 - x1)[edge] / (y2 - y1)[edge]
+    cols = xs.size + 1
+    flips = np.bincount(row * cols + np.searchsorted(xs, xint), minlength=ys.size * cols)
+    flips = flips.reshape(ys.size, cols)[:, :-1]
+    mask[i0 : i1 + 1, j0 : j1 + 1] = np.cumsum(flips, axis=1, dtype=np.uint8) & 1
+    return mask
+
+
+def reference_boundary_band(mask, d):
+    """One full-frame mask's boundary band, computed over the mask's
+    bounding box framed by one background pixel."""
+    m = np.asarray(mask, dtype=bool)
+    band = np.zeros_like(m)
+    rows = np.flatnonzero(m.any(axis=1))
+    if rows.size == 0:
+        return band
+    cols = np.flatnonzero(m.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    crop = m[box]
+    background = np.ones((crop.shape[0] + 2, crop.shape[1] + 2), dtype=bool)
+    background[1:-1, 1:-1] = ~crop
+    boundary = crop & expand_mask(background, 1)[1:-1, 1:-1]
+    band[box] = crop & expand_mask(boundary, d)
+    return band
+
+
+def reference_manual_level(mask, r):
+    """One full-frame mask's manual-level threshold, dilated over its
+    bounding box grown by r and cut to the frame."""
+    m = np.asarray(mask, dtype=bool)
+    area = int(np.count_nonzero(m))
+    if area == 0:
+        return 0.0
+    rows = np.flatnonzero(m.any(axis=1))
+    cols = np.flatnonzero(m.any(axis=0))
+    crop = m[max(rows[0] - r, 0) : rows[-1] + r + 1, max(cols[0] - r, 0) : cols[-1] + r + 1]
+    return area / int(np.count_nonzero(expand_mask(crop, r)))
+
+
+def reference_evaluate(preds, gts, frame_dims):
+    """``evaluation.evaluate`` with a full-frame mask and band per instance
+    and full-frame IoUs of every (prediction, ground truth) pair of an
+    image; ``evaluate`` must report the same values."""
+    ev = evaluation
+    if len(gts) == 0:
+        raise ValueError("evaluation needs at least one ground truth")
+    width, height = frame_dims
+    d = ev.boundary_distance(frame_dims)
+    gt_masks = [reference_rasterize(gt.polygon, width, height) for gt in gts]
+    mask_rows, band_rows = [[] for _ in preds], [[] for _ in preds]
+    for pis, gis in ev._image_groups(preds, gts):
+        gt_bands = {gi: reference_boundary_band(gt_masks[gi], d) for gi in gis}
+        for pi in pis:
+            mask = reference_rasterize(preds[pi].polygon, width, height)
+            band = reference_boundary_band(mask, d)
+            mask_rows[pi] = [(gi, ev.masks_iou(mask, gt_masks[gi])) for gi in gis]
+            band_rows[pi] = [(gi, ev.masks_iou(band, gt_bands[gi])) for gi in gis]
+    order = ev._score_order(preds)
+    precision, matches = {}, {}
+    for kind, rows in (("mask", mask_rows), ("boundary", band_rows)):
+        matches[kind] = [ev._greedy_match(order, rows, len(gts), float(t)) for t in ev.IOU_THRESHOLDS]
+        precision[kind] = [m.true_positives / len(preds) if preds else 0.0 for m in matches[kind]]
+    pairs = matches["mask"][0].pairs
+    per_gt_iou = np.zeros(len(gts))
+    for _, gi, iou in pairs:
+        per_gt_iou[gi] = iou
+    manual = {
+        r: sum(iou > reference_manual_level(gt_masks[gi], r) for _, gi, iou in pairs) / len(gts) for r in (2, 3)
+    }
+    return ev.EvalReport(
+        ap_msk=float(np.mean(precision["mask"])),
+        ap_bdy=float(np.mean(precision["boundary"])),
+        manual_level_2px=manual[2],
+        manual_level_3px=manual[3],
+        mean_instance_iou=float(per_gt_iou.mean()),
+        precision_mask=precision["mask"],
+        precision_boundary=precision["boundary"],
+    )

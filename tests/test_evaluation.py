@@ -3,7 +3,15 @@ import pytest
 from scipy import ndimage
 
 from polytrace import evaluation as ev
-from polytrace.geometry import expand_mask, rasterize
+from polytrace.geometry import expand_mask
+
+from conftest import (
+    frame_mask,
+    reference_boundary_band,
+    reference_evaluate,
+    reference_manual_level,
+    reference_rasterize,
+)
 
 FRAME = (256, 256)
 
@@ -36,7 +44,7 @@ def boundary_iou(a, b, frame):
     """IoU of the two polygons' boundary bands, the band width a fraction of
     the frame diagonal: the IoU that ``evaluate`` reports as AP_bdy."""
     d = ev.boundary_distance(frame)
-    return ev.masks_iou(ev.boundary_band(rasterize(a, *frame), d), ev.boundary_band(rasterize(b, *frame), d))
+    return ev.masks_iou(ev.boundary_band(frame_mask(a, *frame), d), ev.boundary_band(frame_mask(b, *frame), d))
 
 
 def memoized(iou_fn):
@@ -54,9 +62,8 @@ def memoized(iou_fn):
 
 def reference_report(preds, gts, frame):
     """The report from the public pieces: one match_instances call per IoU
-    threshold and kind, size classes and manual thresholds per ground truth."""
-    gt_masks = [rasterize(g.polygon, *frame) for g in gts]
-    classes = [ev.size_split(mask) for mask in gt_masks]
+    threshold and kind, and manual thresholds per ground truth."""
+    gt_masks = [frame_mask(g.polygon, *frame) for g in gts]
     kinds = {
         "msk": memoized(lambda p, g: ev.mask_iou(p.polygon, g.polygon, frame)),
         "bdy": memoized(lambda p, g: boundary_iou(p.polygon, g.polygon, frame)),
@@ -67,12 +74,6 @@ def reference_report(preds, gts, frame):
         precision = [r.true_positives / len(preds) if preds else 0.0 for r in results]
         out[f"precision_{kind}"] = precision
         out[f"ap_{kind}"] = float(np.mean(precision))
-        for label, suffix in ((ev.SMALL_MEDIUM, "sm"), (ev.LARGE, "l")):
-            values = []
-            for r in results:
-                tp = sum(classes[gi] == label for _, gi, _ in r.pairs)
-                values.append(tp / (tp + r.false_positives) if tp + r.false_positives else 0.0)
-            out[f"ap_{kind}_{suffix}"] = float(np.mean(values)) if label in classes else 0.0
     match = ev.match_instances(preds, gts, kinds["msk"], 0.5)
     per_gt = np.zeros(len(gts))
     for _, gi, iou in match.pairs:
@@ -107,7 +108,51 @@ def seeded_multi_image_set(seed):
     return preds, gts
 
 
+def random_ring(rng, frame):
+    """A rectangle, rotated rectangle or noisy ellipse anywhere around the
+    frame, some cut by its edge."""
+    center = rng.uniform(-10.0, 10.0, 2) + rng.uniform(0.0, 1.0, 2) * frame
+    half = rng.uniform(1.0, 30.0, 2)
+    kind = rng.integers(0, 3)
+    if kind == 2:
+        t = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+        return center + half * np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0.0, 0.5, (32, 2))
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]) * half
+    if kind == 1:
+        a = rng.uniform(0.0, np.pi)
+        corners = corners @ np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    return center + corners
+
+
+def random_multi_image_set(rng, n_images, frame):
+    """Ground truths in the first images, jittered, shifted and duplicated
+    predictions with tied scores, strays, predictions in images without
+    ground truths, and images with ground truths only."""
+    gts, preds = [], []
+    for image_id in range(n_images):
+        for _ in range(rng.integers(1, 6)):
+            gts.append(ev.GroundTruth(random_ring(rng, frame), image_id))
+    for gt in gts:
+        for _ in range(rng.integers(0, 3)):
+            poly = gt.polygon + rng.normal(0.0, 1.5, gt.polygon.shape) + rng.normal(0.0, 2.0, 2)
+            preds.append(ev.InstancePrediction(poly, float(rng.choice([0.5, 0.7, 0.9])), gt.image_id))
+    for _ in range(n_images):
+        image_id = int(rng.integers(0, n_images + 3))
+        preds.append(ev.InstancePrediction(random_ring(rng, frame), float(rng.uniform(0.1, 1.0)), image_id))
+    order = rng.permutation(len(preds))
+    return [preds[i] for i in order], gts
+
+
 class TestMaskIou:
+    def test_matches_full_frame_masks_at_frame_edges(self, rng):
+        frame = np.array([96, 64])
+        for _ in range(200):
+            a, b = random_ring(rng, frame), random_ring(rng, frame)
+            if rng.random() < 0.5:
+                b = a + rng.normal(0.0, 2.0, 2)
+            expected = ev.masks_iou(reference_rasterize(a, *frame), reference_rasterize(b, *frame))
+            assert ev.mask_iou(a, b, tuple(frame)) == expected
+
     def test_identical_is_one(self):
         a = rect(10, 10, 60, 60)
         assert ev.mask_iou(a, a.copy(), FRAME) == 1.0
@@ -145,8 +190,8 @@ class TestBoundaryIou:
         a = rect(200, 200, 300, 300)
         b = rect(201, 201, 299, 299)
         got = boundary_iou(a, b, frame)
-        ma = rasterize(a, *frame)
-        mb = rasterize(b, *frame)
+        ma = frame_mask(a, *frame)
+        mb = frame_mask(b, *frame)
         band_a = band_oracle(ma, d)
         band_b = band_oracle(mb, d)
         inter = np.count_nonzero(band_a & band_b)
@@ -154,7 +199,7 @@ class TestBoundaryIou:
         assert got == inter / union
 
     def test_band_helper_matches_oracle_at_fixed_d(self):
-        masks = [rasterize(rect(50, 40, 150, 138), 200, 200)]
+        masks = [frame_mask(rect(50, 40, 150, 138), 200, 200)]
         # on a small frame: an empty mask, the full frame, and boxes flush
         # with each edge and corner, each with one pixel cut from a corner
         h, w = 24, 32
@@ -193,6 +238,18 @@ class TestBoundaryIou:
             assert np.array_equal(band, expected)
             assert np.array_equal(band, band_oracle(mask, d))
 
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_stack_band_matches_each_slice(self, d, rng):
+        stack = rng.random((6, 17, 23)) > 0.4
+        stack[0] = False
+        stack[1] = True
+        stack[2, 5:9, 0:4] = True
+        band = ev.boundary_band(stack, d)
+        assert band.shape == stack.shape and band.dtype == bool
+        for mask, got in zip(stack, band):
+            assert np.array_equal(got, reference_boundary_band(mask, d))
+            assert np.array_equal(got, ev.boundary_band(mask, d))
+
     def test_bounded(self):
         v = boundary_iou(rect(10, 10, 50, 50), rect(30, 30, 70, 70), FRAME)
         assert 0.0 <= v <= 1.0
@@ -207,7 +264,7 @@ class TestMatchInstances:
         pred = [ev.InstancePrediction(rect(10, 10, 50, 50), 0.9)]
         for thr in (0.5, 0.75, 0.95):
             res = ev.match_instances(pred, gt, self.iou, thr)
-            assert (res.true_positives, res.false_positives, len(gt) - res.true_positives) == (1, 0, 0)
+            assert (res.true_positives, len(res.unmatched_preds), len(gt) - res.true_positives) == (1, 0, 0)
 
     def test_two_predictions_one_gt(self):
         gt = [ev.GroundTruth(rect(10, 10, 50, 50))]
@@ -216,7 +273,7 @@ class TestMatchInstances:
             ev.InstancePrediction(rect(10, 10, 50, 48), 0.9),
         ]
         res = ev.match_instances(preds, gt, self.iou, 0.5)
-        assert res.true_positives == 1 and res.false_positives == 1
+        assert res.true_positives == 1 and res.unmatched_preds == [0]
         # the higher-scoring prediction claims the ground truth
         assert res.pairs[0][0] == 1
         # on tied scores the earlier prediction does, despite its lower IoU
@@ -286,35 +343,35 @@ class TestAveragePrecision:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-class TestSizeSplit:
-    def test_small(self):
-        assert ev.size_split(rasterize(rect(10, 10, 60, 60), *FRAME)) == ev.SMALL_MEDIUM
-
-    def test_large(self):
-        assert ev.size_split(rasterize(rect(10, 10, 110, 110), *FRAME)) == ev.LARGE
-
-    def test_exact_boundary_goes_large(self):
-        assert ev.size_split(rasterize(rect(10, 10, 85, 110), *FRAME)) == ev.LARGE  # 75*100 = 7500
-
-
 class TestManualLevel:
     def test_square_thresholds(self):
-        mask = rasterize(rect(10, 10, 110, 110), 512, 512)
+        mask = frame_mask(rect(10, 10, 110, 110), 512, 512)
         assert ev.manual_level_threshold(mask, 2) == pytest.approx(10000 / 10816, abs=1e-9)
         assert ev.manual_level_threshold(mask, 3) == pytest.approx(10000 / 11236, abs=1e-9)
 
     def test_threshold_increases_with_size(self):
-        masks = [rasterize(rect(10, 10, 10 + s, 10 + s), 512, 512) for s in (20, 40, 80, 160)]
+        masks = [frame_mask(rect(10, 10, 10 + s, 10 + s), 512, 512) for s in (20, 40, 80, 160)]
         values = [ev.manual_level_threshold(mask, 2) for mask in masks]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_r3_below_r2(self):
-        mask = rasterize(rect(10, 10, 87, 73), *FRAME)
+        mask = frame_mask(rect(10, 10, 87, 73), *FRAME)
         assert ev.manual_level_threshold(mask, 3) < ev.manual_level_threshold(mask, 2)
 
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
-            ev.manual_level_threshold(rasterize(rect(0, 0, 10, 10), *FRAME), 4)
+            ev.manual_level_threshold(frame_mask(rect(0, 0, 10, 10), *FRAME), 4)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_stack_levels_match_each_slice(self, r, rng):
+        stack = rng.random((6, 19, 14)) > 0.9
+        stack[0] = False
+        stack[1] = True
+        stack[2, :3, :3] = True
+        levels = ev.manual_level_threshold(stack, r)
+        assert levels.shape == (6,)
+        assert levels.tolist() == [reference_manual_level(mask, r) for mask in stack]
+        assert levels[0] == 0.0 and levels[1] == 1.0
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_masks_at_frame_edges_match_full_frame_dilation(self, r):
@@ -337,10 +394,10 @@ class TestManualLevel:
 class TestEvaluate:
     def build_scene(self):
         gts = [
-            ev.GroundTruth(rect(10, 10, 60, 60), image_id=0),       # 2500 px: S&M
-            ev.GroundTruth(rect(100, 100, 200, 200), image_id=0),   # 10000 px: L
-            ev.GroundTruth(rect(20, 20, 50, 110), image_id=1),      # 2700 px: S&M
-            ev.GroundTruth(rect(30, 30, 130, 140), image_id=2),     # 11000 px: L
+            ev.GroundTruth(rect(10, 10, 60, 60), image_id=0),
+            ev.GroundTruth(rect(100, 100, 200, 200), image_id=0),
+            ev.GroundTruth(rect(20, 20, 50, 110), image_id=1),
+            ev.GroundTruth(rect(30, 30, 130, 140), image_id=2),
         ]
         preds = [
             ev.InstancePrediction(rect(10, 10, 60, 60), 0.9, image_id=0),     # IoU 1.0
@@ -352,17 +409,13 @@ class TestEvaluate:
 
     def test_perfect_predictions_report_all_ones(self):
         gts = [
-            ev.GroundTruth(rect(10, 10, 60, 60), image_id=0),      # S&M
-            ev.GroundTruth(rect(100, 100, 201, 201), image_id=0),  # L
+            ev.GroundTruth(rect(10, 10, 60, 60), image_id=0),
+            ev.GroundTruth(rect(100, 100, 201, 201), image_id=0),
         ]
         preds = [ev.InstancePrediction(g.polygon.copy(), 0.9, image_id=0) for g in gts]
         report = ev.evaluate(preds, gts, FRAME)
         assert report.ap_msk == 1.0
         assert report.ap_bdy == 1.0
-        assert report.ap_msk_sm == 1.0
-        assert report.ap_msk_l == 1.0
-        assert report.ap_bdy_sm == 1.0
-        assert report.ap_bdy_l == 1.0
         assert report.manual_level_2px == 1.0
         assert report.manual_level_3px == 1.0
         assert report.mean_instance_iou == 1.0
@@ -382,11 +435,6 @@ class TestEvaluate:
         # per-instance IoUs: 1.0, 0.9, 1.0, spurious, one missed gt
         # mask AP: thresholds .50-.90 match 3 of 4 preds; .95 matches 2 of 4
         assert report.ap_msk == pytest.approx((9 * 0.75 + 0.5) / 10)
-        # S&M split (gts 0, 2): both matched exactly at every threshold; the
-        # spurious pred is an FP throughout, pred 1 joins it only at .95
-        assert report.ap_msk_sm == pytest.approx((9 * (2 / 3) + 0.5) / 10)
-        # L split (gts 1, 3): pred 1 matches until .95, gt 3 always missed
-        assert report.ap_msk_l == pytest.approx((9 * 0.5 + 0.0) / 10)
         # manual level: IoU 0.9 beats the 3px threshold 10000/11236 but not
         # the 2px threshold 10000/10816; exact matches beat both; missed fails
         assert report.manual_level_2px == pytest.approx(2 / 4)
@@ -397,8 +445,8 @@ class TestEvaluate:
         d = ev.boundary_distance(FRAME)
         ious = []
         for p, g in [(0, 0), (1, 1), (2, 2)]:
-            ma = band_oracle(rasterize(preds[p].polygon, *FRAME), d)
-            mg = band_oracle(rasterize(gts[g].polygon, *FRAME), d)
+            ma = band_oracle(frame_mask(preds[p].polygon, *FRAME), d)
+            mg = band_oracle(frame_mask(gts[g].polygon, *FRAME), d)
             ious.append(np.count_nonzero(ma & mg) / np.count_nonzero(ma | mg))
         assert ious[0] == 1.0 and ious[2] == 1.0
         per_thr = [(2 + (ious[1] >= t)) / 4 for t in ev.IOU_THRESHOLDS]
@@ -419,6 +467,29 @@ class TestEvaluate:
         assert len(set(scores)) < len(scores)
         report = ev.evaluate(preds, gts, FRAME)
         assert report.to_dict() == reference_report(preds, gts, FRAME)
+
+    @pytest.mark.parametrize("block_pixels", [ev.BLOCK_PIXELS, 20_000, 1])
+    def test_matches_reference_evaluate_across_blocks(self, block_pixels, monkeypatch, rng):
+        """Reports equal to the full-frame reference over many images, one
+        ``rasterize`` call per block, whatever the block size."""
+        frame = (128, 96)
+        monkeypatch.setattr(ev, "BLOCK_PIXELS", block_pixels)
+        calls = []
+        raster = ev.rasterize
+        monkeypatch.setattr(ev, "rasterize", lambda *a, **k: calls.append(len(a[0])) or raster(*a, **k))
+        for n_images in (1, 3, 12, 40):
+            preds, gts = random_multi_image_set(rng, n_images, frame)
+            for subset in (preds, preds[: len(preds) // 3], []):
+                calls.clear()
+                report = ev.evaluate(subset, gts, frame)
+                assert report.to_dict() == reference_evaluate(subset, gts, frame).to_dict()
+                groups = ev._image_groups(subset, gts)
+                assert sum(calls) == sum(len(p) + len(g) for p, g in groups)
+                if block_pixels == 1:
+                    assert len(calls) == len(groups)
+                if block_pixels == 20_000 and subset is preds and n_images == 40:
+                    assert len(calls) > 1
+        assert ev.evaluate(preds, gts, frame).ap_msk > 0.0
 
     def test_report_roundtrip_and_table(self):
         preds, gts = self.build_scene()

@@ -12,10 +12,12 @@ from polytrace import synth
 from polytrace.evolution import relative_coords
 
 from conftest import (
+    frame_mask,
     hausdorff_between_rings,
     points_to_ring_distance,
     random_convex_polygon,
     reference_densify,
+    reference_rasterize,
     reference_ray_hit,
 )
 
@@ -438,25 +440,25 @@ class TestVertexAngle:
 
 class TestRasterize:
     def test_aligned_square_exact_count(self):
-        mask = geo.rasterize(SQUARE_CW, 20, 20)
+        mask = frame_mask(SQUARE_CW, 20, 20)
         assert mask.sum() == 100
         assert mask[:10, :10].all()
 
     def test_matches_point_in_polygon_oracle(self, rng):
         poly = random_convex_polygon(rng, scale=18, offset=(12, 12))
-        mask = geo.rasterize(poly, 26, 26)
+        mask = frame_mask(poly, 26, 26)
         for i in range(26):
             for j in range(26):
                 assert mask[i, j] == point_in_polygon((j + 0.5, i + 0.5), poly)
 
     def test_polygon_outside_frame_is_empty(self):
         far = BIG_SQUARE + 1000
-        assert geo.rasterize(far, 20, 20).sum() == 0
+        assert frame_mask(far, 20, 20).sum() == 0
 
     def test_area_close_to_analytic(self):
         quad = np.array([[3.3, 4.1], [93.7, 6.2], [95.1, 88.4], [5.9, 91.0]])
         exact = abs(geo.signed_area(quad))
-        count = geo.rasterize(quad, 110, 110).sum()
+        count = frame_mask(quad, 110, 110).sum()
         assert abs(count - exact) / exact < 0.02
 
     def test_monotone_under_containment(self, rng):
@@ -464,18 +466,18 @@ class TestRasterize:
         center = geo.bbox_center(outer)
         inner = center + 0.6 * (outer - center)
         assert all(point_in_polygon(v, outer) for v in inner)
-        m_out = geo.rasterize(outer, 64, 64)
-        m_in = geo.rasterize(inner, 64, 64)
+        m_out = frame_mask(outer, 64, 64)
+        m_in = frame_mask(inner, 64, 64)
         assert not np.any(m_in & ~m_out)
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
-            geo.rasterize(BIG_SQUARE, 0, 10)
+            geo.rasterize([BIG_SQUARE], 0, 10)
 
     @pytest.mark.parametrize("name,poly,frame", RASTER_CASES, ids=[c[0] for c in RASTER_CASES])
     def test_bit_identical_to_edge_loop_and_oracle(self, name, poly, frame):
         width, height = frame
-        mask = geo.rasterize(poly, width, height)
+        mask = frame_mask(poly, width, height)
         assert mask.shape == (height, width) and mask.dtype == bool
         assert np.array_equal(mask, loop_rasterize(poly, width, height))
         oracle = [[point_in_polygon((j + 0.5, i + 0.5), poly) for j in range(width)] for i in range(height)]
@@ -489,7 +491,81 @@ class TestRasterize:
             radii = rng.uniform(3.0, 60.0, 2)
             ring = center + radii * np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0.0, 0.5, (64, 2))
             for poly in (ring, np.floor(ring) + 0.5):
-                assert np.array_equal(geo.rasterize(poly, 128, 128), loop_rasterize(poly, 128, 128))
+                assert np.array_equal(frame_mask(poly, 128, 128), loop_rasterize(poly, 128, 128))
+
+    def test_crops_match_reference_on_random_rings(self):
+        """Every crop equals the reference mask on its frame window, and the
+        reference sets no pixel outside it, for 1,200 rings in stacks of
+        100: rings cut by the frame edge or wholly outside it, rings too
+        thin to hit a pixel centre, and rings with horizontal edges."""
+        rng = np.random.default_rng(31)
+        t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        width, height = 97, 71
+        rings = []
+        for k in range(1200):
+            center = rng.uniform(-40.0, 140.0, 2)
+            radii = rng.uniform(0.05, 60.0, 2)
+            kind = k % 6
+            if kind == 0:  # noisy ellipse
+                ring = center + radii * np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0.0, 0.5, (64, 2))
+            elif kind == 1:  # random (often self-intersecting) ring
+                ring = rng.uniform(-20.0, 120.0, (int(rng.integers(3, 30)), 2))
+            elif kind == 2:  # vertices on pixel centres
+                ring = np.floor(center + radii * rng.uniform(-1.0, 1.0, (int(rng.integers(3, 12)), 2))) + 0.5
+            elif kind == 3:  # vertices on pixel corners: horizontal and vertical edges
+                x0, y0 = np.round(center)
+                x1, y1 = np.round(center + radii)
+                ring = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+            elif kind == 4:  # too thin to hit a pixel centre
+                x0, y0 = np.floor(center) + 0.6
+                ring = np.array([[x0, y0], [x0 + radii[0], y0], [x0 + radii[0], y0 + 0.3], [x0, y0 + 0.3]])
+            else:  # wholly outside the frame
+                ring = rng.uniform(0.0, 30.0, (5, 2)) + rng.choice([[-40.0, 10.0], [110.0, 10.0], [10.0, -40.0], [10.0, 90.0]])
+            rings.append(ring)
+        for pad in (0, 3):
+            for lo in range(0, len(rings), 100):
+                block = rings[lo : lo + 100]
+                crops, origins = geo.rasterize(block, width, height, pad=pad)
+                h, w = crops.shape[1:]
+                assert crops.dtype == bool and crops.shape[0] == len(block) and origins.shape == (len(block), 2)
+                assert h <= height and w <= width
+                for ring, crop, (r, c) in zip(block, crops, origins):
+                    assert 0 <= r <= height - h and 0 <= c <= width - w
+                    expected = reference_rasterize(ring, width, height)
+                    assert np.array_equal(crop, expected[r : r + h, c : c + w])
+                    expected[r : r + h, c : c + w] = False
+                    assert not expected.any()
+
+    def test_crop_reaches_pad_beyond_its_ring(self):
+        ring = np.array([[40.0, 30.0], [50.0, 30.0], [50.0, 38.0], [40.0, 38.0]])
+        frame = (97, 71)
+        crops, origins = geo.rasterize([ring, ring + [-38.0, 30.0]], *frame, pad=3)
+        assert crops.shape[1:] == (8 + 6, 10 + 2 + 6)
+        # the first crop is centred on its ring, the second cut by the frame
+        assert origins.tolist() == [[27, 36], [57, 0]]
+        assert np.count_nonzero(crops, axis=(1, 2)).tolist() == [80, 80]
+        assert np.array_equal(frame_mask(ring, *frame)[27:41, 36:54], crops[0])
+
+    def test_far_vertices_match_reference(self):
+        rings = [
+            np.array([[-1e200, 10.0], [50.0, 10.0], [50.0, 40.0]]),
+            np.array([[5.0, 5.0], [1e300, 20.0], [5.0, 1e300]]),
+            np.array([[2e200, 2e200], [3e200, 2e200], [3e200, 3e200]]),
+        ]
+        crops, origins = geo.rasterize(rings, 64, 48, pad=3)
+        assert crops.shape[1:] == (48, 64)
+        for ring, crop, (r, c) in zip(rings, crops, origins):
+            assert np.array_equal(crop, reference_rasterize(ring, 64, 48)[r : r + 48, c : c + 64])
+        assert crops[0].any() and crops[1].any() and not crops[2].any()
+
+    def test_empty_sequence_gives_empty_stack(self):
+        crops, origins = geo.rasterize([], 20, 10)
+        assert crops.shape[0] == 0 and origins.shape == (0, 2)
+
+    def test_bad_polygon_rejected(self):
+        for ring in (np.zeros((2, 2)), np.zeros((4, 3)), np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]])):
+            with pytest.raises(ValueError):
+                geo.rasterize([SQUARE_CW, ring], 20, 20)
 
     def test_memory_is_linear_in_frame_pixels(self):
         # a 1000-vertex ring filling a 1024x1024 frame; an edge x pixel
@@ -498,7 +574,7 @@ class TestRasterize:
         ring = 512.0 + 500.0 * np.column_stack([np.cos(t), np.sin(t)])
         tracemalloc.start()
         try:
-            mask = geo.rasterize(ring, 1024, 1024)
+            (mask,), _ = geo.rasterize([ring], 1024, 1024)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -508,7 +584,7 @@ class TestRasterize:
 
 class TestExpandMask:
     def test_radius_zero_is_identity(self):
-        mask = geo.rasterize(SQUARE_CW, 20, 20)
+        mask = frame_mask(SQUARE_CW, 20, 20)
         assert np.array_equal(geo.expand_mask(mask, 0), mask)
 
     def test_single_pixel_becomes_block(self):
@@ -521,7 +597,7 @@ class TestExpandMask:
     def test_square_dilation_is_minkowski_sum(self):
         frame = 130
         sq = np.array([[10, 10], [110, 10], [110, 110], [10, 110]], dtype=float)
-        mask = geo.rasterize(sq, frame, frame)
+        mask = frame_mask(sq, frame, frame)
         assert mask.sum() == 100 * 100
         out = geo.expand_mask(mask, 2)
         assert out.sum() == 104 * 104
@@ -535,6 +611,16 @@ class TestExpandMask:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             geo.expand_mask(np.zeros((3, 3), dtype=bool), -1)
+
+    @pytest.mark.parametrize("r", range(4))
+    def test_stack_dilates_like_a_loop_over_slices(self, r, rng):
+        stack = rng.random((5, 3, 13, 9)) > 0.93
+        stack[0, 0] = True
+        stack[1, 2] = False
+        out = geo.expand_mask(stack, r)
+        assert out.shape == stack.shape and out.dtype == bool
+        for index in np.ndindex(stack.shape[:2]):
+            assert np.array_equal(out[index], geo.expand_mask(stack[index], r))
 
     @pytest.mark.parametrize("r", range(6))
     def test_matches_square_dilation(self, r, rng):

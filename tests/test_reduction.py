@@ -296,10 +296,7 @@ class TestReduceBitIdentity:
     def test_jittered_densified_footprints(self, rng):
         fallbacks = 0
         for seed in range(120):
-            try:
-                scene = synth.generate_scene(seed)
-            except RuntimeError:
-                continue
+            scene = synth.generate_scene(seed)
             for poly in scene.buildings:
                 ring = densify(poly, 64).points
                 points = ring + rng.normal(0.0, 0.5, ring.shape)

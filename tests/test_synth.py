@@ -2,12 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from conftest import reference_feature_provider
+from conftest import frame_mask, reference_feature_provider
 from scipy import ndimage
 
 from polytrace import synth, training
 from polytrace.config import RunConfig
-from polytrace.geometry import densify, rasterize, signed_area
+from polytrace.geometry import densify, signed_area
 
 
 class ScriptedRng:
@@ -95,7 +95,7 @@ class TestGenerateScene:
                 assert signed_area(poly) > 0
                 assert poly[:, 0].min() >= 4 and poly[:, 1].min() >= 4
                 assert poly[:, 0].max() <= w - 4 and poly[:, 1].max() <= h - 4
-                masks.append(rasterize(poly, w, h))
+                masks.append(frame_mask(poly, w, h))
             for i in range(len(masks)):
                 for j in range(i + 1, len(masks)):
                     assert not np.any(masks[i] & masks[j])
@@ -108,24 +108,29 @@ class TestGenerateScene:
             spec = training.scene_spec_from_config(cfg)
             placed = 0
             for seed in range(200):
-                try:
-                    scene = synth.generate_scene(seed, spec)
-                except RuntimeError:
-                    continue
+                scene = synth.generate_scene(seed, spec)
                 for poly in scene.buildings:
                     for n in (8, 64):
                         assert densify(poly, n).points.shape == (n, 2), (seed, n)
                 placed += len(scene.buildings)
             assert placed >= 200 * cfg.min_buildings - 10
 
-    def test_impossible_packing_raises(self, monkeypatch):
+    def test_impossible_packing_raises(self):
+        # no building of at least 20 px fits a 32 px frame with 6 px margins
+        spec = synth.SceneSpec(frame_dims=(32, 32))
+        with pytest.raises(ValueError, match=re.escape(str(spec))):
+            synth.generate_scene(0, spec)
+
+    def test_packing_that_cannot_be_completed_keeps_placed_buildings(self, monkeypatch):
         monkeypatch.setattr(synth, "MAX_TRIES", 20)
-        spec = synth.SceneSpec(frame_dims=(64, 64), n_buildings=(8, 8), size_range=(40.0, 48.0))
-        with pytest.raises(RuntimeError):
-            generated = None
-            for seed in range(5):
-                generated = synth.generate_scene(seed, spec)
-            assert generated is not None
+        spec = synth.SceneSpec(frame_dims=(64, 64), n_buildings=(8, 8), size_range=(40.0, 48.0), noise_sigma=0.0)
+        for seed in range(5):
+            scene = synth.generate_scene(seed, spec)
+            # a 40 px building leaves no room for a second one
+            assert len(scene.buildings) == 1
+            inside = frame_mask(scene.buildings[0], 64, 64)
+            assert len(np.unique(scene.image[inside])) == 1
+            assert scene.image[inside].min() > scene.image[~inside].max()
 
 
 class TestShapeMakers:
@@ -148,13 +153,13 @@ class TestShapeMakers:
 
 
 class TestMakeDataset:
-    def test_unplaceable_seed_is_skipped(self):
+    def test_partly_placed_seed_keeps_its_place(self):
+        # seed 182 draws four buildings, and the fourth finds no place
         cfg = RunConfig()
         spec = training.scene_spec_from_config(cfg)
-        with pytest.raises(RuntimeError):
-            synth.generate_scene(182, spec)
+        assert len(synth.generate_scene(182, spec).buildings) == 3
         scenes = training.make_dataset(cfg, 3, seed_offset=175)
-        assert [scene.seed for scene in scenes] == [183, 184, 185]
+        assert [scene.seed for scene in scenes] == [182, 183, 184]
         for scene in scenes:
             expected = synth.generate_scene(scene.seed, spec)
             assert np.array_equal(scene.image, expected.image)
@@ -167,7 +172,7 @@ class TestMakeDataset:
 
     def test_gives_up_when_no_seed_can_be_placed(self):
         # no building of at least 20 px fits a 32 px frame with 6 px margins
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="SceneSpec"):
             training.make_dataset(RunConfig(frame_width=32, frame_height=32), 1)
 
 
@@ -227,16 +232,19 @@ class TestFeatureProvider:
         with pytest.raises(ValueError, match=np.dtype(dtype).name):
             synth.feature_provider(np.zeros((32, 32), dtype=dtype))
 
+    @pytest.mark.parametrize("dims", [(64, 64, 3), (64,), (1, 64, 64)])
+    def test_non_2d_images_rejected(self, dims):
+        expected = f"feature_provider reads 2-D grayscale images, got an image of shape {dims}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            synth.feature_provider(np.zeros(dims, dtype=np.uint8))
+
     def test_matches_reference_bit_for_bit(self):
         # >= 200 scenes of the sparse (one building) and dense (one to four) specs
         for cfg in (RunConfig(min_buildings=1, max_buildings=1), RunConfig()):
             spec = training.scene_spec_from_config(cfg)
             checked = 0
             for seed in range(210):
-                try:
-                    image = synth.generate_scene(seed, spec).image
-                except RuntimeError:
-                    continue
+                image = synth.generate_scene(seed, spec).image
                 assert np.array_equal(synth.feature_provider(image), reference_feature_provider(image))
                 checked += 1
             assert checked >= 200

@@ -1,5 +1,5 @@
 """Smoke test of tools/train_digest.py on a default 2-scene fit, and its
-infer digests in process on a small benchmark set-up."""
+infer and evaluation digests in process on a small benchmark set-up."""
 
 import importlib.util
 import subprocess
@@ -43,7 +43,7 @@ def test_infer_digests_follow_each_output(monkeypatch, tmp_path):
     spec.loader.exec_module(tool)
     from perfbench import workloads
 
-    from polytrace import reduction
+    from polytrace import evaluation, reduction
 
     sizes = workloads.Sizes(train_steps=1, infer_scenes=6, post_instances=8, rounds=1)
 
@@ -62,11 +62,18 @@ def test_infer_digests_follow_each_output(monkeypatch, tmp_path):
     assert digests(1, bench.model)[0] == first
     assert digests(2, bench.model)[0]["features"] != first["features"]
 
-    # a reduction that keeps one more vertex moves only the reduced polygons
+    # a wider boundary band moves only the evaluation digest
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "BOUNDARY_FRACTION", 3 * evaluation.BOUNDARY_FRACTION)
+        wider = digests(1, bench.model)[0]
+    assert [wider[k] == first[k] for k in tool.INFER_DIGESTS] == [True, True, True, True, False]
+
+    # a reduction that keeps one more vertex moves the reduced polygons and
+    # their evaluation
     prune = reduction.prune_collinear
     monkeypatch.setattr(reduction, "prune_collinear", lambda poly: np.vstack([prune(poly), poly[:1]]))
     moved = digests(1, bench.model)[0]
-    assert [moved[k] == first[k] for k in tool.INFER_DIGESTS] == [True, True, False, False]
+    assert [moved[k] == first[k] for k in tool.INFER_DIGESTS] == [True, True, False, False, False]
 
     old, new = tmp_path / "old.txt", tmp_path / "new.txt"
     old.write_text("".join(f"infer dense:1 {k} {v}\n" for k, v in first.items()))
@@ -75,4 +82,4 @@ def test_infer_digests_follow_each_output(monkeypatch, tmp_path):
     assert equal.returncode == 0 and "infer dense:1: digests equal" in equal.stdout
     differ = run_digest("--compare", str(old), str(new))
     assert differ.returncode == 1
-    assert "infer dense:1: digests DIFFER: infer_polygons, postprocess_polygons" in differ.stdout
+    assert "infer dense:1: digests DIFFER: evaluation, infer_polygons, postprocess_polygons" in differ.stdout

@@ -23,8 +23,12 @@ final parameters, the step count with the number of steps that raised
   sha256 each of the feature grids of the held-out scenes, their
   predictions (points, vertex scores and score of each), their reduced
   polygons, and the reduced polygons of the postprocess rings; an error
-  is hashed by its type's name. The benchmark's infer model depends on
-  neither workload nor seed, so it is fitted once per process.
+  is hashed by its type's name. A fifth, ``evaluation``, hashes the hex
+  floats of ``REPORT_FIELDS`` of ``evaluation.evaluate``'s report on the
+  reduced postprocess polygons and on the reduced infer polygons, scored
+  and grouped into images as the benchmark does. The benchmark's infer
+  model depends on neither workload nor seed, so it is fitted once per
+  process.
 
 ``--compare`` reads two outputs of the same runs. It prints, per run,
 whether the digests are equal and, for training runs, the largest relative
@@ -43,7 +47,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-INFER_DIGESTS = ("features", "predictions", "infer_polygons", "postprocess_polygons")
+INFER_DIGESTS = ("features", "predictions", "infer_polygons", "postprocess_polygons", "evaluation")
+REPORT_FIELDS = (
+    "ap_msk",
+    "ap_bdy",
+    "manual_level_2px",
+    "manual_level_3px",
+    "mean_instance_iou",
+    "precision_mask",
+    "precision_boundary",
+)
 # passes over the batches of each replay, 8 rounds each: on both workloads a
 # replay makes 3 warm-up steps + 10 passes of 100 steps = 1003 steps, 80
 # rounds, more than the 52 (dense) and 65 (sparse) a 30 s benchmark run reached
@@ -123,20 +136,23 @@ def replay_run(workload: str, seed: int):
 def infer_digests(bench) -> dict:
     """{name: sha256} of the infer and postprocess outputs of a set-up
     ``Bench`` that holds its infer model; one ``reduce`` per postprocess ring."""
-    from polytrace import pipeline, reduction, synth
+    from polytrace import evaluation, pipeline, reduction, synth
 
     cfg = bench.cfg
     h = {name: hashlib.sha256() for name in INFER_DIGESTS}
 
     def reduced(sc):
+        """(digest bytes, polygon or None) of one ``reduce``."""
         try:
             poly = reduction.reduce(sc, cfg.vertex_threshold)
         except Exception as exc:
-            return type(exc).__name__.encode()
-        return f"{len(poly)} vertices".encode() + poly.tobytes()
+            return type(exc).__name__.encode(), None
+        return f"{len(poly)} vertices".encode() + poly.tobytes(), poly
 
-    for scene in bench.scenes[: bench.sizes.infer_scenes]:
+    infer_preds, infer_gts = [], []
+    for image_id, scene in enumerate(bench.scenes[: bench.sizes.infer_scenes]):
         h["features"].update(synth.feature_provider(scene.image).tobytes())
+        infer_gts += [evaluation.GroundTruth(b, image_id) for b in scene.buildings]
         try:
             preds = pipeline.predict_scene(scene.image, bench.model, cfg)
         except Exception as exc:
@@ -145,9 +161,27 @@ def infer_digests(bench) -> dict:
         h["predictions"].update(f"{len(preds)} detections".encode())
         for p in preds:
             h["predictions"].update(p.points.tobytes() + p.vertex_scores.tobytes() + float(p.score).hex().encode())
-            h["infer_polygons"].update(reduced(reduction.ScoredContour(p.points, p.vertex_scores)))
-    for _, _, sc in bench.contours:
-        h["postprocess_polygons"].update(reduced(sc))
+            data, poly = reduced(reduction.ScoredContour(p.points, p.vertex_scores))
+            h["infer_polygons"].update(data)
+            if poly is not None:
+                infer_preds.append(evaluation.InstancePrediction(poly, p.score, image_id))
+    post_preds, post_gts = [], []
+    for image_id, gt, sc in bench.contours:
+        data, poly = reduced(sc)
+        h["postprocess_polygons"].update(data)
+        post_gts.append(evaluation.GroundTruth(gt, image_id))
+        if poly is not None:
+            post_preds.append(evaluation.InstancePrediction(poly, float(sc.scores.mean()), image_id))
+    for preds, gts in ((post_preds, post_gts), (infer_preds, infer_gts)):
+        try:
+            report = evaluation.evaluate(preds, gts, cfg.frame_dims).to_dict()
+        except Exception as exc:
+            h["evaluation"].update(type(exc).__name__.encode())
+            continue
+        values = []
+        for name in REPORT_FIELDS:
+            values += report[name] if isinstance(report[name], list) else [report[name]]
+        h["evaluation"].update(" ".join(float(v).hex() for v in values).encode() + b"\n")
     return {name: digest.hexdigest() for name, digest in h.items()}
 
 
