@@ -11,10 +11,11 @@ frame. Only images with both predictions and ground truths are rasterized,
 in blocks of whole images. Each block's predictions and ground truths are
 one stack of equal-shape frame windows (crops). Each prediction gets one row
 of mask IoUs and one row of band IoUs, against the ground truths of its own
-image only. One greedy matcher turns the rows into the match at every IoU
-threshold. The mean instance IoU and the manual levels come from the mask
-match at IoU 0.5. :func:`match_instances` builds its rows from any IoU
-function and uses the same matcher.
+image only. One greedy walk per kind turns the rows into the match at
+every IoU threshold, keeping the thresholds at which each ground truth is
+taken as a bit mask. The mean instance IoU and the manual levels come from
+the mask match at IoU 0.5. :func:`match_instances` builds its rows from
+any IoU function and walks them greedily at its one threshold.
 
 Cost model: per block, one :func:`rasterize` call (one pass over the
 crossings of all its rings), two stack dilations for the boundary bands
@@ -32,8 +33,10 @@ fixed cost of the numpy calls is paid per block, not per instance.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import bisect
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -146,7 +149,10 @@ def match_instances(preds, gts, iou_fn, threshold: float) -> MatchResult:
     for pis, gis in _image_groups(preds, gts):
         for pi in pis:
             rows[pi] = [(gi, iou_fn(preds[pi], gts[gi])) for gi in gis]
-    return _greedy_match(_score_order(preds), rows, len(gts), threshold)
+    order = _score_order(preds)
+    _, pairs = _greedy_walks(order, rows, [threshold])
+    matched = {pi for pi, _, _ in pairs}
+    return MatchResult(pairs, [pi for pi in order if pi not in matched])
 
 
 def _score_order(preds) -> list:
@@ -164,24 +170,46 @@ def _image_groups(preds, gts) -> list:
     return [(pis, gt_ids[image_id]) for image_id, pis in pred_ids.items() if image_id in gt_ids]
 
 
-def _greedy_match(order, rows, n_gts: int, threshold: float) -> MatchResult:
-    """The single-match greedy walk of :func:`match_instances` over IoU rows:
-    per prediction, the (gt_index, IoU) pairs of the ground truths of its
-    image, in index order."""
-    gt_taken = [False] * n_gts
+def _greedy_walks(order, rows, thresholds):
+    """The greedy walk of :func:`match_instances` at each of the ascending
+    ``thresholds``, as one pass over the predictions in ``order``: (true
+    positives at each threshold, the (pred_index, gt_index, iou) pairs at
+    the first). ``rows`` holds, per prediction, the (gt_index, IoU) pairs
+    of the ground truths of its image, in index order.
+
+    A ground truth's taken set is a bit mask over the thresholds, and so is
+    the set of thresholds at which a prediction is still unmatched. Each
+    prediction's row is sorted by descending IoU, ties in row order, so it
+    claims the free ground truth of highest IoU, ties to the first in its
+    row. Down to the first IoU that is not positive or misses the first
+    threshold, each (gt_index, IoU) pair wins every threshold its IoU
+    reaches at which the prediction is still unmatched and the ground truth
+    not taken.
+    """
+    taken = {}  # gt_index -> bit k set where it is matched at thresholds[k]
     pairs = []
-    unmatched_preds = []
+    every_threshold, lowest = (1 << len(thresholds)) - 1, thresholds[0]
     for pi in order:
-        best_iou, best_gt = 0.0, -1
-        for gi, iou in rows[pi]:
-            if not gt_taken[gi] and iou >= threshold and iou > best_iou:
-                best_iou, best_gt = iou, gi
-        if best_gt >= 0:
-            gt_taken[best_gt] = True
-            pairs.append((pi, best_gt, best_iou))
-        else:
-            unmatched_preds.append(pi)
-    return MatchResult(pairs, unmatched_preds)
+        row = rows[pi]
+        if len(row) > 1:
+            row = sorted(row, key=itemgetter(1), reverse=True)  # stable: ties keep row order
+        unmatched = every_threshold
+        for gi, iou in row:
+            if iou < lowest or iou <= 0.0:
+                break
+            gt_taken = taken.get(gi, 0)
+            won = (1 << bisect.bisect_right(thresholds, iou)) - 1 & unmatched & ~gt_taken
+            if won:
+                taken[gi] = gt_taken | won
+                unmatched &= ~won
+                if won & 1:
+                    pairs.append((pi, gi, iou))
+                if not unmatched:
+                    break
+    # a ground truth is matched at most once per threshold
+    masks = Counter(taken.values()).items()
+    true_positives = [sum(n for mask, n in masks if mask >> k & 1) for k in range(len(thresholds))]
+    return true_positives, pairs
 
 
 def manual_level_threshold(gt_mask, r: int):
@@ -239,14 +267,14 @@ def evaluate(preds, gts, frame_dims) -> EvalReport:
             levels[r].update(block_levels[r])
 
     order = _score_order(preds)
-    precision, matches = {}, {}
+    precision, first_pairs = {}, {}
     for kind, rows in (("mask", mask_rows), ("boundary", band_rows)):
-        matches[kind] = [_greedy_match(order, rows, len(gts), float(thr)) for thr in IOU_THRESHOLDS]
-        precision[kind] = [m.true_positives / len(preds) if preds else 0.0 for m in matches[kind]]
+        true_positives, first_pairs[kind] = _greedy_walks(order, rows, IOU_THRESHOLDS.tolist())
+        precision[kind] = [tp / len(preds) if preds else 0.0 for tp in true_positives]
 
     # the mask match at IOU_THRESHOLDS[0] == 0.5 gives the per-instance IoUs
     # and the manual levels; unmatched ground truths count as failures
-    pairs = matches["mask"][0].pairs
+    pairs = first_pairs["mask"]
     per_gt_iou = np.zeros(len(gts))
     for _, gi, iou in pairs:
         per_gt_iou[gi] = iou

@@ -3,10 +3,10 @@
 Per-vertex features (sampled grid channels plus relative coordinates) run
 through a circular 1-D convolution encoder that aggregates detail-to-global
 context: an up-dimensioning 1x1 layer, then three circular layers with
-residual shortcuts, then fusion of a global max-pooled vector that is
-broadcast-concatenated back onto every vertex. Two pointwise heads emit the
-per-vertex coordinate offsets (the step head) and the two-class validity
-logits (the cls head). The weights are the ``up_*`` to ``cls_*`` fields of
+residual shortcuts, then a fuse layer that adds a global max-pooled vector
+back onto every vertex. Two pointwise heads emit the per-vertex coordinate
+offsets (the step head) and the two-class validity logits (the cls head).
+The weights are the ``up_*`` to ``cls_*`` fields of
 :class:`pipeline.PipelineParams`, whose ``layout`` gives their shapes;
 :func:`forward` and :func:`backward` read them from that one object.
 
@@ -27,6 +27,16 @@ weight gradient in the kernel's own C-contiguous layout; the 3x3 heads of
 :mod:`pipeline` use both on their own im2col columns. The input gradient
 is one GEMM against the transposed view whose column gradients are added
 back onto the vertices tap by tap.
+
+The fuse layer is a 1x1 layer over each vertex's features f and its
+contour's pooled vector p, ``fuse_w @ [f, p] + fuse_b``, computed as its two
+halves: ``fuse_w[:, :W] @ f`` per vertex, one GEMM over every vertex of the
+batch, plus ``fuse_w[:, W:] @ p + fuse_b`` once per contour. At width W it
+costs W^2 multiply-adds per vertex per round, not the 2*W^2 of a
+concatenated input, so the encoder's forward costs about 18*W^2 (3, 9 and
+5 W^2 for the circular layers). Backward takes the pooled half's weight and
+input gradients from the per-contour sums of the output gradient, which
+saves 2*W^2 of its 38*W^2.
 
 Every array is a (B, N, D) batch: :func:`vertex_features` samples a stack
 of feature grids, each contour the grid of its own scene, and computes
@@ -147,7 +157,8 @@ def conv(x, kernel, bias, d) -> np.ndarray:
     if k % 2 == 0:
         raise ValueError("convolution requires odd kernel sizes")
     cols = _columns(np.asarray(x, dtype=kernel.dtype), k, d)
-    out = cols.reshape(-1, cols.shape[-1]) @ kernel_matrix(kernel) + bias
+    out = cols.reshape(-1, cols.shape[-1]) @ kernel_matrix(kernel)
+    out += bias
     return out.reshape(*cols.shape[:-1], -1)
 
 
@@ -205,7 +216,8 @@ def forward(features, params):
     x = np.asarray(features, dtype=params.up_w.dtype)
     cache = {"features": x}
 
-    z0 = x @ params.up_w.T + params.up_b
+    z0 = x @ params.up_w.T
+    z0 += params.up_b
     f0 = _relu(z0)
     cache["z0"], cache["f0"] = z0, f0
 
@@ -214,20 +226,30 @@ def forward(features, params):
         kernel = getattr(params, f"{name}_w")
         bias = getattr(params, f"{name}_b")
         z = conv(f_prev, kernel, bias, d)
-        f_prev = f_prev + _relu(z)
-        cache[f"{name}_z"], cache[f"{name}_out"] = z, f_prev
+        out = _relu(z)
+        out += f_prev  # residual shortcut
+        f_prev = out
+        cache[f"{name}_z"], cache[f"{name}_out"] = z, out
 
     f3 = f_prev
-    pooled = f3.max(axis=1)
+    b, n, width = f3.shape
     argmax = f3.argmax(axis=1)
-    cat = np.concatenate([f3, np.broadcast_to(pooled[:, None, :], f3.shape)], axis=2)
-    z4 = cat @ params.fuse_w.T + params.fuse_b
+    pooled = np.take_along_axis(f3, argmax[:, None, :], axis=1)[:, 0]
+    vertex_w, pooled_w = params.fuse_w[:, :width], params.fuse_w[:, width:]
+    # the pooled half is one (1, W) row product per contour, stacked, so that
+    # a contour's bits do not depend on how many contours share the batch
+    per_contour = pooled[:, None, :] @ pooled_w.T
+    per_contour += params.fuse_b
+    z4 = (f3.reshape(-1, width) @ vertex_w.T).reshape(b, n, width)
+    z4 += per_contour
     f4 = _relu(z4)
-    cache.update(pooled_argmax=argmax, cat=cat, z4=z4, f4=f4)
+    cache.update(pooled_argmax=argmax, z4=z4, f4=f4)
 
-    offsets = f4 @ params.step_w.T + params.step_b
-    probs = softmax(f4 @ params.cls_w.T + params.cls_b, axis=-1)
-    return offsets, probs, cache
+    offsets = f4 @ params.step_w.T
+    offsets += params.step_b
+    logits = f4 @ params.cls_w.T
+    logits += params.cls_b
+    return offsets, softmax(logits, axis=-1), cache
 
 
 def backward(cache, params, d_offsets=None, d_logits=None):
@@ -254,13 +276,17 @@ def backward(cache, params, d_offsets=None, d_logits=None):
 
     d_z4 = d_f4 * (cache["z4"] > 0)
     flat_dz4 = d_z4.reshape(-1, width)
-    grads["fuse_w"] = flat_dz4.T @ cache["cat"].reshape(-1, 2 * width)
-    grads["fuse_b"] = flat_dz4.sum(axis=0)
-    d_cat = d_z4 @ params.fuse_w
+    # every vertex of a contour adds the same pooled term, whose gradient is
+    # the sum of theirs
+    d_per_contour = d_z4.sum(axis=1)
+    f3, argmax = cache["global_out"], cache["pooled_argmax"]
+    pooled = np.take_along_axis(f3, argmax[:, None, :], axis=1)[:, 0]
+    vertex_w, pooled_w = params.fuse_w[:, :width], params.fuse_w[:, width:]
+    grads["fuse_w"] = np.concatenate([flat_dz4.T @ f3.reshape(-1, width), d_per_contour.T @ pooled], axis=1)
+    grads["fuse_b"] = d_per_contour.sum(axis=0)
 
-    d_f3 = d_cat[:, :, :width].copy()
-    d_pooled = d_cat[:, :, width:].sum(axis=1)
-    argmax = cache["pooled_argmax"]
+    d_f3 = (flat_dz4 @ vertex_w).reshape(b, n, width)
+    d_pooled = d_per_contour @ pooled_w
     b_idx = np.arange(b)[:, None]
     w_idx = np.arange(width)[None, :]
     d_f3[b_idx, argmax, w_idx] += d_pooled

@@ -25,8 +25,9 @@ one (B, N, 2) batch, each contour sampling the feature grid of its own
 scene from a stack of grids. Training passes the ground-truth bbox centers of
 every scene of a step, so a step runs one evolution forward and one
 backward per round, and backpropagates through the returned caches;
-:func:`predict_scene` passes its one grid as a stack of one and the decoded
-peak positions, and runs the offset head for those only.
+:func:`predict_scene` passes its one grid as a stack of one and the peak
+positions that :func:`detect` decodes from the center head, and runs the
+offset head for those only.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class PipelineParams:
     """Every weight of the model; :meth:`layout` gives their shapes and
     dtypes. Every 3x3 kernel is (3, 3, C_in, C_out) and every circular
     kernel (k, W_in, W_out); ``fuse_w`` reads the pooled vector in the
-    second half of its 2W inputs."""
+    second half of its 2W inputs, and :func:`evolution.forward` reads its
+    per-vertex and pooled halves as two (W, W) views."""
 
     center_w1: np.ndarray
     center_b1: np.ndarray
@@ -267,6 +269,15 @@ class ScenePrediction:
     score: float
 
 
+def detect(grids, params: PipelineParams, cfg: RunConfig) -> tuple:
+    """(grid columns, decoded center detections) of a one-scene stack of
+    feature grids: the center head's peaks, by descending score. Only the
+    grid and the center head decide them."""
+    cols = grid_columns(grids)
+    heat, _ = center_forward(cols, params)
+    return cols, decode_peaks(heat[0], cfg.peak_threshold, cfg.max_detections)
+
+
 def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
     """Detect centers, compose initial contours, evolve them.
 
@@ -275,9 +286,7 @@ def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
     evolved in one batch.
     """
     grids = feature_provider(image)[None]
-    cols = grid_columns(grids)
-    heat, _ = center_forward(cols, params)
-    detections = decode_peaks(heat[0], cfg.peak_threshold, cfg.max_detections)
+    cols, detections = detect(grids, params, cfg)
     if not detections:
         return []
     centers = np.stack([det.position for det in detections])

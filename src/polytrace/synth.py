@@ -13,6 +13,7 @@ the head weights of a fitted model read the channels by position.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -82,6 +83,21 @@ def _make_l_shape(rng, spec):
 _MAKERS = {"rect": _make_rect, "rot_rect": _make_rot_rect, "l_shape": _make_l_shape}
 
 
+def _choice_cdf(mix) -> list:
+    """The cumulative distribution that ``Generator.choice(len(mix), p=...)``
+    draws from for the probabilities ``mix`` normalized to sum 1, built as
+    it builds it: a right bisect of one ``rng.random()`` in it picks the
+    index that ``choice`` picks from the same draw."""
+    p = np.asarray(mix, dtype=float)
+    p = p / p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+_KIND_CDF = _choice_cdf(SHAPE_MIX)
+
+
 def generate_scene(seed: int, spec: SceneSpec = SceneSpec()) -> SyntheticScene:
     """Deterministic scene: placed buildings, filled raster, additive noise.
 
@@ -94,26 +110,27 @@ def generate_scene(seed: int, spec: SceneSpec = SceneSpec()) -> SyntheticScene:
     width, height = spec.frame_dims
     lo, hi = spec.n_buildings
     count = int(rng.integers(lo, hi + 1))
-    mix = np.asarray(SHAPE_MIX, dtype=float)
-    mix = mix / mix.sum()
 
     buildings = []
     boxes = []  # (xmin, ymin, xmax, ymax) inflated by GAP/2
     for _ in range(count):
         for _ in range(MAX_TRIES):
-            kind = SHAPE_KINDS[int(rng.choice(len(SHAPE_KINDS), p=mix))]
+            kind = SHAPE_KINDS[bisect.bisect_right(_KIND_CDF, rng.random())]
             poly = _MAKERS[kind](rng, spec)
-            extent = poly.max(axis=0) - poly.min(axis=0)
-            if np.any(extent + 2 * MARGIN >= (width, height)):
+            xs, ys = poly.T.tolist()
+            x0, y0 = min(xs), min(ys)
+            ex, ey = max(xs) - x0, max(ys) - y0
+            if ex + 2 * MARGIN >= width or ey + 2 * MARGIN >= height:
                 continue
-            shift = rng.uniform(MARGIN, np.array([width, height]) - MARGIN - extent, size=2)
-            poly = poly - poly.min(axis=0) + shift
-            box = np.array(
-                [poly[:, 0].min(), poly[:, 1].min(), poly[:, 0].max(), poly[:, 1].max()]
-            ) + np.array([-1.0, -1.0, 1.0, 1.0]) * (GAP / 2)
+            # rng.uniform(MARGIN, high, size=2) with high = (width, height) - MARGIN - extent
+            sx = MARGIN + ((width - MARGIN) - ex - MARGIN) * rng.random()
+            sy = MARGIN + ((height - MARGIN) - ey - MARGIN) * rng.random()
+            # rounding is monotone, so poly - (x0, y0) + (sx, sy) spans exactly
+            # [sx, ex + sx] by [sy, ey + sy]
+            box = (sx - GAP / 2, sy - GAP / 2, (ex + sx) + GAP / 2, (ey + sy) + GAP / 2)
             if any(_boxes_overlap(box, other) for other in boxes):
                 continue
-            buildings.append(normalize_orientation(poly))
+            buildings.append(normalize_orientation(poly - (x0, y0) + (sx, sy)))
             boxes.append(box)
             break
         else:  # no place found: keep the buildings placed so far

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy import ndimage
 
-from polytrace import detection, evaluation, losses, pipeline, reduction, training
+from polytrace import detection, evaluation, losses, pipeline, reduction, synth, training
 from polytrace import evolution as evo
 from polytrace.assignment import hungarian, match_cost
 from polytrace.geometry import (
@@ -185,6 +186,66 @@ def as_float64(params):
     """A copy of ``params`` with every array cast to float64, so the
     evolution network computes in float64."""
     return PipelineParams(**{name: arr.astype(np.float64) for name, arr in params.arrays()})
+
+
+def reference_evolution_forward(features, params):
+    """``evolution.forward`` with the fuse layer applied to each vertex's
+    features concatenated with its contour's broadcast pooled vector;
+    ``forward`` must agree to rounding. The cache holds the concatenation."""
+    x = np.asarray(features, dtype=params.up_w.dtype)
+    cache = {"features": x}
+    z0 = x @ params.up_w.T + params.up_b
+    f0 = np.maximum(z0, 0.0)
+    cache["z0"], cache["f0"] = z0, f0
+    f_prev = f0
+    for name, d in evo.DILATIONS.items():
+        z = evo.conv(f_prev, getattr(params, f"{name}_w"), getattr(params, f"{name}_b"), d)
+        f_prev = f_prev + np.maximum(z, 0.0)
+        cache[f"{name}_z"], cache[f"{name}_out"] = z, f_prev
+    pooled = f_prev.max(axis=1)
+    cat = np.concatenate([f_prev, np.broadcast_to(pooled[:, None, :], f_prev.shape)], axis=2)
+    z4 = cat @ params.fuse_w.T + params.fuse_b
+    f4 = np.maximum(z4, 0.0)
+    cache.update(pooled_argmax=f_prev.argmax(axis=1), cat=cat, z4=z4, f4=f4)
+    offsets = f4 @ params.step_w.T + params.step_b
+    probs = scipy.special.softmax(f4 @ params.cls_w.T + params.cls_b, axis=-1)
+    return offsets, probs, cache
+
+
+def reference_evolution_backward(cache, params, d_offsets=None, d_logits=None):
+    """``evolution.backward`` of :func:`reference_evolution_forward`'s cache:
+    the fuse layer's gradients from the concatenated input."""
+    f4 = cache["f4"]
+    b, n, width = f4.shape
+    grads = {}
+    d_f4 = 0.0
+    for head, d_head in (("step", d_offsets), ("cls", d_logits)):
+        if d_head is None:
+            continue
+        head_w = getattr(params, f"{head}_w")
+        flat = np.asarray(d_head, dtype=head_w.dtype).reshape(-1, 2)
+        grads[f"{head}_w"] = flat.T @ f4.reshape(-1, width)
+        grads[f"{head}_b"] = flat.sum(axis=0)
+        d_f4 = d_f4 + flat.reshape(b, n, 2) @ head_w
+    d_z4 = d_f4 * (cache["z4"] > 0)
+    flat_dz4 = d_z4.reshape(-1, width)
+    grads["fuse_w"] = flat_dz4.T @ cache["cat"].reshape(-1, 2 * width)
+    grads["fuse_b"] = flat_dz4.sum(axis=0)
+    d_cat = d_z4 @ params.fuse_w
+    d_f3 = d_cat[:, :, :width].copy()
+    d_f3[np.arange(b)[:, None], cache["pooled_argmax"], np.arange(width)] += d_cat[:, :, width:].sum(axis=1)
+    d_prev = d_f3
+    layer_inputs = {"detail": cache["f0"], "local": cache["detail_out"], "global": cache["local_out"]}
+    for name, d in reversed(evo.DILATIONS.items()):
+        kernel = getattr(params, f"{name}_w")
+        d_h = d_prev * (cache[f"{name}_z"] > 0)
+        grads[f"{name}_w"], grads[f"{name}_b"] = evo.conv_weight_grad(d_h, layer_inputs[name], kernel, d)
+        d_prev = d_prev + evo.conv_input_grad(d_h, kernel, d)
+    flat_dz0 = (d_prev * (cache["z0"] > 0)).reshape(-1, width)
+    features = cache["features"]
+    grads["up_w"] = flat_dz0.T @ features.reshape(-1, features.shape[-1])
+    grads["up_b"] = flat_dz0.sum(axis=0)
+    return grads
 
 
 def reference_densify(poly, n_vertices):
@@ -381,6 +442,50 @@ def reference_feature_provider(image):
     return np.stack([down, gx, gy, mag, coord_x, coord_y, blur1, blur3], axis=2)
 
 
+def reference_generate_scene(seed, spec=synth.SceneSpec()):
+    """``synth.generate_scene`` placing its buildings on numpy arrays: the
+    kind from ``rng.choice``, the shift from one two-element
+    ``rng.uniform``, extents and boxes as arrays; ``generate_scene`` must
+    give the same bits and raise for the same specs."""
+    rng = np.random.default_rng(np.random.SeedSequence([0x5CEE, int(seed)]))
+    width, height = spec.frame_dims
+    lo, hi = spec.n_buildings
+    count = int(rng.integers(lo, hi + 1))
+    mix = np.asarray(synth.SHAPE_MIX, dtype=float)
+    mix = mix / mix.sum()
+    buildings, boxes = [], []
+    for _ in range(count):
+        for _ in range(synth.MAX_TRIES):
+            kind = synth.SHAPE_KINDS[int(rng.choice(len(synth.SHAPE_KINDS), p=mix))]
+            poly = synth._MAKERS[kind](rng, spec)
+            extent = poly.max(axis=0) - poly.min(axis=0)
+            if np.any(extent + 2 * synth.MARGIN >= (width, height)):
+                continue
+            shift = rng.uniform(synth.MARGIN, np.array([width, height]) - synth.MARGIN - extent, size=2)
+            poly = poly - poly.min(axis=0) + shift
+            box = np.array(
+                [poly[:, 0].min(), poly[:, 1].min(), poly[:, 0].max(), poly[:, 1].max()]
+            ) + np.array([-1.0, -1.0, 1.0, 1.0]) * (synth.GAP / 2)
+            if any(synth._boxes_overlap(box, other) for other in boxes):
+                continue
+            buildings.append(normalize_orientation(poly))
+            boxes.append(box)
+            break
+        else:
+            break
+    if not buildings:
+        raise ValueError(f"no building of {spec} can be placed within {synth.MAX_TRIES} attempts")
+    image = np.full((height, width), rng.uniform(*synth.BACKGROUND))
+    masks, origins = rasterize(buildings, width, height)
+    h, w = masks.shape[1:]
+    for mask, (r, c) in zip(masks, origins):
+        image[r : r + h, c : c + w][mask] = rng.uniform(*synth.FOREGROUND)
+    if spec.noise_sigma > 0:
+        image = image + rng.normal(0.0, spec.noise_sigma, size=image.shape)
+    image = np.clip(np.rint(image), 0, 255).astype(np.uint8)
+    return synth.SyntheticScene(image, buildings, int(seed))
+
+
 def reference_decode_peaks(heatmap, threshold, top_k):
     """``detection.decode_peaks`` with the threshold checked inside the
     per-peak loop, after the top_k cut; ``decode_peaks`` must return the
@@ -536,6 +641,28 @@ def reference_manual_level(mask, r):
     return area / int(np.count_nonzero(expand_mask(crop, r)))
 
 
+def reference_greedy_match(order, rows, n_gts: int, threshold: float):
+    """The single-match greedy walk at one threshold, by a scan of each
+    prediction's row: predictions in ``order`` claim the free ground truth
+    of highest IoU at or above the threshold (and above 0), ties to the
+    first in the row. ``rows`` holds, per prediction, the (gt_index, IoU)
+    pairs of the ground truths of its image."""
+    gt_taken = [False] * n_gts
+    pairs = []
+    unmatched_preds = []
+    for pi in order:
+        best_iou, best_gt = 0.0, -1
+        for gi, iou in rows[pi]:
+            if not gt_taken[gi] and iou >= threshold and iou > best_iou:
+                best_iou, best_gt = iou, gi
+        if best_gt >= 0:
+            gt_taken[best_gt] = True
+            pairs.append((pi, best_gt, best_iou))
+        else:
+            unmatched_preds.append(pi)
+    return evaluation.MatchResult(pairs, unmatched_preds)
+
+
 def reference_evaluate(preds, gts, frame_dims):
     """``evaluation.evaluate`` with a full-frame mask and band per instance
     and full-frame IoUs of every (prediction, ground truth) pair of an
@@ -557,7 +684,7 @@ def reference_evaluate(preds, gts, frame_dims):
     order = ev._score_order(preds)
     precision, matches = {}, {}
     for kind, rows in (("mask", mask_rows), ("boundary", band_rows)):
-        matches[kind] = [ev._greedy_match(order, rows, len(gts), float(t)) for t in ev.IOU_THRESHOLDS]
+        matches[kind] = [reference_greedy_match(order, rows, len(gts), float(t)) for t in ev.IOU_THRESHOLDS]
         precision[kind] = [m.true_positives / len(preds) if preds else 0.0 for m in matches[kind]]
     pairs = matches["mask"][0].pairs
     per_gt_iou = np.zeros(len(gts))

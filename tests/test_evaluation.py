@@ -9,6 +9,7 @@ from conftest import (
     frame_mask,
     reference_boundary_band,
     reference_evaluate,
+    reference_greedy_match,
     reference_manual_level,
     reference_rasterize,
 )
@@ -302,6 +303,25 @@ class TestMatchInstances:
         assert [(p, g) for p, g, _ in res.pairs] == expected
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_walk_on_random_ious(self, seed):
+        rng = np.random.default_rng(seed)
+        n_preds, n_gts = 12, 6
+        image_ids = rng.integers(0, 2, size=n_preds + n_gts)
+        scores = rng.choice([0.5, 0.7, 0.9], size=n_preds)  # tied scores keep input order
+        preds = [ev.InstancePrediction(rect(0, 0, 1, 1), float(s), int(i)) for s, i in zip(scores, image_ids)]
+        gts = [ev.GroundTruth(rect(0, 0, 1, 1), int(i)) for i in image_ids[n_preds:]]
+        table = rng.choice([0.0, 0.4, 0.5, 0.8, 0.8, 1.0], size=(n_preds, n_gts))
+        index = {id(x): i for i, x in enumerate(preds + gts)}
+        iou_fn = lambda p, g: float(table[index[id(p)], index[id(g)] - n_preds])
+        rows = [
+            [(gi, iou_fn(p, gts[gi])) for gi in range(n_gts) if gts[gi].image_id == p.image_id] for p in preds
+        ]
+        order = sorted(range(n_preds), key=lambda i: (-preds[i].score, i))
+        for threshold in (0.5, 0.75):
+            want = reference_greedy_match(order, rows, n_gts, threshold)
+            assert ev.match_instances(preds, gts, iou_fn, threshold) == want
+
     def test_identical_polygon_in_another_image_is_unmatched(self):
         gts = [ev.GroundTruth(rect(10, 10, 50, 50), image_id=0), ev.GroundTruth(rect(70, 70, 120, 120), image_id=1)]
         preds = [ev.InstancePrediction(rect(10, 10, 50, 50), 0.9, image_id=1)]
@@ -309,6 +329,54 @@ class TestMatchInstances:
         assert res.pairs == [] and res.unmatched_preds == [0]
         report = ev.evaluate(preds, gts, FRAME)
         assert report.ap_msk == 0.0 and report.ap_bdy == 0.0 and report.mean_instance_iou == 0.0
+
+
+class TestGreedyWalks:
+    """The one walk over every threshold against one
+    ``conftest.reference_greedy_match`` walk per threshold."""
+
+    def per_threshold(self, order, rows, n_gts, thresholds):
+        matches = [reference_greedy_match(order, rows, n_gts, t) for t in thresholds]
+        return [m.true_positives for m in matches], matches[0].pairs
+
+    @staticmethod
+    def random_rows(seed):
+        rng = np.random.default_rng(seed)
+        n_preds, n_gts = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        # few distinct IoUs, some exactly at a threshold, give ties in rows
+        # and across predictions
+        levels = np.array([0.0, 0.3, 0.5, 0.55, 0.6, 0.62, 0.75, 0.9, 0.95, 1.0])
+        rows = []
+        for _ in range(n_preds):
+            gis = np.sort(rng.choice(n_gts, size=int(rng.integers(0, n_gts + 1)), replace=False))
+            rows.append([(int(gi), float(rng.choice(levels))) for gi in gis])
+        return rng.permutation(n_preds).tolist(), rows, n_gts
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_threshold_walks_with_ties(self, seed):
+        order, rows, n_gts = self.random_rows(seed)
+        thresholds = ev.IOU_THRESHOLDS.tolist()
+        assert ev._greedy_walks(order, rows, thresholds) == self.per_threshold(order, rows, n_gts, thresholds)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_threshold_walk_matches_reference(self, seed):
+        order, rows, n_gts = self.random_rows(seed)
+        for threshold in (0.0, 0.5, 0.6, 0.75, 1.0):
+            want = reference_greedy_match(order, rows, n_gts, threshold)
+            assert ev._greedy_walks(order, rows, [threshold]) == ([want.true_positives], want.pairs)
+
+    def test_tied_ious_go_to_the_first_in_the_row(self):
+        rows = [[(2, 0.8), (0, 0.8), (1, 0.7)], [(0, 0.8), (2, 0.8)]]
+        thresholds = [0.5, 0.75, 0.8, 0.85]
+        true_positives, pairs = ev._greedy_walks([0, 1], rows, thresholds)
+        assert pairs == [(0, 2, 0.8), (1, 0, 0.8)]
+        assert true_positives == [2, 2, 2, 0]
+        assert (true_positives, pairs) == self.per_threshold([0, 1], rows, 3, thresholds)
+
+    def test_a_threshold_of_zero_still_needs_a_positive_iou(self):
+        rows = [[(0, 0.0)], [(0, 0.4), (1, 0.0)]]
+        assert ev._greedy_walks([0, 1], rows, [0.0, 0.5]) == ([1, 0], [(1, 0, 0.4)])
+        assert ev._greedy_walks([0, 1], rows, [0.0, 0.5]) == self.per_threshold([0, 1], rows, 2, [0.0, 0.5])
 
 
 class TestAveragePrecision:

@@ -12,6 +12,8 @@ from conftest import (
     flipped_kernel,
     nine_tap_backward,
     nine_tap_conv,
+    reference_evolution_backward,
+    reference_evolution_forward,
     relative_error,
     tap_slices,
 )
@@ -396,13 +398,19 @@ class TestBackward:
             evo.backward({}, params, d_offsets=np.zeros((1, 8, 2)))
 
 
-def test_float32_network_matches_float64():
-    """The stored float32 network against the same arrays cast to float64, at
-    the default sizes (N=64, W=128, the global layer 5 taps 5 vertices apart)."""
-    rng = np.random.default_rng(46)
+def default_params(rng):
+    """The stored float32 parameters at the default sizes (N=64, W=128, the
+    global layer 5 taps 5 vertices apart), with random evolution heads."""
     params = pipeline.PipelineParams.initialize(RunConfig(), rng)
     params.step_w[...] = rng.normal(scale=0.3, size=params.step_w.shape)
     params.cls_w[...] = rng.normal(scale=0.3, size=params.cls_w.shape)
+    return params
+
+
+def test_float32_network_matches_float64():
+    """The stored float32 network against the same arrays cast to float64."""
+    rng = np.random.default_rng(46)
+    params = default_params(rng)
     reference = as_float64(params)
     feats = rng.normal(size=(5, 64, 10))
     a_off = rng.normal(size=(5, 64, 2))
@@ -419,3 +427,56 @@ def test_float32_network_matches_float64():
         assert getattr(params, name).dtype == np.float32, name
         assert g.dtype == np.float32 and expected[name].dtype == np.float64, name
         assert relative_error(g, expected[name]) < 1e-5, name
+
+
+class TestFuseHalves:
+    """The fuse layer as its per-vertex and pooled halves against the
+    concatenated input of ``conftest.reference_evolution_forward``."""
+
+    @staticmethod
+    def params(rng):
+        """:func:`default_params` with every evolution bias random too."""
+        params = default_params(rng)
+        for name in ("up_b", "detail_b", "local_b", "global_b", "fuse_b", "step_b", "cls_b"):
+            getattr(params, name)[...] = rng.normal(scale=0.1, size=getattr(params, name).shape)
+        return params
+
+    @staticmethod
+    def outputs(forward, backward, feats, params, a_off, a_pr):
+        offsets, probs, cache = forward(feats, params)
+        grads = backward(cache, params, d_offsets=a_off, d_logits=evo.softmax_backward(probs, a_pr))
+        return {"offsets": offsets, "probs": probs, **grads}
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_matches_concatenated_reference(self, dtype, bound, batch):
+        rng = np.random.default_rng(48 + batch)
+        params = self.params(rng)
+        if dtype == np.float64:
+            params = as_float64(params)
+        feats = rng.normal(size=(batch, 64, 10))
+        a_off = rng.normal(size=(batch, 64, 2)).astype(dtype)
+        a_pr = rng.normal(size=(batch, 64, 2)).astype(dtype)
+        got = self.outputs(evo.forward, evo.backward, feats, params, a_off, a_pr)
+        want = self.outputs(reference_evolution_forward, reference_evolution_backward, feats, params, a_off, a_pr)
+        assert len(got) == 16 and sorted(got) == sorted(want)
+        for name, value in got.items():
+            assert value.dtype == dtype and want[name].dtype == dtype, name
+            assert value.shape == want[name].shape, name
+            assert relative_error(value, want[name]) < bound, name
+
+    def test_pooled_argmax_picks_the_maxima(self):
+        rng = np.random.default_rng(49)
+        _, _, cache = evo.forward(rng.normal(size=(3, 64, 10)), self.params(rng))
+        picked = np.take_along_axis(cache["global_out"], cache["pooled_argmax"][:, None, :], axis=1)[:, 0]
+        assert np.array_equal(picked, cache["global_out"].max(axis=1))
+
+    def test_contour_bits_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(50)
+        params = self.params(rng)
+        feats = rng.normal(size=(5, 64, 10))
+        offsets, probs, _ = evo.forward(feats, params)
+        for part in (slice(0, 1), slice(1, 3), slice(3, 5)):
+            part_offsets, part_probs, _ = evo.forward(feats[part], params)
+            assert np.array_equal(part_offsets, offsets[part])
+            assert np.array_equal(part_probs, probs[part])

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import frame_mask, reference_feature_provider
+from conftest import frame_mask, reference_feature_provider, reference_generate_scene
 from scipy import ndimage
 
 from polytrace import synth, training
@@ -131,6 +131,47 @@ class TestGenerateScene:
             inside = frame_mask(scene.buildings[0], 64, 64)
             assert len(np.unique(scene.image[inside])) == 1
             assert scene.image[inside].min() > scene.image[~inside].max()
+
+
+def assert_same_scene(got, want):
+    assert np.array_equal(got.image, want.image)
+    assert got.seed == want.seed
+    assert len(got.buildings) == len(want.buildings)
+    for a, b in zip(got.buildings, want.buildings):
+        assert np.array_equal(a, b)
+
+
+class TestPlacementAgainstReference:
+    """Placement on Python floats against the numpy placement of
+    ``conftest.reference_generate_scene``, bit for bit."""
+
+    # the benchmark's specs: dense is the default spec, sparse one building
+    # per scene; seeds 100,000 on are a benchmark pool's
+    @pytest.mark.parametrize("overrides", [{}, {"min_buildings": 1, "max_buildings": 1}])
+    def test_workload_specs_bit_identical(self, overrides):
+        spec = training.scene_spec_from_config(RunConfig(**overrides))
+        for seed in [*range(500), *range(100_000, 100_500)]:
+            assert_same_scene(synth.generate_scene(seed, spec), reference_generate_scene(seed, spec))
+
+    def test_partly_placed_seed_bit_identical(self):
+        spec = training.scene_spec_from_config(RunConfig())
+        scene = synth.generate_scene(182, spec)
+        assert len(scene.buildings) == 3
+        assert_same_scene(scene, reference_generate_scene(182, spec))
+
+    def test_packing_that_cannot_be_completed_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(synth, "MAX_TRIES", 20)
+        spec = synth.SceneSpec(frame_dims=(64, 64), n_buildings=(8, 8), size_range=(40.0, 48.0))
+        for seed in range(20):
+            assert_same_scene(synth.generate_scene(seed, spec), reference_generate_scene(seed, spec))
+
+    def test_unplaceable_spec_raises_the_same_error(self):
+        spec = synth.SceneSpec(frame_dims=(32, 32))
+        with pytest.raises(ValueError) as got:
+            synth.generate_scene(0, spec)
+        with pytest.raises(ValueError) as want:
+            reference_generate_scene(0, spec)
+        assert str(got.value) == str(want.value)
 
 
 class TestShapeMakers:

@@ -1,6 +1,7 @@
 """Smoke test of tools/train_digest.py on a default 2-scene fit, and its
 infer and evaluation digests in process on a small benchmark set-up."""
 
+import dataclasses
 import importlib.util
 import subprocess
 import sys
@@ -16,31 +17,56 @@ def run_digest(*args):
     return subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True)
 
 
+def load_tool(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    spec = importlib.util.spec_from_file_location("train_digest", SCRIPT)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_digest_of_a_two_scene_fit_and_its_comparison(tmp_path):
     done = run_digest("--fit", "2")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     label, digest = lines[0].split(" params ")
     assert label == "fit 2" and len(digest) == 64
+    label, heads = lines[1].split(" heads ")
+    assert label == "fit 2" and len(heads) == 64 and heads != digest
     # 2 scenes make one step per epoch
-    assert lines[1] == "fit 2 steps 12 failed 0"
-    assert [line.split()[:4] for line in lines[2:]] == [["fit", "2", "step", str(i)] for i in range(12)]
-    assert all(float.fromhex(line.split()[-1]) > 0.0 for line in lines[2:])
+    assert lines[2] == "fit 2 steps 12 failed 0"
+    assert [line.split()[:4] for line in lines[3:]] == [["fit", "2", "step", str(i)] for i in range(12)]
+    assert all(float.fromhex(line.split()[-1]) > 0.0 for line in lines[3:])
 
-    same, other = tmp_path / "same.txt", tmp_path / "other.txt"
+    same, other, moved_heads = tmp_path / "same.txt", tmp_path / "other.txt", tmp_path / "heads.txt"
     same.write_text(done.stdout)
     other.write_text(done.stdout.replace(digest, "0" * 64))
+    moved_heads.write_text(done.stdout.replace(heads, "0" * 64))
     equal = run_digest("--compare", str(same), str(same))
-    assert equal.returncode == 0 and "fit 2: params equal" in equal.stdout
+    assert equal.returncode == 0 and "fit 2: params equal, heads equal" in equal.stdout
     differ = run_digest("--compare", str(same), str(other))
-    assert differ.returncode == 1 and "fit 2: params DIFFER" in differ.stdout
+    assert differ.returncode == 1 and "fit 2: params DIFFER, heads equal" in differ.stdout
+    differ = run_digest("--compare", str(same), str(moved_heads))
+    assert differ.returncode == 1 and "fit 2: params equal, heads DIFFER" in differ.stdout
+
+
+def test_heads_digest_reads_only_the_heads(monkeypatch):
+    tool = load_tool(monkeypatch)
+    from polytrace import pipeline
+    from polytrace.config import RunConfig
+
+    params = pipeline.PipelineParams.initialize(RunConfig(), np.random.default_rng(0))
+    before = tool.params_digest(params), tool.params_digest(params, tool.HEAD_PREFIXES)
+    params.fuse_w[0, 0] += 1.0
+    evolution_moved = tool.params_digest(params), tool.params_digest(params, tool.HEAD_PREFIXES)
+    params.offset_b3[0] += 1.0
+    head_moved = tool.params_digest(params), tool.params_digest(params, tool.HEAD_PREFIXES)
+    assert evolution_moved[0] != before[0] and evolution_moved[1] == before[1]
+    assert head_moved[0] != evolution_moved[0] and head_moved[1] != before[1]
 
 
 def test_infer_digests_follow_each_output(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(ROOT))
-    spec = importlib.util.spec_from_file_location("train_digest", SCRIPT)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool(monkeypatch)
     from perfbench import workloads
 
     from polytrace import evaluation, reduction
@@ -66,14 +92,23 @@ def test_infer_digests_follow_each_output(monkeypatch, tmp_path):
     with monkeypatch.context() as patch:
         patch.setattr(evaluation, "BOUNDARY_FRACTION", 3 * evaluation.BOUNDARY_FRACTION)
         wider = digests(1, bench.model)[0]
-    assert [wider[k] == first[k] for k in tool.INFER_DIGESTS] == [True, True, True, True, False]
+    assert [wider[k] == first[k] for k in tool.INFER_DIGESTS] == [True, True, True, True, True, False]
+
+    # another evolution network moves the evolved points and their reduced
+    # polygons, not the decoded detections (the scores of six scenes' few
+    # matches need not move); another center head moves the detections
+    evolved = dataclasses.replace(bench.model, step_b=bench.model.step_b + np.float32(0.5))
+    moved = digests(1, evolved)[0]
+    assert [moved[k] == first[k] for k in tool.INFER_DIGESTS[:5]] == [True, True, False, False, True]
+    centered = dataclasses.replace(bench.model, center_b2=bench.model.center_b2 + 0.5)
+    assert digests(1, centered)[0]["detections"] != first["detections"]
 
     # a reduction that keeps one more vertex moves the reduced polygons and
     # their evaluation
     prune = reduction.prune_collinear
     monkeypatch.setattr(reduction, "prune_collinear", lambda poly: np.vstack([prune(poly), poly[:1]]))
     moved = digests(1, bench.model)[0]
-    assert [moved[k] == first[k] for k in tool.INFER_DIGESTS] == [True, True, False, False, False]
+    assert [moved[k] == first[k] for k in tool.INFER_DIGESTS] == [True, True, True, False, False, False]
 
     old, new = tmp_path / "old.txt", tmp_path / "new.txt"
     old.write_text("".join(f"infer dense:1 {k} {v}\n" for k, v in first.items()))

@@ -7,7 +7,8 @@ and infers bit-identically.
 
 Run from the root of a checkout, once on each side of a change, then compare
 (or ``diff``) the two outputs. For every run it prints the sha256 of the
-final parameters, the step count with the number of steps that raised
+final parameters, the sha256 of the center and offset heads' arrays alone
+(``heads``), the step count with the number of steps that raised
 ``FloatingPointError``, and every step's total loss as a hex float:
 
 - ``fit N``: ``training.fit`` with the default config on
@@ -20,20 +21,24 @@ final parameters, the step count with the number of steps that raised
   benchmark.
 - ``infer WORKLOAD:SEED``: the benchmark's infer and postprocess outputs,
   without timing. After ``Bench(WORKLOAD, SEED).setup()`` it prints one
-  sha256 each of the feature grids of the held-out scenes, their
-  predictions (points, vertex scores and score of each), their reduced
-  polygons, and the reduced polygons of the postprocess rings; an error
-  is hashed by its type's name. A fifth, ``evaluation``, hashes the hex
-  floats of ``REPORT_FIELDS`` of ``evaluation.evaluate``'s report on the
-  reduced postprocess polygons and on the reduced infer polygons, scored
-  and grouped into images as the benchmark does. The benchmark's infer
-  model depends on neither workload nor seed, so it is fitted once per
-  process.
+  sha256 each of the feature grids of the held-out scenes, their center
+  detections (position and score of each from ``pipeline.detect``, the
+  step of ``predict_scene`` that only the grid and the center head
+  decide), their predictions (points, vertex scores and score of each),
+  their reduced polygons, and the reduced polygons of the postprocess
+  rings; an error is hashed by its type's name. A sixth, ``evaluation``,
+  hashes the hex floats of ``REPORT_FIELDS`` of ``evaluation.evaluate``'s
+  report on the reduced postprocess polygons and on the reduced infer
+  polygons, scored and grouped into images as the benchmark does. The
+  benchmark's infer model depends on neither workload nor seed, so it is
+  fitted once per process.
 
 ``--compare`` reads two outputs of the same runs. It prints, per run,
 whether the digests are equal and, for training runs, the largest relative
 difference of a step's loss, and exits 1 if a digest or a failure count
-differs.
+differs. A change to the evolution network alone moves ``params``,
+``predictions`` and what follows from them, but leaves ``heads`` and
+``detections`` equal: no gradient of the heads passes through it.
 BLAS and OpenMP threads are pinned to one, as the benchmark pins them.
 """
 
@@ -47,7 +52,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-INFER_DIGESTS = ("features", "predictions", "infer_polygons", "postprocess_polygons", "evaluation")
+INFER_DIGESTS = ("features", "detections", "predictions", "infer_polygons", "postprocess_polygons", "evaluation")
+HEAD_PREFIXES = ("center_", "offset_")
 REPORT_FIELDS = (
     "ap_msk",
     "ap_bdy",
@@ -83,11 +89,14 @@ def replays(specs):
             yield workload, seed
 
 
-def params_digest(params) -> str:
+def params_digest(params, prefixes=("",)) -> str:
+    """sha256 of the arrays whose names start with one of ``prefixes``
+    (every array by default), with their names, dtypes and shapes."""
     h = hashlib.sha256()
     for name, arr in params.arrays():
-        h.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
-        h.update(arr.tobytes())
+        if name.startswith(prefixes):
+            h.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
+            h.update(arr.tobytes())
     return h.hexdigest()
 
 
@@ -151,7 +160,12 @@ def infer_digests(bench) -> dict:
 
     infer_preds, infer_gts = [], []
     for image_id, scene in enumerate(bench.scenes[: bench.sizes.infer_scenes]):
-        h["features"].update(synth.feature_provider(scene.image).tobytes())
+        grid = synth.feature_provider(scene.image)
+        h["features"].update(grid.tobytes())
+        _, centers = pipeline.detect(grid[None], bench.model, cfg)
+        h["detections"].update(f"{len(centers)} detections".encode())
+        for det in centers:
+            h["detections"].update(det.position.tobytes() + float(det.score).hex().encode())
         infer_gts += [evaluation.GroundTruth(b, image_id) for b in scene.buildings]
         try:
             preds = pipeline.predict_scene(scene.image, bench.model, cfg)
@@ -204,6 +218,7 @@ def infer_runs(specs):
 def report(label: str, params, losses) -> None:
     failed = sum(isinstance(loss, str) for loss in losses)
     print(f"{label} params {params_digest(params)}")
+    print(f"{label} heads {params_digest(params, HEAD_PREFIXES)}")
     print(f"{label} steps {len(losses)} failed {failed}")
     for i, loss in enumerate(losses):
         print(f"{label} step {i} {loss if isinstance(loss, str) else float(loss).hex()}")
@@ -243,8 +258,9 @@ def compare(old_path, new_path) -> int:
                 worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
         status |= bool(differ)
         if "params" in a:
-            verdict = "params DIFFER" if differ else "params equal"
-            print(f"{label}: {verdict}, steps {b['steps']}, largest relative loss difference {worst:.3g}")
+            verdicts = [f"{key} {'DIFFER' if key in differ else 'equal'}" for key in ("params", "heads")]
+            verdicts += [f"{key} DIFFER" for key in differ if key not in ("params", "heads")]
+            print(f"{label}: {', '.join(verdicts)}, steps {b['steps']}, largest relative loss difference {worst:.3g}")
         else:
             print(f"{label}: " + (f"digests DIFFER: {', '.join(differ)}" if differ else "digests equal"))
     return status
