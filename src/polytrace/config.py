@@ -4,7 +4,8 @@ Every value a run may set lives here with its recommended default; a
 handful of core parameters are range-checked against their recommended
 intervals unless ``allow_nonstandard`` is set. A value that every run
 shares is not a field but a constant in the module that reads it, such as
-``pipeline.EXPANSION_FACTOR`` or ``training.BATCH_SCENES``.
+``pipeline.EXPANSION_FACTOR``, ``training.BATCH_SCENES`` or
+``synth.FEATURE_CHANNELS``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class RunConfig:
     vertex_threshold: float = 0.6
 
     # model sizes
-    feature_channels: int = 8
     encoder_width: int = 128
     center_hidden: int = 32
     offset_hidden: int = 32

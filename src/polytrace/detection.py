@@ -22,11 +22,6 @@ class CenterDetection:
     position: np.ndarray  # (2,) full-resolution pixels
     score: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError("detection score must be a probability")
-
 
 def grid_shape(image_dims) -> tuple[int, int]:
     """(rows, cols) of the stride-4 grid for an image of (width, height)."""

@@ -133,10 +133,6 @@ class MatchResult:
     pairs: list  # (pred_index, gt_index, iou)
     unmatched_preds: list
 
-    @property
-    def true_positives(self) -> int:
-        return len(self.pairs)
-
 
 def match_instances(preds, gts, iou_fn, threshold: float) -> MatchResult:
     """Greedy score-ordered matching with the single-match rule.

@@ -46,7 +46,9 @@ inference, and of every scene of a training step, are evolved as one
 tensor. Forward passes cache the activations :func:`backward` needs, which
 produces exact reverse-mode gradients for the parameters it reaches. The
 im2col columns of the convolutions are not cached: backward rebuilds them
-from each layer's cached input.
+from each layer's cached input. Nor is the pooled argmax, which only
+backward reads: forward pools with a max, and backward takes the argmax of
+the cached global layer output.
 
 The network computes in the dtype of its parameters: :func:`forward` casts
 the vertex features, and :func:`backward` the upstream gradients, to it, and
@@ -233,8 +235,7 @@ def forward(features, params):
 
     f3 = f_prev
     b, n, width = f3.shape
-    argmax = f3.argmax(axis=1)
-    pooled = np.take_along_axis(f3, argmax[:, None, :], axis=1)[:, 0]
+    pooled = f3.max(axis=1)
     vertex_w, pooled_w = params.fuse_w[:, :width], params.fuse_w[:, width:]
     # the pooled half is one (1, W) row product per contour, stacked, so that
     # a contour's bits do not depend on how many contours share the batch
@@ -243,7 +244,7 @@ def forward(features, params):
     z4 = (f3.reshape(-1, width) @ vertex_w.T).reshape(b, n, width)
     z4 += per_contour
     f4 = _relu(z4)
-    cache.update(pooled_argmax=argmax, z4=z4, f4=f4)
+    cache.update(z4=z4, f4=f4)
 
     offsets = f4 @ params.step_w.T
     offsets += params.step_b
@@ -279,8 +280,8 @@ def backward(cache, params, d_offsets=None, d_logits=None):
     # every vertex of a contour adds the same pooled term, whose gradient is
     # the sum of theirs
     d_per_contour = d_z4.sum(axis=1)
-    f3, argmax = cache["global_out"], cache["pooled_argmax"]
-    pooled = np.take_along_axis(f3, argmax[:, None, :], axis=1)[:, 0]
+    f3 = cache["global_out"]
+    argmax, pooled = f3.argmax(axis=1), f3.max(axis=1)
     vertex_w, pooled_w = params.fuse_w[:, :width], params.fuse_w[:, width:]
     grads["fuse_w"] = np.concatenate([flat_dz4.T @ f3.reshape(-1, width), d_per_contour.T @ pooled], axis=1)
     grads["fuse_b"] = d_per_contour.sum(axis=0)

@@ -74,16 +74,9 @@ def bbox_center(points) -> np.ndarray:
     return np.array([(box[0] + box[2]) / 2.0, (box[1] + box[3]) / 2.0])
 
 
-def signed_area(poly) -> float:
-    """Shoelace area of the ring.
-
-    Positive for clockwise traversal on screen (y down), negative for
-    counterclockwise.
-    """
-    return _shoelace(as_polygon(poly))
-
-
 def _shoelace(p: np.ndarray) -> float:
+    """Signed area of an (n, 2) ring: positive for clockwise traversal on
+    screen (y down), negative for counterclockwise."""
     (x, y), (xn, yn) = p.T, _next(p).T
     return float(np.sum(x * yn - xn * y) / 2.0)
 
@@ -351,8 +344,6 @@ def expand_mask(mask: np.ndarray, radius: int) -> np.ndarray:
         raise ValueError("dilation radius must be a non-negative integer")
     m = np.asarray(mask, dtype=bool)
     r = int(radius)
-    if r == 0:
-        return m.copy()
     *lead, h, w = m.shape
     padded = np.zeros((*lead, h + 2 * r, w), dtype=bool)
     padded[..., r : r + h, :] = m

@@ -39,7 +39,7 @@ import numpy as np
 from . import evolution as evo
 from .config import RunConfig
 from .detection import STRIDE, decode_peaks
-from .synth import feature_provider
+from .synth import FEATURE_CHANNELS, feature_provider
 
 # the training objective supervises exactly two rounds: smooth L1 after the
 # first, dynamic matching and vertex classification after the second
@@ -91,12 +91,12 @@ class PipelineParams:
 
     @staticmethod
     def layout(cfg: RunConfig) -> dict:
-        """Field name -> (shape, dtype) of every array, in field order, for C
-        feature channels, head widths H1 and H2, N vertices and evolution
-        encoder width W; the heads are ``HEAD_DTYPE``, the evolution network
-        ``EVOLUTION_DTYPE``. Each circular kernel is read at the dilation
-        :data:`evolution.DILATIONS` gives its layer."""
-        c = cfg.feature_channels
+        """Field name -> (shape, dtype) of every array, in field order, for C =
+        ``synth.FEATURE_CHANNELS`` feature channels, head widths H1 and H2, N
+        vertices and evolution encoder width W; the heads are ``HEAD_DTYPE``,
+        the evolution network ``EVOLUTION_DTYPE``. Each circular kernel is
+        read at the dilation :data:`evolution.DILATIONS` gives its layer."""
+        c = FEATURE_CHANNELS
         h1, h2 = cfg.center_hidden, cfg.offset_hidden
         n, w = cfg.n_vertices, cfg.encoder_width
         heads = dict(

@@ -6,14 +6,16 @@ coordinates and their cyclic order. When a stage would leave fewer than
 three survivors the top-3 scored vertices are restored instead, since the
 final output must be a polygon.
 
-Cost model for an n-vertex ring: vertex NMS builds one n x n distance
-matrix, and its greedy walk runs only over the vertices that have another
-vertex closer than the radius, one row per keeper; every other vertex
-survives any walk. Angle pruning computes every interior angle in one
-stacked :func:`vertex_angle` call, then keeps the ring links and angles in
-Python lists, and each removal updates its two neighbors' angles with one
-2x2 Gram matmul each, with the same bits as the stacked call. A
-three-vertex ring computes no angles.
+Cost model for an n-vertex ring: thresholding, vertex NMS and the top-3
+fallback return index arrays into the ring, and :func:`reduce` gathers
+points and scores by them, so no stage validates or builds a contour.
+Vertex NMS builds one n x n distance matrix, and its greedy walk runs only
+over the vertices that have another vertex closer than the radius, one row
+per keeper; every other vertex survives any walk. Angle pruning computes
+every interior angle in one stacked :func:`vertex_angle` call, then keeps
+the ring links and angles in Python lists, and each removal updates its
+two neighbors' angles with one 2x2 Gram matmul each, with the same bits as
+the stacked call. A three-vertex ring computes no angles.
 """
 
 from __future__ import annotations
@@ -40,25 +42,18 @@ class ScoredContour:
         object.__setattr__(self, "scores", sc)
         if pts.ndim != 2 or pts.shape[1] != 2 or sc.shape != (pts.shape[0],):
             raise ValueError("need (N, 2) points with one score per vertex")
-        if np.any(sc < 0) or np.any(sc > 1):
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("contour points must be finite")
+        if not np.all((sc >= 0) & (sc <= 1)):
             raise ValueError("scores must lie in [0, 1]")
 
     def __len__(self):
         return self.points.shape[0]
 
-    def take(self, indices) -> "ScoredContour":
-        """The rows at ``indices``, without validating them again: rows of a
-        valid contour are valid."""
-        idx = np.asarray(indices, dtype=int)
-        out = object.__new__(ScoredContour)
-        object.__setattr__(out, "points", self.points[idx])
-        object.__setattr__(out, "scores", self.scores[idx])
-        return out
 
-
-def threshold_vertices(sc: ScoredContour, t: float) -> ScoredContour:
-    """Keep vertices scoring at least t, in their original cyclic order."""
-    return sc.take(np.nonzero(sc.scores >= t)[0])
+def threshold_vertices(scores, t: float) -> np.ndarray:
+    """Indices of the vertices scoring at least t, in their cyclic order."""
+    return np.flatnonzero(scores >= t)
 
 
 def mean_segment_length(points) -> float:
@@ -68,23 +63,25 @@ def mean_segment_length(points) -> float:
     return float(np.sqrt((d * d).sum(axis=1)).mean())
 
 
-def vertex_nms(sc: ScoredContour, radius: float) -> ScoredContour:
-    """Greedy suppression: highest score first (ties by lower index), each
-    keeper removes every not-yet-kept vertex strictly nearer than radius.
+def vertex_nms(points, scores, radius: float) -> np.ndarray:
+    """Indices of the survivors, in order, of greedy suppression over (n, 2)
+    points and their (n,) scores: highest score first (ties by lower
+    index), each keeper removes every not-yet-kept vertex strictly nearer
+    than radius.
 
     A vertex with no other vertex that near is kept by any walk, so the walk
     runs over the others only. A NaN distance counts as near."""
     if radius < 0:
         raise ValueError("suppression radius must be non-negative")
     # close[i, j]: keeper i suppresses vertex j
-    close = ~(pairwise_distances(sc.points, sc.points) >= radius)
+    close = ~(pairwise_distances(points, points) >= radius)
     np.fill_diagonal(close, False)
     crowded = np.flatnonzero(close.any(axis=1))
-    keep = np.ones(len(sc), dtype=bool)
-    for idx in crowded[np.lexsort((crowded, -sc.scores[crowded]))].tolist():
+    keep = np.ones(len(close), dtype=bool)
+    for idx in crowded[np.lexsort((crowded, -scores[crowded]))].tolist():
         if keep[idx]:
             keep[close[idx]] = False
-    return sc.take(np.flatnonzero(keep))
+    return np.flatnonzero(keep)
 
 
 def prune_collinear(poly) -> np.ndarray:
@@ -150,15 +147,16 @@ def reduce(sc: ScoredContour, t: float) -> np.ndarray:
     if len(sc) < 3:
         raise ValueError("contour needs at least 3 scored vertices")
     radius = mean_segment_length(sc.points) / 2.0
-    kept = threshold_vertices(sc, t)
+    kept = threshold_vertices(sc.scores, t)
     if len(kept) < 3:
-        kept = _top3(sc)
-    kept = vertex_nms(kept, radius)
+        kept = _top3(sc.scores)
+    kept = kept[vertex_nms(sc.points[kept], sc.scores[kept], radius)]
     if len(kept) < 3:
-        kept = vertex_nms(_top3(sc), 0.0)
-    return prune_collinear(kept.points)
+        kept = _top3(sc.scores)
+        kept = kept[vertex_nms(sc.points[kept], sc.scores[kept], 0.0)]
+    return prune_collinear(sc.points[kept])
 
 
-def _top3(sc: ScoredContour) -> ScoredContour:
-    order = np.lexsort((np.arange(len(sc)), -sc.scores))[:3]
-    return sc.take(np.sort(order))
+def _top3(scores) -> np.ndarray:
+    """Indices of the three highest scores (ties by lower index), in order."""
+    return np.sort(np.lexsort((np.arange(len(scores)), -scores))[:3])

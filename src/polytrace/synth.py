@@ -30,6 +30,7 @@ GAP = 6.0                       # min gap between building bounding boxes
 BACKGROUND = (25.0, 55.0)       # uniform range of the background gray level
 FOREGROUND = (150.0, 230.0)     # uniform range of each building's gray level
 MAX_TRIES = 200                 # placement attempts per building before giving up
+FEATURE_CHANNELS = 8            # channels of the feature grid, which the model's first layers read
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def _boxes_overlap(a, b):
 
 
 def feature_provider(image) -> np.ndarray:
-    """Handcrafted stride-4 feature grid, shape (H/4, W/4, 8).
+    """Handcrafted stride-4 feature grid, shape (H/4, W/4, FEATURE_CHANNELS).
 
     Channels: block-mean intensity, x/y central-difference gradients,
     gradient magnitude, normalized x/y coordinates spanning [0, 1], and
@@ -187,7 +188,7 @@ def feature_provider(image) -> np.ndarray:
     rows, cols = img.shape[0] // STRIDE, img.shape[1] // STRIDE
     down = img.reshape(rows, STRIDE, cols, STRIDE).sum(axis=3).sum(axis=1) / STRIDE**2
 
-    grid = np.empty((rows, cols, 8))
+    grid = np.empty((rows, cols, FEATURE_CHANNELS))
     grid[..., 0] = down
     grid[..., 2], grid[..., 1] = np.gradient(down)
     np.hypot(grid[..., 1], grid[..., 2], out=grid[..., 3])

@@ -29,7 +29,7 @@ from . import losses
 from .assignment import hungarian, match_cost
 from .config import RunConfig
 from .detection import STRIDE, build_heatmap_target
-from .geometry import bbox_center, bounding_box, densify
+from .geometry import bounding_box, densify
 from .pipeline import (
     EXPANSION_FACTOR,
     PipelineParams,
@@ -85,8 +85,8 @@ def prepare_scene(scene: SyntheticScene, cfg: RunConfig, image_id: int = 0) -> S
     height, width = np.asarray(scene.image).shape
     corners = [np.asarray(poly, dtype=float) for poly in scene.buildings]
     rings = np.array([densify(poly, cfg.n_vertices).points for poly in corners]).reshape(-1, cfg.n_vertices, 2)
-    centers = np.array([bbox_center(poly) for poly in corners]).reshape(-1, 2)
     boxes = np.array([bounding_box(poly) for poly in corners]).reshape(-1, 4)
+    centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
     heat_target = build_heatmap_target(centers, boxes[:, 2:] - boxes[:, :2], (width, height))
     return SceneBundle(features, heat_target, rings, centers, corners, (width, height), image_id)
 

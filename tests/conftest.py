@@ -513,28 +513,29 @@ def reference_reduce(sc, t):
     ``reduce`` must give the same bits."""
     if len(sc) < 3:
         raise ValueError("contour needs at least 3 scored vertices")
-    pts = sc.points
+    pts, scores = sc.points, sc.scores
     radius = float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).mean()) / 2.0
-    kept = reduction.threshold_vertices(sc, t)
+    kept = reduction.threshold_vertices(scores, t)
     if len(kept) < 3:
-        kept = reduction._top3(sc)
-    kept = reference_vertex_nms(kept, radius)
+        kept = reduction._top3(scores)
+    kept = kept[reference_vertex_nms(pts[kept], scores[kept], radius)]
     if len(kept) < 3:
-        kept = reference_vertex_nms(reduction._top3(sc), 0.0)
-    return reference_prune_collinear(kept.points)
+        kept = reduction._top3(scores)
+        kept = kept[reference_vertex_nms(pts[kept], scores[kept], 0.0)]
+    return reference_prune_collinear(pts[kept])
 
 
-def reference_vertex_nms(sc, radius):
+def reference_vertex_nms(points, scores, radius):
     """``reduction.vertex_nms`` with a greedy walk over every vertex."""
-    n = len(sc)
-    far = pairwise_distances(sc.points, sc.points) >= radius
+    n = len(points)
+    far = pairwise_distances(points, points) >= radius
     alive = np.ones(n, dtype=bool)
     keep = np.zeros(n, dtype=bool)
-    for idx in np.lexsort((np.arange(n), -sc.scores)).tolist():
+    for idx in np.lexsort((np.arange(n), -scores)).tolist():
         if alive[idx]:
             keep[idx] = True
             alive &= far[idx]
-    return sc.take(np.nonzero(keep)[0])
+    return np.flatnonzero(keep)
 
 
 def reference_prune_collinear(poly):
@@ -685,7 +686,7 @@ def reference_evaluate(preds, gts, frame_dims):
     precision, matches = {}, {}
     for kind, rows in (("mask", mask_rows), ("boundary", band_rows)):
         matches[kind] = [reference_greedy_match(order, rows, len(gts), float(t)) for t in ev.IOU_THRESHOLDS]
-        precision[kind] = [m.true_positives / len(preds) if preds else 0.0 for m in matches[kind]]
+        precision[kind] = [len(m.pairs) / len(preds) if preds else 0.0 for m in matches[kind]]
     pairs = matches["mask"][0].pairs
     per_gt_iou = np.zeros(len(gts))
     for _, gi, iou in pairs:

@@ -61,7 +61,7 @@ def test_field_names_are_pinned():
     # a new knob is a new configuration to test and benchmark: add it here on purpose
     assert [f.name for f in fields(RunConfig)] == [
         "n_vertices", "peak_threshold", "max_detections", "vertex_threshold",
-        "feature_channels", "encoder_width", "center_hidden", "offset_hidden",
+        "encoder_width", "center_hidden", "offset_hidden",
         "optimizer", "learning_rate", "epochs_total", "epochs_init", "decay_epoch_1", "decay_epoch_2",
         "frame_width", "frame_height", "min_buildings", "max_buildings",
         "size_min", "size_max", "noise_sigma",

@@ -72,7 +72,7 @@ def reference_report(preds, gts, frame):
     out = {}
     for kind, iou_fn in kinds.items():
         results = [ev.match_instances(preds, gts, iou_fn, float(t)) for t in ev.IOU_THRESHOLDS]
-        precision = [r.true_positives / len(preds) if preds else 0.0 for r in results]
+        precision = [len(r.pairs) / len(preds) if preds else 0.0 for r in results]
         out[f"precision_{kind}"] = precision
         out[f"ap_{kind}"] = float(np.mean(precision))
     match = ev.match_instances(preds, gts, kinds["msk"], 0.5)
@@ -265,7 +265,7 @@ class TestMatchInstances:
         pred = [ev.InstancePrediction(rect(10, 10, 50, 50), 0.9)]
         for thr in (0.5, 0.75, 0.95):
             res = ev.match_instances(pred, gt, self.iou, thr)
-            assert (res.true_positives, len(res.unmatched_preds), len(gt) - res.true_positives) == (1, 0, 0)
+            assert (len(res.pairs), len(res.unmatched_preds), len(gt) - len(res.pairs)) == (1, 0, 0)
 
     def test_two_predictions_one_gt(self):
         gt = [ev.GroundTruth(rect(10, 10, 50, 50))]
@@ -274,7 +274,7 @@ class TestMatchInstances:
             ev.InstancePrediction(rect(10, 10, 50, 48), 0.9),
         ]
         res = ev.match_instances(preds, gt, self.iou, 0.5)
-        assert res.true_positives == 1 and res.unmatched_preds == [0]
+        assert len(res.pairs) == 1 and res.unmatched_preds == [0]
         # the higher-scoring prediction claims the ground truth
         assert res.pairs[0][0] == 1
         # on tied scores the earlier prediction does, despite its lower IoU
@@ -337,7 +337,7 @@ class TestGreedyWalks:
 
     def per_threshold(self, order, rows, n_gts, thresholds):
         matches = [reference_greedy_match(order, rows, n_gts, t) for t in thresholds]
-        return [m.true_positives for m in matches], matches[0].pairs
+        return [len(m.pairs) for m in matches], matches[0].pairs
 
     @staticmethod
     def random_rows(seed):
@@ -363,7 +363,7 @@ class TestGreedyWalks:
         order, rows, n_gts = self.random_rows(seed)
         for threshold in (0.0, 0.5, 0.6, 0.75, 1.0):
             want = reference_greedy_match(order, rows, n_gts, threshold)
-            assert ev._greedy_walks(order, rows, [threshold]) == ([want.true_positives], want.pairs)
+            assert ev._greedy_walks(order, rows, [threshold]) == ([len(want.pairs)], want.pairs)
 
     def test_tied_ious_go_to_the_first_in_the_row(self):
         rows = [[(2, 0.8), (0, 0.8), (1, 0.7)], [(0, 0.8), (2, 0.8)]]

@@ -5,6 +5,7 @@ from polytrace import evolution as evo
 from polytrace import pipeline
 from polytrace.config import RunConfig
 from polytrace.geometry import densify
+from polytrace.synth import FEATURE_CHANNELS
 
 from conftest import (
     as_float64,
@@ -19,11 +20,13 @@ from conftest import (
 )
 
 SQUARE = np.array([[20.0, 20.0], [60.0, 20.0], [60.0, 60.0], [20.0, 60.0]])
+FEATURES = FEATURE_CHANNELS + 2  # sampled channels, then the relative coordinates
 
 
-def tiny_params(rng, channels=3, width=8, random_heads=True, **sizes):
-    """Float64 parameters of a small network, for exact checks."""
-    cfg = RunConfig(feature_channels=channels, encoder_width=width, **sizes)
+def tiny_params(rng, width=8, random_heads=True, **sizes):
+    """Float64 parameters of a small network, for exact checks; it reads
+    (B, N, FEATURES) vertex features."""
+    cfg = RunConfig(encoder_width=width, **sizes)
     params = as_float64(pipeline.PipelineParams.initialize(cfg, rng))
     if random_heads:
         params.step_w = rng.normal(scale=0.3, size=params.step_w.shape)
@@ -258,7 +261,7 @@ def tiny_pipeline(rng, random_heads):
 class TestForward:
     def test_zero_heads_leave_contour_unchanged(self, rng):
         params = tiny_pipeline(rng, random_heads=False)
-        grid = rng.normal(size=(16, 16, 3))
+        grid = rng.normal(size=(16, 16, FEATURE_CHANNELS))
         offsets = rng.normal(size=(2, 32))
         stages, probs, _ = pipeline.evolve_contours(
             grid[None], [0, 0], offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params
@@ -271,7 +274,7 @@ class TestForward:
 
     def test_update_is_additive_offset(self, rng):
         params = tiny_pipeline(rng, random_heads=True)
-        grid = rng.normal(size=(16, 16, 3))
+        grid = rng.normal(size=(16, 16, FEATURE_CHANNELS))
         offsets = rng.normal(size=(2, 32))
         stages, _, _ = pipeline.evolve_contours(
             grid[None], [0, 0], offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params
@@ -292,8 +295,8 @@ class TestForward:
         assert np.array_equal(batch[1], feats)
 
     def test_rotation_equivariance_exact(self, rng):
-        params = tiny_params(rng, channels=4, width=16)
-        feats = rng.normal(size=(1, 24, 6))
+        params = tiny_params(rng, width=16)
+        feats = rng.normal(size=(1, 24, FEATURES))
         off_a, probs_a, _ = evo.forward(feats, params)
         shift = 7
         off_b, probs_b, _ = evo.forward(np.roll(feats, shift, axis=1), params)
@@ -304,14 +307,14 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self, rng):
         params = tiny_params(rng)
-        feats = rng.normal(size=(2, 8, 5))
+        feats = rng.normal(size=(2, 8, FEATURES))
         _, _, cache = evo.forward(feats, params)
         grads = evo.backward(cache, params, d_offsets=np.zeros((2, 8, 2)), d_logits=np.zeros((2, 8, 2)))
         assert all(not g.any() for g in grads.values())
 
     def test_head_gradient_is_outer_product(self, rng):
         params = tiny_params(rng)
-        feats = rng.normal(size=(1, 8, 5))
+        feats = rng.normal(size=(1, 8, FEATURES))
         d_off = rng.normal(size=(1, 8, 2))
         _, _, cache = evo.forward(feats, params)
         grads = evo.backward(cache, params, d_offsets=d_off)
@@ -323,8 +326,8 @@ class TestBackward:
 
     def test_every_parameter_against_finite_differences(self):
         rng = np.random.default_rng(42)
-        params = tiny_params(rng, channels=3, width=8)
-        feats = rng.normal(size=(1, 8, 5))
+        params = tiny_params(rng, width=8)
+        feats = rng.normal(size=(1, 8, FEATURES))
         a_off = rng.normal(size=(1, 8, 2))
         a_pr = rng.normal(size=(1, 8, 2))
         grads = probe_gradients(feats, params, a_off, a_pr)
@@ -347,7 +350,7 @@ class TestBackward:
                 # the pieces of the network: every ReLU mask and the max-pool argmax
                 cache = at(arr, lambda: evo.forward(feats, params)[2])
                 masks = [cache[key] > 0 for key in ("z0", "detail_z", "local_z", "global_z", "z4")]
-                return (*masks, cache["pooled_argmax"])
+                return (*masks, cache["global_out"].argmax(axis=1))
 
             fd = central_difference(f, value, kinks=kinks)
             assert relative_error(grads[name], fd) < 1e-6, name
@@ -366,8 +369,8 @@ class TestBackward:
 
     def test_directional_derivative_full_width(self):
         rng = np.random.default_rng(44)
-        params = tiny_params(rng, channels=4, width=128)
-        feats = rng.normal(size=(1, 16, 6))
+        params = tiny_params(rng, width=128)
+        feats = rng.normal(size=(1, 16, FEATURES))
         a_off = rng.normal(size=(1, 16, 2))
         a_pr = rng.normal(size=(1, 16, 2))
         grads = probe_gradients(feats, params, a_off, a_pr)
@@ -467,9 +470,16 @@ class TestFuseHalves:
 
     def test_pooled_argmax_picks_the_maxima(self):
         rng = np.random.default_rng(49)
-        _, _, cache = evo.forward(rng.normal(size=(3, 64, 10)), self.params(rng))
-        picked = np.take_along_axis(cache["global_out"], cache["pooled_argmax"][:, None, :], axis=1)[:, 0]
-        assert np.array_equal(picked, cache["global_out"].max(axis=1))
+        params = self.params(rng)
+        _, _, cache = evo.forward(rng.normal(size=(3, 64, 10)), params)
+        f3 = cache["global_out"]
+        picked = np.take_along_axis(f3, f3.argmax(axis=1)[:, None, :], axis=1)[:, 0]
+        assert np.array_equal(picked, f3.max(axis=1))
+        # the fuse layer adds the pooled half of those maxima onto every vertex
+        width = f3.shape[-1]
+        per_contour = picked[:, None, :] @ params.fuse_w[:, width:].T + params.fuse_b
+        z4 = (f3.reshape(-1, width) @ params.fuse_w[:, :width].T).reshape(f3.shape) + per_contour
+        assert np.array_equal(z4, cache["z4"])
 
     def test_contour_bits_do_not_depend_on_the_batch(self):
         rng = np.random.default_rng(50)

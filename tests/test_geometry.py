@@ -152,14 +152,14 @@ def densify_cases(count, seed=20):
 
 class TestSignedArea:
     def test_counterclockwise_square_is_negative(self):
-        assert geo.signed_area(SQUARE_CCW_YDOWN) == pytest.approx(-100.0)
+        assert geo._shoelace(SQUARE_CCW_YDOWN) == pytest.approx(-100.0)
 
     def test_reversal_flips_sign(self):
-        assert geo.signed_area(SQUARE_CCW_YDOWN[::-1]) == pytest.approx(100.0)
+        assert geo._shoelace(SQUARE_CCW_YDOWN[::-1]) == pytest.approx(100.0)
 
     def test_two_vertices_rejected(self):
         with pytest.raises(ValueError):
-            geo.signed_area([[0, 0], [1, 1]])
+            geo.normalize_orientation([[0, 0], [1, 1]])
 
 
 class TestNormalizeOrientation:
@@ -169,7 +169,7 @@ class TestNormalizeOrientation:
 
     def test_counterclockwise_square_reversed(self):
         out = geo.normalize_orientation(SQUARE_CCW_YDOWN)
-        assert geo.signed_area(out) > 0
+        assert geo._shoelace(out) > 0
         assert np.array_equal(np.sort(out, axis=0), np.sort(SQUARE_CCW_YDOWN, axis=0))
 
     def test_zero_area_rejected(self):
@@ -457,7 +457,7 @@ class TestRasterize:
 
     def test_area_close_to_analytic(self):
         quad = np.array([[3.3, 4.1], [93.7, 6.2], [95.1, 88.4], [5.9, 91.0]])
-        exact = abs(geo.signed_area(quad))
+        exact = abs(geo._shoelace(quad))
         count = frame_mask(quad, 110, 110).sum()
         assert abs(count - exact) / exact < 0.02
 

@@ -4,7 +4,7 @@ import pytest
 from polytrace import detection, losses, pipeline, training
 from polytrace import evolution as evo
 from polytrace.config import RunConfig
-from polytrace.synth import feature_provider
+from polytrace.synth import FEATURE_CHANNELS, feature_provider
 
 from conftest import (
     as_float64,
@@ -123,7 +123,7 @@ def reference_initialize(cfg, rng):
     network's. Each kernel is drawn as (C_out, C_in, *window) and stored
     transposed."""
     c, h1, h2, n, w = (
-        cfg.feature_channels, cfg.center_hidden, cfg.offset_hidden, cfg.n_vertices, cfg.encoder_width
+        FEATURE_CHANNELS, cfg.center_hidden, cfg.offset_hidden, cfg.n_vertices, cfg.encoder_width
     )
 
     def uniform(shape, fan):
@@ -472,8 +472,8 @@ def head_names(params):
 
 def test_sparse_offset_head_matches_full_grid_head():
     rng = np.random.default_rng(8)
-    params = random_head(rng, n_vertices=8, feature_channels=3, offset_hidden=5)
-    grid = rng.normal(size=(5, 7, 3))  # non-square, so a swapped axis or a wrong border fails
+    params = random_head(rng, n_vertices=8, offset_hidden=5)
+    grid = rng.normal(size=(5, 7, FEATURE_CHANNELS))  # non-square, so a swapped axis or a wrong border fails
     # every cell, corners included, then a second center in a corner cell and in an inner cell
     cells = [(r, c) for r in range(5) for c in range(7)] + [(4, 0), (2, 3)]
     centers = cell_centers(cells, rng)
@@ -494,8 +494,8 @@ def test_sparse_offset_head_matches_full_grid_head():
 
 def test_head_gradients_against_finite_differences():
     rng = np.random.default_rng(45)
-    params = random_head(rng, n_vertices=4, feature_channels=3, center_hidden=4, offset_hidden=4)
-    grid = rng.normal(size=(5, 7, 3))  # non-square, so a swapped axis or a wrong border fails
+    params = random_head(rng, n_vertices=4, center_hidden=4, offset_hidden=4)
+    grid = rng.normal(size=(5, 7, FEATURE_CHANNELS))  # non-square, so a swapped axis or a wrong border fails
     # two corner cells, an edge cell, and an inner cell read by two centers
     centers = cell_centers([(0, 0), (4, 6), (3, 0), (2, 3), (2, 3)], rng)
     a_heat = rng.normal(size=(5, 7))

@@ -24,32 +24,45 @@ def scored_square_ring(n=64, jitter=0.0, rng=None):
     return red.ScoredContour(pts, scores)
 
 
+class TestScoredContour:
+    def test_infinite_vertex_rejected(self):
+        pts = densify(SQUARE, 16).points
+        pts[5] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            red.ScoredContour(pts, np.full(16, 0.9))
+
+    def test_nan_vertex_rejected(self):
+        pts = densify(SQUARE, 16).points
+        pts[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            red.ScoredContour(pts, np.full(16, 0.9))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1, np.inf])
+    def test_score_outside_unit_interval_rejected(self, bad):
+        scores = np.full(4, 0.5)
+        scores[2] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            red.ScoredContour(SQUARE, scores)
+
+
 class TestThreshold:
     def test_all_ones_unchanged(self):
-        sc = red.ScoredContour(np.random.default_rng(0).uniform(0, 10, (5, 2)), np.ones(5))
-        assert len(red.threshold_vertices(sc, 0.6)) == 5
+        assert np.array_equal(red.threshold_vertices(np.ones(5), 0.6), np.arange(5))
 
     def test_all_zero_empty(self):
-        sc = red.ScoredContour(np.zeros((5, 2)), np.zeros(5))
-        assert len(red.threshold_vertices(sc, 0.6)) == 0
+        assert len(red.threshold_vertices(np.zeros(5), 0.6)) == 0
 
     def test_filter_keeps_order(self):
-        sc = red.ScoredContour(np.array([[0, 0], [1, 0], [2, 0]]), np.array([0.7, 0.5, 0.9]))
-        out = red.threshold_vertices(sc, 0.6)
-        assert np.allclose(out.points, [[0, 0], [2, 0]])
-        assert np.allclose(out.scores, [0.7, 0.9])
+        assert np.array_equal(red.threshold_vertices(np.array([0.7, 0.5, 0.9]), 0.6), [0, 2])
 
 
 class TestVertexNms:
     def test_zero_radius_keeps_all(self, rng):
-        sc = red.ScoredContour(rng.uniform(0, 10, (8, 2)), rng.uniform(0, 1, 8))
-        assert len(red.vertex_nms(sc, 0.0)) == 8
+        assert len(red.vertex_nms(rng.uniform(0, 10, (8, 2)), rng.uniform(0, 1, 8), 0.0)) == 8
 
     def test_coincident_pair_keeps_higher(self):
-        sc = red.ScoredContour(np.array([[3.0, 3.0], [3.0, 3.0], [9.0, 9.0]]), np.array([0.8, 0.9, 0.5]))
-        out = red.vertex_nms(sc, 1.0)
-        assert len(out) == 2
-        assert 0.9 in out.scores and 0.8 not in out.scores
+        pts = np.array([[3.0, 3.0], [3.0, 3.0], [9.0, 9.0]])
+        assert np.array_equal(red.vertex_nms(pts, np.array([0.8, 0.9, 0.5]), 1.0), [1, 2])
 
     def test_matches_bruteforce_greedy_on_cluster(self):
         pts = np.array([[0, 0], [0.4, 0], [0.8, 0], [5, 5], [5.3, 5], [10, 0]], dtype=float)
@@ -65,15 +78,11 @@ class TestVertexNms:
                 i for i in remaining
                 if i != best and np.linalg.norm(pts[i] - pts[best]) >= radius
             }
-        out = red.vertex_nms(red.ScoredContour(pts, scores), radius)
-        assert sorted(expected) == [int(np.flatnonzero((pts == p).all(1))[0]) for p in out.points]
+        assert red.vertex_nms(pts, scores, radius).tolist() == sorted(expected)
 
     def test_survivors_in_cyclic_order(self, rng):
-        pts = rng.uniform(0, 100, (20, 2))
-        scores = rng.uniform(0, 1, 20)
-        out = red.vertex_nms(red.ScoredContour(pts, scores), 5.0)
-        idx = [int(np.flatnonzero((pts == p).all(1))[0]) for p in out.points]
-        assert idx == sorted(idx)
+        idx = red.vertex_nms(rng.uniform(0, 100, (20, 2)), rng.uniform(0, 1, 20), 5.0)
+        assert 0 < len(idx) < 20 and np.all(np.diff(idx) > 0)
 
 
 class TestPruneCollinear:
@@ -277,11 +286,7 @@ class TestVectorisedAgainstReference:
             pts = rng.integers(0, 12, (n, 2)).astype(float)  # coincident points
             scores = rng.choice([0.2, 0.5, 0.5, 0.9], n)  # tied scores
             for radius in (0.0, 1.0, 2.5, float(rng.uniform(0, 6))):
-                sc = red.ScoredContour(pts, scores)
-                kept = reference_nms(pts, scores, radius)
-                out = red.vertex_nms(sc, radius)
-                assert np.array_equal(out.points, pts[kept])
-                assert np.array_equal(out.scores, scores[kept])
+                assert np.array_equal(red.vertex_nms(pts, scores, radius), reference_nms(pts, scores, radius))
 
 
 def assert_reduce_matches_reference(sc, t):
@@ -336,32 +341,27 @@ class TestReduceBitIdentity:
 class TestNmsWalkOverCrowdedVertices:
     def test_no_close_pair_keeps_every_vertex(self, rng):
         pts = np.column_stack([np.arange(12.0) * 3.0, np.zeros(12)])
-        sc = red.ScoredContour(pts, rng.uniform(0, 1, 12))
+        scores = rng.uniform(0, 1, 12)
         for radius in (0.0, 1.0, 3.0):
-            out = red.vertex_nms(sc, radius)
-            assert np.array_equal(out.points, pts) and np.array_equal(out.scores, sc.scores)
-        assert len(red.vertex_nms(sc, np.nextafter(3.0, np.inf))) < 12
+            assert np.array_equal(red.vertex_nms(pts, scores, radius), np.arange(12))
+        assert len(red.vertex_nms(pts, scores, np.nextafter(3.0, np.inf))) < 12
 
     def test_radius_zero_keeps_coincident_points(self, rng):
         pts = rng.integers(0, 3, (30, 2)).astype(float)
-        sc = red.ScoredContour(pts, rng.choice([0.2, 0.9], 30))
-        out = red.vertex_nms(sc, 0.0)
-        assert np.array_equal(out.points, pts) and np.array_equal(out.scores, sc.scores)
+        assert np.array_equal(red.vertex_nms(pts, rng.choice([0.2, 0.9], 30), 0.0), np.arange(30))
 
     def test_coincident_points_match_reference(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 30))
             pts = rng.integers(0, 6, (n, 2)).astype(float)
             pts[: n // 3] = pts[0]  # a run of coincident points
-            sc = red.ScoredContour(pts, rng.choice([0.2, 0.5, 0.5, 0.9], n))
+            scores = rng.choice([0.2, 0.5, 0.5, 0.9], n)
             for radius in (0.0, 1.0, 2.5):
-                out, expected = red.vertex_nms(sc, radius), reference_vertex_nms(sc, radius)
-                assert np.array_equal(out.points, expected.points)
-                assert np.array_equal(out.scores, expected.scores)
+                out, expected = red.vertex_nms(pts, scores, radius), reference_vertex_nms(pts, scores, radius)
+                assert np.array_equal(out, expected)
 
     def test_nan_distance_suppresses(self):
         pts = np.array([[0.0, 0.0], [np.nan, 1.0], [9.0, 9.0]])
-        sc = red.ScoredContour(pts, np.array([0.5, 0.9, 0.7]))
-        out, expected = red.vertex_nms(sc, 1.0), reference_vertex_nms(sc, 1.0)
-        assert np.array_equal(out.points, expected.points, equal_nan=True)
-        assert np.array_equal(out.scores, [0.9])
+        scores = np.array([0.5, 0.9, 0.7])
+        out, expected = red.vertex_nms(pts, scores, 1.0), reference_vertex_nms(pts, scores, 1.0)
+        assert np.array_equal(out, expected) and np.array_equal(out, [1])

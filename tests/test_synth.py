@@ -7,7 +7,7 @@ from scipy import ndimage
 
 from polytrace import synth, training
 from polytrace.config import RunConfig
-from polytrace.geometry import densify, signed_area
+from polytrace.geometry import _shoelace, densify
 
 
 class ScriptedRng:
@@ -81,7 +81,7 @@ class TestGenerateScene:
         for seed in range(10):
             scene = synth.generate_scene(seed, spec)
             for poly in scene.buildings:
-                area = abs(signed_area(poly))
+                area = abs(_shoelace(poly))
                 # smallest possible: L-shape with 45% of both sides notched
                 assert area >= 20.0 * 20.0 * (1 - 0.45 * 0.45) - 1e-6
                 assert area <= 40.0 * 40.0 + 1e-6
@@ -92,7 +92,7 @@ class TestGenerateScene:
             h, w = scene.image.shape
             masks = []
             for poly in scene.buildings:
-                assert signed_area(poly) > 0
+                assert _shoelace(poly) > 0
                 assert poly[:, 0].min() >= 4 and poly[:, 1].min() >= 4
                 assert poly[:, 0].max() <= w - 4 and poly[:, 1].max() <= h - 4
                 masks.append(frame_mask(poly, w, h))

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "train_digest.py"
@@ -48,6 +49,15 @@ def test_digest_of_a_two_scene_fit_and_its_comparison(tmp_path):
     assert differ.returncode == 1 and "fit 2: params DIFFER, heads equal" in differ.stdout
     differ = run_digest("--compare", str(same), str(moved_heads))
     assert differ.returncode == 1 and "fit 2: params equal, heads DIFFER" in differ.stdout
+
+
+@pytest.mark.parametrize("spec", ["dense", "dense:", ":3", "dense:x", "dense:3-", "dense:3-1", "dense:1-2-3"])
+def test_malformed_seed_spec_is_a_usage_error(spec):
+    for option in ("--replay", "--infer"):
+        done = run_digest(option, "sparse:1", spec)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("usage:")
+        assert f"argument {option}: {spec!r} is not WORKLOAD:SEED or WORKLOAD:FIRST-LAST" in done.stderr
 
 
 def test_heads_digest_reads_only_the_heads(monkeypatch):

@@ -73,19 +73,34 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fit", type=int, nargs="*", default=[], metavar="N", help="scene counts of default fits")
     parser.add_argument(
-        "--replay", nargs="*", default=[], metavar="WORKLOAD:SEEDS", help="e.g. dense:3 or sparse:1-10"
+        "--replay", type=seed_range, nargs="*", default=[], metavar="WORKLOAD:SEEDS", help="e.g. dense:3 or sparse:1-10"
     )
-    parser.add_argument("--infer", nargs="*", default=[], metavar="WORKLOAD:SEEDS", help="as --replay")
+    parser.add_argument(
+        "--infer", type=seed_range, nargs="*", default=[], metavar="WORKLOAD:SEEDS", help="as --replay"
+    )
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two outputs and exit")
     return parser.parse_args(argv)
 
 
-def replays(specs):
-    """(workload, seed) pairs of ``WORKLOAD:SEED`` and ``WORKLOAD:FIRST-LAST`` specs."""
-    for spec in specs:
-        workload, _, seeds = spec.partition(":")
-        first, _, last = seeds.partition("-")
-        for seed in range(int(first), int(last or first) + 1):
+def seed_range(spec: str):
+    """(workload, first seed, last seed) of a ``WORKLOAD:SEED`` or
+    ``WORKLOAD:FIRST-LAST`` spec; anything else is a usage error."""
+    workload, _, seeds = spec.partition(":")
+    first, dash, last = seeds.partition("-")
+    try:
+        first, last = int(first), int(last if dash else first)
+        valid = bool(workload) and first <= last
+    except ValueError:
+        valid = False
+    if not valid:
+        raise argparse.ArgumentTypeError(f"{spec!r} is not WORKLOAD:SEED or WORKLOAD:FIRST-LAST")
+    return workload, first, last
+
+
+def replays(ranges):
+    """(workload, seed) pairs of :func:`seed_range` triples."""
+    for workload, first, last in ranges:
+        for seed in range(first, last + 1):
             yield workload, seed
 
 
@@ -199,12 +214,12 @@ def infer_digests(bench) -> dict:
     return {name: digest.hexdigest() for name, digest in h.items()}
 
 
-def infer_runs(specs):
+def infer_runs(ranges):
     """(label, digests) of each ``--infer`` run, with one fitted infer model."""
     from perfbench import workloads
 
     model = None
-    for workload, seed in replays(specs):
+    for workload, seed in replays(ranges):
         bench = workloads.Bench(workload, seed)
         if model is None:
             bench.fit_model()
