@@ -68,6 +68,8 @@ class RunConfig:
                 f"building counts {self.min_buildings}..{self.max_buildings} need"
                 " 1 <= min_buildings <= max_buildings"
             )
+        if self.max_detections < 1:
+            raise ValueError(f"max_detections = {self.max_detections} must be at least 1")
         if not self.allow_nonstandard:
             for key, (lo, hi) in RECOMMENDED_RANGES.items():
                 value = getattr(self, key)

@@ -25,9 +25,9 @@ one (B, N, 2) batch, each contour sampling the feature grid of its own
 scene from a stack of grids. Training passes the ground-truth bbox centers of
 every scene of a step, so a step runs one evolution forward and one
 backward per round, and backpropagates through the returned caches;
-:func:`predict_scene` passes its one grid as a stack of one and the peak
-positions that :func:`detect` decodes from the center head, and runs the
-offset head for those only.
+:func:`predict_scene` passes its one grid as a stack of one and the (K, 2)
+centers that :func:`detect` returns with their (K,) scores: the cell centers
+of the center head's peaks. It runs the offset head for those only.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import evolution as evo
 from .config import RunConfig
-from .detection import STRIDE, decode_peaks
+from .detection import STRIDE, cell_centers, center_cells, decode_peaks
 from .synth import FEATURE_CHANNELS, feature_provider
 
 # the training objective supervises exactly two rounds: smooth L1 after the
@@ -188,8 +188,9 @@ def center_backward(cache, params: PipelineParams, d_heat):
 
 def offset_forward(cols, scenes, centers, params: PipelineParams):
     """(B, 2N) offsets of the initial contours of (B, 2) full-resolution
-    centers, read at their :func:`center_cells` in grid ``scenes[b]`` of the
-    :func:`grid_columns` ``cols``; returns (offsets, cache).
+    centers, read at their :func:`detection.center_cells` in grid
+    ``scenes[b]`` of the :func:`grid_columns` ``cols``; returns (offsets,
+    cache).
 
     The head is evaluated only where its output is read: the 1x1 layer and
     the second 3x3 layer at each center cell, the first 3x3 layer at that
@@ -221,13 +222,6 @@ def offset_backward(cache, params: PipelineParams, d_offsets):
     d_z1 = (d_z2 @ evo.kernel_matrix(params.offset_w2).T) * (cols2 > 0)
     grads["offset_w1"], grads["offset_b1"] = evo.kernel_grad(cache["cols1"], d_z1, params.offset_w1)
     return grads
-
-
-def center_cells(centers) -> tuple:
-    """(rows, cols) of the stride-4 cells containing (B, 2) full-resolution
-    centers; the cells at which the offset head composes the initial contours."""
-    c = np.asarray(centers, dtype=float).reshape(-1, 2)
-    return (c[:, 1] // STRIDE).astype(int), (c[:, 0] // STRIDE).astype(int)
 
 
 def initial_contours(offsets, centers) -> np.ndarray:
@@ -270,12 +264,14 @@ class ScenePrediction:
 
 
 def detect(grids, params: PipelineParams, cfg: RunConfig) -> tuple:
-    """(grid columns, decoded center detections) of a one-scene stack of
-    feature grids: the center head's peaks, by descending score. Only the
-    grid and the center head decide them."""
+    """(grid columns, (K, 2) centers, (K,) scores) of a one-scene stack of
+    feature grids: the center head's peaks by descending score, at their
+    :func:`detection.cell_centers`, with their heatmap values. Only the grid
+    and the center head decide them."""
     cols = grid_columns(grids)
     heat, _ = center_forward(cols, params)
-    return cols, decode_peaks(heat[0], cfg.peak_threshold, cfg.max_detections)
+    cells = decode_peaks(heat[0], cfg.peak_threshold, cfg.max_detections)
+    return cols, cell_centers(cells), heat[0][cells[:, 0], cells[:, 1]]
 
 
 def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
@@ -286,16 +282,15 @@ def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
     evolved in one batch.
     """
     grids = feature_provider(image)[None]
-    cols, detections = detect(grids, params, cfg)
-    if not detections:
+    cols, centers, scores = detect(grids, params, cfg)
+    if not len(scores):
         return []
-    centers = np.stack([det.position for det in detections])
-    scenes = np.zeros(len(detections), dtype=int)
+    scenes = np.zeros(len(scores), dtype=int)
     offsets, _ = offset_forward(cols, scenes, centers, params)
     stages, probs, _ = evolve_contours(grids, scenes, offsets, centers, params)
     if not np.all(np.isfinite(stages[-1])):
         raise ValueError("evolved contours have non-finite coordinates")
     return [
-        ScenePrediction(points, valid, det.score)
-        for points, valid, det in zip(stages[-1], probs[:, :, 1], detections)
+        ScenePrediction(points, valid, score)
+        for points, valid, score in zip(stages[-1], probs[:, :, 1], scores.tolist())
     ]

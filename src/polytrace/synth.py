@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .detection import STRIDE
+from .detection import STRIDE, grid_shape
 from .geometry import normalize_orientation, rasterize
 
 SHAPE_KINDS = ("rect", "rot_rect", "l_shape")
@@ -180,12 +180,10 @@ def feature_provider(image) -> np.ndarray:
         raise ValueError(
             f"feature_provider needs at least {STRIDE + 1} px along each axis, got an image of shape {img.shape}"
         )
+    rows, cols = grid_shape((w, h))
     img = img / 255.0
-    pad_h = (-h) % STRIDE
-    pad_w = (-w) % STRIDE
-    if pad_h or pad_w:
-        img = np.pad(img, ((0, pad_h), (0, pad_w)), mode="edge")
-    rows, cols = img.shape[0] // STRIDE, img.shape[1] // STRIDE
+    if img.shape != (rows * STRIDE, cols * STRIDE):
+        img = np.pad(img, ((0, rows * STRIDE - h), (0, cols * STRIDE - w)), mode="edge")
     down = img.reshape(rows, STRIDE, cols, STRIDE).sum(axis=3).sum(axis=1) / STRIDE**2
 
     grid = np.empty((rows, cols, FEATURE_CHANNELS))

@@ -487,9 +487,9 @@ def reference_generate_scene(seed, spec=synth.SceneSpec()):
 
 
 def reference_decode_peaks(heatmap, threshold, top_k):
-    """``detection.decode_peaks`` with the threshold checked inside the
-    per-peak loop, after the top_k cut; ``decode_peaks`` must return the
-    same detections."""
+    """(position, score) pairs of the peaks ``detection.decode_peaks``
+    returns, with the threshold checked inside a per-peak loop after the
+    top_k cut, and each position at its cell's full-resolution center."""
     heat = np.asarray(heatmap, dtype=float)
     neighborhood = ndimage.maximum_filter(heat, size=3, mode="constant", cval=-np.inf)
     peaks = np.nonzero(heat >= neighborhood)
@@ -503,7 +503,7 @@ def reference_decode_peaks(heatmap, threshold, top_k):
             continue
         row, col = int(peaks[0][idx]), int(peaks[1][idx])
         position = np.array([(col + 0.5) * detection.STRIDE, (row + 0.5) * detection.STRIDE])
-        out.append(detection.CenterDetection(position, score))
+        out.append((position, score))
     return out
 
 

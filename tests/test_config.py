@@ -53,6 +53,14 @@ def test_building_counts_need_one_to_max(counts):
             RunConfig(min_buildings=low, max_buildings=high, allow_nonstandard=allow)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_max_detections_needs_one(cap):
+    # decode_peaks keeps its first max_detections candidates: 0 keeps none, -1 all but the lowest
+    for allow in (False, True):
+        with pytest.raises(ValueError, match="max_detections"):
+            RunConfig(max_detections=cap, allow_nonstandard=allow)
+
+
 def test_equal_building_counts_accepted():
     assert RunConfig(min_buildings=1, max_buildings=1).max_buildings == 1
 

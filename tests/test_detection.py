@@ -44,15 +44,16 @@ class TestDecodePeaks:
     def test_single_unit_peak(self):
         heat = np.zeros((32, 32))
         heat[5, 7] = 1.0
-        out = det.decode_peaks(heat, threshold=0.2, top_k=200)
-        assert len(out) == 1
-        assert out[0].score == 1.0
-        assert np.allclose(out[0].position, ((7 + 0.5) * 4, (5 + 0.5) * 4))
-        assert np.array_equal(pipeline.center_cells(out[0].position), ([5], [7]))
+        cells = det.decode_peaks(heat, threshold=0.2, top_k=200)
+        assert cells.tolist() == [[5, 7]]
+        assert np.array_equal(det.cell_centers(cells), [((7 + 0.5) * 4, (5 + 0.5) * 4)])
+        assert np.array_equal(det.center_cells(det.cell_centers(cells)), ([5], [7]))
 
     def test_all_below_threshold_empty(self):
         heat = np.full((16, 16), 0.1)
-        assert det.decode_peaks(heat, threshold=0.2, top_k=200) == []
+        cells = det.decode_peaks(heat, threshold=0.2, top_k=200)
+        assert cells.shape == (0, 2)
+        assert det.cell_centers(cells).shape == (0, 2)
 
     def test_top_k_keeps_largest(self):
         heat = np.zeros((32, 32))
@@ -60,18 +61,17 @@ class TestDecodePeaks:
         spots = [(4, 4), (4, 20), (16, 4), (16, 20), (28, 28)]
         for v, (r, c) in zip(values, spots):
             heat[r, c] = v
-        out = det.decode_peaks(heat, threshold=0.2, top_k=3)
-        assert [d.score for d in out] == values[:3]
+        cells = det.decode_peaks(heat, threshold=0.2, top_k=3)
+        assert cells.tolist() == [list(spot) for spot in spots[:3]]
+        assert heat[cells[:, 0], cells[:, 1]].tolist() == values[:3]
 
     def test_sorted_descending_and_row_major_on_ties(self):
         heat = np.zeros((16, 16))
         heat[8, 2] = 0.5
         heat[2, 8] = 0.5
         heat[12, 12] = 0.9
-        out = det.decode_peaks(heat, threshold=0.2, top_k=200)
-        assert [d.score for d in out] == [0.9, 0.5, 0.5]
-        assert np.array_equal(pipeline.center_cells(out[1].position), ([2], [8]))
-        assert np.array_equal(pipeline.center_cells(out[2].position), ([8], [2]))
+        cells = det.decode_peaks(heat, threshold=0.2, top_k=200)
+        assert cells.tolist() == [[12, 12], [2, 8], [8, 2]]
 
     def test_roundtrip_with_target_recovers_centers(self, rng):
         for _ in range(20):
@@ -81,10 +81,9 @@ class TestDecodePeaks:
                 if all(np.linalg.norm(cand - c) >= 12 for c in centers):
                     centers.append(cand)
             heat = det.build_heatmap_target(centers, [(24, 24)] * 3, (128, 128))
-            out = det.decode_peaks(heat, threshold=0.2, top_k=10)
+            found = det.cell_centers(det.decode_peaks(heat, threshold=0.2, top_k=10))
             for c in centers:
-                dists = [np.linalg.norm(d.position - c) for d in out]
-                assert min(dists) <= 2 * np.sqrt(2) + 1e-9
+                assert np.linalg.norm(found - c, axis=1).min() <= 2 * np.sqrt(2) + 1e-9
 
     def test_matches_reference_with_many_subthreshold_peaks(self, rng):
         # quantized low noise has hundreds of local maxima below the
@@ -97,11 +96,25 @@ class TestDecodePeaks:
             assert np.count_nonzero((heat >= neighborhood) & (heat <= 0.4)) >= 100
             for threshold in (0.4, 0.6, 0.85):
                 for top_k in (3, 50, 200, 2500):
-                    got = det.decode_peaks(heat, threshold, top_k)
+                    cells = det.decode_peaks(heat, threshold, top_k)
+                    got = zip(det.cell_centers(cells).tolist(), heat[cells[:, 0], cells[:, 1]].tolist())
                     expected = reference_decode_peaks(heat, threshold, top_k)
-                    assert [(d.score, d.position.tolist()) for d in got] == [
-                        (d.score, d.position.tolist()) for d in expected
-                    ]
+                    assert list(got) == [(position.tolist(), score) for position, score in expected]
+
+
+class TestGridCells:
+    def test_center_cells_inverts_cell_centers(self):
+        cells = np.argwhere(np.ones((32, 32)))
+        rows, cols = det.center_cells(det.cell_centers(cells))
+        assert np.array_equal(np.stack([rows, cols], axis=1), cells)
+
+    @pytest.mark.parametrize("shift", [0.0, -1e-9])
+    def test_heatmap_peak_cell_is_center_cell_on_borders(self, shift):
+        # a center on a cell border, or just before it, peaks where center_cells puts it
+        for k in range(1, 32):
+            center = np.array([4.0 * k + shift, 4.0 * (32 - k) + shift])
+            heat = det.build_heatmap_target([center], [(24, 24)], (128, 128))
+            assert np.array_equal(np.nonzero(heat == 1.0), det.center_cells(center))
 
 
 def compose(center, offsets):

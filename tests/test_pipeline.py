@@ -11,6 +11,7 @@ from conftest import (
     central_difference,
     nine_tap_backward,
     nine_tap_conv,
+    reference_decode_peaks,
     reference_scene_loss,
     relative_error,
 )
@@ -54,22 +55,24 @@ def params(cfg):
 
 
 def reference_predict(image, params, cfg):
-    """One detection at a time: compose its contour, then evolve a batch of one.
-    The offsets of every detection come from one :func:`pipeline.offset_forward`."""
+    """One detection at a time, each a (position, score) pair of the
+    per-peak reference decoder: compose its contour, then evolve a batch of
+    one. The offsets of every detection come from one
+    :func:`pipeline.offset_forward`."""
     grid = feature_provider(image)
     cols = pipeline.grid_columns(grid[None])
     heat, _ = pipeline.center_forward(cols, params)
-    detections = detection.decode_peaks(heat[0], cfg.peak_threshold, cfg.max_detections)
+    detections = reference_decode_peaks(heat[0], cfg.peak_threshold, cfg.max_detections)
     scenes = np.zeros(len(detections), dtype=int)
-    offsets, _ = pipeline.offset_forward(cols, scenes, [det.position for det in detections], params)
+    offsets, _ = pipeline.offset_forward(cols, scenes, [position for position, _ in detections], params)
     out = []
-    for det, off in zip(detections, offsets):
-        pts = pipeline.initial_contours(off[None], det.position)[0]
+    for (position, score), off in zip(detections, offsets):
+        pts = pipeline.initial_contours(off[None], position)[0]
         for _ in range(2):
             feats = np.concatenate([evo.sample_features(grid[None], 0, pts), evo.relative_coords(pts)], axis=-1)
             offsets, probs, _ = evo.forward(feats[None], params)
             pts = pts + offsets[0]
-        out.append((pts, probs[0, :, 1], det.score))
+        out.append((pts, probs[0, :, 1], score))
     return out
 
 
@@ -82,7 +85,7 @@ def test_predict_scene_matches_per_detection_reference(cfg, params):
     for pred, (points, valid, score) in zip(preds, expected):
         assert np.array_equal(pred.points, points)
         assert np.array_equal(pred.vertex_scores, valid)
-        assert pred.score == score
+        assert type(pred.score) is float and pred.score == score
 
 
 def test_predict_scene_rejects_non_finite_contours(cfg, params):
@@ -105,9 +108,11 @@ def test_training_and_inference_share_stage_points(cfg, params, monkeypatch):
     training.scene_loss([bundle], params, cfg)
     (stages, probs, _), = seen
 
-    # inference decoding the same centers evolves the same contours
-    detections = [detection.CenterDetection(c, 0.5) for c in centers]
-    monkeypatch.setattr(pipeline, "decode_peaks", lambda *args: detections)
+    # inference detecting the same centers evolves the same contours
+    def detect(grids, params, cfg):
+        return pipeline.grid_columns(grids), centers, np.full(len(centers), 0.5)
+
+    monkeypatch.setattr(pipeline, "detect", detect)
     image = training.make_dataset(cfg, 1)[0].image
     preds = pipeline.predict_scene(image, params, cfg)
     assert np.array_equal(np.stack([p.points for p in preds]), stages[-1])
@@ -420,7 +425,7 @@ def test_fit_is_deterministic_for_a_seed(cfg):
         assert np.array_equal(a, b), name
 
 
-def cell_centers(cells, rng):
+def points_in_cells(cells, rng):
     """Full-resolution centers at random positions inside the (row, col) cells."""
     cells = np.asarray(cells, dtype=float)
     return (cells[:, ::-1] + rng.uniform(0.0, 1.0, size=cells.shape)) * detection.STRIDE
@@ -434,7 +439,7 @@ def full_grid_offsets(grid, centers, params):
     z2 = nine_tap_conv(a1, params.offset_w2, params.offset_b2)
     a2 = np.maximum(z2, 0.0)
     offmap = a2 @ params.offset_w3.T + params.offset_b3
-    return offmap[pipeline.center_cells(centers)], (grid, z1, a1, z2, a2)
+    return offmap[detection.center_cells(centers)], (grid, z1, a1, z2, a2)
 
 
 def full_grid_backward(cache, centers, params, d_offsets):
@@ -442,7 +447,7 @@ def full_grid_backward(cache, centers, params, d_offsets):
     offset map, a shared cell accumulating, then backpropagated over the grid."""
     grid, z1, a1, z2, a2 = cache
     d_offmap = np.zeros(a2.shape[:2] + d_offsets.shape[1:])
-    np.add.at(d_offmap, pipeline.center_cells(centers), d_offsets)
+    np.add.at(d_offmap, detection.center_cells(centers), d_offsets)
     grads = {
         "offset_w3": d_offmap.reshape(-1, d_offsets.shape[1]).T @ a2.reshape(-1, a2.shape[-1]),
         "offset_b3": d_offmap.sum(axis=(0, 1)),
@@ -476,7 +481,7 @@ def test_sparse_offset_head_matches_full_grid_head():
     grid = rng.normal(size=(5, 7, FEATURE_CHANNELS))  # non-square, so a swapped axis or a wrong border fails
     # every cell, corners included, then a second center in a corner cell and in an inner cell
     cells = [(r, c) for r in range(5) for c in range(7)] + [(4, 0), (2, 3)]
-    centers = cell_centers(cells, rng)
+    centers = points_in_cells(cells, rng)
     scenes = np.zeros(len(cells), dtype=int)
     offsets, cache = pipeline.offset_forward(pipeline.grid_columns(grid[None]), scenes, centers, params)
     expected, ref_cache = full_grid_offsets(grid, centers, params)
@@ -497,7 +502,7 @@ def test_head_gradients_against_finite_differences():
     params = random_head(rng, n_vertices=4, center_hidden=4, offset_hidden=4)
     grid = rng.normal(size=(5, 7, FEATURE_CHANNELS))  # non-square, so a swapped axis or a wrong border fails
     # two corner cells, an edge cell, and an inner cell read by two centers
-    centers = cell_centers([(0, 0), (4, 6), (3, 0), (2, 3), (2, 3)], rng)
+    centers = points_in_cells([(0, 0), (4, 6), (3, 0), (2, 3), (2, 3)], rng)
     a_heat = rng.normal(size=(5, 7))
     a_off = rng.normal(size=(5, 8))
     scenes = np.zeros(len(centers), dtype=int)

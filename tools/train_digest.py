@@ -22,16 +22,16 @@ final parameters, the sha256 of the center and offset heads' arrays alone
 - ``infer WORKLOAD:SEED``: the benchmark's infer and postprocess outputs,
   without timing. After ``Bench(WORKLOAD, SEED).setup()`` it prints one
   sha256 each of the feature grids of the held-out scenes, their center
-  detections (position and score of each from ``pipeline.detect``, the
-  step of ``predict_scene`` that only the grid and the center head
-  decide), their predictions (points, vertex scores and score of each),
-  their reduced polygons, and the reduced polygons of the postprocess
-  rings; an error is hashed by its type's name. A sixth, ``evaluation``,
-  hashes the hex floats of ``REPORT_FIELDS`` of ``evaluation.evaluate``'s
-  report on the reduced postprocess polygons and on the reduced infer
-  polygons, scored and grouped into images as the benchmark does. The
-  benchmark's infer model depends on neither workload nor seed, so it is
-  fitted once per process.
+  detections (the 16 bytes of each center and the hex float of its score,
+  from the arrays ``pipeline.detect`` returns: the step of
+  ``predict_scene`` that only the grid and the center head decide), their
+  predictions (points, vertex scores and score of each), their reduced
+  polygons, and the reduced polygons of the postprocess rings; an error is
+  hashed by its type's name. A sixth, ``evaluation``, hashes the hex floats
+  of ``REPORT_FIELDS`` of ``evaluation.evaluate``'s report on the reduced
+  postprocess polygons and on the reduced infer polygons, scored and
+  grouped into images as the benchmark does. The benchmark's infer model
+  depends on neither workload nor seed, so it is fitted once per process.
 
 ``--compare`` reads two outputs of the same runs. It prints, per run,
 whether the digests are equal and, for training runs, the largest relative
@@ -177,10 +177,10 @@ def infer_digests(bench) -> dict:
     for image_id, scene in enumerate(bench.scenes[: bench.sizes.infer_scenes]):
         grid = synth.feature_provider(scene.image)
         h["features"].update(grid.tobytes())
-        _, centers = pipeline.detect(grid[None], bench.model, cfg)
+        _, centers, scores = pipeline.detect(grid[None], bench.model, cfg)
         h["detections"].update(f"{len(centers)} detections".encode())
-        for det in centers:
-            h["detections"].update(det.position.tobytes() + float(det.score).hex().encode())
+        for center, score in zip(centers, scores):
+            h["detections"].update(center.tobytes() + float(score).hex().encode())
         infer_gts += [evaluation.GroundTruth(b, image_id) for b in scene.buildings]
         try:
             preds = pipeline.predict_scene(scene.image, bench.model, cfg)
