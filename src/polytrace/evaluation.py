@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -131,7 +131,6 @@ def boundary_distance(frame_dims) -> int:
 @dataclass
 class MatchResult:
     pairs: list  # (pred_index, gt_index, iou)
-    unmatched_preds: list
 
 
 def match_instances(preds, gts, iou_fn, threshold: float) -> MatchResult:
@@ -145,10 +144,8 @@ def match_instances(preds, gts, iou_fn, threshold: float) -> MatchResult:
     for pis, gis in _image_groups(preds, gts):
         for pi in pis:
             rows[pi] = [(gi, iou_fn(preds[pi], gts[gi])) for gi in gis]
-    order = _score_order(preds)
-    _, pairs = _greedy_walks(order, rows, [threshold])
-    matched = {pi for pi, _, _ in pairs}
-    return MatchResult(pairs, [pi for pi in order if pi not in matched])
+    _, pairs = _greedy_walks(_score_order(preds), rows, [threshold])
+    return MatchResult(pairs)
 
 
 def _score_order(preds) -> list:
@@ -236,9 +233,8 @@ class EvalReport:
     manual_level_2px: float
     manual_level_3px: float
     mean_instance_iou: float
-    thresholds: list = field(default_factory=lambda: [float(t) for t in IOU_THRESHOLDS])
-    precision_mask: list = field(default_factory=list)
-    precision_boundary: list = field(default_factory=list)
+    precision_mask: list  # one per IOU_THRESHOLDS
+    precision_boundary: list
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -5,7 +5,10 @@ through a circular 1-D convolution encoder that aggregates detail-to-global
 context: an up-dimensioning 1x1 layer, then three circular layers with
 residual shortcuts, then a fuse layer that adds a global max-pooled vector
 back onto every vertex. Two pointwise heads emit the per-vertex coordinate
-offsets (the step head) and the two-class validity logits (the cls head).
+offsets (the step head) and the logits of a two-class softmax whose second
+class is a valid vertex, a corner (the cls head). Only this module knows
+that: :func:`forward` returns the valid probability and :func:`backward`
+takes its gradient.
 The weights are the ``up_*`` to ``cls_*`` fields of
 :class:`pipeline.PipelineParams`, whose ``layout`` gives their shapes;
 :func:`forward` and :func:`backward` read them from that one object.
@@ -202,18 +205,13 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def softmax_backward(probs, d_probs):
-    """d(logits) given d(probs) through a softmax."""
-    inner = (d_probs * probs).sum(axis=-1, keepdims=True)
-    return probs * (d_probs - inner)
-
-
 def forward(features, params):
     """Run the micro-network of :class:`pipeline.PipelineParams` ``params``
     on (B, N, C+2) vertex features, in the dtype of its arrays.
 
-    Returns (offsets, probs, cache); offsets are (B, N, 2) in pixels,
-    probs the per-vertex two-class softmax (valid class last).
+    Returns (offsets, valid, cache): offsets are (B, N, 2) in pixels and
+    valid the (B, N) probability of the valid class of the cls head's
+    softmax, which the cache keeps whole for :func:`backward`.
     """
     x = np.asarray(features, dtype=params.up_w.dtype)
     cache = {"features": x}
@@ -250,11 +248,14 @@ def forward(features, params):
     offsets += params.step_b
     logits = f4 @ params.cls_w.T
     logits += params.cls_b
-    return offsets, softmax(logits, axis=-1), cache
+    probs = cache["probs"] = softmax(logits, axis=-1)
+    return offsets, probs[..., 1], cache
 
 
-def backward(cache, params, d_offsets=None, d_logits=None):
-    """Reverse-mode gradients for the micro-network's parameters.
+def backward(cache, params, d_offsets=None, d_valid=None):
+    """Reverse-mode gradients for the micro-network's parameters, from the
+    (B, N, 2) gradient of :func:`forward`'s offsets and the (B, N) gradient
+    of its valid probabilities.
 
     Returns a dict mapping the names of the parameters the given upstream
     gradients reach to arrays of their shapes and dtypes: a head without an
@@ -265,6 +266,13 @@ def backward(cache, params, d_offsets=None, d_logits=None):
         raise ValueError("backward requires the cache of a prior forward pass")
     b, n, width = f4.shape
     grads = {}
+    d_logits = None
+    if d_valid is not None:
+        # the softmax backward of the probability gradient (0, g), in the dtype of g * probs
+        probs, g = cache["probs"], np.asarray(d_valid)
+        g_valid = g * probs[..., 1]
+        d_logits = np.stack([0.0 - g_valid, g - g_valid], axis=-1)
+        d_logits *= probs
     d_f4 = 0.0
     for head, d_head in (("step", d_offsets), ("cls", d_logits)):
         if d_head is None:

@@ -238,25 +238,26 @@ def evolve_contours(grids, scenes, offsets, centers, params: PipelineParams):
 
     ``grids`` is the (S, R, W, C) stack of the feature grids of the scenes
     the contours come from, and ``scenes`` the (B,) index into it of each
-    contour's scene, whose grid that contour samples. Returns (stages, probs,
+    contour's scene, whose grid that contour samples. Returns (stages, valid,
     caches): ``stages`` holds the (B, N, 2) points of the initial contours
-    and of every round, ``probs`` the (B, N, 2) vertex class probabilities
-    of the last round (valid class last), and ``caches`` the
+    and of every round, ``valid`` the (B, N) probabilities of the last round
+    that each vertex is a corner, and ``caches`` the
     :func:`evolution.forward` cache of every round.
     """
     stages = [initial_contours(offsets, centers)]
     caches = []
     for _ in range(EVOLUTION_ROUNDS):
         feats = evo.vertex_features(grids, scenes, stages[-1])
-        step, probs, cache = evo.forward(feats, params)
+        step, valid, cache = evo.forward(feats, params)
         stages.append(stages[-1] + step)
         caches.append(cache)
-    return stages, probs, caches
+    return stages, valid, caches
 
 
 @dataclass
 class ScenePrediction:
-    """One detected building: evolved ring, vertex scores, detection score."""
+    """One detected building: evolved ring, each vertex's probability of
+    being a corner (which reduction thresholds), detection score."""
 
     points: np.ndarray          # (N, 2)
     vertex_scores: np.ndarray   # (N,)
@@ -287,10 +288,7 @@ def predict_scene(image, params: PipelineParams, cfg: RunConfig) -> list:
         return []
     scenes = np.zeros(len(scores), dtype=int)
     offsets, _ = offset_forward(cols, scenes, centers, params)
-    stages, probs, _ = evolve_contours(grids, scenes, offsets, centers, params)
+    stages, valid, _ = evolve_contours(grids, scenes, offsets, centers, params)
     if not np.all(np.isfinite(stages[-1])):
         raise ValueError("evolved contours have non-finite coordinates")
-    return [
-        ScenePrediction(points, valid, score)
-        for points, valid, score in zip(stages[-1], probs[:, :, 1], scores.tolist())
-    ]
+    return [ScenePrediction(*prediction) for prediction in zip(stages[-1], valid, scores.tolist())]

@@ -153,7 +153,6 @@ def reduce(sc: ScoredContour, t: float) -> np.ndarray:
     kept = kept[vertex_nms(sc.points[kept], sc.scores[kept], radius)]
     if len(kept) < 3:
         kept = _top3(sc.scores)
-        kept = kept[vertex_nms(sc.points[kept], sc.scores[kept], 0.0)]
     return prune_collinear(sc.points[kept])
 
 

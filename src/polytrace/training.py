@@ -91,7 +91,7 @@ def prepare_scene(scene: SyntheticScene, cfg: RunConfig, image_id: int = 0) -> S
     return SceneBundle(features, heat_target, rings, centers, corners, (width, height), image_id)
 
 
-def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution: bool = True):
+def scene_loss(bundles, params: PipelineParams, train_evolution: bool = True):
     """Loss components and parameter gradients of one training step's scenes.
 
     Returns (components, grads): ``components`` maps ct/init/e1/e2/cla to
@@ -107,7 +107,7 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
 
     Raises ValueError for a scene without buildings, whose heatmap target
     has no keypoint, and FloatingPointError when the heatmaps, a contour
-    stage or the vertex class probabilities are non-finite, before any loss
+    stage or the valid-vertex probabilities are non-finite, before any loss
     or match reads them.
     """
     eps = losses.LOSS_BALANCE
@@ -131,10 +131,10 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     grads = center_backward(c_cache, params, d_heat)
     offsets, o_cache = offset_forward(cols, scenes, centers, params)
     if train_evolution:
-        stages, probs2, caches = evolve_contours(grids, scenes, offsets, centers, params)
+        stages, valid, caches = evolve_contours(grids, scenes, offsets, centers, params)
     else:
-        stages, probs2 = [initial_contours(offsets, centers)], np.zeros(0)
-    if not all(np.all(np.isfinite(a)) for a in (*stages, probs2)):
+        stages, valid = [initial_contours(offsets, centers)], np.zeros(0)
+    if not all(np.all(np.isfinite(a)) for a in (*stages, valid)):
         raise FloatingPointError("non-finite contours")
 
     # each contour's weight in the mean over scenes of the instance means
@@ -150,7 +150,6 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
         return components, grads
 
     _, pts1, pts2 = stages
-    valid = probs2[:, :, 1]
     # the discrete matching one contour at a time: Hungarian is sequential,
     # and the corner counts differ
     is_matched = np.zeros(valid.shape, dtype=bool)
@@ -170,11 +169,8 @@ def scene_loss(bundles, params: PipelineParams, cfg: RunConfig, train_evolution:
     d_off2 = (eps * w)[:, None, None] * d_e2
     l_cla, d_cla = losses.classification_loss(valid, is_matched)
     components["cla"] = float((l_cla * w).sum())
-    d_probs2 = np.zeros(probs2.shape)
-    d_probs2[:, :, 1] = w[:, None] * d_cla
-    d_logits2 = evo.softmax_backward(probs2, d_probs2)
     # each round's cache is dropped as soon as its backward returns
-    evolution_grads = evo.backward(caches.pop(), params, d_offsets=d_off2, d_logits=d_logits2)
+    evolution_grads = evo.backward(caches.pop(), params, d_offsets=d_off2, d_valid=w[:, None] * d_cla)
     for name, g in evo.backward(caches.pop(), params, d_offsets=d_off1).items():
         evolution_grads[name] += g
     norm = math.sqrt(sum(float(np.vdot(g, g)) for g in evolution_grads.values()))
@@ -244,7 +240,7 @@ def train_step(bundles, params: PipelineParams, optimizer, cfg: RunConfig, train
     """
     if optimizer.learning_rate < 0:
         raise ValueError("learning rate must be non-negative")
-    components, grads = scene_loss(bundles, params, cfg, train_evolution)
+    components, grads = scene_loss(bundles, params, train_evolution)
     total = losses.total_loss(components)
     if not np.isfinite(total):
         raise FloatingPointError(f"non-finite training loss {total}")

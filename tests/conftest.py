@@ -212,6 +212,17 @@ def reference_evolution_forward(features, params):
     return offsets, probs, cache
 
 
+def reference_valid_logit_grad(probs, d_valid):
+    """The logit gradient of a (..., 2) softmax ``probs`` whose valid class,
+    the last, has the upstream gradient ``d_valid``: the zero-padded
+    (..., 2) probability gradient through the softmax's Jacobian-vector
+    product, in the dtype of ``probs * d_valid``."""
+    d_probs = np.zeros(probs.shape, dtype=np.result_type(probs, d_valid))
+    d_probs[..., 1] = d_valid
+    inner = (d_probs * probs).sum(axis=-1, keepdims=True)
+    return probs * (d_probs - inner)
+
+
 def reference_evolution_backward(cache, params, d_offsets=None, d_logits=None):
     """``evolution.backward`` of :func:`reference_evolution_forward`'s cache:
     the fuse layer's gradients from the concatenated input."""
@@ -354,7 +365,7 @@ def reference_scene_loss(bundles, params, train_evolution=True):
     grads = pipeline.center_backward(c_cache, params, d_heat)
     offsets, o_cache = pipeline.offset_forward(cols, scenes, centers, params)
     if train_evolution:
-        stages, probs2, caches = pipeline.evolve_contours(grids, scenes, offsets, centers, params)
+        stages, valid2, caches = pipeline.evolve_contours(grids, scenes, offsets, centers, params)
     else:
         stages = [pipeline.initial_contours(offsets, centers)]
 
@@ -372,14 +383,14 @@ def reference_scene_loss(bundles, params, train_evolution=True):
     _, pts1, pts2 = stages
     d_off1 = np.empty_like(pts1)
     d_off2 = np.empty_like(pts2)
-    d_probs2 = np.zeros(probs2.shape)
+    d_valid2 = np.zeros(valid2.shape)
     for j, (ring, corners, bundle) in enumerate(contours):
         w = 1.0 / (len(bundle.rings) * n_scenes)
         l_e1, d_e1 = reference_smooth_l1(pts1[j], ring)
         components["e1"] += l_e1 * w
         d_off1[j] = (eps * w) * d_e1
 
-        pred, c = pts2[j], probs2[j, :, 1].astype(float)
+        pred, c = pts2[j], valid2[j].astype(float)
         n, m = pred.shape[0], corners.shape[0]
         matched = hungarian(match_cost(corners, pred, c, diagonal=float(np.hypot(*bundle.frame_dims))))
         # DML: L1 to the nearest of ten points per ring segment, and to the matched corners
@@ -405,10 +416,9 @@ def reference_scene_loss(bundles, params, train_evolution=True):
         d_cla[unmatched] = np.where(
             interior[unmatched], losses.INVALID_WEIGHT / np.clip(1.0 - c[unmatched], clamp, None), 0.0
         )
-        d_probs2[j, :, 1] = w * d_cla
+        d_valid2[j] = w * d_cla
 
-    d_logits2 = evo.softmax_backward(probs2, d_probs2)
-    evolution_grads = evo.backward(caches.pop(), params, d_offsets=d_off2, d_logits=d_logits2)
+    evolution_grads = evo.backward(caches.pop(), params, d_offsets=d_off2, d_valid=d_valid2)
     for name, g in evo.backward(caches.pop(), params, d_offsets=d_off1).items():
         evolution_grads[name] += g
     norm = math.sqrt(sum(float(np.vdot(g, g)) for g in evolution_grads.values()))
@@ -650,7 +660,6 @@ def reference_greedy_match(order, rows, n_gts: int, threshold: float):
     pairs of the ground truths of its image."""
     gt_taken = [False] * n_gts
     pairs = []
-    unmatched_preds = []
     for pi in order:
         best_iou, best_gt = 0.0, -1
         for gi, iou in rows[pi]:
@@ -659,9 +668,7 @@ def reference_greedy_match(order, rows, n_gts: int, threshold: float):
         if best_gt >= 0:
             gt_taken[best_gt] = True
             pairs.append((pi, best_gt, best_iou))
-        else:
-            unmatched_preds.append(pi)
-    return evaluation.MatchResult(pairs, unmatched_preds)
+    return evaluation.MatchResult(pairs)
 
 
 def reference_evaluate(preds, gts, frame_dims):

@@ -83,7 +83,6 @@ def reference_report(preds, gts, frame):
         hits = sum(iou > ev.manual_level_threshold(gt_masks[gi], r) for _, gi, iou in match.pairs)
         out[f"manual_level_{r}px"] = hits / len(gts)
     out["mean_instance_iou"] = float(per_gt.mean())
-    out["thresholds"] = [float(t) for t in ev.IOU_THRESHOLDS]
     out["precision_mask"] = out.pop("precision_msk")
     out["precision_boundary"] = out.pop("precision_bdy")
     return out
@@ -265,7 +264,7 @@ class TestMatchInstances:
         pred = [ev.InstancePrediction(rect(10, 10, 50, 50), 0.9)]
         for thr in (0.5, 0.75, 0.95):
             res = ev.match_instances(pred, gt, self.iou, thr)
-            assert (len(res.pairs), len(res.unmatched_preds), len(gt) - len(res.pairs)) == (1, 0, 0)
+            assert (len(res.pairs), len(pred) - len(res.pairs), len(gt) - len(res.pairs)) == (1, 0, 0)
 
     def test_two_predictions_one_gt(self):
         gt = [ev.GroundTruth(rect(10, 10, 50, 50))]
@@ -274,7 +273,7 @@ class TestMatchInstances:
             ev.InstancePrediction(rect(10, 10, 50, 48), 0.9),
         ]
         res = ev.match_instances(preds, gt, self.iou, 0.5)
-        assert len(res.pairs) == 1 and res.unmatched_preds == [0]
+        assert len(res.pairs) == 1 and len(preds) - len(res.pairs) == 1
         # the higher-scoring prediction claims the ground truth
         assert res.pairs[0][0] == 1
         # on tied scores the earlier prediction does, despite its lower IoU
@@ -326,7 +325,7 @@ class TestMatchInstances:
         gts = [ev.GroundTruth(rect(10, 10, 50, 50), image_id=0), ev.GroundTruth(rect(70, 70, 120, 120), image_id=1)]
         preds = [ev.InstancePrediction(rect(10, 10, 50, 50), 0.9, image_id=1)]
         res = ev.match_instances(preds, gts, self.iou, 0.5)
-        assert res.pairs == [] and res.unmatched_preds == [0]
+        assert res.pairs == [] and len(preds) - len(res.pairs) == 1
         report = ev.evaluate(preds, gts, FRAME)
         assert report.ap_msk == 0.0 and report.ap_bdy == 0.0 and report.mean_instance_iou == 0.0
 
@@ -564,7 +563,8 @@ class TestEvaluate:
         report = ev.evaluate(preds, gts, FRAME)
         fields = report.to_dict()
         assert ev.EvalReport(**fields) == report
-        assert "manual_level_2px" in fields and 0.95 in fields["thresholds"]
+        assert "manual_level_2px" in fields
+        assert len(fields["precision_mask"]) == len(fields["precision_boundary"]) == len(ev.IOU_THRESHOLDS)
 
     def test_empty_gts_rejected(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from conftest import (
     nine_tap_conv,
     reference_evolution_backward,
     reference_evolution_forward,
+    reference_valid_logit_grad,
     relative_error,
     tap_slices,
 )
@@ -36,15 +37,14 @@ def tiny_params(rng, width=8, random_heads=True, **sizes):
     return params
 
 
-def linear_probe_loss(features, params, a_off, a_pr):
-    offsets, probs, _ = evo.forward(features, params)
-    return float((a_off * offsets).sum() + (a_pr * probs).sum())
+def linear_probe_loss(features, params, a_off, a_valid):
+    offsets, valid, _ = evo.forward(features, params)
+    return float((a_off * offsets).sum() + (a_valid * valid).sum())
 
 
-def probe_gradients(features, params, a_off, a_pr):
-    _, probs, cache = evo.forward(features, params)
-    d_logits = evo.softmax_backward(probs, a_pr)
-    return evo.backward(cache, params, d_offsets=a_off, d_logits=d_logits)
+def probe_gradients(features, params, a_off, a_valid):
+    _, _, cache = evo.forward(features, params)
+    return evo.backward(cache, params, d_offsets=a_off, d_valid=a_valid)
 
 
 def circular(x, kernel, bias):
@@ -263,14 +263,14 @@ class TestForward:
         params = tiny_pipeline(rng, random_heads=False)
         grid = rng.normal(size=(16, 16, FEATURE_CHANNELS))
         offsets = rng.normal(size=(2, 32))
-        stages, probs, _ = pipeline.evolve_contours(
+        stages, valid, _ = pipeline.evolve_contours(
             grid[None], [0, 0], offsets, np.array([[30.0, 30.0], [41.0, 22.0]]), params
         )
         assert len(stages) == pipeline.EVOLUTION_ROUNDS + 1
         for stage in stages[1:]:
             assert stage.shape == (2, 16, 2)
             assert np.array_equal(stage, stages[0])
-        assert np.allclose(probs, 0.5)
+        assert valid.shape == (2, 16) and np.allclose(valid, 0.5)
 
     def test_update_is_additive_offset(self, rng):
         params = tiny_pipeline(rng, random_heads=True)
@@ -297,11 +297,11 @@ class TestForward:
     def test_rotation_equivariance_exact(self, rng):
         params = tiny_params(rng, width=16)
         feats = rng.normal(size=(1, 24, FEATURES))
-        off_a, probs_a, _ = evo.forward(feats, params)
+        off_a, valid_a, _ = evo.forward(feats, params)
         shift = 7
-        off_b, probs_b, _ = evo.forward(np.roll(feats, shift, axis=1), params)
+        off_b, valid_b, _ = evo.forward(np.roll(feats, shift, axis=1), params)
         assert np.array_equal(off_b, np.roll(off_a, shift, axis=1))
-        assert np.array_equal(probs_b, np.roll(probs_a, shift, axis=1))
+        assert np.array_equal(valid_b, np.roll(valid_a, shift, axis=1))
 
 
 class TestBackward:
@@ -309,7 +309,7 @@ class TestBackward:
         params = tiny_params(rng)
         feats = rng.normal(size=(2, 8, FEATURES))
         _, _, cache = evo.forward(feats, params)
-        grads = evo.backward(cache, params, d_offsets=np.zeros((2, 8, 2)), d_logits=np.zeros((2, 8, 2)))
+        grads = evo.backward(cache, params, d_offsets=np.zeros((2, 8, 2)), d_valid=np.zeros((2, 8)))
         assert all(not g.any() for g in grads.values())
 
     def test_head_gradient_is_outer_product(self, rng):
@@ -329,8 +329,8 @@ class TestBackward:
         params = tiny_params(rng, width=8)
         feats = rng.normal(size=(1, 8, FEATURES))
         a_off = rng.normal(size=(1, 8, 2))
-        a_pr = rng.normal(size=(1, 8, 2))
-        grads = probe_gradients(feats, params, a_off, a_pr)
+        a_valid = rng.normal(size=(1, 8))
+        grads = probe_gradients(feats, params, a_off, a_valid)
         assert len(grads) == 14  # every weight and bias of the micro-network
         for name in grads:
             value = getattr(params, name)
@@ -344,7 +344,7 @@ class TestBackward:
                     value[...] = saved
 
             def f(arr):
-                return at(arr, lambda: linear_probe_loss(feats, params, a_off, a_pr))
+                return at(arr, lambda: linear_probe_loss(feats, params, a_off, a_valid))
 
             def kinks(arr):
                 # the pieces of the network: every ReLU mask and the max-pool argmax
@@ -372,8 +372,8 @@ class TestBackward:
         params = tiny_params(rng, width=128)
         feats = rng.normal(size=(1, 16, FEATURES))
         a_off = rng.normal(size=(1, 16, 2))
-        a_pr = rng.normal(size=(1, 16, 2))
-        grads = probe_gradients(feats, params, a_off, a_pr)
+        a_valid = rng.normal(size=(1, 16))
+        grads = probe_gradients(feats, params, a_off, a_valid)
         named = {name: getattr(params, name) for name in grads}
         for trial in range(20):
             direction = {name: rng.normal(size=arr.shape) for name, arr in named.items()}
@@ -386,9 +386,9 @@ class TestBackward:
                 for name, arr in named.items():
                     arr[...] = saved[name] + sign * h * direction[name]
                 if sign > 0:
-                    fp = linear_probe_loss(feats, params, a_off, a_pr)
+                    fp = linear_probe_loss(feats, params, a_off, a_valid)
                 else:
-                    fm = linear_probe_loss(feats, params, a_off, a_pr)
+                    fm = linear_probe_loss(feats, params, a_off, a_valid)
             for name, arr in named.items():
                 arr[...] = saved[name]
             fd = (fp - fm) / (2 * h)
@@ -417,14 +417,14 @@ def test_float32_network_matches_float64():
     reference = as_float64(params)
     feats = rng.normal(size=(5, 64, 10))
     a_off = rng.normal(size=(5, 64, 2))
-    a_pr = rng.normal(size=(5, 64, 2))
+    a_valid = rng.normal(size=(5, 64))
 
     for got, want in zip(evo.forward(feats, params)[:2], evo.forward(feats, reference)[:2]):
         assert got.dtype == np.float32 and want.dtype == np.float64
         assert relative_error(got, want) < 1e-5
 
-    grads = probe_gradients(feats, params, a_off, a_pr)
-    expected = probe_gradients(feats, reference, a_off, a_pr)
+    grads = probe_gradients(feats, params, a_off, a_valid)
+    expected = probe_gradients(feats, reference, a_off, a_valid)
     assert len(grads) == 14 and sorted(grads) == sorted(expected)
     for name, g in grads.items():
         assert getattr(params, name).dtype == np.float32, name
@@ -445,10 +445,19 @@ class TestFuseHalves:
         return params
 
     @staticmethod
-    def outputs(forward, backward, feats, params, a_off, a_pr):
-        offsets, probs, cache = forward(feats, params)
-        grads = backward(cache, params, d_offsets=a_off, d_logits=evo.softmax_backward(probs, a_pr))
-        return {"offsets": offsets, "probs": probs, **grads}
+    def outputs(feats, params, a_off, a_valid):
+        offsets, valid, cache = evo.forward(feats, params)
+        grads = evo.backward(cache, params, d_offsets=a_off, d_valid=a_valid)
+        return {"offsets": offsets, "valid": valid, **grads}
+
+    @staticmethod
+    def reference_outputs(feats, params, a_off, a_valid):
+        """:meth:`outputs` of the reference, which takes the logit gradient
+        of the zero-padded softmax gradient."""
+        offsets, probs, cache = reference_evolution_forward(feats, params)
+        d_logits = reference_valid_logit_grad(probs, a_valid)
+        grads = reference_evolution_backward(cache, params, d_offsets=a_off, d_logits=d_logits)
+        return {"offsets": offsets, "valid": probs[..., 1], **grads}
 
     @pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("batch", [1, 2, 5])
@@ -459,9 +468,9 @@ class TestFuseHalves:
             params = as_float64(params)
         feats = rng.normal(size=(batch, 64, 10))
         a_off = rng.normal(size=(batch, 64, 2)).astype(dtype)
-        a_pr = rng.normal(size=(batch, 64, 2)).astype(dtype)
-        got = self.outputs(evo.forward, evo.backward, feats, params, a_off, a_pr)
-        want = self.outputs(reference_evolution_forward, reference_evolution_backward, feats, params, a_off, a_pr)
+        a_valid = rng.normal(size=(batch, 64)).astype(dtype)
+        got = self.outputs(feats, params, a_off, a_valid)
+        want = self.reference_outputs(feats, params, a_off, a_valid)
         assert len(got) == 16 and sorted(got) == sorted(want)
         for name, value in got.items():
             assert value.dtype == dtype and want[name].dtype == dtype, name
@@ -485,8 +494,36 @@ class TestFuseHalves:
         rng = np.random.default_rng(50)
         params = self.params(rng)
         feats = rng.normal(size=(5, 64, 10))
-        offsets, probs, _ = evo.forward(feats, params)
+        offsets, valid, _ = evo.forward(feats, params)
         for part in (slice(0, 1), slice(1, 3), slice(3, 5)):
-            part_offsets, part_probs, _ = evo.forward(feats[part], params)
+            part_offsets, part_valid, _ = evo.forward(feats[part], params)
             assert np.array_equal(part_offsets, offsets[part])
-            assert np.array_equal(part_probs, probs[part])
+            assert np.array_equal(part_valid, valid[part])
+
+    def test_valid_gradient_is_the_zero_padded_softmax_gradient(self):
+        """The float32 network and a float64 valid-probability gradient, as a
+        training step passes them, against the reference fed the logit
+        gradient of the zero-padded (B, N, 2) probability gradient, from one
+        forward cache: the cls head's arrays bit for bit, every other array
+        to float32 rounding, since the reference's fuse layer reads the
+        concatenated input."""
+        rng = np.random.default_rng(51)
+        params = self.params(rng)
+        feats = rng.normal(size=(3, 64, 10))
+        d_valid = rng.normal(size=(3, 64))
+        d_valid[0, :5] = 0.0  # clamped vertices, whose classification gradient is zero
+        _, _, cache = evo.forward(feats, params)
+        grads = evo.backward(cache, params, d_valid=d_valid)
+        f3 = cache["global_out"]
+        pooled = np.broadcast_to(f3.max(axis=1)[:, None, :], f3.shape)
+        reference_cache = {**cache, "cat": np.concatenate([f3, pooled], axis=2), "pooled_argmax": f3.argmax(axis=1)}
+        d_logits = reference_valid_logit_grad(cache["probs"], d_valid)
+        assert d_logits.dtype == np.float64
+        want = reference_evolution_backward(reference_cache, params, d_logits=d_logits)
+        assert len(grads) == 12 and sorted(grads) == sorted(want)
+        for name, value in want.items():
+            assert grads[name].dtype == value.dtype == np.float32, name
+            if name.startswith("cls_"):
+                assert np.array_equal(grads[name], value), name
+            else:
+                assert relative_error(grads[name], value) < 1e-5, name

@@ -70,9 +70,9 @@ def reference_predict(image, params, cfg):
         pts = pipeline.initial_contours(off[None], position)[0]
         for _ in range(2):
             feats = np.concatenate([evo.sample_features(grid[None], 0, pts), evo.relative_coords(pts)], axis=-1)
-            offsets, probs, _ = evo.forward(feats[None], params)
+            offsets, valid, _ = evo.forward(feats[None], params)
             pts = pts + offsets[0]
-        out.append((pts, probs[0, :, 1], score))
+        out.append((pts, valid[0], score))
     return out
 
 
@@ -105,8 +105,8 @@ def test_training_and_inference_share_stage_points(cfg, params, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(training, "evolve_contours", recording)
-    training.scene_loss([bundle], params, cfg)
-    (stages, probs, _), = seen
+    training.scene_loss([bundle], params)
+    (stages, valid, _), = seen
 
     # inference detecting the same centers evolves the same contours
     def detect(grids, params, cfg):
@@ -116,7 +116,7 @@ def test_training_and_inference_share_stage_points(cfg, params, monkeypatch):
     image = training.make_dataset(cfg, 1)[0].image
     preds = pipeline.predict_scene(image, params, cfg)
     assert np.array_equal(np.stack([p.points for p in preds]), stages[-1])
-    assert np.array_equal(np.stack([p.vertex_scores for p in preds]), probs[:, :, 1])
+    assert np.array_equal(np.stack([p.vertex_scores for p in preds]), valid)
     cols = pipeline.grid_columns(bundle.features[None])
     offsets, _ = pipeline.offset_forward(cols, np.zeros(len(centers), dtype=int), centers, params)
     assert np.array_equal(stages[0], pipeline.initial_contours(offsets, centers))
@@ -173,7 +173,7 @@ def test_kernels_are_stored_in_gemm_layout(cfg, params):
     for name in KERNELS:
         assert np.shares_memory(evo.kernel_matrix(named[name]), named[name]), name
     bundle = training.prepare_scene(training.make_dataset(cfg, 1)[0], cfg)
-    _, grads = training.scene_loss([bundle], params, cfg)
+    _, grads = training.scene_loss([bundle], params)
     for name in KERNELS:
         assert grads[name].shape == named[name].shape, name
         assert grads[name].flags.c_contiguous, name
@@ -248,8 +248,8 @@ def test_step_batch_equals_mean_of_single_scenes(cfg, params, train_evolution):
     wide = as_float64(params)
     bundles = two_bundles(cfg)
     assert len(bundles[0].rings) != len(bundles[1].rings)
-    components, grads = training.scene_loss(bundles, wide, cfg, train_evolution)
-    alone = [training.scene_loss([b], wide, cfg, train_evolution) for b in bundles]
+    components, grads = training.scene_loss(bundles, wide, train_evolution)
+    alone = [training.scene_loss([b], wide, train_evolution) for b in bundles]
     for name, value in components.items():
         assert relative_error(value, np.mean([c[name] for c, _ in alone])) < 1e-12, name
     assert sorted(grads) == sorted(alone[0][1]) == sorted(alone[1][1])
@@ -276,7 +276,7 @@ def mixed_corner_bundles(cfg):
 @pytest.mark.parametrize("train_evolution", [True, False])
 def test_scene_loss_matches_per_contour_reference(cfg, params, train_evolution):
     bundles = mixed_corner_bundles(cfg)
-    components, grads = training.scene_loss(bundles, params, cfg, train_evolution)
+    components, grads = training.scene_loss(bundles, params, train_evolution)
     expected, expected_grads = reference_scene_loss(bundles, params, train_evolution)
     assert components.keys() == expected.keys()
     for name, value in expected.items():
@@ -358,7 +358,7 @@ def test_step_evolution_gradient_sums_both_rounds(cfg, params, monkeypatch):
         return grads
 
     monkeypatch.setattr(evo, "backward", recording)
-    _, grads = training.scene_loss(two_bundles(cfg), params, cfg)
+    _, grads = training.scene_loss(two_bundles(cfg), params)
     last, first = rounds  # the last round is backpropagated first
     assert sorted(first) == sorted(set(last) - {"cls_w", "cls_b"})
     for name, g in last.items():
@@ -369,12 +369,12 @@ def test_step_evolution_gradient_sums_both_rounds(cfg, params, monkeypatch):
 def test_large_evolution_gradient_is_scaled_to_the_norm_bound(cfg, params, monkeypatch):
     wide = as_float64(params)
     bundles = two_bundles(cfg)
-    _, grads = training.scene_loss(bundles, wide, cfg)
+    _, grads = training.scene_loss(bundles, wide)
     evolution = [name for name in grads if name not in head_names(params)]
     norm = np.sqrt(sum(np.vdot(grads[name], grads[name]) for name in evolution))
     assert norm < training.EVOLUTION_GRAD_NORM_MAX
     monkeypatch.setattr(training, "EVOLUTION_GRAD_NORM_MAX", norm / 4)
-    _, clipped = training.scene_loss(bundles, wide, cfg)
+    _, clipped = training.scene_loss(bundles, wide)
     for name in head_names(params):
         assert np.array_equal(clipped[name], grads[name]), name
     for name in evolution:
@@ -386,7 +386,7 @@ def test_scene_loss_rejects_a_scene_without_buildings(cfg, params):
     bundle.rings, bundle.centers, bundle.corners = bundle.rings[:0], bundle.centers[:0], []
     bundle.heat_target = np.zeros_like(bundle.heat_target)
     with pytest.raises(ValueError, match="no keypoints"):
-        training.scene_loss([bundle], params, cfg)
+        training.scene_loss([bundle], params)
 
 
 def test_head_training_does_not_depend_on_the_evolution_network(cfg, params):

@@ -128,3 +128,30 @@ def test_infer_digests_follow_each_output(monkeypatch, tmp_path):
     differ = run_digest("--compare", str(old), str(new))
     assert differ.returncode == 1
     assert "infer dense:1: digests DIFFER: evaluation, infer_polygons, postprocess_polygons" in differ.stdout
+
+
+def test_compare_names_a_step_that_failed_on_one_side(tmp_path):
+    """A step that raised FloatingPointError on one side only, against a
+    hex loss on the other: --compare exits 1, names the differing keys (the
+    losses where no other key differs) and reads the loss difference as
+    infinite."""
+    lines = ["replay dense:1 params " + "a" * 64, "replay dense:1 heads " + "b" * 64, "replay dense:1 steps 2 failed 0"]
+    losses = ["replay dense:1 step 0 0x1.8p+1", "replay dense:1 step 1 0x1.4p+0"]
+    old, failed, uncounted = tmp_path / "old.txt", tmp_path / "failed.txt", tmp_path / "uncounted.txt"
+    old.write_text("\n".join(lines + losses) + "\n")
+    diverged = [lines[0].replace("a" * 64, "c" * 64), lines[1], "replay dense:1 steps 2 failed 1"]
+    failed.write_text("\n".join(diverged + [losses[0], "replay dense:1 step 1 FloatingPointError"]) + "\n")
+    uncounted.write_text("\n".join(lines + [losses[0], "replay dense:1 step 1 FloatingPointError"]) + "\n")
+
+    done = run_digest("--compare", str(old), str(failed))
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == (
+        "replay dense:1: params DIFFER, heads equal, steps DIFFER, steps 2 failed 1,"
+        " largest relative loss difference inf\n"
+    )
+    done = run_digest("--compare", str(old), str(uncounted))
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == (
+        "replay dense:1: params equal, heads equal, losses DIFFER, steps 2 failed 0,"
+        " largest relative loss difference inf\n"
+    )
