@@ -155,22 +155,29 @@ def _sigmoid(x):
 
 def grid_columns(grids) -> np.ndarray:
     """Zero-padded 3x3 im2col of an (S, R, W, C) stack of feature grids:
-    (S, R, W, 9C), tap-major like :func:`evolution.kernel_matrix`, each
-    scene padded on its own. Both heads' first layers read these columns."""
+    (S, R, W, 9C), tap-major like :func:`evolution.kernel_matrix`, read by
+    one strided view of a zeroed (S, R+2, W+2, C) buffer holding each grid
+    padded on its own. Both heads' first layers read these columns, a
+    C-contiguous array sharing no memory with ``grids``."""
     g = np.asarray(grids, dtype=HEAD_DTYPE)
-    padded = np.pad(g, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    view = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    return np.ascontiguousarray(np.moveaxis(view, 3, -1)).reshape(*g.shape[:-1], -1)
+    s, r, w, c = g.shape
+    padded = np.zeros((s, r + 2, w + 2, c), dtype=HEAD_DTYPE)
+    padded[:, 1:-1, 1:-1] = g
+    taps = np.lib.stride_tricks.as_strided(padded, (s, r, w, 3, 3, c), padded.strides[:3] + padded.strides[1:])
+    return np.ascontiguousarray(taps).reshape(s, r, w, -1)
 
 
 def center_forward(cols, params: PipelineParams):
     """:func:`grid_columns` of S grids -> (S, R, W) keypoint heatmaps in
-    (0, 1), one GEMM per layer over every cell; returns (heatmap, cache)."""
-    z1 = cols @ evo.kernel_matrix(params.center_w1) + params.center_b1
-    a1 = np.maximum(z1, 0.0)
+    (0, 1), one GEMM per layer over every cell; returns (heatmap, cache).
+    Bias and ReLU act in place, so the cache keeps ``cols``, ``a1`` and
+    ``heat``, and :func:`center_backward` masks with ``a1 > 0``."""
+    a1 = cols @ evo.kernel_matrix(params.center_w1)
+    a1 += params.center_b1
+    np.maximum(a1, 0.0, out=a1)
     z2 = a1 @ params.center_w2.T + params.center_b2
     heat = _sigmoid(z2[..., 0])
-    return heat, {"cols": cols, "z1": z1, "a1": a1, "heat": heat}
+    return heat, {"cols": cols, "a1": a1, "heat": heat}
 
 
 def center_backward(cache, params: PipelineParams, d_heat):
@@ -181,7 +188,7 @@ def center_backward(cache, params: PipelineParams, d_heat):
         "center_w2": d_z2.reshape(-1, 1).T @ a1.reshape(-1, a1.shape[-1]),
         "center_b2": d_z2.reshape(-1, 1).sum(axis=0),
     }
-    d_z1 = (d_z2 @ params.center_w2) * (cache["z1"] > 0)
+    d_z1 = (d_z2 @ params.center_w2) * (a1 > 0)
     grads["center_w1"], grads["center_b1"] = evo.kernel_grad(cache["cols"], d_z1, params.center_w1)
     return grads
 

@@ -165,10 +165,12 @@ def feature_provider(image) -> np.ndarray:
     one cell there and no central difference.
 
     Every bit is fixed, because a fitted model reads it: the block mean
-    sums each block's columns, then its rows, then divides by 16, the order
-    ``mean(axis=(1, 3))`` sums in (another order rounds differently), and
-    each blur is the row pass then the column pass of
-    ``ndimage.gaussian_filter1d`` that ``ndimage.gaussian_filter`` runs.
+    adds each block's four columns left to right, then its four rows, then
+    divides by 16, the order ``mean(axis=(1, 3))`` sums in (another order
+    rounds differently); each add is one strided pass over the grid, where
+    reducing a length-4 axis runs one short loop per cell. And each blur is
+    the row pass then the column pass of ``ndimage.gaussian_filter1d`` that
+    ``ndimage.gaussian_filter`` runs.
     """
     img = np.asarray(image)
     if img.ndim != 2:
@@ -184,7 +186,14 @@ def feature_provider(image) -> np.ndarray:
     img = img / 255.0
     if img.shape != (rows * STRIDE, cols * STRIDE):
         img = np.pad(img, ((0, rows * STRIDE - h), (0, cols * STRIDE - w)), mode="edge")
-    down = img.reshape(rows, STRIDE, cols, STRIDE).sum(axis=3).sum(axis=1) / STRIDE**2
+    blocks = img.reshape(rows, STRIDE, cols, STRIDE)
+    col_sums = blocks[..., 0] + blocks[..., 1]
+    for k in range(2, STRIDE):
+        col_sums += blocks[..., k]
+    down = col_sums[:, 0] + col_sums[:, 1]
+    for k in range(2, STRIDE):
+        down += col_sums[:, k]
+    down /= STRIDE**2
 
     grid = np.empty((rows, cols, FEATURE_CHANNELS))
     grid[..., 0] = down

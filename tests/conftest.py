@@ -182,6 +182,38 @@ def nine_tap_backward(d_out, x, w):
     return d_padded[1:-1, 1:-1], d_w, d_out.sum(axis=(0, 1))
 
 
+def reference_grid_columns(grids):
+    """``pipeline.grid_columns`` by ``np.pad``, a sliding window view and an
+    axis move; the columns must give the same bits."""
+    g = np.asarray(grids, dtype=pipeline.HEAD_DTYPE)
+    padded = np.pad(g, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    view = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    return np.ascontiguousarray(np.moveaxis(view, 3, -1)).reshape(*g.shape[:-1], -1)
+
+
+def reference_center_forward(cols, params):
+    """``pipeline.center_forward`` out of place, its cache keeping the
+    pre-activation ``z1``; returns (heatmap, cache)."""
+    z1 = cols @ evo.kernel_matrix(params.center_w1) + params.center_b1
+    a1 = np.maximum(z1, 0.0)
+    heat = pipeline._sigmoid((a1 @ params.center_w2.T + params.center_b2)[..., 0])
+    return heat, {"cols": cols, "z1": z1, "a1": a1, "heat": heat}
+
+
+def reference_center_backward(cache, params, d_heat):
+    """``pipeline.center_backward`` on a :func:`reference_center_forward`
+    cache, masking with the pre-activation ``z1 > 0``."""
+    heat, a1 = cache["heat"], cache["a1"]
+    d_z2 = (d_heat * heat * (1.0 - heat))[..., None]
+    grads = {
+        "center_w2": d_z2.reshape(-1, 1).T @ a1.reshape(-1, a1.shape[-1]),
+        "center_b2": d_z2.reshape(-1, 1).sum(axis=0),
+    }
+    d_z1 = (d_z2 @ params.center_w2) * (cache["z1"] > 0)
+    grads["center_w1"], grads["center_b1"] = evo.kernel_grad(cache["cols"], d_z1, params.center_w1)
+    return grads
+
+
 def as_float64(params):
     """A copy of ``params`` with every array cast to float64, so the
     evolution network computes in float64."""

@@ -11,7 +11,10 @@ from conftest import (
     central_difference,
     nine_tap_backward,
     nine_tap_conv,
+    reference_center_backward,
+    reference_center_forward,
     reference_decode_peaks,
+    reference_grid_columns,
     reference_scene_loss,
     relative_error,
 )
@@ -473,6 +476,42 @@ def random_head(rng, **sizes):
 def head_names(params):
     """Names of the center and offset head parameters."""
     return [name for name, _ in params.arrays() if name.startswith(("center_", "offset_"))]
+
+
+# stacks of one to three non-square grids, the transposed grid, 2x2 grids, a
+# one-cell-wide grid, and one-cell grids, whose tap view is already contiguous
+@pytest.mark.parametrize("shape", [(1, 5, 7), (2, 5, 7), (3, 5, 7), (2, 7, 5), (3, 2, 2), (2, 4, 1), (2, 1, 1)])
+def test_grid_columns_match_reference_bit_for_bit(shape):
+    grids = np.random.default_rng(3).normal(size=(*shape, FEATURE_CHANNELS))
+    before = grids.copy()
+    cols = pipeline.grid_columns(grids)
+    assert np.array_equal(cols, reference_grid_columns(grids))
+    assert cols.flags.c_contiguous and cols.flags.writeable
+    assert not np.shares_memory(cols, grids)
+    cols[...] = -1.0
+    assert np.array_equal(grids, before)
+
+
+def test_center_head_matches_pre_activation_reference():
+    rng = np.random.default_rng(21)
+    params = random_head(rng, center_hidden=6)
+    params.center_b1[...] = rng.normal(size=6)
+    # channel 0 reads exactly zero everywhere, channel 1 is negative everywhere
+    params.center_w1[..., :2] = 0.0
+    params.center_b1[:2] = (0.0, -0.5)
+    cols = pipeline.grid_columns(rng.normal(size=(2, 5, 7, FEATURE_CHANNELS)))
+    d_heat = rng.normal(size=(2, 5, 7))
+    heat, cache = pipeline.center_forward(cols, params)
+    ref_heat, ref_cache = reference_center_forward(cols, params)
+    assert np.array_equal(heat, ref_heat)
+    assert sorted(cache) == ["a1", "cols", "heat"]
+    z1 = ref_cache["z1"]
+    assert np.all(z1[..., 0] == 0.0) and np.all(z1[..., 1] < 0.0) and np.any(z1[..., 2:] < 0.0)
+    grads = pipeline.center_backward(cache, params, d_heat)
+    ref_grads = reference_center_backward(ref_cache, params, d_heat)
+    assert sorted(grads) == sorted(ref_grads)
+    for name, g in grads.items():
+        assert np.array_equal(g, ref_grads[name]), name
 
 
 def test_sparse_offset_head_matches_full_grid_head():

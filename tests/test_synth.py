@@ -289,9 +289,10 @@ class TestFeatureProvider:
                 assert np.array_equal(synth.feature_provider(image), reference_feature_provider(image))
                 checked += 1
             assert checked >= 200
-        # a padded frame, and the smallest grids a gradient allows
+        # padded frames, off the 4-px grid on one side or both, and the
+        # smallest grids a gradient allows
         rng = np.random.default_rng(5)
-        for dims in ((130, 126), (8, 8), (7, 5), (5, 64)):
+        for dims in ((130, 126), (9, 131), (131, 9), (8, 8), (7, 5), (5, 64)):
             image = rng.integers(0, 256, dims, dtype=np.uint8)
             assert np.array_equal(synth.feature_provider(image), reference_feature_provider(image))
 
