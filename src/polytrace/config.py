@@ -1,29 +1,21 @@
 """Run configuration: one dataclass.
 
-Every value a run may set lives here with its recommended default; a
-handful of core parameters are range-checked against their recommended
-intervals unless ``allow_nonstandard`` is set. A value that every run
-shares is not a field but a constant in the module that reads it, such as
-``pipeline.EXPANSION_FACTOR``, ``training.BATCH_SCENES`` or
-``synth.FEATURE_CHANNELS``.
+Every value a run may set lives here with its default.
+:meth:`RunConfig.validate` rejects only values the code cannot run; where
+the paper recommends a range, a comment beside the fields gives it. A value
+that every run shares is not a field but a constant in the module that
+reads it, such as ``pipeline.EXPANSION_FACTOR``, ``training.BATCH_SCENES``
+or ``synth.FEATURE_CHANNELS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-# (low, high) recommended intervals for the core parameters
-RECOMMENDED_RANGES = {
-    "n_vertices": (64, 128),
-    "peak_threshold": (0.05, 0.2),
-    "max_detections": (200, 300),
-    "vertex_threshold": (0.5, 0.7),
-}
-
 
 @dataclass
 class RunConfig:
-    # contour and matching
+    # contour and matching (the paper's ranges: 64-128, 0.05-0.2, 200-300, 0.5-0.7)
     n_vertices: int = 64
     peak_threshold: float = 0.2
     max_detections: int = 200
@@ -53,14 +45,21 @@ class RunConfig:
     noise_sigma: float = 2.5
 
     seed: int = 7
-    allow_nonstandard: bool = False
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
-        if self.n_vertices % 4 != 0:
-            raise ValueError("n_vertices must be divisible by 4")
+        if self.n_vertices < 4 or self.n_vertices % 4 != 0:
+            raise ValueError(f"n_vertices = {self.n_vertices} must be at least 4 and divisible by 4")
+        if not 0 <= self.peak_threshold < 1:
+            raise ValueError(f"peak_threshold = {self.peak_threshold} must lie in [0, 1)")
+        if not 0 <= self.vertex_threshold <= 1:
+            raise ValueError(f"vertex_threshold = {self.vertex_threshold} must lie in [0, 1]")
+        if self.max_detections < 1:
+            raise ValueError(f"max_detections = {self.max_detections} must be at least 1")
+        if not self.learning_rate >= 0:
+            raise ValueError(f"learning_rate = {self.learning_rate} must not be negative")
         if self.optimizer not in ("momentum", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 1 <= self.min_buildings <= self.max_buildings:
@@ -68,16 +67,6 @@ class RunConfig:
                 f"building counts {self.min_buildings}..{self.max_buildings} need"
                 " 1 <= min_buildings <= max_buildings"
             )
-        if self.max_detections < 1:
-            raise ValueError(f"max_detections = {self.max_detections} must be at least 1")
-        if not self.allow_nonstandard:
-            for key, (lo, hi) in RECOMMENDED_RANGES.items():
-                value = getattr(self, key)
-                if not lo <= value <= hi:
-                    raise ValueError(
-                        f"{key} = {value} outside the recommended range [{lo}, {hi}]"
-                        " (pass allow_nonstandard=True to override)"
-                    )
 
     @property
     def frame_dims(self) -> tuple:

@@ -1,12 +1,15 @@
 """Center detection: the stride-4 grid, heatmap targets and peak decoding.
 
 Heatmaps and feature grids live on a stride-4 grid; cell (row, col) covers
-the 4x4 pixel block starting at (4*col, 4*row). :func:`grid_shape`,
-:func:`center_cells` (point -> cell) and :func:`cell_centers` (cell -> its
-center, ((col + 0.5) * 4, (row + 0.5) * 4)) are the grid's only rules.
-:func:`decode_peaks` returns the (K, 2) (row, col) cells of a heatmap's
-peaks, as ``skimage.feature.peak_local_max`` does; callers read their scores
-from the heatmap and compose the initial contours at their cell centers
+the 4x4 pixel block starting at (4*col, 4*row). The grid's only rules are
+:func:`grid_shape`, the block partition :func:`synth.feature_provider`
+reads; :func:`center_cells` (point -> cell) and :func:`cell_centers` (cell
+-> its center, ((col + 0.5) * 4, (row + 0.5) * 4)), the cells of the heads
+and the heatmap target; and :func:`grid_coords`, the sampling map
+:func:`evolution.sample_features` reads. :func:`decode_peaks` returns the
+(K, 2) (row, col) cells of a heatmap's peaks, as
+``skimage.feature.peak_local_max`` does; callers read their scores from the
+heatmap and compose the initial contours at their cell centers
 (:func:`pipeline.initial_contours`).
 """
 
@@ -35,6 +38,14 @@ def center_cells(centers) -> tuple:
 def cell_centers(cells) -> np.ndarray:
     """(K, 2) full-resolution (x, y) centers of (K, 2) (row, col) cells."""
     return (np.asarray(cells).reshape(-1, 2)[:, ::-1] + 0.5) * STRIDE
+
+
+def grid_coords(points) -> np.ndarray:
+    """(..., 2) continuous (x, y) grid coordinates of (..., 2) full-resolution
+    points: cell c's value sits at pixel 4c, half a cell off
+    :func:`cell_centers`. :func:`center_cells`, the cell that contains a
+    point, is a separate rule and must not follow this one."""
+    return np.asarray(points, dtype=float) / STRIDE
 
 
 def build_heatmap_target(centers, bbox_sizes, image_dims) -> np.ndarray:

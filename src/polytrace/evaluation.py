@@ -36,11 +36,12 @@ from __future__ import annotations
 import bisect
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
 
-from .geometry import expand_mask, rasterize
+from .geometry import crop_windows, expand_mask, rasterize
 
 IOU_THRESHOLDS = np.array([0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95])
 BOUNDARY_FRACTION = 0.01  # boundary band width as a fraction of the frame diagonal
@@ -285,36 +286,24 @@ def evaluate(preds, gts, frame_dims) -> EvalReport:
 
 def _blocks(groups, preds, gts, frame_dims) -> list:
     """The image groups cut into consecutive blocks whose crop stack keeps
-    within ``BLOCK_PIXELS``; a group that alone exceeds it is a block.
-
-    A ring's crop is at most the ceiling of its vertex extent plus 2
-    pixels, plus the pad each side, cut to the frame: :func:`rasterize`
-    sets no pixel beyond the rows of centres in [ymin, ymax) and a column
-    beyond those in [xmin, xmax) each side.
-    """
+    within ``BLOCK_PIXELS``; a group that alone exceeds it is a block. A
+    block's stack has the largest :func:`crop_windows` shape of its rings."""
     if not groups:
         return []
     rings = [poly for pis, gis in groups for poly in _group_rings(pis, gis, preds, gts)]
-    pts, starts = np.concatenate(rings), _starts([len(r) for r in rings])
-    extent = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
-    dims = np.minimum(np.ceil(extent) + 2 + 2 * max(LEVEL_RADII), frame_dims)
-    counts = [len(pis) + len(gis) for pis, gis in groups]
+    shapes = iter(crop_windows(rings, *frame_dims, pad=max(LEVEL_RADII))[1].tolist())
     blocks, block, size, box = [], [], 0, (0, 0)
-    for group, count, (w, h) in zip(groups, counts, np.maximum.reduceat(dims, _starts(counts)).tolist()):
-        grown = (max(box[0], w), max(box[1], h))
+    for group in groups:
+        count = len(group[0]) + len(group[1])
+        h, w = map(max, zip(*islice(shapes, count)))
+        grown = (max(box[0], h), max(box[1], w))
         if block and (size + count) * grown[0] * grown[1] > BLOCK_PIXELS:
             blocks.append(block)
-            block, size, grown = [], 0, (w, h)
+            block, size, grown = [], 0, (h, w)
         block.append(group)
         size, box = size + count, grown
     blocks.append(block)
     return blocks
-
-
-def _starts(sizes) -> np.ndarray:
-    """Offset of each of consecutive runs of the given sizes."""
-    sizes = np.asarray(sizes)
-    return np.cumsum(sizes) - sizes
 
 
 def _group_rings(pis, gis, preds, gts) -> list:

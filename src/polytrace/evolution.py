@@ -67,7 +67,7 @@ import functools
 import numpy as np
 from scipy.special import softmax
 
-from .detection import STRIDE
+from .detection import grid_coords
 
 # layer -> dilation of its circular kernel: its taps read vertices this far
 # apart.
@@ -80,14 +80,14 @@ def sample_features(grids, scenes, points) -> np.ndarray:
     ``grids`` is an (S, rows, cols, C) stack of feature grids and ``scenes``
     the integer index into it of the grid each point reads, broadcasting
     against ``points.shape[:-1]``; points are (..., 2) full-resolution
-    pixels, mapped to grid coordinates by dividing by the stride and clamped
-    to the grid. The result is (..., C).
+    pixels, mapped to grid coordinates by :func:`detection.grid_coords` and
+    clamped to the grid. The result is (..., C).
     """
     g = np.asarray(grids, dtype=float)
-    pts = np.asarray(points, dtype=float)
     rows, cols = g.shape[1:3]
-    gx = np.clip(pts[..., 0] / STRIDE, 0.0, cols - 1.0)
-    gy = np.clip(pts[..., 1] / STRIDE, 0.0, rows - 1.0)
+    coords = grid_coords(points)
+    gx = np.clip(coords[..., 0], 0.0, cols - 1.0)
+    gy = np.clip(coords[..., 1], 0.0, rows - 1.0)
     x0 = np.clip(np.floor(gx).astype(int), 0, max(cols - 2, 0))
     y0 = np.clip(np.floor(gy).astype(int), 0, max(rows - 2, 0))
     fx = (gx - x0)[..., None]
@@ -177,9 +177,8 @@ def conv_input_grad(d_out, kernel, d) -> np.ndarray:
     b, n, _ = d_out.shape
     d_cols = (d_out.reshape(-1, d_out_ch) @ kernel_matrix(kernel).T).reshape(b, n, k, d_in)
     d_x = np.zeros((b, n, d_in), dtype=d_cols.dtype)
-    for t in range(k):
-        # tap t of output vertex j read vertex j + s modulo n, for any k and d
-        s = ((t - (k - 1) // 2) * d) % n
+    # tap t of output vertex j read vertex j + s modulo n, s the tap's index at vertex 0
+    for t, s in enumerate(_wrap_index(n, k, d)[0].tolist()):
         d_x[:, s:] += d_cols[:, : n - s, t]
         d_x[:, :s] += d_cols[:, n - s :, t]
     return d_x
@@ -301,11 +300,11 @@ def backward(cache, params, d_offsets=None, d_valid=None):
     d_f3[b_idx, argmax, w_idx] += d_pooled
 
     d_prev = d_f3
-    layer_inputs = {"detail": cache["f0"], "local": cache["detail_out"], "global": cache["local_out"]}
-    for name, d in reversed(DILATIONS.items()):
+    inputs = [cache["f0"], *(cache[f"{name}_out"] for name in DILATIONS)][:-1]
+    for (name, d), x in zip(reversed(DILATIONS.items()), reversed(inputs)):
         kernel = getattr(params, f"{name}_w")
         d_h = d_prev * (cache[f"{name}_z"] > 0)
-        grads[f"{name}_w"], grads[f"{name}_b"] = conv_weight_grad(d_h, layer_inputs[name], kernel, d)
+        grads[f"{name}_w"], grads[f"{name}_b"] = conv_weight_grad(d_h, x, kernel, d)
         d_prev = d_prev + conv_input_grad(d_h, kernel, d)  # residual shortcut
 
     d_z0 = d_prev * (cache["z0"] > 0)

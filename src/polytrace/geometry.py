@@ -253,6 +253,36 @@ def densify_x10(points) -> np.ndarray:
     return dense.reshape(*pts.shape[:-2], -1, 2)
 
 
+def crop_windows(rings, width: int, height: int, pad: int = 0):
+    """``(corners, shapes)``: the (K, 2) top-left (row, column) and (h, w)
+    of the frame window of each of K rings rasterized with ``pad``.
+
+    A ring sets pixels only in the rows whose centre lies in [ymin, ymax)
+    and a column more each side than those in [xmin, xmax), where a
+    crossing rounded past a vertex can reach. Its window grows that box by
+    ``pad`` each side, inside the frame. :func:`rasterize` crops each ring
+    at the largest shape S, from ``min(corners, (height, width) - S)``.
+    """
+    if width <= 0 or height <= 0:
+        raise ValueError("raster dimensions must be positive")
+    polys = [np.asarray(r, dtype=float) for r in rings]
+    for p in polys:
+        if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3:
+            raise ValueError(f"polygon must have shape (M, 2) with M >= 3, got {p.shape}")
+    if not polys:
+        return np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
+    pts = np.concatenate(polys)[:, ::-1]  # (y, x), in the order of the crops' axes
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("polygon has non-finite coordinates")
+    sizes = np.array([p.shape[0] for p in polys])
+    starts = np.cumsum(sizes) - sizes
+    frame, margin = np.array([height, width]), np.array([pad, pad + 1])
+    lo, hi = np.ceil(np.stack([np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)]) - 0.5)
+    shapes = np.minimum(hi - lo + 2 * margin, frame)
+    corners = np.minimum(np.maximum(lo - margin, 0), frame - shapes)
+    return corners.astype(np.int64), shapes.astype(np.int64)
+
+
 def rasterize(rings, width: int, height: int, pad: int = 0):
     """Rasterize K rings into one stack of frame windows:
     ``(crops, origins)``, a (K, h, w) boolean stack and the (K, 2) frame
@@ -262,10 +292,10 @@ def rasterize(rings, width: int, height: int, pad: int = 0):
     (j+0.5, i+0.5) is inside the ring by the even-odd rule. Crop k is
     ``frame[r:r + h, c:c + w]`` for ``(r, c) = origins[k]``: every crop
     pixel is a frame pixel, and no pixel of ring k outside its crop is set.
-    All crops share one shape, the largest pixel extent of a ring grown by
-    ``pad`` on each side and cut to the frame. A crop reaches at least
-    ``pad`` pixels beyond its ring's pixels wherever the frame allows, so a
-    dilation by up to ``pad`` inside a crop equals one inside the frame.
+    All crops share the largest :func:`crop_windows` shape, so a crop
+    reaches at least ``pad`` pixels beyond its ring's pixels wherever the
+    frame allows, and a dilation by up to ``pad`` inside a crop equals one
+    inside the frame.
 
     One pass over every (edge, crop row) crossing of every ring, with no
     loop over rings or edges. The edge from y1 to y2 crosses the rows whose
@@ -282,26 +312,16 @@ def rasterize(rings, width: int, height: int, pad: int = 0):
     temporaries are O(crossings) plus about 11 bytes per stack pixel, so a
     caller bounds the memory by the rings it passes at once.
     """
-    if width <= 0 or height <= 0:
-        raise ValueError("raster dimensions must be positive")
     polys = [np.asarray(r, dtype=float) for r in rings]
-    for p in polys:
-        if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3:
-            raise ValueError(f"polygon must have shape (M, 2) with M >= 3, got {p.shape}")
+    corners, shapes = crop_windows(polys, width, height, pad)
     if not polys:
-        return np.zeros((0, 0, 0), dtype=bool), np.zeros((0, 2), dtype=np.int64)
+        return np.zeros((0, 0, 0), dtype=bool), corners
+    h, w = shapes.max(axis=0).tolist()
+    origins = np.minimum(corners, (height - h, width - w)).astype(np.int64)
+    r0, c0 = origins.T
     pts = np.concatenate(polys)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("polygon has non-finite coordinates")
     sizes = np.array([p.shape[0] for p in polys])
     starts = np.cumsum(sizes) - sizes
-    # the pixels a ring can set: rows whose centre lies in [ymin, ymax), and
-    # a column more each side than those in [xmin, xmax), where a crossing
-    # rounded past a vertex can reach
-    frame, margin = np.array([width, height]), np.array([pad + 1, pad])
-    lo, hi = np.ceil(np.stack([np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)]) - 0.5)
-    w, h = np.minimum((hi - lo).max(axis=0) + 2 * margin, frame).astype(np.int64).tolist()
-    c0, r0 = np.minimum(np.maximum(lo - margin, 0), frame - (w, h)).astype(np.int64).T
 
     ring = np.repeat(np.arange(len(polys)), sizes)
     succ = np.arange(1, pts.shape[0] + 1)
@@ -323,7 +343,7 @@ def rasterize(rings, width: int, height: int, pad: int = 0):
         parity[step:] ^= parity[:-step]
         step *= 2
     parity &= 1
-    return np.ascontiguousarray(parity.view(bool).transpose(1, 2, 0)), np.column_stack([r0, c0])
+    return np.ascontiguousarray(parity.view(bool).transpose(1, 2, 0)), origins
 
 
 def _clip_ceil(v, start, size) -> np.ndarray:

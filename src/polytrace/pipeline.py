@@ -20,7 +20,7 @@ rest at the cell, so its cost grows with the number of centers, not the grid.
 
 :func:`evolve_contours` is the one contour forward of training and
 inference. It composes every initial contour as
-``center + EXPANSION_FACTOR * STRIDE * offset`` and evolves all of them as
+``center + OFFSET_SCALE * offset`` and evolves all of them as
 one (B, N, 2) batch, each contour sampling the feature grid of its own
 scene from a stack of grids. Training passes the ground-truth bbox centers of
 every scene of a step, so a step runs one evolution forward and one
@@ -47,6 +47,7 @@ EVOLUTION_ROUNDS = 2
 
 # the offset head's outputs are in units of this many stride-4 cells
 EXPANSION_FACTOR = 10.0
+OFFSET_SCALE = EXPANSION_FACTOR * STRIDE
 
 # The evolution network computes in the dtype of its arrays (see
 # :mod:`evolution`); float32 halves the bytes its GEMMs move. The center and
@@ -233,10 +234,9 @@ def offset_backward(cache, params: PipelineParams, d_offsets):
 
 def initial_contours(offsets, centers) -> np.ndarray:
     """(B, N, 2) initial contours around (B, 2) full-resolution centers from
-    their (B, 2N) stride-4 offsets; offsets become pixels through the stride
-    and ``EXPANSION_FACTOR``."""
+    their (B, 2N) offsets, ``OFFSET_SCALE`` pixels each."""
     c = np.asarray(centers, dtype=float).reshape(-1, 2)
-    return c[:, None, :] + (EXPANSION_FACTOR * STRIDE) * offsets.reshape(c.shape[0], -1, 2)
+    return c[:, None, :] + OFFSET_SCALE * offsets.reshape(c.shape[0], -1, 2)
 
 
 def evolve_contours(grids, scenes, offsets, centers, params: PipelineParams):

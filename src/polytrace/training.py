@@ -28,10 +28,10 @@ from . import evolution as evo
 from . import losses
 from .assignment import hungarian, match_cost
 from .config import RunConfig
-from .detection import STRIDE, build_heatmap_target
+from .detection import build_heatmap_target
 from .geometry import bounding_box, densify
 from .pipeline import (
-    EXPANSION_FACTOR,
+    OFFSET_SCALE,
     PipelineParams,
     center_backward,
     center_forward,
@@ -140,10 +140,9 @@ def scene_loss(bundles, params: PipelineParams, train_evolution: bool = True):
     # each contour's weight in the mean over scenes of the instance means
     n_inst = np.repeat(counts, counts)
     w = 1.0 / (n_inst * n_scenes)
-    scale = EXPANSION_FACTOR * STRIDE
     l_init, d_init = losses.smooth_l1(stages[0], rings)
     components["init"] = float((l_init / (n_inst * n_scenes)).sum())
-    d_offsets = (eps / n_inst * scale / n_scenes)[:, None] * d_init.reshape(len(rings), -1)
+    d_offsets = (eps / n_inst * OFFSET_SCALE / n_scenes)[:, None] * d_init.reshape(len(rings), -1)
     grads.update(offset_backward(o_cache, params, d_offsets))
 
     if not train_evolution:

@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 
 from polytrace import evaluation as ev
-from polytrace.geometry import expand_mask
+from polytrace.geometry import crop_windows, expand_mask, rasterize
 
 from conftest import (
     frame_mask,
@@ -557,6 +557,30 @@ class TestEvaluate:
                 if block_pixels == 20_000 and subset is preds and n_images == 40:
                     assert len(calls) > 1
         assert ev.evaluate(preds, gts, frame).ap_msk > 0.0
+
+    @pytest.mark.parametrize("block_pixels", [ev.BLOCK_PIXELS, 20_000])
+    def test_blocks_keep_their_stack_within_the_cap(self, block_pixels, monkeypatch, rng):
+        """The crop stack of each block, rasterized as evaluate does, holds
+        at most ``BLOCK_PIXELS`` pixels unless the block is one image, and
+        has the largest of the crop shapes the block was planned with."""
+        frame, pad = (128, 96), max(ev.LEVEL_RADII)
+        monkeypatch.setattr(ev, "BLOCK_PIXELS", block_pixels)
+        planned = []
+        monkeypatch.setattr(ev, "crop_windows", lambda *a, **k: planned.append(crop_windows(*a, **k)) or planned[-1])
+        for n_images in (3, 12, 40):
+            preds, gts = random_multi_image_set(rng, n_images, frame)
+            planned.clear()
+            blocks = ev._blocks(ev._image_groups(preds, gts), preds, gts, frame)
+            (_, shapes), start = planned[0], 0
+            for block in blocks:
+                rings = [poly for pis, gis in block for poly in ev._group_rings(pis, gis, preds, gts)]
+                masks, _ = rasterize(rings, *frame, pad=pad)
+                assert masks.size <= block_pixels or len(block) == 1
+                assert masks.shape[1:] == tuple(shapes[start : start + len(rings)].max(axis=0))
+                start += len(rings)
+            assert start == len(shapes)
+            if block_pixels == 20_000 and n_images == 40:
+                assert len(blocks) > 1
 
     def test_report_roundtrip_and_table(self):
         preds, gts = self.build_scene()

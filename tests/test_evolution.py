@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polytrace import detection
 from polytrace import evolution as evo
 from polytrace import pipeline
 from polytrace.config import RunConfig
@@ -235,6 +236,17 @@ class TestSampling:
         assert np.allclose(out[1], grid[5, 5])
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="sample_features reads cell c at pixel 4c, half a cell off cell_centers; ROADMAP item 1's half-cell fix",
+)
+def test_sampling_at_a_cell_centre_reads_that_cell(rng):
+    grid = rng.normal(size=(8, 8, 3))
+    cells = np.indices(grid.shape[:2]).reshape(2, -1).T
+    out = evo.sample_features(grid[None], 0, detection.cell_centers(cells))
+    np.testing.assert_allclose(out, grid[cells[:, 0], cells[:, 1]], rtol=0.0, atol=1e-12)
+
+
 class TestAssemble:
     def test_shape_and_layout(self, rng):
         grid = rng.normal(size=(8, 8, 1))
@@ -255,7 +267,7 @@ class TestAssemble:
 
 
 def tiny_pipeline(rng, random_heads):
-    return tiny_params(rng, width=16, random_heads=random_heads, n_vertices=16, allow_nonstandard=True)
+    return tiny_params(rng, width=16, random_heads=random_heads, n_vertices=16)
 
 
 class TestForward:

@@ -36,7 +36,6 @@ TINY = dict(
     epochs_init=1,
     decay_epoch_1=2,
     decay_epoch_2=3,
-    allow_nonstandard=True,
 )
 
 
@@ -233,6 +232,14 @@ def test_train_step_keeps_every_dtype(cfg, params):
             assert arr.dtype == dtypes[name], (kind, name)
     assert {dtypes[name] for name in head_names(params)} == {np.dtype(np.float64)}
     assert {dtypes[name] for name, _ in params.arrays() if name not in head_names(params)} == {np.dtype(np.float32)}
+
+
+def test_train_step_rejects_a_negative_learning_rate(cfg, params):
+    # an optimizer built directly is not checked by RunConfig
+    before = [arr.copy() for _, arr in params.arrays()]
+    with pytest.raises(ValueError, match="learning rate"):
+        training.train_step([], params, training.MomentumSGD(-0.01), cfg)
+    assert all(np.array_equal(a, b) for a, (_, b) in zip(before, params.arrays()))
 
 
 def two_bundles(cfg):
@@ -465,7 +472,7 @@ def full_grid_backward(cache, centers, params, d_offsets):
 def random_head(rng, **sizes):
     """Parameters whose offset head has random weights and biases, so that
     some ReLUs are off at every layer."""
-    cfg = RunConfig(allow_nonstandard=True, **sizes)
+    cfg = RunConfig(**sizes)
     params = pipeline.PipelineParams.initialize(cfg, rng)
     for name, value in params.arrays():
         if name.startswith("offset_"):
